@@ -15,27 +15,13 @@ from qdpsim import (
     QITEConfig,
     energy,
     ground_state,
+    heisenberg_chain,
     qite_qdp_run,
     qite_recursion_spec,
     random_pure,
     run_exact,
     run_qdp,
 )
-
-
-def heisenberg_chain(n_qubits=3, field=0.5):
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-
-    def site(op, i):
-        out = np.eye(1, dtype=complex)
-        for k in range(n_qubits):
-            out = np.kron(out, op if k == i else np.eye(2, dtype=complex))
-        return out
-
-    h = sum(site(op, i) @ site(op, i + 1) for op in (sx, sy, sz) for i in range(n_qubits - 1))
-    return h + field * sum(site(sz, i) for i in range(n_qubits))
 
 
 def main():

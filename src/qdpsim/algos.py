@@ -25,6 +25,7 @@ import numpy as np
 
 from .channels import (
     MemoryCallSpec,
+    _validated_diagonal,
     make_commutator_map,
     make_osd_map,
     make_pair_commutator_map,
@@ -315,17 +316,6 @@ def mixed_reflection_identity_check(rho: DensityMatrix, s: float, n_samples: int
 # Double-bracket iteration
 
 
-def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
-    dd = hermitize(d)
-    if np.max(np.abs(dd - np.diag(np.diag(dd)))) > 1e-12:
-        raise InvariantError("instruction operator must be diagonal")
-    mu = np.real(np.diag(dd)).copy()
-    gaps = np.abs(mu[:, None] - mu[None, :]) + np.eye(len(mu))
-    if gaps.min() <= 1e-12:
-        raise InvariantError("diagonal instruction operator must be non-degenerate")
-    return dd, mu
-
-
 def dbi_step(p, d, s: float) -> np.ndarray:
     """``e^{s[d,p]} p e^{-s[d,p]}``: isospectral rotation toward d's eigenbasis."""
     dd, _ = _validated_diagonal(d)
@@ -416,6 +406,23 @@ def offdiag_hs_norm(m) -> float:
 
 # ---------------------------------------------------------------------------
 # Imaginary-time evolution
+
+
+def heisenberg_chain(n_qubits: int = 3, field: float = 0.5) -> np.ndarray:
+    """Open Heisenberg chain in a longitudinal field:
+    ``sum_i (X_i X_{i+1} + Y_i Y_{i+1} + Z_i Z_{i+1}) + field * sum_i Z_i``."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+
+    def site(op, i):
+        out = np.eye(1, dtype=complex)
+        for k in range(n_qubits):
+            out = np.kron(out, op if k == i else np.eye(2, dtype=complex))
+        return out
+
+    h = sum(site(op, i) @ site(op, i + 1) for op in (sx, sy, sz) for i in range(n_qubits - 1))
+    return h + field * sum(site(sz, i) for i in range(n_qubits))
 
 
 @dataclass(frozen=True)

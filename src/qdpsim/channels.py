@@ -182,21 +182,28 @@ def make_commutator_map(d, s: float) -> HermitianPreservingMap:
     )
 
 
+def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitized ``d`` and its real diagonal; ``d`` must be diagonal with
+    pairwise distinct entries."""
+    dd = hermitize(d)
+    if np.max(np.abs(dd - np.diag(np.diag(dd)))) > 1e-12:
+        raise InvariantError("instruction operator must be diagonal")
+    mu = np.real(np.diag(dd)).copy()
+    gaps = np.abs(mu[:, None] - mu[None, :]) + np.eye(len(mu))
+    if gaps.min() <= 1e-12:
+        raise InvariantError("diagonal instruction operator must be non-degenerate")
+    return dd, mu
+
+
 def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap:
     """The map ``rho_AB -> -i s [d_a, Tr_B rho_AB] (x) 1_B``.
 
     ``d_a`` must be diagonal with pairwise distinct entries.
     """
     da, db = int(dims[0]), int(dims[1])
-    dd = hermitize(d_a)
+    dd, _ = _validated_diagonal(d_a)
     if dd.shape[0] != da:
         raise DimensionError(f"diagonal operator dim {dd.shape[0]} != {da}")
-    if np.max(np.abs(dd - np.diag(np.diag(dd)))) > 1e-12:
-        raise InvariantError("instruction operator must be diagonal")
-    mu = np.real(np.diag(dd))
-    gaps = np.abs(mu[:, None] - mu[None, :]) + np.eye(da)
-    if gaps.min() <= 1e-12:
-        raise InvariantError("diagonal operator must be non-degenerate")
     ss = float(s)
     eye_b = np.eye(db, dtype=complex)
 

@@ -46,6 +46,7 @@ from .algos import (
     grover_recursion_spec,
     ground_state,
     energy as state_energy,
+    heisenberg_chain,
     offdiag_hs_norm,
     osd_recursion_spec,
     qite_recursion_spec,
@@ -155,10 +156,17 @@ def _need(params: dict, key: str, kind, scenario: str):
         raise ConfigError(f"{scenario}: field 'params.{key}' is invalid: {exc}") from exc
 
 
-def _opt(params: dict, key: str, kind, default):
+def _opt(params: dict, key: str, kind, default, scenario: str):
     if key not in params or params[key] is None:
         return default
-    return kind(params[key])
+    return _need(params, key, kind, scenario)
+
+
+def _output_section(raw: dict) -> dict:
+    output = raw.get("output") or {}
+    if not isinstance(output, dict):
+        raise ConfigError(f"field 'output' must be an object, got {output!r}")
+    return output
 
 
 def parse_strategy(raw: dict):
@@ -216,14 +224,17 @@ class ExperimentConfig:
             raise ConfigError(f"field 'scenario' must be one of {SCENARIOS}, got {scenario!r}")
         seed = raw.get("seed")
         if seed is not None:
-            seed = int(seed)
+            try:
+                seed = int(seed)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"field 'seed' must be an integer, got {seed!r}") from exc
         if scenario in _RANDOMIZED and seed is None:
             raise ConfigError(f"field 'seed' is mandatory for scenario {scenario!r}")
         strategy = parse_strategy(raw.get("strategy", {"kind": "exact"}))
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("field 'params' must be an object")
-        output = raw.get("output") or {}
+        output = _output_section(raw)
         return cls(
             scenario=scenario,
             seed=seed,
@@ -269,7 +280,7 @@ def _grover_setup(cfg: ExperimentConfig) -> GroverConfig:
         delta0=delta0,
         alternations=_need(p, "L", int, "grover"),
         n_steps=n_steps,
-        dim=_opt(p, "dim", int, 2),
+        dim=_opt(p, "dim", int, 2, "grover"),
         seed=cfg.seed,
     )
 
@@ -277,7 +288,7 @@ def _grover_setup(cfg: ExperimentConfig) -> GroverConfig:
 def _run_grover(cfg: ExperimentConfig) -> RunReport:
     gcfg = _grover_setup(cfg)
     _check_hybrid_split(cfg.strategy, gcfg.n_steps)
-    eps = _opt(cfg.params, "eps", float, 0.0)
+    eps = _opt(cfg.params, "eps", float, 0.0, "grover")
     if isinstance(cfg.strategy, QDPStrategy):
         record = grover_qdp_run(gcfg, cfg.strategy.m, eps=eps, imr=cfg.strategy.imr)
     else:
@@ -304,12 +315,13 @@ def _run_dbi(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     dim = _need(p, "dim", int, "dbi")
     n_steps = _need(p, "n_steps", int, "dbi")
-    mu = _opt(p, "mu", list, list(range(dim)))
+    mu = _opt(p, "mu", list, list(range(dim)), "dbi")
     if len(mu) != dim:
         raise ConfigError(f"dbi: 'params.mu' must have {dim} entries")
     diag = np.diag(np.asarray(mu, dtype=float))
     initial = random_density(dim, cfg.seed).matrix * dim
-    dcfg = DBIConfig(diagonal=diag, initial=initial, step_size=_opt(p, "step_size", float, None))
+    step_size = _opt(p, "step_size", float, None, "dbi")
+    dcfg = DBIConfig(diagonal=diag, initial=initial, step_size=step_size)
     _check_hybrid_split(cfg.strategy, n_steps)
     spec = dbi_recursion_spec(dcfg)
     record = run_strategy(spec, n_steps, cfg.strategy)
@@ -325,26 +337,12 @@ def _run_dbi(cfg: ExperimentConfig) -> RunReport:
 
 
 def _qite_hamiltonian(p: dict, seed) -> np.ndarray:
-    model = _opt(p, "model", str, "heisenberg_chain")
+    model = _opt(p, "model", str, "heisenberg_chain", "qite")
     if model == "heisenberg_chain":
-        n_qubits = _opt(p, "n_qubits", int, 3)
-        fieldz = _opt(p, "field", float, 0.5)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-
-        def site(op, i):
-            out = np.eye(1, dtype=complex)
-            for k in range(n_qubits):
-                out = np.kron(out, op if k == i else np.eye(2, dtype=complex))
-            return out
-
-        h = sum(
-            site(op, i) @ site(op, i + 1)
-            for op in (sx, sy, sz)
-            for i in range(n_qubits - 1)
-        )
-        return h + fieldz * sum(site(sz, i) for i in range(n_qubits))
+        n_qubits = _opt(p, "n_qubits", int, 3, "qite")
+        if n_qubits < 1:
+            raise ConfigError(f"qite: 'params.n_qubits' must be >= 1, got {n_qubits}")
+        return heisenberg_chain(n_qubits, _opt(p, "field", float, 0.5, "qite"))
     if model == "random":
         dim = _need(p, "dim", int, "qite")
         rng = np.random.default_rng(seed)
@@ -358,7 +356,8 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
     n_steps = _need(p, "n_steps", int, "qite")
     h = _qite_hamiltonian(p, cfg.seed)
     psi0 = random_pure(h.shape[0], cfg.seed)
-    qcfg = QITEConfig(hamiltonian=h, initial=psi0, step_size=_opt(p, "step_size", float, None))
+    step_size = _opt(p, "step_size", float, None, "qite")
+    qcfg = QITEConfig(hamiltonian=h, initial=psi0, step_size=step_size)
     _check_hybrid_split(cfg.strategy, n_steps)
     spec = qite_recursion_spec(qcfg)
     record = run_strategy(spec, n_steps, cfg.strategy)
@@ -383,27 +382,14 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError("osd: 'params.dims' must be a [dA, dB] pair")
     da, db = int(dims[0]), int(dims[1])
     n_steps = _need(p, "n_steps", int, "osd")
-    mu = _opt(p, "mu", list, list(range(da)))
+    mu = _opt(p, "mu", list, list(range(da)), "osd")
     diag = np.diag(np.asarray(mu, dtype=float))
     psi0 = PureState(random_pure(da * db, cfg.seed).amplitudes, (da, db))
-    if isinstance(cfg.strategy, QDPStrategy):
-        m_queries = cfg.strategy.m
-    elif isinstance(cfg.strategy, ExactStrategy):
-        m_queries = None
-    else:
+    if not isinstance(cfg.strategy, (ExactStrategy, QDPStrategy)):
         raise ConfigError("osd: strategy must be 'exact' or 'qdp'")
-    ocfg = OSDConfig(
-        dims=(da, db),
-        diagonal=diag,
-        initial=psi0,
-        step_size=_opt(p, "step_size", float, None),
-        n_steps=n_steps,
-        m_queries=m_queries if m_queries is not None else 1,
-    )
-    spec = osd_recursion_spec(ocfg)
-    record = run_strategy(
-        spec, n_steps, cfg.strategy if m_queries is not None else ExactStrategy()
-    )
+    step_size = _opt(p, "step_size", float, None, "osd")
+    ocfg = OSDConfig(dims=(da, db), diagonal=diag, initial=psi0, step_size=step_size)
+    record = run_strategy(osd_recursion_spec(ocfg), n_steps, cfg.strategy)
     rows = []
     for n, pt in enumerate(record.points):
         reduced = partial_trace(pt.state.matrix, (da, db), keep=[0])
@@ -426,17 +412,17 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
 def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     dim = _need(p, "dim", int, "channel-error")
-    kind = _opt(p, "map", str, "dme")
+    kind = _opt(p, "map", str, "dme", "channel-error")
     s = _need(p, "s", float, "channel-error")
     m_values = [int(v) for v in _need(p, "m_values", list, "channel-error")]
-    n_samples = _opt(p, "n_samples", int, 5)
+    n_samples = _opt(p, "n_samples", int, 5, "channel-error")
     if kind == "dme":
         mmap = make_identity_map(dim)
     elif kind == "scaled":
-        mmap = make_scaled_identity_map(_opt(p, "alpha", float, 1.0), dim)
+        mmap = make_scaled_identity_map(_opt(p, "alpha", float, 1.0, "channel-error"), dim)
     elif kind == "commutator":
         mu = np.arange(dim, dtype=float) / max(dim - 1, 1)
-        mmap = make_commutator_map(np.diag(mu), _opt(p, "map_s", float, 1.0))
+        mmap = make_commutator_map(np.diag(mu), _opt(p, "map_s", float, 1.0, "channel-error"))
     else:
         raise ConfigError(f"channel-error: unknown 'params.map' {kind!r}")
     gen = QueryGenerator.from_map(mmap)
@@ -460,7 +446,7 @@ def _run_cost(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     n_calls = _need(p, "L", int, "cost")
     n_steps = _need(p, "N", int, "cost")
-    m = _opt(p, "m", int, None)
+    m = _opt(p, "m", int, None, "cost")
     rows = []
     final_calls, total = unfolding_cost(n_calls, n_steps)
     rows.append(("unfolding_final_step_calls", final_calls))
@@ -471,8 +457,8 @@ def _run_cost(cfg: ExperimentConfig) -> RunReport:
         rows.append(("qdp_depth", qdp_depth))
         rows.append(("qdp_width", qdp_width))
         rows.append(("qdp_circuit_size", qdp_depth * qdp_width))
-        n1 = _opt(p, "n1", int, None)
-        n2 = _opt(p, "n2", int, None)
+        n1 = _opt(p, "n1", int, None, "cost")
+        n2 = _opt(p, "n2", int, None, "cost")
         if n1 is not None and n2 is not None:
             if n1 + n2 != n_steps:
                 raise ConfigError(f"cost: n1 + n2 must equal N ({n1}+{n2} != {n_steps})")
@@ -493,9 +479,8 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ExperimentConfig) -> RunReport:
-    """Execute one experiment config and return (and optionally write) its report."""
-    report = _RUNNERS[cfg.scenario](cfg)
+def _finish(report: RunReport, cfg: ExperimentConfig) -> RunReport:
+    """Stamp the report's metadata and write it to the config's output, if any."""
     report.metadata = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -508,6 +493,11 @@ def run_scenario(cfg: ExperimentConfig) -> RunReport:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return report
+
+
+def run_scenario(cfg: ExperimentConfig) -> RunReport:
+    """Execute one experiment config and return (and optionally write) its report."""
+    return _finish(_RUNNERS[cfg.scenario](cfg), cfg)
 
 
 def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
@@ -542,20 +532,9 @@ def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
         rows.append((label, final_distance if final_distance is not None else float("nan"),
                      depth, width, depth * width))
     report = RunReport(
-        columns=["strategy", "final_distance", "depth", "width", "circuit_size"],
-        rows=rows,
-        metadata={
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "scenario": cfg.scenario,
-            "seed": cfg.seed,
-            "config": cfg.raw,
-        },
+        columns=["strategy", "final_distance", "depth", "width", "circuit_size"], rows=rows
     )
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.render(cfg.output_format))
-    return report
+    return _finish(report, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +551,7 @@ def _apply_overrides(raw: dict, args) -> dict:
             raise ConfigError(f"QDPSIM_SEED must be an integer, got {env_seed!r}") from exc
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
-    output = dict(raw.get("output") or {})
+    output = dict(_output_section(raw))
     if getattr(args, "output", None) is not None:
         output["path"] = args.output
     if getattr(args, "format", None) is not None:

@@ -15,6 +15,9 @@ memory-calls are realized:
                 copies of the current state, trading depth for width.
 * hybrid      - unfolding for the first stretch, queries afterwards.
 
+One step loop runs them all; per step, a strategy picks the rule that realizes
+the calls and charges their cost (hybrid switches rules after the stretch).
+
 Cost accounting uses one depth unit per elementary query, per non-identity
 static unitary and per purification round.  The width recorded at a
 trajectory point is the number of root-state copies needed to produce that
@@ -207,21 +210,29 @@ def _point(state, target, ledger) -> TrajectoryPoint:
     )
 
 
+def _conjugate(u: np.ndarray, state: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix(u @ state.matrix @ u.conj().T, state.factor_dims)
+
+
+def _interleave(step: RecursionStepSpec, working: DensityMatrix, realize) -> DensityMatrix:
+    """Conjugate by the static unitaries; ``realize(idx, call, working)``
+    applies memory-call ``idx`` between them."""
+    for idx, call in enumerate(step.memory_calls):
+        working = realize(idx, call, _conjugate(step.static_unitaries[idx], working))
+    return _conjugate(step.static_unitaries[-1], working)
+
+
 def apply_step_exact(
     step: RecursionStepSpec, instruction: DensityMatrix, working: DensityMatrix
 ) -> DensityMatrix:
     """One exact recursion step: calls instructed by ``instruction``."""
-    state = working
-    for idx, call in enumerate(step.memory_calls):
-        v = step.static_unitaries[idx]
-        state = DensityMatrix(v @ state.matrix @ v.conj().T, state.factor_dims)
-        state = exact_memory_call(call, instruction, state)
-    v = step.static_unitaries[-1]
-    return DensityMatrix(v @ state.matrix @ v.conj().T, state.factor_dims)
+    return _interleave(step, working, lambda _, call, w: exact_memory_call(call, instruction, w))
 
 
-def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
-    """Ideal execution: every memory-call instructed by the current state."""
+def _execute(spec: RecursionSpec, n_steps: int, rule_for) -> TrajectoryRecord:
+    """The recursion loop of every strategy.  Step ``n`` is advanced by the
+    step rule ``rule_for(n)``: ``rule(step, n, state, ledger)`` realizes the
+    step's memory-calls, charges their cost and returns ``(state, ledger)``."""
     if n_steps < 0:
         raise InvariantError("n_steps must be >= 0")
     state = spec.root
@@ -229,13 +240,20 @@ def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
     points = [_point(state, spec.target, ledger)]
     for n in range(n_steps):
         step = spec.resolve_step(n)
-        state = apply_step_exact(step, state, state)
-        ledger = replace(
-            ledger,
-            depth=ledger.depth + step.n_calls + step.nontrivial_static_count(),
-        )
+        state, ledger = rule_for(n)(step, n, state, ledger)
         points.append(_point(state, spec.target, ledger))
     return TrajectoryRecord(points=tuple(points))
+
+
+def _exact_rule(step, n, state, ledger):
+    state = apply_step_exact(step, state, state)
+    depth = ledger.depth + step.n_calls + step.nontrivial_static_count()
+    return state, replace(ledger, depth=depth)
+
+
+def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
+    """Ideal execution: every memory-call instructed by the current state."""
+    return _execute(spec, n_steps, lambda n: _exact_rule)
 
 
 def _split_queries(m: int, n_calls: int) -> list[int]:
@@ -262,6 +280,33 @@ def _apply_imr(state, ledger, imr_cfg):
     return outcome.state, ledger
 
 
+def _query_rule(m: int, imr: Optional[IMRConfig]):
+    """Each call becomes a block of queries on copies of the step's input
+    state, of total duration minus the call's (the query sign convention)."""
+    if m < 1:
+        raise InvariantError("query count m must be >= 1")
+
+    def rule(step, n, state, ledger):
+        counts = _split_queries(m, step.n_calls)
+
+        def realize(idx, call, working):
+            gen = QueryGenerator.from_map(call.map)
+            memory = DensityMatrix(call.instruction_matrix(state), factor_dims=(call.map.d_in,))
+            return repeated_queries(gen, memory, working, -call.duration, counts[idx])
+
+        out = _interleave(step, state, realize)
+        ledger = replace(
+            ledger,
+            depth=ledger.depth + m + step.nontrivial_static_count(),
+            width=ledger.width * (m + 1),
+        )
+        if imr is not None:
+            out, ledger = _apply_imr(out, ledger, imr)
+        return out, ledger
+
+    return rule
+
+
 def run_qdp(
     spec: RecursionSpec,
     n_steps: int,
@@ -275,37 +320,8 @@ def run_qdp(
     A memory-call of duration s is approximated by queries of total duration
     -s, matching the query channel's sign convention.
     """
-    if n_steps < 0:
-        raise InvariantError("n_steps must be >= 0")
-    if m < 1:
-        raise InvariantError("query count m must be >= 1")
-    state = spec.root
-    ledger = CostLedger()
-    points = [_point(state, spec.target, ledger)]
-    for n in range(n_steps):
-        step = spec.resolve_step(n)
-        counts = _split_queries(m, step.n_calls)
-        instruction = state
-        for idx, call in enumerate(step.memory_calls):
-            v = step.static_unitaries[idx]
-            state = DensityMatrix(v @ state.matrix @ v.conj().T, state.factor_dims)
-            gen = QueryGenerator.from_map(call.map)
-            memory = DensityMatrix(
-                call.instruction_matrix(instruction),
-                factor_dims=(call.map.d_in,),
-            )
-            state = repeated_queries(gen, memory, state, -call.duration, counts[idx])
-        v = step.static_unitaries[-1]
-        state = DensityMatrix(v @ state.matrix @ v.conj().T, state.factor_dims)
-        ledger = replace(
-            ledger,
-            depth=ledger.depth + m + step.nontrivial_static_count(),
-            width=ledger.width * (m + 1),
-        )
-        if imr is not None:
-            state, ledger = _apply_imr(state, ledger, imr)
-        points.append(_point(state, spec.target, ledger))
-    return TrajectoryRecord(points=tuple(points))
+    query = _query_rule(m, imr)
+    return _execute(spec, n_steps, lambda n: query)
 
 
 def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
@@ -341,6 +357,29 @@ def _gc_call_unitary(call: MemoryCallSpec, state: DensityMatrix, substeps: int):
     return u
 
 
+def _unfolding_rule(covariant: bool, gc_substeps: int):
+    """Covariant steps are exact; otherwise each call becomes ``gc_substeps``
+    group commutators instructed by the step's input state.  Step ``n``
+    charges the root calls its ``eff_calls`` calls unfold into."""
+    if gc_substeps < 1:
+        raise InvariantError("gc_substeps must be >= 1")
+
+    def rule(step, n, state, ledger):
+        def realize(idx, call, working):
+            return _conjugate(_gc_call_unitary(call, state, gc_substeps), working)
+
+        if covariant:
+            out = apply_step_exact(step, state, state)
+            eff_calls = step.n_calls
+        else:
+            out = _interleave(step, state, realize)
+            eff_calls = 2 * gc_substeps * step.n_calls
+        step_calls = eff_calls * (2 * eff_calls + 1) ** n if eff_calls else 0
+        return out, replace(ledger, depth=ledger.depth + step_calls)
+
+    return rule
+
+
 def run_unfolding(
     spec: RecursionSpec, n_steps: int, gc_substeps: int = 1
 ) -> TrajectoryRecord:
@@ -353,36 +392,8 @@ def run_unfolding(
     O(flow^1.5 / sqrt(gc_substeps)) and the call count per step inflated to
     ``2 * gc_substeps * L``.
     """
-    if n_steps < 0:
-        raise InvariantError("n_steps must be >= 0")
-    if gc_substeps < 1:
-        raise InvariantError("gc_substeps must be >= 1")
-    state = spec.root
-    ledger = CostLedger()
-    points = [_point(state, spec.target, ledger)]
-    for n in range(n_steps):
-        step = spec.resolve_step(n)
-        if spec.covariant:
-            state = apply_step_exact(step, state, state)
-            eff_calls = step.n_calls
-        else:
-            working = state
-            for idx, call in enumerate(step.memory_calls):
-                v = step.static_unitaries[idx]
-                working = DensityMatrix(
-                    v @ working.matrix @ v.conj().T, working.factor_dims
-                )
-                u = _gc_call_unitary(call, state, gc_substeps)
-                working = DensityMatrix(
-                    u @ working.matrix @ u.conj().T, working.factor_dims
-                )
-            v = step.static_unitaries[-1]
-            state = DensityMatrix(v @ working.matrix @ v.conj().T, working.factor_dims)
-            eff_calls = 2 * gc_substeps * step.n_calls
-        step_calls = eff_calls * (2 * eff_calls + 1) ** n if eff_calls else 0
-        ledger = replace(ledger, depth=ledger.depth + step_calls)
-        points.append(_point(state, spec.target, ledger))
-    return TrajectoryRecord(points=tuple(points))
+    unfold = _unfolding_rule(spec.covariant, gc_substeps)
+    return _execute(spec, n_steps, lambda n: unfold)
 
 
 def run_hybrid(
@@ -396,26 +407,11 @@ def run_hybrid(
     """Unfold the first ``n1`` steps, then run ``n2`` query-based steps
     seeded at the unfolded state.  Depth adds exactly; width is the query
     phase's copy count (the unfolding pipelines supply those copies)."""
-    first = run_unfolding(spec, n1, gc_substeps=gc_substeps)
-    shifted = RecursionSpec(
-        step=(lambda k, off=n1: spec.resolve_step(off + k)),
-        root=first.final_state,
-        target=spec.target,
-        covariant=spec.covariant,
-    )
-    second = run_qdp(shifted, n2, m, imr=imr)
-    base = first.final_ledger
-    points = list(first.points)
-    for p in second.points[1:]:
-        merged = CostLedger(
-            depth=base.depth + p.ledger.depth,
-            width=p.ledger.width,
-            imr_copies=base.imr_copies + p.ledger.imr_copies,
-            success_probability=base.success_probability
-            * p.ledger.success_probability,
-        )
-        points.append(replace(p, ledger=merged))
-    return TrajectoryRecord(points=tuple(points))
+    if n1 < 0 or n2 < 0:
+        raise InvariantError("hybrid phase lengths must be >= 0")
+    unfold = _unfolding_rule(spec.covariant, gc_substeps)
+    query = _query_rule(m, imr)
+    return _execute(spec, n1 + n2, lambda n: unfold if n < n1 else query)
 
 
 def run_strategy(

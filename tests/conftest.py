@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from qdpsim.algos import heisenberg_chain  # noqa: F401
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 SWAP_2Q = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -14,18 +15,3 @@ def random_hermitian(dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (g + g.conj().T) / 2.0
-
-
-def heisenberg_chain(n_qubits=3, field=0.5):
-    def site(op, i):
-        out = np.eye(1, dtype=complex)
-        for k in range(n_qubits):
-            out = np.kron(out, op if k == i else np.eye(2, dtype=complex))
-        return out
-
-    h = sum(
-        site(op, i) @ site(op, i + 1)
-        for op in (PAULI_X, PAULI_Y, PAULI_Z)
-        for i in range(n_qubits - 1)
-    )
-    return h + field * sum(site(PAULI_Z, i) for i in range(n_qubits))

@@ -67,6 +67,20 @@ class TestExitCodes:
         path = write_config(tmp_path, {"scenario": "grover"})
         assert main(["run", path]) == 2
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("params.dim", {"params": {"L": 1, "n_steps": 2, "delta0": 0.6, "dim": "x"}}),
+            ("seed", {"seed": "abc"}),
+            ("output", {"output": "out.csv"}),
+            ("params.n_qubits", {"scenario": "qite", "params": {"n_qubits": 0, "n_steps": 1}}),
+        ],
+    )
+    def test_malformed_field_is_2_and_named(self, tmp_path, capsys, field, overrides):
+        path = write_config(tmp_path, grover_doc(tmp_path, **overrides))
+        assert main(["run", path]) == 2
+        assert field in capsys.readouterr().err
+
     def test_infeasible_is_3(self, tmp_path):
         # purification with a one-copy budget cannot meet a tight threshold
         doc = grover_doc(tmp_path)

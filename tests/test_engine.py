@@ -238,6 +238,26 @@ class TestRunHybrid:
         assert rec.final_ledger.depth == unf.final_ledger.depth + qdp.final_ledger.depth
         assert rec.final_ledger.width == 33**2
 
+    def test_non_covariant_schedule_joins_unfolding_and_queries(self):
+        spec = small_dbi_spec()
+        rec = run_hybrid(spec, 2, 3, 16)
+        unf = run_unfolding(spec, 2)
+        shifted = RecursionSpec(
+            step=lambda k: spec.resolve_step(2 + k), root=unf.final_state, target=spec.target
+        )
+        qdp = run_qdp(shifted, 3, 16)
+        joined = list(unf.points) + list(qdp.points[1:])
+        assert len(rec) == len(joined) == 6
+        for got, want in zip(rec.points, joined):
+            assert np.array_equal(got.state.matrix, want.state.matrix)
+        assert [p.ledger for p in rec.points[:3]] == [p.ledger for p in unf.points]
+        base = unf.final_ledger
+        for k, (got, want) in enumerate(zip(rec.points[3:], qdp.points[1:]), start=1):
+            assert got.ledger.depth == base.depth + want.ledger.depth
+            assert got.ledger.width == 17**k
+            assert got.ledger.imr_copies == base.imr_copies + want.ledger.imr_copies
+            assert got.ledger.success_probability == want.ledger.success_probability
+
     def test_strategy_dispatch(self):
         cfg = grover_config_from_distance(0.6, 1, 2)
         spec = grover_recursion_spec(cfg)
