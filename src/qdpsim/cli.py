@@ -11,6 +11,13 @@ A config is one JSON file with a versioned schema::
       "output": {"path": "out.csv", "format": "csv"}
     }
 
+One table below (``_TOP``, ``_STRATEGIES``, ``_PARAMS``, ``_RULES``) gives
+every field its type, range and default; ``ExperimentConfig.from_dict``
+applies it before any numerics.  A missing, mistyped or out-of-range field,
+a key the table does not list, or a broken rule between fields raises
+``ConfigError`` naming the field.  Integers are JSON integers (booleans are
+not), reals are finite JSON numbers, and a null value means "absent".
+
 Flags override file fields, and the QDPSIM_SEED environment variable
 overrides the file seed (an explicit --seed flag beats both).  Reruns with
 identical config and seed produce byte-identical output files; floats are
@@ -28,21 +35,19 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .algos import (
     DBIConfig,
-    GroverConfig,
     OSDConfig,
     QITEConfig,
     dbi_cost,
     dbi_recursion_spec,
     grover_config_from_distance,
     grover_delta_sequence,
-    grover_qdp_run,
     grover_recursion_spec,
     ground_state,
     energy as state_energy,
@@ -136,70 +141,193 @@ class RunReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+        return {"csv": self.to_csv, "json": self.to_json}[fmt]()
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config schema: every field's type, range and default, in one table
 
 
-def _need(params: dict, key: str, kind, scenario: str):
-    if key not in params:
-        raise ConfigError(f"{scenario}: missing required field 'params.{key}'")
+class _Field(NamedTuple):
+    """One config field.  ``kind`` is int, real, str, object or list; a list
+    of ints or reals is ``many`` with ``size`` entries if given.  ``lo``/``hi``
+    bound numbers (strictly if ``open``), ``choices`` lists allowed values,
+    ``table`` checks an object's keys.  ``default`` is used when the field is
+    absent or null: ``_REQUIRED``, a value, or a function of the fields above."""
+
+    kind: str
+    default: object = None
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    open: bool = False
+    choices: tuple = ()
+    many: bool = False
+    size: Optional[int] = None
+    table: Optional[dict] = None
+
+    def describe(self) -> str:
+        if self.choices:
+            return "one of " + "|".join(map(str, self.choices))
+        bound = ""
+        if self.lo is not None and self.hi is not None:
+            left, right = "()" if self.open else "[]"
+            bound = f" in {left}{self.lo:g}, {self.hi:g}{right}"
+        elif self.lo is not None:
+            bound = f" {'>' if self.open else '>='} {self.lo:g}"
+        if self.many:
+            return f"list of {f'{self.size} ' if self.size else ''}{self.kind}s{bound}"
+        return self.kind + bound
+
+
+_REQUIRED = object()
+_STEPS = _Field("int", _REQUIRED, lo=0)
+_COUNT = _Field("int", _REQUIRED, lo=1)
+_STEP_SIZE = _Field("real", None, lo=0, open=True)  # None -> canonical
+_IMR = _Field("object", None, table={
+    "reduction_factor": _Field("real", _REQUIRED, lo=1, open=True),
+    "copies_out": _Field("int", 1, lo=1),
+    "failure_threshold": _Field("real", 0.01, lo=0, hi=1, open=True),
+})
+
+_TOP = {
+    "schema_version": _Field("int", SCHEMA_VERSION, choices=(SCHEMA_VERSION,)),
+    "scenario": _Field("str", _REQUIRED, choices=SCENARIOS),
+    "seed": _Field("int", None, lo=0),
+    "strategy": _Field("object", {"kind": "exact"}),
+    "params": _Field("object", {}),
+    "output": _Field("object", {}, table={
+        "path": _Field("str"),
+        "format": _Field("str", "csv", choices=("csv", "json")),
+    }),
+    "strategies": _Field("list", []),  # read by `compare`
+}
+_STRATEGIES = {
+    "exact": (ExactStrategy, {}),
+    "unfolding": (UnfoldingStrategy, {"gc_substeps": _Field("int", 1, lo=1)}),
+    "qdp": (QDPStrategy, {"m": _COUNT, "imr": _IMR}),
+    "hybrid": (HybridStrategy, {"n1": _STEPS, "n2": _STEPS, "m": _COUNT, "imr": _IMR}),
+}
+_KIND = _Field("str", _REQUIRED, choices=tuple(_STRATEGIES))
+_PARAMS = {
+    "grover": {
+        "L": _COUNT,
+        "n_steps": _STEPS,
+        "delta0": _Field("real", _REQUIRED, lo=0, hi=1, open=True),
+        "dim": _Field("int", 2, lo=2),
+        "eps": _Field("real", 0.0, lo=0),
+    },
+    "dbi": {
+        "dim": _Field("int", _REQUIRED, lo=2),
+        "n_steps": _STEPS,
+        "mu": _Field("real", lambda p: list(range(p["dim"])), many=True),
+        "step_size": _STEP_SIZE,
+    },
+    "qite": {
+        "n_steps": _STEPS,
+        "model": _Field("str", "heisenberg_chain", choices=("heisenberg_chain", "random")),
+        "n_qubits": _Field("int", 3, lo=1),
+        "field": _Field("real", 0.5),
+        "dim": _Field("int", None, lo=2),
+        "step_size": _STEP_SIZE,
+    },
+    "osd": {
+        "dims": _Field("int", _REQUIRED, lo=2, many=True, size=2),
+        "n_steps": _STEPS,
+        "mu": _Field("real", lambda p: list(range(p["dims"][0])), many=True),
+        "step_size": _STEP_SIZE,
+    },
+    "channel-error": {
+        "dim": _Field("int", _REQUIRED, lo=1),
+        "map": _Field("str", "dme", choices=("dme", "scaled", "commutator")),
+        "s": _Field("real", _REQUIRED),
+        "m_values": _Field("int", _REQUIRED, lo=1, many=True),
+        "n_samples": _Field("int", 5, lo=1),
+        "alpha": _Field("real", 1.0),
+        "map_s": _Field("real", 1.0),
+    },
+    "cost": {"L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),
+             "n1": _Field("int", None, lo=0), "n2": _Field("int", None, lo=0)},
+}
+
+
+def _increasing(mu: list, size: int) -> bool:
+    return len(mu) == size and all(a < b for a, b in zip(mu, mu[1:]))
+
+
+def _grover_cascade(p: dict) -> list:
+    """The eps-inflated distance cascade; ``[inf]`` once it leaves (0, 1]."""
     try:
-        return kind(params[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{scenario}: field 'params.{key}' is invalid: {exc}") from exc
+        return grover_delta_sequence(p["delta0"], p["L"], p["n_steps"], p["eps"])
+    except InvariantError:
+        return [math.inf]
 
 
-def _opt(params: dict, key: str, kind, default, scenario: str):
-    if key not in params or params[key] is None:
-        return default
-    return _need(params, key, kind, scenario)
+# Rules tying fields together: (scenarios, field, requirement, holds(params, strategy)).
+_RULES = (
+    (("dbi",), "params.mu", "have params.dim strictly increasing entries",
+     lambda p, s: _increasing(p["mu"], p["dim"])),
+    (("osd",), "params.mu", "have params.dims[0] strictly increasing entries",
+     lambda p, s: _increasing(p["mu"], p["dims"][0])),
+    (("osd",), "strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
+    (("qite",), "strategy.kind", "be exact, qdp or hybrid with n1 == 0 (no commutator to unfold)",
+     lambda p, s: s["kind"] != "unfolding" and s.get("n1", 0) == 0),
+    (("qite",), "params.dim", "be given for params.model random",
+     lambda p, s: p["model"] != "random" or p["dim"] is not None),
+    (("grover", "dbi", "qite"), "strategy.n1", "satisfy n1 + n2 == params.n_steps",
+     lambda p, s: s["kind"] != "hybrid" or s["n1"] + s["n2"] == p["n_steps"]),
+    (("grover",), "strategy.m", "be >= 2 * params.L for qdp and >= params.L for hybrid",
+     lambda p, s: s.get("m", math.inf) >= (2 if s["kind"] == "qdp" else 1) * p["L"]),
+    (("grover",), "params.eps", "keep the eps-inflated distance cascade below 1",
+     lambda p, s: max(_grover_cascade(p)) < 1.0),
+    (("grover",), "params.n_steps", "keep every cascade step's distance above params.eps in floats",
+     lambda p, s: all(d - p["eps"] > 0.0 for d in _grover_cascade(p)[1:])),
+    (("cost",), "params.n1", "come with params.n2 and params.m, and n1 + n2 == params.N",
+     lambda p, s: (p["n1"], p["n2"]) == (None, None)
+     or None not in (p["n1"], p["n2"], p["m"]) and p["n1"] + p["n2"] == p["N"]),
+)
 
 
-def _output_section(raw: dict) -> dict:
-    output = raw.get("output") or {}
-    if not isinstance(output, dict):
-        raise ConfigError(f"field 'output' must be an object, got {output!r}")
-    return output
-
-
-def parse_strategy(raw: dict):
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("field 'strategy' must be an object with a 'kind'")
-    kind = raw["kind"]
-    imr = None
-    if raw.get("imr") is not None:
-        imr_raw = raw["imr"]
+def _value(path: str, f: _Field, value):
+    """``value`` checked against ``f`` and converted (reals to float)."""
+    if f.many:
+        if not isinstance(value, list) or f.size not in (None, len(value)):
+            raise ConfigError(f"field '{path}' must be {f.describe()}, got {value!r}")
+        entry = f._replace(many=False)
+        return [_value(f"{path}[{i}]", entry, v) for i, v in enumerate(value)]
+    kind = {"int": int, "real": (int, float), "str": str, "object": dict, "list": list}[f.kind]
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    checked = value
+    if ok and f.kind == "real":
         try:
-            imr = IMRConfig(
-                reduction_factor=float(imr_raw["reduction_factor"]),
-                copies_out=int(imr_raw.get("copies_out", 1)),
-                failure_threshold=float(imr_raw.get("failure_threshold", 0.01)),
-            )
-        except (KeyError, TypeError, ValueError, InvariantError) as exc:
-            raise ConfigError(f"field 'strategy.imr' is invalid: {exc}") from exc
-    try:
-        if kind == "exact":
-            return ExactStrategy()
-        if kind == "unfolding":
-            return UnfoldingStrategy(gc_substeps=int(raw.get("gc_substeps", 1)))
-        if kind == "qdp":
-            return QDPStrategy(m=int(raw["m"]), imr=imr)
-        if kind == "hybrid":
-            return HybridStrategy(
-                n1=int(raw["n1"]), n2=int(raw["n2"]), m=int(raw["m"]), imr=imr
-            )
-    except KeyError as exc:
-        raise ConfigError(f"strategy '{kind}' is missing field {exc}") from exc
-    except (TypeError, ValueError, InvariantError) as exc:
-        raise ConfigError(f"field 'strategy' is invalid: {exc}") from exc
-    raise ConfigError(f"field 'strategy.kind' must be one of exact/unfolding/qdp/hybrid, got {kind!r}")
+            checked = float(value)
+        except OverflowError:  # an integer beyond the float range
+            checked = math.inf
+        ok = math.isfinite(checked)
+    if ok and f.lo is not None:
+        ok = checked > f.lo if f.open else checked >= f.lo
+    if ok and f.hi is not None:
+        ok = checked < f.hi if f.open else checked <= f.hi
+    if not ok or (f.choices and checked not in f.choices):
+        raise ConfigError(f"field '{path}' must be {f.describe()}, got {value!r}")
+    return _section(path, f.table, checked) if f.table is not None else checked
+
+
+def _section(path: str, table: dict, raw: dict) -> dict:
+    """Every field of ``table`` from the object ``raw``, checked, defaults
+    filled; a key the table does not list is an error."""
+    prefix = path + "." if path else ""
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"field '{prefix}{key}' is unknown; expected one of {', '.join(table)}")
+    out = {}
+    for key, f in table.items():
+        value = raw.get(key)
+        if value is None:
+            if f.default is _REQUIRED:
+                raise ConfigError(f"field '{prefix}{key}' is required")
+            value = f.default(out) if callable(f.default) else f.default
+        out[key] = None if value is None else _value(prefix + key, f, value)
+    return out
 
 
 @dataclass
@@ -214,34 +342,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Check ``raw`` against the schema tables, before any numerics."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"field 'schema_version' must be {SCHEMA_VERSION}, got {version!r}")
-        scenario = raw.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"field 'scenario' must be one of {SCENARIOS}, got {scenario!r}")
-        seed = raw.get("seed")
-        if seed is not None:
-            try:
-                seed = int(seed)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field 'seed' must be an integer, got {seed!r}") from exc
-        if scenario in _RANDOMIZED and seed is None:
+        top = _section("", _TOP, raw)
+        scenario = top["scenario"]
+        if scenario in _RANDOMIZED and top["seed"] is None:
             raise ConfigError(f"field 'seed' is mandatory for scenario {scenario!r}")
-        strategy = parse_strategy(raw.get("strategy", {"kind": "exact"}))
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("field 'params' must be an object")
-        output = _output_section(raw)
+        kind = _value("strategy.kind", _KIND, top["strategy"].get("kind"))
+        strategy_type, table = _STRATEGIES[kind]
+        strategy = _section("strategy", {"kind": _KIND, **table}, top["strategy"])
+        params = _section("params", _PARAMS[scenario], top["params"])
+        for scenarios, path, requirement, holds in _RULES:
+            if scenario in scenarios and not holds(params, strategy):
+                section, key = path.split(".")
+                got = (params if section == "params" else strategy)[key]
+                raise ConfigError(f"field '{path}' must {requirement}, got {got!r}")
+        fields = {k: v for k, v in strategy.items() if k != "kind"}
+        if fields.get("imr") is not None:
+            fields["imr"] = IMRConfig(**fields["imr"])
         return cls(
             scenario=scenario,
-            seed=seed,
-            strategy=strategy,
+            seed=top["seed"],
+            strategy=strategy_type(**fields),
             params=params,
-            output_path=output.get("path"),
-            output_format=output.get("format", "csv"),
+            output_path=top["output"]["path"],
+            output_format=top["output"]["format"],
             raw=raw,
         )
 
@@ -260,40 +386,13 @@ def load_config(path: str) -> dict:
 # Scenario runners
 
 
-def _check_hybrid_split(strategy, n_steps: int) -> None:
-    if isinstance(strategy, HybridStrategy) and strategy.n1 + strategy.n2 != n_steps:
-        raise ConfigError(
-            f"strategy: hybrid phases n1+n2 must equal params.n_steps "
-            f"({strategy.n1}+{strategy.n2} != {n_steps})"
-        )
-
-
-def _grover_setup(cfg: ExperimentConfig) -> GroverConfig:
-    p = cfg.params
-    delta0 = _need(p, "delta0", float, "grover")
-    if not 0.0 < delta0 < 1.0:
-        raise ConfigError(f"grover: 'params.delta0' must be in (0, 1), got {delta0!r}")
-    n_steps = _need(p, "n_steps", int, "grover")
-    if n_steps < 0:
-        raise ConfigError(f"grover: 'params.n_steps' must be >= 0, got {n_steps}")
-    return grover_config_from_distance(
-        delta0=delta0,
-        alternations=_need(p, "L", int, "grover"),
-        n_steps=n_steps,
-        dim=_opt(p, "dim", int, 2, "grover"),
-        seed=cfg.seed,
-    )
-
-
 def _run_grover(cfg: ExperimentConfig) -> RunReport:
-    gcfg = _grover_setup(cfg)
-    _check_hybrid_split(cfg.strategy, gcfg.n_steps)
-    eps = _opt(cfg.params, "eps", float, 0.0, "grover")
-    if isinstance(cfg.strategy, QDPStrategy):
-        record = grover_qdp_run(gcfg, cfg.strategy.m, eps=eps, imr=cfg.strategy.imr)
-    else:
-        spec = grover_recursion_spec(gcfg, eps=eps)
-        record = run_strategy(spec, gcfg.n_steps, cfg.strategy)
+    p = cfg.params
+    gcfg = grover_config_from_distance(
+        delta0=p["delta0"], alternations=p["L"], n_steps=p["n_steps"], dim=p["dim"], seed=cfg.seed
+    )
+    eps = p["eps"]
+    record = run_strategy(grover_recursion_spec(gcfg, eps=eps), gcfg.n_steps, cfg.strategy)
     rows = [
         (n, pt.distance_to_target, pt.mixedness, pt.ledger.depth, pt.ledger.width,
          pt.ledger.success_probability)
@@ -313,18 +412,10 @@ def _run_grover(cfg: ExperimentConfig) -> RunReport:
 
 def _run_dbi(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    dim = _need(p, "dim", int, "dbi")
-    n_steps = _need(p, "n_steps", int, "dbi")
-    mu = _opt(p, "mu", list, list(range(dim)), "dbi")
-    if len(mu) != dim:
-        raise ConfigError(f"dbi: 'params.mu' must have {dim} entries")
-    diag = np.diag(np.asarray(mu, dtype=float))
-    initial = random_density(dim, cfg.seed).matrix * dim
-    step_size = _opt(p, "step_size", float, None, "dbi")
-    dcfg = DBIConfig(diagonal=diag, initial=initial, step_size=step_size)
-    _check_hybrid_split(cfg.strategy, n_steps)
-    spec = dbi_recursion_spec(dcfg)
-    record = run_strategy(spec, n_steps, cfg.strategy)
+    diag = np.diag(np.asarray(p["mu"], dtype=float))
+    initial = random_density(p["dim"], cfg.seed).matrix * p["dim"]
+    dcfg = DBIConfig(diagonal=diag, initial=initial, step_size=p["step_size"])
+    record = run_strategy(dbi_recursion_spec(dcfg), p["n_steps"], cfg.strategy)
     rows = [
         (n, dbi_cost(pt.state.matrix, diag), offdiag_hs_norm(pt.state.matrix),
          pt.distance_to_target, pt.ledger.depth, pt.ledger.width)
@@ -337,30 +428,20 @@ def _run_dbi(cfg: ExperimentConfig) -> RunReport:
 
 
 def _qite_hamiltonian(p: dict, seed) -> np.ndarray:
-    model = _opt(p, "model", str, "heisenberg_chain", "qite")
-    if model == "heisenberg_chain":
-        n_qubits = _opt(p, "n_qubits", int, 3, "qite")
-        if n_qubits < 1:
-            raise ConfigError(f"qite: 'params.n_qubits' must be >= 1, got {n_qubits}")
-        return heisenberg_chain(n_qubits, _opt(p, "field", float, 0.5, "qite"))
-    if model == "random":
-        dim = _need(p, "dim", int, "qite")
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return hermitize((g + g.conj().T) / 2.0, atol=np.inf)
-    raise ConfigError(f"qite: unknown 'params.model' {model!r}")
+    if p["model"] == "heisenberg_chain":
+        return heisenberg_chain(p["n_qubits"], p["field"])
+    dim = p["dim"]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return hermitize((g + g.conj().T) / 2.0, atol=np.inf)
 
 
 def _run_qite(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    n_steps = _need(p, "n_steps", int, "qite")
     h = _qite_hamiltonian(p, cfg.seed)
     psi0 = random_pure(h.shape[0], cfg.seed)
-    step_size = _opt(p, "step_size", float, None, "qite")
-    qcfg = QITEConfig(hamiltonian=h, initial=psi0, step_size=step_size)
-    _check_hybrid_split(cfg.strategy, n_steps)
-    spec = qite_recursion_spec(qcfg)
-    record = run_strategy(spec, n_steps, cfg.strategy)
+    qcfg = QITEConfig(hamiltonian=h, initial=psi0, step_size=p["step_size"])
+    record = run_strategy(qite_recursion_spec(qcfg), p["n_steps"], cfg.strategy)
     gs, _ = ground_state(h)
     rows = []
     for n, pt in enumerate(record.points):
@@ -377,19 +458,11 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
 
 def _run_osd(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    dims = tuple(_need(p, "dims", list, "osd"))
-    if len(dims) != 2:
-        raise ConfigError("osd: 'params.dims' must be a [dA, dB] pair")
-    da, db = int(dims[0]), int(dims[1])
-    n_steps = _need(p, "n_steps", int, "osd")
-    mu = _opt(p, "mu", list, list(range(da)), "osd")
-    diag = np.diag(np.asarray(mu, dtype=float))
+    da, db = p["dims"]
+    diag = np.diag(np.asarray(p["mu"], dtype=float))
     psi0 = PureState(random_pure(da * db, cfg.seed).amplitudes, (da, db))
-    if not isinstance(cfg.strategy, (ExactStrategy, QDPStrategy)):
-        raise ConfigError("osd: strategy must be 'exact' or 'qdp'")
-    step_size = _opt(p, "step_size", float, None, "osd")
-    ocfg = OSDConfig(dims=(da, db), diagonal=diag, initial=psi0, step_size=step_size)
-    record = run_strategy(osd_recursion_spec(ocfg), n_steps, cfg.strategy)
+    ocfg = OSDConfig(dims=(da, db), diagonal=diag, initial=psi0, step_size=p["step_size"])
+    record = run_strategy(osd_recursion_spec(ocfg), p["n_steps"], cfg.strategy)
     rows = []
     for n, pt in enumerate(record.points):
         reduced = partial_trace(pt.state.matrix, (da, db), keep=[0])
@@ -411,25 +484,19 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
 
 def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    dim = _need(p, "dim", int, "channel-error")
-    kind = _opt(p, "map", str, "dme", "channel-error")
-    s = _need(p, "s", float, "channel-error")
-    m_values = [int(v) for v in _need(p, "m_values", list, "channel-error")]
-    n_samples = _opt(p, "n_samples", int, 5, "channel-error")
-    if kind == "dme":
+    dim, s = p["dim"], p["s"]
+    if p["map"] == "dme":
         mmap = make_identity_map(dim)
-    elif kind == "scaled":
-        mmap = make_scaled_identity_map(_opt(p, "alpha", float, 1.0, "channel-error"), dim)
-    elif kind == "commutator":
-        mu = np.arange(dim, dtype=float) / max(dim - 1, 1)
-        mmap = make_commutator_map(np.diag(mu), _opt(p, "map_s", float, 1.0, "channel-error"))
+    elif p["map"] == "scaled":
+        mmap = make_scaled_identity_map(p["alpha"], dim)
     else:
-        raise ConfigError(f"channel-error: unknown 'params.map' {kind!r}")
+        mu = np.arange(dim, dtype=float) / max(dim - 1, 1)
+        mmap = make_commutator_map(np.diag(mu), p["map_s"])
     gen = QueryGenerator.from_map(mmap)
     memory = random_density(dim, cfg.seed)
     rows, checks = [], []
-    for m in m_values:
-        err = channel_error_probe(gen, mmap, memory, s, m, n_samples, cfg.seed)
+    for m in p["m_values"]:
+        err = channel_error_probe(gen, mmap, memory, s, m, p["n_samples"], cfg.seed)
         bound, within = query_error_bound(gen, s, m)
         passed = (err <= bound) if within else True
         rows.append((m, s, err, bound, within, passed))
@@ -444,9 +511,7 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
 
 def _run_cost(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    n_calls = _need(p, "L", int, "cost")
-    n_steps = _need(p, "N", int, "cost")
-    m = _opt(p, "m", int, None, "cost")
+    n_calls, n_steps, m, n1, n2 = p["L"], p["N"], p["m"], p["n1"], p["n2"]
     rows = []
     final_calls, total = unfolding_cost(n_calls, n_steps)
     rows.append(("unfolding_final_step_calls", final_calls))
@@ -457,11 +522,7 @@ def _run_cost(cfg: ExperimentConfig) -> RunReport:
         rows.append(("qdp_depth", qdp_depth))
         rows.append(("qdp_width", qdp_width))
         rows.append(("qdp_circuit_size", qdp_depth * qdp_width))
-        n1 = _opt(p, "n1", int, None, "cost")
-        n2 = _opt(p, "n2", int, None, "cost")
-        if n1 is not None and n2 is not None:
-            if n1 + n2 != n_steps:
-                raise ConfigError(f"cost: n1 + n2 must equal N ({n1}+{n2} != {n_steps})")
+        if n1 is not None:
             hybrid_depth = (unfolding_cost(n_calls, n1)[1] if n1 else 0) + n2 * m
             rows.append(("hybrid_depth", hybrid_depth))
             rows.append(("hybrid_width", (m + 1) ** n2))
@@ -503,30 +564,19 @@ def run_scenario(cfg: ExperimentConfig) -> RunReport:
 def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
     """Run several strategies on shared scenario parameters; one row each with
     final distance, depth, width and circuit size (depth times width)."""
+    subs = [ExperimentConfig.from_dict(dict(cfg.raw, strategy=raw)) for raw in strategies]
     rows = []
-    for raw in strategies:
-        strat = parse_strategy(raw)
-        sub = ExperimentConfig(
-            scenario=cfg.scenario,
-            seed=cfg.seed,
-            strategy=strat,
-            params=cfg.params,
-            output_path=None,
-            output_format=cfg.output_format,
-            raw=cfg.raw,
-        )
+    for raw, sub in zip(strategies, subs):
         report = _RUNNERS[cfg.scenario](sub)
         last = report.rows[-1] if report.rows else ()
         final_distance = None
-        if cfg.scenario == "grover" and last:
-            final_distance = last[1]
-        elif "trace_distance" in report.columns and last:
-            final_distance = last[report.columns.index("trace_distance")]
-        elif "ground_infidelity" in report.columns and last:
-            final_distance = last[report.columns.index("ground_infidelity")]
+        for column in ("trace_distance", "ground_infidelity"):
+            if column in report.columns and last:
+                final_distance = last[report.columns.index(column)]
+                break
         depth = last[report.columns.index("depth")] if last else 0
         width = last[report.columns.index("width")] if last else 1
-        label = raw.get("kind", "?")
+        label = raw["kind"]
         if raw.get("m") is not None:
             label += f"(m={raw['m']})"
         rows.append((label, final_distance if final_distance is not None else float("nan"),
@@ -551,13 +601,11 @@ def _apply_overrides(raw: dict, args) -> dict:
             raise ConfigError(f"QDPSIM_SEED must be an integer, got {env_seed!r}") from exc
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
-    output = dict(_output_section(raw))
-    if getattr(args, "output", None) is not None:
-        output["path"] = args.output
-    if getattr(args, "format", None) is not None:
-        output["format"] = args.format
-    if output:
-        raw["output"] = output
+    flags = {"path": getattr(args, "output", None), "format": getattr(args, "format", None)}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    output = raw.get("output") or {}
+    if flags and isinstance(output, dict):  # else the schema names the bad field
+        raw["output"] = {**output, **flags}
     return raw
 
 
@@ -600,27 +648,18 @@ def main(argv=None) -> int:
             report = run_scenario(cfg)
             _summarize(report, cfg.output_path)
         elif args.command == "compare":
-            raw = _apply_overrides(load_config(args.config), args)
-            strategies = raw.get("strategies", [])
-            if not isinstance(strategies, list):
-                raise ConfigError("field 'strategies' must be a list")
-            cfg = ExperimentConfig.from_dict(raw)
+            cfg = ExperimentConfig.from_dict(_apply_overrides(load_config(args.config), args))
+            strategies = cfg.raw.get("strategies") or []
             report = compare_strategies(cfg, strategies)
             _summarize(report, cfg.output_path)
             if not strategies:
                 print("no strategies listed; empty report")
         elif args.command == "cost":
-            params = {"L": args.L, "N": args.N}
-            if args.m is not None:
-                params["m"] = args.m
-            if args.n1 is not None:
-                params["n1"] = args.n1
-            if args.n2 is not None:
-                params["n2"] = args.n2
+            params = {"L": args.L, "N": args.N, "m": args.m, "n1": args.n1, "n2": args.n2}
             raw = {
                 "schema_version": SCHEMA_VERSION,
                 "scenario": "cost",
-                "params": params,
+                "params": {key: value for key, value in params.items() if value is not None},
             }
             if args.output:
                 raw["output"] = {"path": args.output, "format": args.format}
@@ -630,10 +669,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(report.render(args.format))
             else:
                 _summarize(report, cfg.output_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedSpecError, DimensionError) as exc:
+    except (ConfigError, UnsupportedSpecError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleConfigError as exc:

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import pytest
 
@@ -74,6 +76,25 @@ class TestExitCodes:
             ("seed", {"seed": "abc"}),
             ("output", {"output": "out.csv"}),
             ("params.n_qubits", {"scenario": "qite", "params": {"n_qubits": 0, "n_steps": 1}}),
+            ("params.mu", {"scenario": "dbi", "params": {"dim": 3, "n_steps": 2, "mu": "abc"}}),
+            ("params.mu", {"scenario": "dbi", "params": {"dim": 3, "n_steps": 2, "mu": [2, 1, 0]}}),
+            ("params.dims", {"scenario": "osd", "params": {"dims": [2, "x"], "n_steps": 2}}),
+            ("output.path", {"output": {"path": 7}}),
+            ("seed", {"seed": -1}),
+            ("seed", {"seed": 7.9}),
+            ("strategy.m", {"strategy": {"kind": "qdp", "m": 1}}),
+            ("params.m_values", {"scenario": "channel-error",
+                                 "params": {"dim": 2, "s": 0.3, "m_values": [0]}}),
+            ("params.n_steps", {"scenario": "dbi", "params": {"dim": 3, "n_steps": -1}}),
+            ("params.stepsize", {"scenario": "dbi",
+                                 "params": {"dim": 3, "n_steps": 2, "stepsize": 0.1}}),
+            ("strategy.gc_substeps", {"strategy": {"kind": "hybrid", "n1": 1, "n2": 1, "m": 16,
+                                                   "gc_substeps": 2}}),
+            ("params.n1", {"scenario": "cost", "params": {"L": 1, "N": 2, "m": 2, "n1": 1}}),
+            ("params.eps", {"params": {"L": 1, "n_steps": 2, "delta0": 0.6, "eps": 2.5}}),
+            ("params.n_steps", {"params": {"L": 1, "n_steps": 6, "delta0": 0.6}}),
+            ("strategy.kind", {"scenario": "qite", "strategy": {"kind": "unfolding"},
+                               "params": {"n_qubits": 2, "n_steps": 1}}),
         ],
     )
     def test_malformed_field_is_2_and_named(self, tmp_path, capsys, field, overrides):
@@ -307,3 +328,101 @@ class TestCompare:
         assert widths["hybrid(m=16)"] < widths["qdp(m=16)"]
         for c in cells:
             assert int(c[4]) == int(c[2]) * int(c[3])
+
+
+# Small valid configs, about one per scenario, whose mutants must never crash.
+MUTATION_BASES = [
+    {"schema_version": 1, "scenario": "grover", "seed": 7,
+     "strategy": {"kind": "qdp", "m": 4,
+                  "imr": {"reduction_factor": 1.5, "copies_out": 2, "failure_threshold": 0.2}},
+     "params": {"L": 1, "n_steps": 2, "delta0": 0.6, "dim": 2, "eps": 0.01},
+     "output": {"path": "out.json", "format": "json"}},
+    {"schema_version": 1, "scenario": "grover", "seed": 3,
+     "strategy": {"kind": "hybrid", "n1": 1, "n2": 1, "m": 4},
+     "params": {"L": 1, "n_steps": 2, "delta0": 0.5}},
+    {"schema_version": 1, "scenario": "dbi", "seed": 3,
+     "strategy": {"kind": "unfolding", "gc_substeps": 2},
+     "params": {"dim": 3, "n_steps": 2, "mu": [0, 1, 2], "step_size": 0.1}},
+    {"schema_version": 1, "scenario": "qite", "seed": 3, "strategy": {"kind": "exact"},
+     "params": {"n_steps": 2, "n_qubits": 2, "field": 0.4}},
+    {"schema_version": 1, "scenario": "qite", "seed": 4, "strategy": {"kind": "qdp", "m": 4},
+     "params": {"model": "random", "dim": 2, "n_steps": 2, "step_size": 0.1}},
+    {"schema_version": 1, "scenario": "osd", "seed": 5, "strategy": {"kind": "qdp", "m": 4},
+     "params": {"dims": [2, 2], "n_steps": 2, "mu": [0, 1]}},
+    {"schema_version": 1, "scenario": "channel-error", "seed": 11,
+     "params": {"dim": 2, "map": "scaled", "alpha": 0.5, "s": 0.3, "m_values": [2, 4],
+                "n_samples": 2}},
+    {"schema_version": 1, "scenario": "channel-error", "seed": 11,
+     "params": {"dim": 2, "map": "commutator", "map_s": 1.0, "s": 0.3, "m_values": [4],
+                "n_samples": 1}},
+    {"schema_version": 1, "scenario": "cost", "params": {"L": 1, "N": 3, "m": 2, "n1": 1, "n2": 2},
+     "output": {"path": "cost.csv", "format": "csv"}},
+]
+
+
+def _leaves(doc, path=()):
+    """Paths of every value in a nested config, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+def _variants(value, rng):
+    """Wrong types, sign flips, zero and list changes; never a larger size."""
+    if isinstance(value, (int, float)):
+        out = [-value, 0, "x", True, [value]]
+        if isinstance(value, int):
+            out.append(value + 0.5)
+        return out
+    if isinstance(value, str):
+        return [7, "", "bogus", [value]]
+    if isinstance(value, list):
+        return [[], value[:1], value + value[-1:], "x", ["x"] * len(value),
+                [rng.choice([-1, 0, "x"])] + value[1:]]
+    return ["x", [], dict(value, zz_unknown=1)]
+
+
+_DELETE = object()
+
+
+def _mutants(base, rng):
+    yield dict(base, zz_unknown=1)
+    for path, value in list(_leaves(base)):
+        for new in _variants(value, rng) + [_DELETE]:
+            doc = copy.deepcopy(base)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if new is not _DELETE:
+                parent[path[-1]] = new
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                continue  # list entries are dropped by the short-list variant
+            yield doc
+
+
+def test_config_mutants_exit_cleanly(tmp_path, monkeypatch, capsys):
+    """Every mutant of a valid config exits 0, 2 or 3 and raises nothing:
+    bad input is a config error (2) or infeasible (3), never a traceback and
+    never a numerical-invariant violation (4)."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QDPSIM_SEED", raising=False)
+    rng = random.Random(20240)
+    failures, count = [], 0
+    for base in MUTATION_BASES:
+        assert main(["run", write_config(tmp_path, base)]) == 0, base
+        for doc in _mutants(base, rng):
+            count += 1
+            path = write_config(tmp_path, doc)
+            try:
+                code = main(["run", path])
+            except Exception as exc:  # noqa: BLE001 - any escape is a failure
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3):
+                failures.append((code, doc))
+    capsys.readouterr()
+    assert count > 300
+    assert not failures, f"{len(failures)} of {count} mutants failed: {failures[:5]}"
