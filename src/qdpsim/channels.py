@@ -257,11 +257,7 @@ def exact_query_channel(
 ) -> DensityMatrix:
     """The unitary channel that memory-usage queries of total duration ``s``
     converge to: conjugation by ``exp(-i s N(memory))``."""
-    if working.dim != m.d_out:
-        raise DimensionError(f"working dim {working.dim} != map d_out {m.d_out}")
-    gen = hermitize(map_apply(m, memory.matrix))
-    u = herm_exp(gen, float(s))
-    return DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
+    return exact_memory_call(MemoryCallSpec(map=m, duration=-s), memory, working)
 
 
 def memory_usage_query(

@@ -441,8 +441,13 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
     h = _qite_hamiltonian(p, cfg.seed)
     psi0 = random_pure(h.shape[0], cfg.seed)
     qcfg = QITEConfig(hamiltonian=h, initial=psi0, step_size=p["step_size"])
-    record = run_strategy(qite_recursion_spec(qcfg), p["n_steps"], cfg.strategy)
-    gs, _ = ground_state(h)
+    try:
+        spec = qite_recursion_spec(qcfg)
+        gs, _ = ground_state(h)
+    except InvariantError as exc:
+        fields = "params.dim" if p["model"] == "random" else "params.n_qubits and params.field"
+        raise InfeasibleConfigError(f"{fields} give QITE no unique ground state: {exc}") from exc
+    record = run_strategy(spec, p["n_steps"], cfg.strategy)
     rows = []
     for n, pt in enumerate(record.points):
         infid = 1.0 - float(np.real(np.vdot(gs.amplitudes, pt.state.matrix @ gs.amplitudes)))

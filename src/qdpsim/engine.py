@@ -15,8 +15,9 @@ memory-calls are realized:
                 copies of the current state, trading depth for width.
 * hybrid      - unfolding for the first stretch, queries afterwards.
 
-One step loop runs them all; per step, a strategy picks the rule that realizes
-the calls and charges their cost (hybrid switches rules after the stretch).
+One step loop (``run_strategy``) runs them all.  Each strategy descriptor is
+its own step rule: its ``advance`` realizes a step's calls and charges their
+cost (hybrid advances as unfolding or as queries, by step index).
 
 Cost accounting uses one depth unit per elementary query, per non-identity
 static unitary and per purification round.  The width recorded at a
@@ -26,8 +27,8 @@ state: 1 for exact/unfolding, (m+1)^k after k query-based steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union, get_args
 
 import numpy as np
 
@@ -150,56 +151,6 @@ class RecursionSpec:
         return self.step
 
 
-# Strategy descriptors ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExactStrategy:
-    kind: str = field(default="exact", init=False)
-
-
-@dataclass(frozen=True)
-class UnfoldingStrategy:
-    gc_substeps: int = 1
-    kind: str = field(default="unfolding", init=False)
-
-    def __post_init__(self):
-        if self.gc_substeps < 1:
-            raise InvariantError("gc_substeps must be >= 1")
-
-
-@dataclass(frozen=True)
-class QDPStrategy:
-    m: int
-    imr: Optional[IMRConfig] = None
-    kind: str = field(default="qdp", init=False)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvariantError("query count m must be >= 1")
-
-
-@dataclass(frozen=True)
-class HybridStrategy:
-    n1: int
-    n2: int
-    m: int
-    imr: Optional[IMRConfig] = None
-    kind: str = field(default="hybrid", init=False)
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise InvariantError("hybrid phase lengths must be >= 0")
-        if self.m < 1:
-            raise InvariantError("query count m must be >= 1")
-
-
-StrategyConfig = Union[ExactStrategy, UnfoldingStrategy, QDPStrategy, HybridStrategy]
-
-
-# ---------------------------------------------------------------------------
-
-
 def _point(state, target, ledger) -> TrajectoryPoint:
     dist = trace_distance(state.matrix, target.matrix) if target is not None else None
     return TrajectoryPoint(
@@ -229,33 +180,6 @@ def apply_step_exact(
     return _interleave(step, working, lambda _, call, w: exact_memory_call(call, instruction, w))
 
 
-def _execute(spec: RecursionSpec, n_steps: int, rule_for) -> TrajectoryRecord:
-    """The recursion loop of every strategy.  Step ``n`` is advanced by the
-    step rule ``rule_for(n)``: ``rule(step, n, state, ledger)`` realizes the
-    step's memory-calls, charges their cost and returns ``(state, ledger)``."""
-    if n_steps < 0:
-        raise InvariantError("n_steps must be >= 0")
-    state = spec.root
-    ledger = CostLedger()
-    points = [_point(state, spec.target, ledger)]
-    for n in range(n_steps):
-        step = spec.resolve_step(n)
-        state, ledger = rule_for(n)(step, n, state, ledger)
-        points.append(_point(state, spec.target, ledger))
-    return TrajectoryRecord(points=tuple(points))
-
-
-def _exact_rule(step, n, state, ledger):
-    state = apply_step_exact(step, state, state)
-    depth = ledger.depth + step.n_calls + step.nontrivial_static_count()
-    return state, replace(ledger, depth=depth)
-
-
-def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
-    """Ideal execution: every memory-call instructed by the current state."""
-    return _execute(spec, n_steps, lambda n: _exact_rule)
-
-
 def _split_queries(m: int, n_calls: int) -> list[int]:
     if n_calls == 0:
         return []
@@ -278,50 +202,6 @@ def _apply_imr(state, ledger, imr_cfg):
         success_probability=ledger.success_probability * outcome.success_probability,
     )
     return outcome.state, ledger
-
-
-def _query_rule(m: int, imr: Optional[IMRConfig]):
-    """Each call becomes a block of queries on copies of the step's input
-    state, of total duration minus the call's (the query sign convention)."""
-    if m < 1:
-        raise InvariantError("query count m must be >= 1")
-
-    def rule(step, n, state, ledger):
-        counts = _split_queries(m, step.n_calls)
-
-        def realize(idx, call, working):
-            gen = QueryGenerator.from_map(call.map)
-            memory = DensityMatrix(call.instruction_matrix(state), factor_dims=(call.map.d_in,))
-            return repeated_queries(gen, memory, working, -call.duration, counts[idx])
-
-        out = _interleave(step, state, realize)
-        ledger = replace(
-            ledger,
-            depth=ledger.depth + m + step.nontrivial_static_count(),
-            width=ledger.width * (m + 1),
-        )
-        if imr is not None:
-            out, ledger = _apply_imr(out, ledger, imr)
-        return out, ledger
-
-    return rule
-
-
-def run_qdp(
-    spec: RecursionSpec,
-    n_steps: int,
-    m: int,
-    imr: Optional[IMRConfig] = None,
-) -> TrajectoryRecord:
-    """Query-based execution: each step consumes ``m`` copies of its own
-    input state as instructions, split evenly over the step's memory-calls
-    (remainder to the last call).
-
-    A memory-call of duration s is approximated by queries of total duration
-    -s, matching the query channel's sign convention.
-    """
-    query = _query_rule(m, imr)
-    return _execute(spec, n_steps, lambda n: query)
 
 
 def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
@@ -357,27 +237,148 @@ def _gc_call_unitary(call: MemoryCallSpec, state: DensityMatrix, substeps: int):
     return u
 
 
-def _unfolding_rule(covariant: bool, gc_substeps: int):
+# Strategy descriptors ------------------------------------------------------
+#
+# Each descriptor is the step rule of its strategy:
+# ``advance(spec, step, n, state, ledger)`` realizes the memory-calls of step
+# ``n`` (spec ``step``) on ``state``, charges their cost and returns
+# ``(state, ledger)``.
+
+
+@dataclass(frozen=True)
+class ExactStrategy:
+    """Every call is the exact unitary instructed by the step's input state."""
+
+    def advance(self, spec, step, n, state, ledger):
+        state = apply_step_exact(step, state, state)
+        depth = ledger.depth + step.n_calls + step.nontrivial_static_count()
+        return state, replace(ledger, depth=depth)
+
+
+@dataclass(frozen=True)
+class UnfoldingStrategy:
     """Covariant steps are exact; otherwise each call becomes ``gc_substeps``
     group commutators instructed by the step's input state.  Step ``n``
     charges the root calls its ``eff_calls`` calls unfold into."""
-    if gc_substeps < 1:
-        raise InvariantError("gc_substeps must be >= 1")
 
-    def rule(step, n, state, ledger):
+    gc_substeps: int = 1
+
+    def __post_init__(self):
+        if self.gc_substeps < 1:
+            raise InvariantError("gc_substeps must be >= 1")
+
+    def advance(self, spec, step, n, state, ledger):
         def realize(idx, call, working):
-            return _conjugate(_gc_call_unitary(call, state, gc_substeps), working)
+            return _conjugate(_gc_call_unitary(call, state, self.gc_substeps), working)
 
-        if covariant:
+        if spec.covariant:
             out = apply_step_exact(step, state, state)
             eff_calls = step.n_calls
         else:
             out = _interleave(step, state, realize)
-            eff_calls = 2 * gc_substeps * step.n_calls
+            eff_calls = 2 * self.gc_substeps * step.n_calls
         step_calls = eff_calls * (2 * eff_calls + 1) ** n if eff_calls else 0
         return out, replace(ledger, depth=ledger.depth + step_calls)
 
-    return rule
+
+@dataclass(frozen=True)
+class QDPStrategy:
+    """Each call becomes a block of queries on copies of the step's input
+    state, of total duration minus the call's (the query sign convention)."""
+
+    m: int
+    imr: Optional[IMRConfig] = None
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise InvariantError("query count m must be >= 1")
+
+    def advance(self, spec, step, n, state, ledger):
+        counts = _split_queries(self.m, step.n_calls)
+
+        def realize(idx, call, working):
+            gen = QueryGenerator.from_map(call.map)
+            memory = DensityMatrix(call.instruction_matrix(state), factor_dims=(call.map.d_in,))
+            return repeated_queries(gen, memory, working, -call.duration, counts[idx])
+
+        out = _interleave(step, state, realize)
+        ledger = replace(
+            ledger,
+            depth=ledger.depth + self.m + step.nontrivial_static_count(),
+            width=ledger.width * (self.m + 1),
+        )
+        if self.imr is not None:
+            out, ledger = _apply_imr(out, ledger, self.imr)
+        return out, ledger
+
+
+@dataclass(frozen=True)
+class HybridStrategy:
+    """Unfolding for steps ``n < n1``, queries for the ``n2`` steps after."""
+
+    n1: int
+    n2: int
+    m: int
+    imr: Optional[IMRConfig] = None
+
+    def __post_init__(self):
+        if self.n1 < 0 or self.n2 < 0:
+            raise InvariantError("hybrid phase lengths must be >= 0")
+        if self.m < 1:
+            raise InvariantError("query count m must be >= 1")
+
+    def advance(self, spec, step, n, state, ledger):
+        rule = UnfoldingStrategy() if n < self.n1 else QDPStrategy(self.m, self.imr)
+        return rule.advance(spec, step, n, state, ledger)
+
+
+StrategyConfig = Union[ExactStrategy, UnfoldingStrategy, QDPStrategy, HybridStrategy]
+
+
+# ---------------------------------------------------------------------------
+
+
+def run_strategy(
+    spec: RecursionSpec, n_steps: int, strategy: StrategyConfig
+) -> TrajectoryRecord:
+    """The recursion loop of every strategy: step ``n`` is advanced by
+    ``strategy.advance``."""
+    if not isinstance(strategy, get_args(StrategyConfig)):
+        raise UnsupportedSpecError(f"unknown strategy {strategy!r}")
+    if isinstance(strategy, HybridStrategy) and strategy.n1 + strategy.n2 != n_steps:
+        raise InvariantError(
+            f"hybrid phases {strategy.n1}+{strategy.n2} != n_steps {n_steps}"
+        )
+    if n_steps < 0:
+        raise InvariantError("n_steps must be >= 0")
+    state = spec.root
+    ledger = CostLedger()
+    points = [_point(state, spec.target, ledger)]
+    for n in range(n_steps):
+        state, ledger = strategy.advance(spec, spec.resolve_step(n), n, state, ledger)
+        points.append(_point(state, spec.target, ledger))
+    return TrajectoryRecord(points=tuple(points))
+
+
+def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
+    """Ideal execution: every memory-call instructed by the current state."""
+    return run_strategy(spec, n_steps, ExactStrategy())
+
+
+def run_qdp(
+    spec: RecursionSpec,
+    n_steps: int,
+    m: int,
+    imr: Optional[IMRConfig] = None,
+) -> TrajectoryRecord:
+    """Query-based execution: each step consumes ``m`` copies of its own
+    input state as instructions, split evenly over the step's memory-calls
+    (remainder to the last call).
+
+    A memory-call of duration s is approximated by queries of total duration
+    -s, matching the query channel's sign convention.
+    """
+    return run_strategy(spec, n_steps, QDPStrategy(m, imr))
 
 
 def run_unfolding(
@@ -392,8 +393,7 @@ def run_unfolding(
     O(flow^1.5 / sqrt(gc_substeps)) and the call count per step inflated to
     ``2 * gc_substeps * L``.
     """
-    unfold = _unfolding_rule(spec.covariant, gc_substeps)
-    return _execute(spec, n_steps, lambda n: unfold)
+    return run_strategy(spec, n_steps, UnfoldingStrategy(gc_substeps))
 
 
 def run_hybrid(
@@ -402,35 +402,11 @@ def run_hybrid(
     n2: int,
     m: int,
     imr: Optional[IMRConfig] = None,
-    gc_substeps: int = 1,
 ) -> TrajectoryRecord:
     """Unfold the first ``n1`` steps, then run ``n2`` query-based steps
     seeded at the unfolded state.  Depth adds exactly; width is the query
     phase's copy count (the unfolding pipelines supply those copies)."""
-    if n1 < 0 or n2 < 0:
-        raise InvariantError("hybrid phase lengths must be >= 0")
-    unfold = _unfolding_rule(spec.covariant, gc_substeps)
-    query = _query_rule(m, imr)
-    return _execute(spec, n1 + n2, lambda n: unfold if n < n1 else query)
-
-
-def run_strategy(
-    spec: RecursionSpec, n_steps: int, strategy: StrategyConfig
-) -> TrajectoryRecord:
-    """Dispatch a run on one strategy descriptor."""
-    if isinstance(strategy, ExactStrategy):
-        return run_exact(spec, n_steps)
-    if isinstance(strategy, UnfoldingStrategy):
-        return run_unfolding(spec, n_steps, gc_substeps=strategy.gc_substeps)
-    if isinstance(strategy, QDPStrategy):
-        return run_qdp(spec, n_steps, strategy.m, imr=strategy.imr)
-    if isinstance(strategy, HybridStrategy):
-        if strategy.n1 + strategy.n2 != n_steps:
-            raise InvariantError(
-                f"hybrid phases {strategy.n1}+{strategy.n2} != n_steps {n_steps}"
-            )
-        return run_hybrid(spec, strategy.n1, strategy.n2, strategy.m, imr=strategy.imr)
-    raise UnsupportedSpecError(f"unknown strategy {strategy!r}")
+    return run_strategy(spec, n1 + n2, HybridStrategy(n1, n2, m, imr))
 
 
 def local_accuracy_check(

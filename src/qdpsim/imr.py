@@ -62,7 +62,7 @@ def mixedness(rho: DensityMatrix) -> float:
 def imr_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """One purification round and its success probability ``(1 + Tr rho^2)/2``."""
     mat = rho.matrix
-    purity = float(np.real(np.trace(mat @ mat)))
+    purity = rho.purity()
     out = (mat + mat @ mat) / (1.0 + purity)
     return DensityMatrix(out, rho.factor_dims), (1.0 + purity) / 2.0
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qdpsim.cli import ExperimentConfig, main, run_scenario
-from qdpsim.errors import ConfigError
+from qdpsim.errors import ConfigError, InvariantError
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -102,16 +102,37 @@ class TestExitCodes:
         assert main(["run", path]) == 2
         assert field in capsys.readouterr().err
 
-    def test_infeasible_is_3(self, tmp_path):
-        # purification with a one-copy budget cannot meet a tight threshold
-        doc = grover_doc(tmp_path)
-        doc["strategy"] = {
-            "kind": "qdp",
-            "m": 16,
-            "imr": {"reduction_factor": 2.0, "copies_out": 1, "failure_threshold": 1e-9},
-        }
-        path = write_config(tmp_path, doc)
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            # purification with a one-copy budget cannot meet a tight threshold
+            ("copies_out", {"strategy": {
+                "kind": "qdp",
+                "m": 16,
+                "imr": {"reduction_factor": 2.0, "copies_out": 1, "failure_threshold": 1e-9},
+            }}),
+            # Heisenberg chains without a unique ground state to flow to
+            ("params.field", {"scenario": "qite", "strategy": {"kind": "exact"},
+                              "params": {"n_qubits": 3, "field": 0.0, "n_steps": 1}}),
+            ("params.field", {"scenario": "qite", "strategy": {"kind": "exact"},
+                              "params": {"n_qubits": 2, "field": 2.0, "n_steps": 1}}),
+            ("params.field", {"scenario": "qite", "strategy": {"kind": "exact"},
+                              "params": {"n_qubits": 1, "field": 0.0, "n_steps": 1}}),
+        ],
+        ids=["imr-budget", "qite-3-qubits-field-0", "qite-2-qubits-field-2", "qite-1-qubit-field-0"],
+    )
+    def test_infeasible_is_3(self, tmp_path, capsys, field, overrides):
+        path = write_config(tmp_path, grover_doc(tmp_path, **overrides))
         assert main(["run", path]) == 3
+        assert field in capsys.readouterr().err
+
+    def test_mid_run_invariant_is_4(self, tmp_path, monkeypatch, capsys):
+        def broken(spec, n_steps, strategy):
+            raise InvariantError("trace drifted")
+
+        monkeypatch.setattr("qdpsim.cli.run_strategy", broken)
+        assert main(["run", write_config(tmp_path, grover_doc(tmp_path))]) == 4
+        assert "numerical invariant violated: trace drifted" in capsys.readouterr().err
 
     def test_missing_file_is_2(self):
         assert main(["run", "/nonexistent/nowhere.json"]) == 2
@@ -156,6 +177,24 @@ class TestDeterminism:
         path2 = write_config(tmp_path, doc2, name="cfg2.json")
         main(["run", path2])
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+    def test_seed_flag_beats_env_and_file(self, tmp_path, monkeypatch):
+        doc = grover_doc(tmp_path, out_name="want.csv", seed=9)
+        doc["params"]["dim"] = 3
+        main(["run", write_config(tmp_path, doc)])
+        monkeypatch.setenv("QDPSIM_SEED", "8")
+        doc2 = grover_doc(tmp_path, out_name="got.csv")
+        doc2["params"]["dim"] = 3
+        path2 = write_config(tmp_path, doc2, name="cfg2.json")
+        assert main(["run", path2, "--seed", "9"]) == 0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert main(["run", path2, "--output", str(tmp_path / "env.csv")]) == 0
+        assert (tmp_path / "env.csv").read_bytes() != (tmp_path / "want.csv").read_bytes()
+
+    def test_non_integer_env_seed_is_2_and_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QDPSIM_SEED", "abc")
+        assert main(["run", write_config(tmp_path, grover_doc(tmp_path))]) == 2
+        assert "QDPSIM_SEED" in capsys.readouterr().err
 
 
 class TestSchemas:

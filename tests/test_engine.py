@@ -271,6 +271,33 @@ class TestRunHybrid:
             assert len(rec) == 3
 
 
+class TestStrategyChecks:
+    @pytest.mark.parametrize(
+        "error, message, call",
+        [
+            (InvariantError, "query count m", lambda spec: QDPStrategy(m=0)),
+            (InvariantError, "gc_substeps", lambda spec: UnfoldingStrategy(gc_substeps=0)),
+            (InvariantError, "phase lengths", lambda spec: HybridStrategy(n1=-1, n2=2, m=8)),
+            (InvariantError, "query count m", lambda spec: HybridStrategy(n1=1, n2=1, m=0)),
+            (InvariantError, "query count m", lambda spec: run_qdp(spec, 1, 0)),
+            (InvariantError, "gc_substeps", lambda spec: run_unfolding(spec, 1, gc_substeps=0)),
+            (InvariantError, "phase lengths", lambda spec: run_hybrid(spec, -1, 2, 8)),
+            (InvariantError, "1\\+1 != n_steps 3",
+             lambda spec: run_strategy(spec, 3, HybridStrategy(n1=1, n2=1, m=8))),
+            (InvariantError, "n_steps must be >= 0",
+             lambda spec: run_strategy(spec, -1, ExactStrategy())),
+            (UnsupportedSpecError, "unknown strategy", lambda spec: run_strategy(spec, 1, "qdp")),
+        ],
+        ids=["qdp-m", "unfolding-substeps", "hybrid-n1", "hybrid-m", "run_qdp-m",
+             "run_unfolding-substeps", "run_hybrid-n1", "hybrid-split", "n_steps",
+             "not-a-descriptor"],
+    )
+    def test_bad_strategy_input_rejected(self, error, message, call):
+        spec = grover_recursion_spec(grover_config_from_distance(0.6, 1, 2))
+        with pytest.raises(error, match=message):
+            call(spec)
+
+
 class TestLocalAccuracy:
     def test_exact_step_scores_zero(self):
         spec = small_dbi_spec()
