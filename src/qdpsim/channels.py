@@ -1,11 +1,13 @@
-"""State-instructed channels built from Choi matrices.
+"""State-instructed channels of Hermitian-preserving maps.
 
-A Hermitian-preserving linear map ``N`` is stored as its Choi matrix
+A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
+which is all an exact memory-call reads.  Its Choi matrix
 ``L = sum_jk |j><k| (x) N(|j><k|)`` over the unnormalized maximally entangled
-pair.  The partial transpose of ``L`` on the first factor is a Hermitian
-operator ``Nhat``, the *query generator*: conjugating a memory (x) working
-pair by ``exp(-i Nhat s)`` and tracing out the memory register applies the
-map's exponential to the working state up to O(s^2).
+pair is derived from the action on first read.  The partial transpose of
+``L`` on the first factor is a Hermitian operator ``Nhat``, the *query
+generator*: conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and
+tracing out the memory register applies the map's exponential to the working
+state up to O(s^2).
 
 Sign conventions, fixed here once and relied on everywhere else:
 
@@ -23,6 +25,7 @@ query-side limit, used as the comparison point for error measurements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,7 +49,7 @@ CHOI_HERM_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class HermitianPreservingMap:
-    """Linear Hermitian-preserving map held as a Choi matrix.
+    """Linear Hermitian-preserving map, held as its action ``x -> N(x)``.
 
     ``commutator_form``, when set, records that the map is
     ``rho -> -i * s * [d, rho]`` for a Hermitian ``d``; the unfolding engine
@@ -55,16 +58,21 @@ class HermitianPreservingMap:
 
     d_in: int
     d_out: int
-    choi: np.ndarray
+    action: Callable[[np.ndarray], np.ndarray]
     commutator_form: Optional[tuple[np.ndarray, float]] = None
 
-    def __post_init__(self):
-        choi = np.asarray(self.choi, dtype=complex)
-        if choi.shape != (self.d_in * self.d_out, self.d_in * self.d_out):
-            raise DimensionError(
-                f"Choi matrix shape {choi.shape} does not match "
-                f"d_in*d_out={self.d_in * self.d_out}"
-            )
+    @functools.cached_property
+    def choi(self) -> np.ndarray:
+        """Choi matrix from the action on all matrix units, built on first read."""
+        d_in, d_out = self.d_in, self.d_out
+        choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+        choi4 = choi.reshape(d_in, d_out, d_in, d_out)
+        unit = np.zeros((d_in, d_in), dtype=complex)
+        for j in range(d_in):
+            for k in range(d_in):
+                unit[j, k] = 1.0
+                choi4[j, :, k, :] = _act(self, unit)
+                unit[j, k] = 0.0
         dev = float(np.max(np.abs(choi - choi.conj().T)))
         if dev > CHOI_HERM_ATOL:
             raise InvariantError(
@@ -73,34 +81,29 @@ class HermitianPreservingMap:
             )
         choi = (choi + choi.conj().T) / 2.0
         choi.setflags(write=False)
-        object.__setattr__(self, "choi", choi)
+        return choi
+
+
+def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
+    out = np.asarray(m.action(a), dtype=complex)
+    if out.shape != (m.d_out, m.d_out):
+        raise DimensionError(f"map output shape {out.shape} != ({m.d_out},{m.d_out})")
+    return out
 
 
 def map_from_function(
     fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int, **kwargs
 ) -> HermitianPreservingMap:
-    """Build the Choi matrix of ``fn`` by applying it to all matrix units."""
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    choi4 = choi.reshape(d_in, d_out, d_in, d_out)
-    unit = np.zeros((d_in, d_in), dtype=complex)
-    for j in range(d_in):
-        for k in range(d_in):
-            unit[j, k] = 1.0
-            out = np.asarray(fn(unit), dtype=complex)
-            if out.shape != (d_out, d_out):
-                raise DimensionError(f"map output shape {out.shape} != ({d_out},{d_out})")
-            choi4[j, :, k, :] = out
-            unit[j, k] = 0.0
-    return HermitianPreservingMap(d_in=d_in, d_out=d_out, choi=choi, **kwargs)
+    """The map with action ``fn`` from ``d_in x d_in`` to ``d_out x d_out``."""
+    return HermitianPreservingMap(d_in=d_in, d_out=d_out, action=fn, **kwargs)
 
 
 def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
-    """Apply the map to an operator, reconstructed from the Choi matrix."""
+    """Apply the map to an operator."""
     a = _as_square(x)
     if a.shape[0] != m.d_in:
         raise DimensionError(f"input dim {a.shape[0]} != map d_in {m.d_in}")
-    choi4 = m.choi.reshape(m.d_in, m.d_out, m.d_in, m.d_out)
-    return np.einsum("jakb,jk->ab", choi4, a)
+    return _act(m, a)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ class MemoryCallSpec:
 
 def make_identity_map(dim: int) -> HermitianPreservingMap:
     """The identity map; its query generator is the swap operator."""
-    return map_from_function(lambda x: x, dim, dim)
+    return make_scaled_identity_map(-1.0, dim)
 
 
 def make_scaled_identity_map(alpha: float, dim: int) -> HermitianPreservingMap:
@@ -171,14 +174,10 @@ def make_scaled_identity_map(alpha: float, dim: int) -> HermitianPreservingMap:
 
 def make_commutator_map(d, s: float) -> HermitianPreservingMap:
     """The map ``rho -> -i s [d, rho]`` for Hermitian ``d``."""
-    dd = hermitize(d)
-    ss = float(s)
+    dd, ss = hermitize(d), float(s)
     dim = dd.shape[0]
     return map_from_function(
-        lambda x: -1j * ss * (dd @ x - x @ dd),
-        dim,
-        dim,
-        commutator_form=(dd, ss),
+        lambda x: -1j * ss * (dd @ x - x @ dd), dim, dim, commutator_form=(dd, ss)
     )
 
 

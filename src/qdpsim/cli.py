@@ -349,6 +349,12 @@ class ExperimentConfig:
         scenario = top["scenario"]
         if scenario in _RANDOMIZED and top["seed"] is None:
             raise ConfigError(f"field 'seed' is mandatory for scenario {scenario!r}")
+        out = top["output"]["path"]
+        if out is not None and (out == "" or os.path.isdir(out)
+                                or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(
+                f"field 'output.path' must name a file in an existing directory, got {out!r}"
+            )
         kind = _value("strategy.kind", _KIND, top["strategy"].get("kind"))
         strategy_type, table = _STRATEGIES[kind]
         strategy = _section("strategy", {"kind": _KIND, **table}, top["strategy"])
@@ -556,8 +562,11 @@ def _finish(report: RunReport, cfg: ExperimentConfig) -> RunReport:
     }
     if cfg.output_path:
         text = report.render(cfg.output_format)
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"field 'output.path' could not be written: {exc}") from exc
     return report
 
 

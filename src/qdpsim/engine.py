@@ -213,10 +213,13 @@ def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
     """
     if n_calls < 1 or n_steps < 1:
         raise InvariantError("unfolding cost needs n_calls >= 1 and n_steps >= 1")
-    base = 2 * n_calls + 1
-    final_step = n_calls * base ** (n_steps - 1)
-    total = sum(n_calls * base**k for k in range(n_steps))
-    return final_step, total
+    total = sum(_unfolded_calls(n_calls, k) for k in range(n_steps))
+    return _unfolded_calls(n_calls, n_steps - 1), total
+
+
+def _unfolded_calls(n_calls: int, k: int) -> int:
+    """Root calls that step ``k`` (from 0) unfolds into: ``L (2L+1)^k``."""
+    return n_calls * (2 * n_calls + 1) ** k
 
 
 def _gc_call_unitary(call: MemoryCallSpec, state: DensityMatrix, substeps: int):
@@ -277,8 +280,7 @@ class UnfoldingStrategy:
         else:
             out = _interleave(step, state, realize)
             eff_calls = 2 * self.gc_substeps * step.n_calls
-        step_calls = eff_calls * (2 * eff_calls + 1) ** n if eff_calls else 0
-        return out, replace(ledger, depth=ledger.depth + step_calls)
+        return out, replace(ledger, depth=ledger.depth + _unfolded_calls(eff_calls, n))
 
 
 @dataclass(frozen=True)

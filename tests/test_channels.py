@@ -29,7 +29,7 @@ from qdpsim import (
     repeated_queries,
     trace_distance,
 )
-from qdpsim.channels import query_superoperator
+from qdpsim.channels import map_from_function, query_superoperator
 
 
 def plus_state():
@@ -57,6 +57,35 @@ class TestMapApply:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             map_apply(make_identity_map(2), np.eye(3))
+
+
+class TestActionMatchesChoi:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_identity_map(3),
+            lambda: make_scaled_identity_map(0.7, 3),
+            lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+            lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+            lambda: make_pair_commutator_map(2, 0.9),
+            lambda: map_from_function(lambda x: partial_trace(x, (2, 3), keep=[1]), 6, 3),
+        ],
+        ids=["identity", "scaled", "commutator", "osd", "pair-commutator", "non-square"],
+    )
+    def test_action_equals_choi_contraction(self, build):
+        m = build()
+        rng = np.random.default_rng(31)
+        choi4 = m.choi.reshape(m.d_in, m.d_out, m.d_in, m.d_out)
+        for _ in range(3):
+            x = rng.standard_normal((m.d_in, m.d_in)) + 1j * rng.standard_normal((m.d_in, m.d_in))
+            expected = np.einsum("jakb,jk->ab", choi4, x)
+            np.testing.assert_allclose(map_apply(m, x), expected, rtol=0, atol=1e-13)
+        assert m.choi is m.choi
+
+    def test_exact_call_builds_no_choi(self):
+        m = make_commutator_map(random_hermitian(3, 22), 0.4)
+        exact_memory_call(MemoryCallSpec(map=m), random_density(3, 1), random_density(3, 2))
+        assert "choi" not in vars(m)
 
 
 class TestMakeCommutatorMap:
@@ -406,12 +435,15 @@ class TestChannelErrorProbe:
 
 class TestHermitianPreservingMapValidation:
     def test_rejects_non_hermitian_choi(self):
-        from qdpsim import HermitianPreservingMap
-
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[0, 1] = 1.0
+        m = map_from_function(lambda x: 1j * x, 2, 2)
         with pytest.raises(InvariantError):
-            HermitianPreservingMap(d_in=2, d_out=2, choi=bad)
+            m.choi
+
+    def test_exact_call_rejects_non_hermitian_generator(self):
+        # the generator 1j * rho deviates from Hermitian by 2 max|rho|
+        call = MemoryCallSpec(map=map_from_function(lambda x: 1j * x, 2, 2))
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            exact_memory_call(call, random_density(2, 1), random_density(2, 2))
 
     def test_map_on_identity_is_hermitian(self):
         m = make_commutator_map(random_hermitian(3, 81), 0.9)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qdpsim import cli
 from qdpsim.cli import ExperimentConfig, main, run_scenario
 from qdpsim.errors import ConfigError, InvariantError
 
@@ -95,6 +96,9 @@ class TestExitCodes:
             ("params.n_steps", {"params": {"L": 1, "n_steps": 6, "delta0": 0.6}}),
             ("strategy.kind", {"scenario": "qite", "strategy": {"kind": "unfolding"},
                                "params": {"n_qubits": 2, "n_steps": 1}}),
+            ("output.path", {"output": {"path": "no-such-dir/x.csv"}}),
+            ("output.path", {"output": {"path": "."}}),
+            ("output.path", {"output": {"path": ""}}),
         ],
     )
     def test_malformed_field_is_2_and_named(self, tmp_path, capsys, field, overrides):
@@ -133,6 +137,31 @@ class TestExitCodes:
         monkeypatch.setattr("qdpsim.cli.run_strategy", broken)
         assert main(["run", write_config(tmp_path, grover_doc(tmp_path))]) == 4
         assert "numerical invariant violated: trace drifted" in capsys.readouterr().err
+
+    def test_output_unwritable_at_write_is_2_and_named(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        doc = grover_doc(tmp_path, output={"path": str(out_dir / "x.csv")})
+        run_strategy = cli.run_strategy
+
+        def removing_dir(*args):
+            out_dir.rmdir()
+            return run_strategy(*args)
+
+        monkeypatch.setattr("qdpsim.cli.run_strategy", removing_dir)
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "output.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "cost"])
+    def test_output_in_missing_dir_is_2_and_named(self, tmp_path, capsys, command):
+        out = str(tmp_path / "no-such-dir" / "x.csv")
+        if command == "cost":
+            argv = ["cost", "--L", "1", "--N", "2", "--output", out]
+        else:
+            doc = grover_doc(tmp_path, strategies=[{"kind": "exact"}], output={"path": out})
+            argv = ["compare", write_config(tmp_path, doc)]
+        assert main(argv) == 2
+        assert "output.path" in capsys.readouterr().err
 
     def test_missing_file_is_2(self):
         assert main(["run", "/nonexistent/nowhere.json"]) == 2
