@@ -320,8 +320,7 @@ def dbi_step(p, d, s: float) -> np.ndarray:
     """``e^{s[d,p]} p e^{-s[d,p]}``: isospectral rotation toward d's eigenbasis."""
     dd, _ = _validated_diagonal(d)
     pp = hermitize(p)
-    gen = hermitize(1j * (dd @ pp - pp @ dd))
-    w = herm_exp(gen, float(s))  # e^{s[d,p]}
+    w = herm_exp(1j * (dd @ pp - pp @ dd), float(s))  # e^{s[d,p]}
     return w @ pp @ w.conj().T
 
 
@@ -443,8 +442,7 @@ def qite_step(psi: PureState, h, s: float) -> PureState:
     """``psi -> e^{s [|psi><psi|, H]} psi``; lowers energy for small s."""
     hh = hermitize(h)
     proj = psi.projector()
-    gen = hermitize(1j * (proj @ hh - hh @ proj))
-    u = herm_exp(gen, float(s))  # e^{s [psi, H]}
+    u = herm_exp(1j * (proj @ hh - hh @ proj), float(s))  # e^{s [psi, H]}
     return PureState(u @ psi.amplitudes, psi.factor_dims)
 
 

@@ -3,9 +3,11 @@
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Choi matrix
 ``L = sum_jk |j><k| (x) N(|j><k|)`` over the unnormalized maximally entangled
-pair is derived from the action on first read.  The partial transpose of
+pair is derived from the action on first read and symmetrized by
+``linalg.hermitize``, the one Hermiticity check.  The partial transpose of
 ``L`` on the first factor is a Hermitian operator ``Nhat``, the *query
-generator*: conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and
+generator*, which the map also builds once, on first read of ``generator``.
+Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and
 tracing out the memory register applies the map's exponential to the working
 state up to O(s^2).
 
@@ -44,8 +46,6 @@ from .linalg import (
     _as_square,
 )
 
-CHOI_HERM_ATOL = 1e-10
-
 
 @dataclass(frozen=True)
 class HermitianPreservingMap:
@@ -63,7 +63,8 @@ class HermitianPreservingMap:
 
     @functools.cached_property
     def choi(self) -> np.ndarray:
-        """Choi matrix from the action on all matrix units, built on first read."""
+        """Choi matrix from the action on all matrix units, built on first
+        read; a map that is not Hermitian-preserving fails ``hermitize``."""
         d_in, d_out = self.d_in, self.d_out
         choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
         choi4 = choi.reshape(d_in, d_out, d_in, d_out)
@@ -73,15 +74,14 @@ class HermitianPreservingMap:
                 unit[j, k] = 1.0
                 choi4[j, :, k, :] = _act(self, unit)
                 unit[j, k] = 0.0
-        dev = float(np.max(np.abs(choi - choi.conj().T)))
-        if dev > CHOI_HERM_ATOL:
-            raise InvariantError(
-                f"Choi matrix is not Hermitian (deviation {dev:.3e}); "
-                "the map is not Hermitian-preserving"
-            )
-        choi = (choi + choi.conj().T) / 2.0
+        choi = hermitize(choi)
         choi.setflags(write=False)
         return choi
+
+    @functools.cached_property
+    def generator(self) -> "QueryGenerator":
+        """The map's query generator ``Nhat``, built on first read."""
+        return QueryGenerator.from_map(self)
 
 
 def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
@@ -246,8 +246,7 @@ def exact_memory_call(
     """Apply ``exp(i * duration * N(instruction))`` to the working state."""
     if working.dim != call.map.d_out:
         raise DimensionError(f"working dim {working.dim} != map d_out {call.map.d_out}")
-    gen = hermitize(map_apply(call.map, call.instruction_matrix(instruction)))
-    u = herm_exp(gen, -call.duration)
+    u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
     return DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
 
 

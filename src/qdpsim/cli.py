@@ -58,7 +58,6 @@ from .algos import (
     schmidt_oracle,
 )
 from .channels import (
-    QueryGenerator,
     channel_error_probe,
     make_commutator_map,
     make_identity_map,
@@ -81,7 +80,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .imr import IMRConfig
-from .linalg import PureState, hermitize, partial_trace, random_density, random_pure
+from .linalg import PureState, partial_trace, random_density, random_pure
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("grover", "dbi", "qite", "osd", "channel-error", "cost")
@@ -384,6 +383,8 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} could not be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
@@ -439,7 +440,7 @@ def _qite_hamiltonian(p: dict, seed) -> np.ndarray:
     dim = p["dim"]
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize((g + g.conj().T) / 2.0, atol=np.inf)
+    return (g + g.conj().T) / 2.0
 
 
 def _run_qite(cfg: ExperimentConfig) -> RunReport:
@@ -503,7 +504,7 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
     else:
         mu = np.arange(dim, dtype=float) / max(dim - 1, 1)
         mmap = make_commutator_map(np.diag(mu), p["map_s"])
-    gen = QueryGenerator.from_map(mmap)
+    gen = mmap.generator
     memory = random_density(dim, cfg.seed)
     rows, checks = [], []
     for m in p["m_values"]:

@@ -35,7 +35,6 @@ import numpy as np
 from . import imr as imr_mod
 from .channels import (
     MemoryCallSpec,
-    QueryGenerator,
     exact_memory_call,
     group_commutator,
     repeated_queries,
@@ -299,9 +298,10 @@ class QDPStrategy:
         counts = _split_queries(self.m, step.n_calls)
 
         def realize(idx, call, working):
-            gen = QueryGenerator.from_map(call.map)
             memory = DensityMatrix(call.instruction_matrix(state), factor_dims=(call.map.d_in,))
-            return repeated_queries(gen, memory, working, -call.duration, counts[idx])
+            return repeated_queries(
+                call.map.generator, memory, working, -call.duration, counts[idx]
+            )
 
         out = _interleave(step, state, realize)
         ledger = replace(

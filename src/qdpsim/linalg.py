@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError
 
-# Hermiticity handling: deviations up to HERM_WARN_ATOL are symmetrized
-# silently, deviations in (HERM_WARN_ATOL, HERM_ATOL] are symmetrized with a
-# warning, anything larger is rejected.
+# Hermiticity handling, in ``hermitize`` only (states, generators and Choi
+# matrices alike, with no per-call override): deviations up to HERM_WARN_ATOL
+# are symmetrized silently, deviations in (HERM_WARN_ATOL, HERM_ATOL] are
+# symmetrized with a warning, anything larger is rejected.
 HERM_ATOL = 1e-10
 HERM_WARN_ATOL = 1e-12
 
@@ -56,15 +57,15 @@ def _check_factor_dims(factor_dims, dim: int) -> tuple[int, ...]:
     return dims
 
 
-def hermitize(m, atol: float = HERM_ATOL) -> np.ndarray:
+def hermitize(m) -> np.ndarray:
     """Return the Hermitian part of ``m``, rejecting genuinely non-Hermitian input.
 
-    Deviations inside the (HERM_WARN_ATOL, atol] window are symmetrized with a
+    Deviations in the (HERM_WARN_ATOL, HERM_ATOL] window are symmetrized with a
     warning; accumulated roundoff over long channel compositions lands there.
     """
     a = _as_square(m)
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > atol:
+    if dev > HERM_ATOL:
         raise InvariantError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     if dev > HERM_WARN_ATOL:
         warnings.warn(

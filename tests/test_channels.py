@@ -439,6 +439,21 @@ class TestHermitianPreservingMapValidation:
         with pytest.raises(InvariantError):
             m.choi
 
+    def test_choi_symmetrizes_small_deviation_with_warning(self):
+        # the Choi matrix deviates from Hermitian by 2 * eps, inside the
+        # (HERM_WARN_ATOL, HERM_ATOL] window of hermitize
+        eps = 1e-11
+        m = map_from_function(lambda x: x + 1j * eps * np.trace(x) * np.eye(2), 2, 2)
+        with pytest.warns(RuntimeWarning, match="symmetrizing matrix"):
+            choi = m.choi
+        np.testing.assert_array_equal(choi, choi.conj().T)
+
+    def test_choi_rejects_deviation_above_herm_atol(self):
+        eps = 1e-9
+        m = map_from_function(lambda x: x + 1j * eps * np.trace(x) * np.eye(2), 2, 2)
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            m.choi
+
     def test_exact_call_rejects_non_hermitian_generator(self):
         # the generator 1j * rho deviates from Hermitian by 2 max|rho|
         call = MemoryCallSpec(map=map_from_function(lambda x: 1j * x, 2, 2))

@@ -166,6 +166,17 @@ class TestExitCodes:
     def test_missing_file_is_2(self):
         assert main(["run", "/nonexistent/nowhere.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("content", [None, b'{"seed": "\xff"}'], ids=["directory", "non-utf8"])
+    def test_unreadable_config_is_2_and_named(self, tmp_path, capsys, command, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main([command, str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_mismatched_hybrid_split_is_2(self, tmp_path):
         doc = grover_doc(tmp_path)
         doc["strategy"] = {"kind": "hybrid", "n1": 1, "n2": 3, "m": 16}

@@ -10,6 +10,7 @@ from qdpsim import (
     InvariantError,
     MemoryCallSpec,
     QDPStrategy,
+    QueryGenerator,
     RecursionSpec,
     RecursionStepSpec,
     UnfoldingStrategy,
@@ -143,6 +144,35 @@ class TestRunQdp:
         assert ledger.imr_copies > 0
         assert 0.0 < ledger.success_probability < 1.0
         assert ledger.width == 17**2
+
+
+def count_generator_builds(monkeypatch):
+    """Record every map passed to ``QueryGenerator.from_map``."""
+    maps = []
+    build = QueryGenerator.from_map.__func__
+
+    def counting(cls, m):
+        maps.append(m)
+        return build(cls, m)
+
+    monkeypatch.setattr(QueryGenerator, "from_map", classmethod(counting))
+    return maps
+
+
+class TestGeneratorReuse:
+    def test_qdp_run_builds_one_generator_per_map(self, monkeypatch):
+        maps = count_generator_builds(monkeypatch)
+        run_qdp(small_dbi_spec(), 5, 8)
+        assert len(maps) == 1
+
+    def test_hybrid_run_builds_one_generator_per_map(self, monkeypatch):
+        maps = count_generator_builds(monkeypatch)
+        run_hybrid(small_dbi_spec(), 2, 3, 8)
+        assert len(maps) == 1
+
+    def test_generator_is_cached_on_the_map(self):
+        m = make_identity_map(2)
+        assert m.generator is m.generator
 
 
 class TestUnfoldingCost:
