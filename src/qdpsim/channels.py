@@ -6,7 +6,8 @@ which is all an exact memory-call reads.  Its Choi matrix
 pair is derived from the action on first read and symmetrized by
 ``linalg.hermitize``, the one Hermiticity check.  The partial transpose of
 ``L`` on the first factor is a Hermitian operator ``Nhat``, the *query
-generator*, which the map also builds once, on first read of ``generator``.
+generator*, which the map also builds once, on first read of ``generator``;
+the generator in turn diagonalizes ``Nhat`` once, on first read of ``eigh``.
 Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and
 tracing out the memory register applies the map's exponential to the working
 state up to O(s^2).
@@ -125,6 +126,15 @@ class QueryGenerator:
     def from_map(cls, m: HermitianPreservingMap) -> "QueryGenerator":
         n_hat = partial_transpose(m.choi, (m.d_in, m.d_out), 0)
         return cls(n_hat=n_hat, d_in=m.d_in, d_out=m.d_out)
+
+    @functools.cached_property
+    def eigh(self):
+        """``np.linalg.eigh(n_hat)``, computed on first read and shared by
+        every query built from this generator (see ``herm_exp``)."""
+        w, v = np.linalg.eigh(self.n_hat)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
 
 @dataclass(frozen=True)
@@ -296,7 +306,7 @@ def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) ->
     how large query counts stay cheap.
     """
     d_in, d_out = gen.d_in, gen.d_out
-    w4 = herm_exp(gen.n_hat, float(s)).reshape(d_in, d_out, d_in, d_out)
+    w4 = herm_exp(gen.n_hat, float(s), gen.eigh).reshape(d_in, d_out, d_in, d_out)
     t1 = np.einsum("akmi,mn->akni", w4, memory.matrix)
     sup = np.einsum("akni,alnj->klij", t1, w4.conj())
     return sup.reshape(d_out * d_out, d_out * d_out)
@@ -333,7 +343,8 @@ def group_commutator(a, b, s: float) -> np.ndarray:
     if aa.shape != bb.shape:
         raise DimensionError(f"shape mismatch {aa.shape} vs {bb.shape}")
     r = np.sqrt(float(s))
-    return herm_exp(bb, r) @ herm_exp(aa, r) @ herm_exp(bb, -r) @ herm_exp(aa, -r)
+    ea, eb = np.linalg.eigh(aa), np.linalg.eigh(bb)
+    return herm_exp(bb, r, eb) @ herm_exp(aa, r, ea) @ herm_exp(bb, -r, eb) @ herm_exp(aa, -r, ea)
 
 
 def channel_error_probe(

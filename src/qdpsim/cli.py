@@ -79,7 +79,7 @@ from .errors import (
     InvariantError,
     UnsupportedSpecError,
 )
-from .imr import IMRConfig
+from .imr import MAX_ROUNDS, IMRConfig
 from .linalg import PureState, partial_trace, random_density, random_pure
 
 SCHEMA_VERSION = 1
@@ -286,6 +286,43 @@ _RULES = (
 )
 
 
+def _ledger_log10(calls: int, unfolded: int, queried: int, m: int, rounds: int) -> float:
+    """Upper bound on log10 of depth * width, which bounds every ledger integer
+    a report prints, after ``unfolded`` unfolding steps of ``calls`` calls, then
+    ``queried`` steps of ``m`` queries and up to ``rounds`` purification rounds."""
+    unfolding = unfolded * math.log10(2 * calls + 1) - math.log10(2)  # ((2L+1)^k - 1) / 2
+    queries = math.log10(queried * (m + 2 * calls + 1 + rounds) + 1)  # m + statics + rounds
+    return math.log10(2) + max(unfolding, queries) + queried * math.log10(m + 1)
+
+
+def _check_ledger_digits(scenario: str, p: dict, s: dict) -> None:
+    """Reject, before any numerics, a run whose report would print an integer
+    longer than ``str(int)`` allows; the digits are counted, never built."""
+    # 0 means no limit, as on Python before 3.10.7, which lacks the function.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if scenario == "cost":
+        path, m = "params.N", p["m"] or 0
+        bound = max(_ledger_log10(p["L"], p["N"], 0, 0, 0), _ledger_log10(p["L"], 0, p["N"], m, 0),
+                    _ledger_log10(p["L"], p["n1"] or 0, p["n2"] or 0, m, 0))
+    elif "n_steps" in p:
+        n, kind = p["n_steps"], s["kind"]
+        path = "strategy.n1 and strategy.n2" if kind == "hybrid" else "params.n_steps"
+        unfolded = {"unfolding": n, "hybrid": s.get("n1")}.get(kind, 0)
+        # grover's L calls are covariant and unfold as they are; a commutator
+        # call (every other scenario has one per step) unfolds into
+        # 2 * gc_substeps group commutators.
+        calls = p["L"] if scenario == "grover" else 2 * s.get("gc_substeps", 1)
+        rounds = MAX_ROUNDS if s.get("imr") is not None else 0
+        bound = _ledger_log10(calls, unfolded, n - unfolded, s.get("m", 0), rounds)
+    else:
+        return
+    if limit and bound >= limit:
+        raise InfeasibleConfigError(
+            f"field '{path}' gives a ledger integer of up to {math.floor(bound) + 1} digits, "
+            f"more than the {limit} Python prints (see PYTHONINTMAXSTRDIGITS)"
+        )
+
+
 def _value(path: str, f: _Field, value):
     """``value`` checked against ``f`` and converted (reals to float)."""
     if f.many:
@@ -363,6 +400,7 @@ class ExperimentConfig:
                 section, key = path.split(".")
                 got = (params if section == "params" else strategy)[key]
                 raise ConfigError(f"field '{path}' must {requirement}, got {got!r}")
+        _check_ledger_digits(scenario, params, strategy)
         fields = {k: v for k, v in strategy.items() if k != "kind"}
         if fields.get("imr") is not None:
             fields["imr"] = IMRConfig(**fields["imr"])
@@ -385,7 +423,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} could not be read: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer longer than int() reads
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ from .errors import InfeasibleConfigError, InvariantError
 from .linalg import DensityMatrix
 
 MIXEDNESS_PRECONDITION = 1.0 / 3.0
+MAX_ROUNDS = 10_000  # more rounds than this means purification is not contracting
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def imr_subroutine(rho: DensityMatrix, cfg: IMRConfig) -> IMROutcome:
         state, _ = imr_round(state)
         rounds += 1
         x = mixedness(state)
-        if rounds > 10_000:
+        if rounds > MAX_ROUNDS:
             raise InfeasibleConfigError("purification is not contracting")
 
     c_raw = 1.0 - x0 - math.sqrt(

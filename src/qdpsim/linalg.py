@@ -117,10 +117,18 @@ def partial_transpose(m, factor_dims, part: int) -> np.ndarray:
     return t.reshape(a.shape)
 
 
-def herm_exp(h, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian ``h`` via spectral decomposition."""
-    hh = hermitize(h)
-    w, v = np.linalg.eigh(hh)
+def herm_exp(h, t: float, eig=None) -> np.ndarray:
+    """exp(-i*h*t) for Hermitian ``h`` via spectral decomposition.
+
+    ``eig``, when given, is ``np.linalg.eigh(h)`` of an ``h`` that already went
+    through ``hermitize``; ``h`` is then neither checked nor decomposed again,
+    so one decomposition serves every ``t``.  The result has the same bits as
+    without ``eig``: for an exactly Hermitian ``a`` (``a_ij == conj(a_ji)``, as
+    ``hermitize`` returns), ``(a + a^dag) / 2`` doubles and halves each entry
+    exactly, so ``hermitize(h)`` returns ``h``'s bits and ``eigh`` sees the
+    same input.
+    """
+    w, v = np.linalg.eigh(hermitize(h)) if eig is None else eig
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 

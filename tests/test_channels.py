@@ -88,6 +88,30 @@ class TestActionMatchesChoi:
         assert "choi" not in vars(m)
 
 
+class TestQuerySuperoperatorDecomposesOnce:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_identity_map(3),
+            lambda: make_scaled_identity_map(0.7, 3),
+            lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+            lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+            lambda: make_pair_commutator_map(2, 0.9),
+        ],
+        ids=["identity", "scaled", "commutator", "osd", "pair-commutator"],
+    )
+    def test_matches_the_undecomposed_formula(self, build):
+        gen = build().generator
+        memory = random_density(gen.d_in, 71)
+        d_in, d_out = gen.d_in, gen.d_out
+        for s in (0.0, 0.25, -1.3):
+            w4 = herm_exp(gen.n_hat, s).reshape(d_in, d_out, d_in, d_out)
+            t1 = np.einsum("akmi,mn->akni", w4, memory.matrix)
+            sup = np.einsum("akni,alnj->klij", t1, w4.conj()).reshape(d_out**2, d_out**2)
+            assert np.array_equal(query_superoperator(gen, memory, s), sup)
+        assert gen.eigh is gen.eigh
+
+
 class TestMakeCommutatorMap:
     def test_zero_duration_gives_zero_map(self):
         m = make_commutator_map(PAULI_Z, 0.0)
@@ -394,6 +418,13 @@ class TestGroupCommutator:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InvariantError):
             group_commutator(PAULI_X, PAULI_Z, 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_equals_four_exponential_product(self, dim):
+        a, b, s = random_hermitian(dim, 50 + dim), random_hermitian(dim, 60 + dim), 0.03
+        r = np.sqrt(s)
+        expected = herm_exp(b, r) @ herm_exp(a, r) @ herm_exp(b, -r) @ herm_exp(a, -r)
+        assert np.array_equal(group_commutator(a, b, s), expected)
 
     def test_bound_on_seeded_pairs(self):
         rng = np.random.default_rng(4)

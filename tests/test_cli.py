@@ -1,12 +1,13 @@
 import copy
 import json
 import random
+import sys
 
 import pytest
 
 from qdpsim import cli
-from qdpsim.cli import ExperimentConfig, main, run_scenario
-from qdpsim.errors import ConfigError, InvariantError
+from qdpsim.cli import ExperimentConfig, compare_strategies, main, run_scenario
+from qdpsim.errors import ConfigError, InfeasibleConfigError, InvariantError
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -368,6 +369,78 @@ class TestCost:
              "--m", "8", "--n1", "1", "--n2", "2"]
         )
         assert rc == 2
+
+
+def dbi_doc(strategy, n_steps, **overrides):
+    doc = {"schema_version": 1, "scenario": "dbi", "seed": 1, "strategy": strategy,
+           "params": {"dim": 2, "n_steps": n_steps}}
+    doc.update(overrides)
+    return doc
+
+
+class TestLedgerDigits:
+    """A report integer longer than ``str(int)`` prints exits 3 naming the
+    field, before any scenario runner starts."""
+
+    @pytest.fixture
+    def no_runner(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a scenario runner started")
+
+        for scenario in list(cli._RUNNERS):
+            monkeypatch.setitem(cli._RUNNERS, scenario, refuse)
+
+    def test_cost_is_3_and_named(self, no_runner, capsys):
+        assert main(["cost", "--L", "1", "--N", "10000"]) == 3  # depth (3^10000 - 1) / 2
+        assert "params.N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, strategy, n_steps",
+        [
+            ("params.n_steps", {"kind": "unfolding"}, 6500),  # depth (5^6500 - 1) / 2
+            ("params.n_steps", {"kind": "qdp", "m": 1}, 15000),  # width 2^15000
+            ("strategy.n1 and strategy.n2", {"kind": "hybrid", "n1": 6500, "n2": 2, "m": 1}, 6502),
+        ],
+        ids=["unfolding-depth", "qdp-width", "hybrid-depth"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_run_is_3_and_named(self, no_runner, tmp_path, capsys, command, field, strategy,
+                                n_steps):
+        doc = dbi_doc(strategy, n_steps, strategies=[{"kind": "exact"}, strategy])
+        assert main([command, write_config(tmp_path, doc)]) == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 6])
+    def test_accepted_reports_print_within_the_limit(self, tmp_path, monkeypatch, limit):
+        """Under a small stand-in limit, every config is either rejected or
+        reports only integers of at most ``limit`` digits."""
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        strategies = [{"kind": "exact"}, {"kind": "unfolding"}, {"kind": "qdp", "m": 4},
+                      {"kind": "hybrid", "n1": 1, "n2": 2, "m": 4}]
+        docs = [dbi_doc({"kind": "exact"}, 3, strategies=strategies)]
+        docs += [dbi_doc(s, 3) for s in strategies]
+        docs += [grover_doc(tmp_path, strategy=s, params={"L": 2, "n_steps": 3, "delta0": 0.6},
+                            output={}) for s in strategies[:2]]
+        docs += [{"scenario": "cost", "params": {"L": L, "N": N, "m": m, "n1": n1,
+                                                 "n2": None if n1 is None else N - n1}}
+                 for L in (1, 3) for N in (1, 4, 7) for m in (None, 1, 9)
+                 for n1 in (None, 0, N) if m is not None or n1 is None]
+        outcomes = []
+        for doc in docs:
+            try:
+                cfg = ExperimentConfig.from_dict(doc)
+                if "strategies" in doc:
+                    report = compare_strategies(cfg, doc["strategies"])
+                else:
+                    report = run_scenario(cfg)
+            except InfeasibleConfigError:
+                outcomes.append("rejected")
+                continue
+            ints = [v for row in report.rows for v in row
+                    if isinstance(v, int) and not isinstance(v, bool)]
+            assert all(len(str(v)) <= limit for v in ints), (doc, ints)
+            outcomes.append("accepted")
+        assert {"accepted", "rejected"} <= set(outcomes)
 
 
 class TestCompare:

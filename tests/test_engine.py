@@ -175,6 +175,32 @@ class TestGeneratorReuse:
         assert m.generator is m.generator
 
 
+def count_generator_decompositions(monkeypatch, run):
+    """``eigh`` calls made by ``run(spec)`` on a dbi spec whose argument equals
+    the spec's query generator ``Nhat``."""
+    args = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *rest, **kwargs):
+        args.append(np.array(a))
+        return eigh(a, *rest, **kwargs)
+
+    spec = small_dbi_spec()
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    run(spec)
+    gen = spec.step.memory_calls[0].map.generator
+    return sum(a.shape == gen.n_hat.shape and np.array_equal(a, gen.n_hat) for a in args)
+
+
+class TestGeneratorDecomposedOnce:
+    def test_qdp_run_decomposes_the_generator_once(self, monkeypatch):
+        assert count_generator_decompositions(monkeypatch, lambda spec: run_qdp(spec, 5, 8)) == 1
+
+    def test_hybrid_run_decomposes_the_generator_once(self, monkeypatch):
+        run = lambda spec: run_hybrid(spec, 2, 3, 8)  # noqa: E731
+        assert count_generator_decompositions(monkeypatch, run) == 1
+
+
 class TestUnfoldingCost:
     def test_single_step_single_call(self):
         assert unfolding_cost(1, 1) == (1, 1)
