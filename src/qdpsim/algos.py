@@ -371,7 +371,12 @@ class DBIConfig:
         return dbi_canonical_step_size(self.initial, self.diagonal)
 
 
-def dbi_encode(p, margin_scale: float = 0.01) -> tuple[DensityMatrix, float]:
+# Shift above -lambda_min that keeps the encoded state full rank, relative to
+# the spectral radius (or 1, whichever is larger).
+DBI_ENCODE_MARGIN = 0.01
+
+
+def dbi_encode(p) -> tuple[DensityMatrix, float]:
     """Shift and normalize a Hermitian operator into a full-rank state.
 
     Returns the encoded state and the normalization ``Tr[P + lam]`` needed to
@@ -379,7 +384,7 @@ def dbi_encode(p, margin_scale: float = 0.01) -> tuple[DensityMatrix, float]:
     """
     pp = hermitize(p)
     eigs = np.linalg.eigvalsh(pp)
-    lam = float(-eigs.min() + margin_scale * max(np.max(np.abs(eigs)), 1.0))
+    lam = float(-eigs.min() + DBI_ENCODE_MARGIN * max(np.max(np.abs(eigs)), 1.0))
     shifted = pp + lam * np.eye(pp.shape[0])
     scale = float(np.real(np.trace(shifted)))
     return DensityMatrix(shifted / scale), scale

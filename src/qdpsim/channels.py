@@ -1,16 +1,14 @@
 """State-instructed channels of Hermitian-preserving maps.
 
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
-which is all an exact memory-call reads.  Its Choi matrix
-``L = sum_jk |j><k| (x) N(|j><k|)`` over the unnormalized maximally entangled
-pair is derived from the action on first read and symmetrized by
-``linalg.hermitize``, the one Hermiticity check.  The partial transpose of
-``L`` on the first factor is a Hermitian operator ``Nhat``, the *query
-generator*, which the map also builds once, on first read of ``generator``;
-the generator in turn diagonalizes ``Nhat`` once, on first read of ``eigh``.
-Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and
-tracing out the memory register applies the map's exponential to the working
-state up to O(s^2).
+which is all an exact memory-call reads.  Its Hermitian *query generator*
+``Nhat = sum_jk |k><j| (x) N(|j><k|)`` is built from the action on first read
+of ``generator``, symmetrized by ``linalg.hermitize`` (the one Hermiticity
+check) and diagonalized once, on first read of ``eigh``.  The Choi matrix is
+``Nhat`` partially transposed on the first factor, derived only when read.
+Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
+the memory register applies the map's exponential to the working state up to
+O(s^2).
 
 Sign conventions, fixed here once and relied on everywhere else:
 
@@ -64,18 +62,9 @@ class HermitianPreservingMap:
 
     @functools.cached_property
     def choi(self) -> np.ndarray:
-        """Choi matrix from the action on all matrix units, built on first
-        read; a map that is not Hermitian-preserving fails ``hermitize``."""
-        d_in, d_out = self.d_in, self.d_out
-        choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-        choi4 = choi.reshape(d_in, d_out, d_in, d_out)
-        unit = np.zeros((d_in, d_in), dtype=complex)
-        for j in range(d_in):
-            for k in range(d_in):
-                unit[j, k] = 1.0
-                choi4[j, :, k, :] = _act(self, unit)
-                unit[j, k] = 0.0
-        choi = hermitize(choi)
+        """Choi matrix, the partial transpose of ``generator.n_hat``, built on
+        first read; a map that is not Hermitian-preserving fails ``hermitize``."""
+        choi = partial_transpose(self.generator.n_hat, (self.d_in, self.d_out), 0)
         choi.setflags(write=False)
         return choi
 
@@ -109,7 +98,7 @@ def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QueryGenerator:
-    """Hermitian generator of memory-usage queries: the Choi partial transpose."""
+    """Hermitian generator ``Nhat`` of memory-usage queries, hermitized on creation."""
 
     n_hat: np.ndarray
     d_in: int
@@ -124,8 +113,22 @@ class QueryGenerator:
 
     @classmethod
     def from_map(cls, m: HermitianPreservingMap) -> "QueryGenerator":
-        n_hat = partial_transpose(m.choi, (m.d_in, m.d_out), 0)
-        return cls(n_hat=n_hat, d_in=m.d_in, d_out=m.d_out)
+        """``Nhat`` from the action: ``N(|j><k|)`` fills block ``[k, :, j, :]``.
+
+        Same bits as symmetrizing the Choi matrix, then transposing it: the
+        transpose only permutes entries, and ``hermitize``'s
+        ``(a_P + conj(a_P')) / 2`` meets each entry with the same mirror
+        partner in the same order, so its largest deviation is the same number
+        too.  Hermitizing the result again would return its bits (see ``herm_exp``).
+        """
+        d_in, d_out = m.d_in, m.d_out
+        n_hat4 = np.zeros((d_in, d_out, d_in, d_out), dtype=complex)
+        unit = np.zeros((d_in, d_in), dtype=complex)
+        for j, k in np.ndindex(d_in, d_in):
+            unit[j, k] = 1.0
+            n_hat4[k, :, j, :] = _act(m, unit)
+            unit[j, k] = 0.0
+        return cls(n_hat=n_hat4.reshape(d_in * d_out, d_in * d_out), d_in=d_in, d_out=d_out)
 
     @functools.cached_property
     def eigh(self):
@@ -313,11 +316,7 @@ def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) ->
 
 
 def repeated_queries(
-    gen: QueryGenerator,
-    memory: DensityMatrix,
-    working: DensityMatrix,
-    s: float,
-    m: int,
+    gen: QueryGenerator, memory: DensityMatrix, working: DensityMatrix, s: float, m: int
 ) -> DensityMatrix:
     """Apply ``m`` queries of duration ``s/m`` with fresh identical memory."""
     m = int(m)

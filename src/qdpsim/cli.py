@@ -86,6 +86,7 @@ SCHEMA_VERSION = 1
 SCENARIOS = ("grover", "dbi", "qite", "osd", "channel-error", "cost")
 
 _RANDOMIZED = {"grover", "dbi", "qite", "osd", "channel-error"}
+_RECURSIONS = ("grover", "dbi", "qite", "osd")  # the scenarios `compare` can run
 
 
 def _fmt(value) -> str:
@@ -617,6 +618,11 @@ def run_scenario(cfg: ExperimentConfig) -> RunReport:
 def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
     """Run several strategies on shared scenario parameters; one row each with
     final distance, depth, width and circuit size (depth times width)."""
+    if strategies and cfg.scenario not in _RECURSIONS:
+        raise ConfigError(
+            f"field 'strategies' must be empty for scenario {cfg.scenario!r}, "
+            f"which runs no recursion; compare runs {', '.join(_RECURSIONS)}"
+        )
     subs = [ExperimentConfig.from_dict(dict(cfg.raw, strategy=raw)) for raw in strategies]
     rows = []
     for raw, sub in zip(strategies, subs):

@@ -84,7 +84,8 @@ def imr_subroutine(rho: DensityMatrix, cfg: IMRConfig) -> IMROutcome:
     ``1/reduction_factor``; the realized reduction is at least as good.  The
     survival rate c solves ``c = 1 - x0 - sqrt(log(R/q_th) / M)``, clamped to
     1/2 from above; c <= 0 means the requested copy count cannot guarantee the
-    failure threshold.
+    failure threshold.  A target that rounds cannot reach in double precision,
+    because the mixedness reads below 0 first, is infeasible.
     """
     x0 = mixedness(rho)
     if x0 > MIXEDNESS_PRECONDITION + 1e-12:
@@ -105,6 +106,11 @@ def imr_subroutine(rho: DensityMatrix, cfg: IMRConfig) -> IMROutcome:
     rounds = 0
     x = x0
     while bound_product > target:
+        if x < 0.0:  # pure to roundoff: no further round is guaranteed to help
+            raise InfeasibleConfigError(
+                f"reduction_factor {cfg.reduction_factor:g} is out of reach in double "
+                f"precision: mixedness reads {x:.3g} after {rounds} rounds"
+            )
         bound_product *= imr_ratio_bound(x)
         state, _ = imr_round(state)
         rounds += 1

@@ -23,6 +23,7 @@ from qdpsim import (
     map_apply,
     memory_usage_query,
     partial_trace,
+    partial_transpose,
     query_error_bound,
     random_density,
     random_pure,
@@ -495,3 +496,52 @@ class TestHermitianPreservingMapValidation:
         m = make_commutator_map(random_hermitian(3, 81), 0.9)
         out = map_apply(m, np.eye(3))
         assert np.max(np.abs(out - out.conj().T)) < 1e-10
+
+
+def choi_from_action(m):
+    """The Choi matrix as the map built it from the action before ``Nhat``
+    was: ``N(|j><k|)`` in block ``[j, :, k, :]``, then ``hermitize``."""
+    d_in, d_out = m.d_in, m.d_out
+    choi4 = np.zeros((d_in, d_out, d_in, d_out), dtype=complex)
+    for j in range(d_in):
+        for k in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[j, k] = 1.0
+            choi4[j, :, k, :] = m.action(unit)
+    return hermitize(choi4.reshape(d_in * d_out, d_in * d_out))
+
+
+class TestGeneratorFromAction:
+    BUILDS = [
+        lambda: make_identity_map(3),
+        lambda: make_scaled_identity_map(0.7, 3),
+        lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+        lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+        lambda: make_pair_commutator_map(2, 0.9),
+    ]
+    IDS = ["identity", "scaled", "commutator", "osd", "pair-commutator"]
+
+    @pytest.mark.parametrize("build", BUILDS, ids=IDS)
+    def test_same_bits_as_the_choi_route(self, build):
+        m = build()
+        choi = choi_from_action(build())
+        n_hat = hermitize(partial_transpose(choi, (m.d_in, m.d_out), 0))
+        assert np.array_equal(m.generator.n_hat, n_hat)
+        assert m.generator.n_hat.tobytes() == n_hat.tobytes()
+        assert np.array_equal(m.choi, choi)
+        assert m.choi.tobytes() == choi.tobytes()
+        assert m.choi is m.choi
+        assert not m.choi.flags.writeable
+
+    @pytest.mark.parametrize("build", BUILDS, ids=IDS)
+    def test_from_map_hermitizes_once(self, build, monkeypatch):
+        m = build()
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return hermitize(a)
+
+        monkeypatch.setattr("qdpsim.channels.hermitize", counting)
+        QueryGenerator.from_map(m)
+        assert len(calls) == 1

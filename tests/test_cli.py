@@ -578,3 +578,41 @@ def test_config_mutants_exit_cleanly(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert count > 300
     assert not failures, f"{len(failures)} of {count} mutants failed: {failures[:5]}"
+
+
+def test_compare_of_each_mutation_base_exits_cleanly(tmp_path, monkeypatch, capsys):
+    """``compare`` with a base config's own strategy exits 0, 2 or 3: a
+    scenario without a recursion to compare is a config error, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QDPSIM_SEED", raising=False)
+    codes = []
+    for base in MUTATION_BASES:
+        doc = dict(base, strategies=[base.get("strategy", {"kind": "exact"})])
+        try:
+            code = main(["compare", write_config(tmp_path, doc)])
+        except Exception as exc:  # noqa: BLE001 - any escape is a failure
+            code = f"{type(exc).__name__}: {exc}"
+        codes.append((base["scenario"], code))
+    capsys.readouterr()
+    assert all(code in (0, 2, 3) for _, code in codes), codes
+
+
+@pytest.mark.parametrize("scenario", ["channel-error", "cost"])
+def test_compare_without_recursion_names_strategies_before_numerics(
+    tmp_path, monkeypatch, capsys, scenario
+):
+    base = next(b for b in MUTATION_BASES if b["scenario"] == scenario)
+    monkeypatch.setattr(cli, "_RUNNERS", {})  # any run would raise KeyError
+    doc = dict(base, strategies=[{"kind": "exact"}], output={})
+    assert main(["compare", write_config(tmp_path, doc)]) == 2
+    assert "field 'strategies'" in capsys.readouterr().err
+
+
+def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys, monkeypatch):
+    """Purified to roundoff, the state's mixedness reads below 0 before a
+    1e300 reduction is guaranteed: the target is infeasible, not a breakdown."""
+    monkeypatch.delenv("QDPSIM_SEED", raising=False)
+    doc = grover_doc(tmp_path, strategy={
+        "kind": "qdp", "m": 16, "imr": {"reduction_factor": 1e300, "copies_out": 64}})
+    assert main(["run", write_config(tmp_path, doc)]) == 3
+    assert "reduction_factor" in capsys.readouterr().err

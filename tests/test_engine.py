@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,31 @@ class TestLocalAccuracy:
         ref = trace_distance(depolarized.matrix, exact_next.matrix)
         assert val == pytest.approx(ref, abs=1e-12)
         assert val > 0.1
+
+
+class TestQueryRunsBuildNoChoi:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec: run_qdp(spec, 3, 8),
+            lambda spec: run_hybrid(spec, 1, 2, 8),
+        ],
+        ids=["qdp", "hybrid"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [small_dbi_spec, lambda: grover_recursion_spec(grover_config_from_distance(0.6, 2, 3))],
+        ids=["dbi", "grover"],
+    )
+    def test_queried_maps_hold_no_choi(self, build, run):
+        spec = build()
+        steps = []
+
+        def step(n):
+            steps.append(spec.resolve_step(n))
+            return steps[-1]
+
+        run(dataclasses.replace(spec, step=step))
+        maps = [call.map for s in steps for call in s.memory_calls]
+        assert any("generator" in vars(m) for m in maps)
+        assert not any("choi" in vars(m) for m in maps)
