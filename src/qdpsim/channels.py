@@ -1,4 +1,8 @@
-"""State-instructed channels of Hermitian-preserving maps.
+"""State-instructed channels of Hermitian-preserving maps, and the three
+realizations of a memory-call ``exp(i s N(rho))``: exact
+(``exact_memory_call``), memoryless by group commutators
+(``unfolded_memory_call``, commutator maps only) and by memory-usage queries on
+copies of ``rho`` (``queried_memory_call``).  The engine reads no map.
 
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
@@ -19,9 +23,9 @@ Sign conventions, fixed here once and relied on everywhere else:
   is ``sigma - i s [N(rho), sigma]`` and whose many-query limit is therefore
   the unitary channel of ``exp(-i s N(rho))``.
 
-The two directions are adjoint, so a memory-call of duration ``s`` is
-realized by queries of total duration ``-s``.  ``exact_query_channel`` is the
-query-side limit, used as the comparison point for error measurements.
+The two directions are adjoint, so ``queried_memory_call`` realizes a call of
+duration ``s`` by queries of total duration ``-s``.  ``exact_query_channel`` is
+the query-side limit, the comparison point for error measurements.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError
+from .errors import DimensionError, InvariantError, UnsupportedSpecError
 from .linalg import (
     DensityMatrix,
     herm_exp,
@@ -51,8 +55,8 @@ class HermitianPreservingMap:
     """Linear Hermitian-preserving map, held as its action ``x -> N(x)``.
 
     ``commutator_form``, when set, records that the map is
-    ``rho -> -i * s * [d, rho]`` for a Hermitian ``d``; the unfolding engine
-    uses it to route such calls through group commutators.
+    ``rho -> -i * s * [d, rho]`` for a Hermitian ``d``; ``unfolded_memory_call``
+    reads it to realize such calls by group commutators.
     """
 
     d_in: int
@@ -261,6 +265,36 @@ def exact_memory_call(
         raise DimensionError(f"working dim {working.dim} != map d_out {call.map.d_out}")
     u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
     return DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
+
+
+def unfolded_memory_call(
+    call: MemoryCallSpec, instruction: DensityMatrix, working: DensityMatrix, substeps: int
+) -> DensityMatrix:
+    """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``:
+    the call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``, applied as
+    ``substeps`` group commutators with error O(flow^1.5 / sqrt(substeps))."""
+    if call.map.commutator_form is None or call.extra_instruction is not None:
+        raise UnsupportedSpecError(
+            "unfolding a non-covariant recursion needs commutator-form memory-calls"
+        )
+    d_op, s_map = call.map.commutator_form
+    flow = call.duration * s_map
+    if not flow > 0:
+        raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
+    gc = group_commutator(instruction.matrix, -d_op, flow / substeps)
+    u = np.eye(instruction.dim, dtype=complex)
+    for _ in range(substeps):
+        u = gc @ u
+    return DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
+
+
+def queried_memory_call(
+    call: MemoryCallSpec, instruction: DensityMatrix, working: DensityMatrix, m: int
+) -> DensityMatrix:
+    """``exp(i * duration * N(instruction))`` by ``m`` queries of total duration
+    ``-duration``, each consuming a copy of the instruction register as memory."""
+    memory = DensityMatrix(call.instruction_matrix(instruction), factor_dims=(call.map.d_in,))
+    return repeated_queries(call.map.generator, memory, working, -call.duration, m)
 
 
 def exact_query_channel(

@@ -627,14 +627,9 @@ def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
     rows = []
     for raw, sub in zip(strategies, subs):
         report = _RUNNERS[cfg.scenario](sub)
-        last = report.rows[-1] if report.rows else ()
-        final_distance = None
-        for column in ("trace_distance", "ground_infidelity"):
-            if column in report.columns and last:
-                final_distance = last[report.columns.index(column)]
-                break
-        depth = last[report.columns.index("depth")] if last else 0
-        width = last[report.columns.index("width")] if last else 1
+        last = dict(zip(report.columns, report.rows[-1]))
+        final_distance = last.get("trace_distance", last.get("ground_infidelity"))
+        depth, width = last["depth"], last["width"]
         label = raw["kind"]
         if raw.get("m") is not None:
             label += f"(m={raw['m']})"

@@ -4,20 +4,22 @@ A recursion step interleaves static unitaries with memory-calls,
 
     V_L  e^{i N_L(rho)}  V_{L-1} ... V_1  e^{i N_1(rho)}  V_0 ,
 
-instructed by the state the step acts on.  Strategies differ in how the
-memory-calls are realized:
+instructed by the state the step acts on.  Strategies differ in which
+``channels`` realization of the memory-calls they pick:
 
-* exact       - the instructed unitary is applied directly (ideal reference).
+* exact       - the instructed unitary (``exact_memory_call``; ideal reference).
 * unfolding   - covariant calls are algebraically exact, so the states equal
-                the exact ones and only the cost ledger differs; commutator
-                maps are approximated by repeated group commutators.
-* qdp         - each call becomes a block of memory-usage queries consuming
-                copies of the current state, trading depth for width.
+                the exact ones and only the cost ledger differs; other calls
+                are repeated group commutators (``unfolded_memory_call``).
+* qdp         - each call is a block of memory-usage queries consuming copies
+                of the current state, trading depth for width
+                (``queried_memory_call``).
 * hybrid      - unfolding for the first stretch, queries afterwards.
 
 One step loop (``run_strategy``) runs them all.  Each strategy descriptor is
-its own step rule: its ``advance`` realizes a step's calls and charges their
-cost (hybrid advances as unfolding or as queries, by step index).
+its own step rule: its ``advance`` schedules a step's calls between the static
+unitaries and charges their cost (hybrid advances as unfolding or as queries,
+by step index).  The engine reads no map and applies no sign convention.
 
 Cost accounting uses one depth unit per elementary query, per non-identity
 static unitary and per purification round.  The width recorded at a
@@ -36,8 +38,9 @@ from . import imr as imr_mod
 from .channels import (
     MemoryCallSpec,
     exact_memory_call,
-    group_commutator,
-    repeated_queries,
+    queried_memory_call,
+    repeated_queries,  # noqa: F401  not called here; perfbench's tracer test reads it
+    unfolded_memory_call,
 )
 from .errors import DimensionError, InvariantError, UnsupportedSpecError
 from .imr import IMRConfig
@@ -71,14 +74,6 @@ class TrajectoryPoint:
 @dataclass(frozen=True)
 class TrajectoryRecord:
     points: tuple[TrajectoryPoint, ...]
-
-    @property
-    def states(self) -> list[DensityMatrix]:
-        return [p.state for p in self.points]
-
-    @property
-    def distances(self) -> list[Optional[float]]:
-        return [p.distance_to_target for p in self.points]
 
     @property
     def final_state(self) -> DensityMatrix:
@@ -164,11 +159,14 @@ def _conjugate(u: np.ndarray, state: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(u @ state.matrix @ u.conj().T, state.factor_dims)
 
 
-def _interleave(step: RecursionStepSpec, working: DensityMatrix, realize) -> DensityMatrix:
-    """Conjugate by the static unitaries; ``realize(idx, call, working)``
-    applies memory-call ``idx`` between them."""
+def _interleave(step, instruction, working, realize, per_call=None):
+    """Conjugate ``working`` by the static unitaries, applying memory-call
+    ``idx`` between them as ``realize(call, instruction, working)``, with
+    ``per_call[idx]`` as a fourth argument when given."""
     for idx, call in enumerate(step.memory_calls):
-        working = realize(idx, call, _conjugate(step.static_unitaries[idx], working))
+        extra = () if per_call is None else (per_call[idx],)
+        working = _conjugate(step.static_unitaries[idx], working)
+        working = realize(call, instruction, working, *extra)
     return _conjugate(step.static_unitaries[-1], working)
 
 
@@ -176,7 +174,7 @@ def apply_step_exact(
     step: RecursionStepSpec, instruction: DensityMatrix, working: DensityMatrix
 ) -> DensityMatrix:
     """One exact recursion step: calls instructed by ``instruction``."""
-    return _interleave(step, working, lambda _, call, w: exact_memory_call(call, instruction, w))
+    return _interleave(step, instruction, working, exact_memory_call)
 
 
 def _split_queries(m: int, n_calls: int) -> list[int]:
@@ -221,30 +219,11 @@ def _unfolded_calls(n_calls: int, k: int) -> int:
     return n_calls * (2 * n_calls + 1) ** k
 
 
-def _gc_call_unitary(call: MemoryCallSpec, state: DensityMatrix, substeps: int):
-    if call.map.commutator_form is None or call.extra_instruction is not None:
-        raise UnsupportedSpecError(
-            "unfolding a non-covariant recursion needs commutator-form memory-calls"
-        )
-    d_op, s_map = call.map.commutator_form
-    # e^{i t N(rho)} with N = -i s [d, .] equals e^{t s [d, rho]}.
-    flow = call.duration * s_map
-    if not flow > 0:
-        raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
-    sub = flow / substeps
-    gc = group_commutator(state.matrix, -d_op, sub)
-    u = np.eye(state.dim, dtype=complex)
-    for _ in range(substeps):
-        u = gc @ u
-    return u
-
-
 # Strategy descriptors ------------------------------------------------------
 #
-# Each descriptor is the step rule of its strategy:
-# ``advance(spec, step, n, state, ledger)`` realizes the memory-calls of step
-# ``n`` (spec ``step``) on ``state``, charges their cost and returns
-# ``(state, ledger)``.
+# Each descriptor is the step rule of its strategy: ``advance(spec, step, n,
+# state, ledger)`` has ``channels`` realize the memory-calls of step ``n`` (spec
+# ``step``) on ``state``, charges their cost and returns ``(state, ledger)``.
 
 
 @dataclass(frozen=True)
@@ -259,9 +238,9 @@ class ExactStrategy:
 
 @dataclass(frozen=True)
 class UnfoldingStrategy:
-    """Covariant steps are exact; otherwise each call becomes ``gc_substeps``
-    group commutators instructed by the step's input state.  Step ``n``
-    charges the root calls its ``eff_calls`` calls unfold into."""
+    """Covariant steps are exact; otherwise each call is ``gc_substeps`` group
+    commutators instructed by the step's input state (``unfolded_memory_call``).
+    Step ``n`` charges the root calls its ``eff_calls`` calls unfold into."""
 
     gc_substeps: int = 1
 
@@ -270,22 +249,20 @@ class UnfoldingStrategy:
             raise InvariantError("gc_substeps must be >= 1")
 
     def advance(self, spec, step, n, state, ledger):
-        def realize(idx, call, working):
-            return _conjugate(_gc_call_unitary(call, state, self.gc_substeps), working)
-
         if spec.covariant:
             out = apply_step_exact(step, state, state)
             eff_calls = step.n_calls
         else:
-            out = _interleave(step, state, realize)
+            substeps = [self.gc_substeps] * step.n_calls
+            out = _interleave(step, state, state, unfolded_memory_call, substeps)
             eff_calls = 2 * self.gc_substeps * step.n_calls
         return out, replace(ledger, depth=ledger.depth + _unfolded_calls(eff_calls, n))
 
 
 @dataclass(frozen=True)
 class QDPStrategy:
-    """Each call becomes a block of queries on copies of the step's input
-    state, of total duration minus the call's (the query sign convention)."""
+    """Each call is a block of queries on copies of the step's input state
+    (``queried_memory_call``); the step's ``m`` queries are split over its calls."""
 
     m: int
     imr: Optional[IMRConfig] = None
@@ -296,14 +273,7 @@ class QDPStrategy:
 
     def advance(self, spec, step, n, state, ledger):
         counts = _split_queries(self.m, step.n_calls)
-
-        def realize(idx, call, working):
-            memory = DensityMatrix(call.instruction_matrix(state), factor_dims=(call.map.d_in,))
-            return repeated_queries(
-                call.map.generator, memory, working, -call.duration, counts[idx]
-            )
-
-        out = _interleave(step, state, realize)
+        out = _interleave(step, state, state, queried_memory_call, counts)
         ledger = replace(
             ledger,
             depth=ledger.depth + self.m + step.nontrivial_static_count(),
@@ -376,9 +346,6 @@ def run_qdp(
     """Query-based execution: each step consumes ``m`` copies of its own
     input state as instructions, split evenly over the step's memory-calls
     (remainder to the last call).
-
-    A memory-call of duration s is approximated by queries of total duration
-    -s, matching the query channel's sign convention.
     """
     return run_strategy(spec, n_steps, QDPStrategy(m, imr))
 
@@ -390,10 +357,9 @@ def run_unfolding(
 
     Covariant recursions unfold exactly, so the states coincide with the
     exact run and only the ledger reflects the exponential root-call count.
-    Otherwise every memory-call must be a commutator map; each is approximated
-    by ``gc_substeps`` group commutators, with per-step error
-    O(flow^1.5 / sqrt(gc_substeps)) and the call count per step inflated to
-    ``2 * gc_substeps * L``.
+    Otherwise every memory-call must be a commutator map, realized by
+    ``gc_substeps`` group commutators, and the call count per step is
+    inflated to ``2 * gc_substeps * L``.
     """
     return run_strategy(spec, n_steps, UnfoldingStrategy(gc_substeps))
 

@@ -14,6 +14,7 @@ than sampled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,9 @@ def imr_subroutine(rho: DensityMatrix, cfg: IMRConfig) -> IMROutcome:
     ``1/reduction_factor``; the realized reduction is at least as good.  The
     survival rate c solves ``c = 1 - x0 - sqrt(log(R/q_th) / M)``, clamped to
     1/2 from above; c <= 0 means the requested copy count cannot guarantee the
-    failure threshold.  A target that rounds cannot reach in double precision,
-    because the mixedness reads below 0 first, is infeasible.
+    failure threshold.  A target is infeasible when rounds cannot reach it in
+    double precision (the mixedness reads below 0 first) or when its copy
+    count ``copies_out (2/c)^R`` overflows a float.
     """
     x0 = mixedness(rho)
     if x0 > MIXEDNESS_PRECONDITION + 1e-12:
@@ -127,6 +129,9 @@ def imr_subroutine(rho: DensityMatrix, cfg: IMRConfig) -> IMROutcome:
             f"{cfg.copies_out} or relax the failure threshold"
         )
     c = min(c_raw, 0.5)
+    if math.log(cfg.copies_out) + rounds * math.log(2.0 / c) > math.log(sys.float_info.max):
+        raise InfeasibleConfigError(f"reduction_factor {cfg.reduction_factor:g} needs "
+                                    f"{rounds} rounds, whose copy count overflows a float")
     copies = math.ceil(cfg.copies_out * (2.0 / c) ** rounds)
     q_succ = 1.0 - rounds * math.exp(-cfg.copies_out * (1.0 - x0 - c) ** 2)
     return IMROutcome(

@@ -36,7 +36,7 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise InvariantError("matrix contains non-finite entries")
     return a
 
@@ -64,7 +64,8 @@ def hermitize(m) -> np.ndarray:
     warning; accumulated roundoff over long channel compositions lands there.
     """
     a = _as_square(m)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    a_dag = a.conj().T
+    dev = float(np.max(np.abs(a - a_dag))) if a.size else 0.0
     if dev > HERM_ATOL:
         raise InvariantError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     if dev > HERM_WARN_ATOL:
@@ -73,7 +74,7 @@ def hermitize(m) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    return (a + a.conj().T) / 2.0
+    return (a + a_dag) / 2.0
 
 
 def kron(a, b) -> np.ndarray:
@@ -194,8 +195,10 @@ class DensityMatrix:
             clip = float(-w.min())
             w = np.clip(w, 0.0, None)
             a = (v * w) @ v.conj().T
+        # Equal to its adjoint after ``hermitize`` and a real trace division.
         a = a / np.real(np.trace(a))
-        a = (a + a.conj().T) / 2.0
+        if clip:
+            a = (a + a.conj().T) / 2.0
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "factor_dims", dims)
@@ -207,10 +210,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues sorted non-increasing."""
-        return np.sort(np.linalg.eigvalsh(self.matrix))[::-1]
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -226,7 +225,7 @@ class PureState:
 
     def __init__(self, amplitudes, factor_dims=None):
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise InvariantError("amplitudes contain non-finite entries")
         n = float(np.linalg.norm(v))
         if abs(n - 1.0) > NORM_ATOL:

@@ -6,6 +6,7 @@ from qdpsim import (
     DimensionError,
     InvariantError,
     MemoryCallSpec,
+    UnsupportedSpecError,
     QueryGenerator,
     channel_error_probe,
     dme_query,
@@ -30,7 +31,12 @@ from qdpsim import (
     repeated_queries,
     trace_distance,
 )
-from qdpsim.channels import map_from_function, query_superoperator
+from qdpsim.channels import (
+    map_from_function,
+    queried_memory_call,
+    query_superoperator,
+    unfolded_memory_call,
+)
 
 
 def plus_state():
@@ -271,6 +277,58 @@ class TestExactMemoryCall:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(sig.matrix), atol=1e-9
         )
+
+
+class TestUnfoldedMemoryCall:
+    NOT_COMMUTATOR = "unfolding a non-covariant recursion needs commutator-form memory-calls"
+
+    def test_converges_to_exact_call(self):
+        call = MemoryCallSpec(map=make_commutator_map(random_hermitian(3, 1), 0.4), duration=1.0)
+        rho, sig = random_density(3, 2), random_density(3, 3)
+        exact = exact_memory_call(call, rho, sig).matrix
+        errs = [trace_distance(unfolded_memory_call(call, rho, sig, g).matrix, exact)
+                for g in (16, 64)]
+        assert errs[1] < errs[0] < 0.05
+
+    def test_non_commutator_map_rejected(self):
+        call = MemoryCallSpec(map=make_scaled_identity_map(0.5, 2), duration=1.0)
+        with pytest.raises(UnsupportedSpecError) as exc:
+            unfolded_memory_call(call, random_density(2, 1), random_density(2, 2), 1)
+        assert str(exc.value) == self.NOT_COMMUTATOR
+
+    def test_extended_instruction_rejected(self):
+        call = MemoryCallSpec(
+            map=make_commutator_map(np.diag([0.0, 1.0, 2.0, 3.0]), 0.5),
+            duration=1.0,
+            extra_instruction=random_density(2, 4),
+        )
+        with pytest.raises(UnsupportedSpecError) as exc:
+            unfolded_memory_call(call, random_density(2, 1), random_density(4, 2), 1)
+        assert str(exc.value) == self.NOT_COMMUTATOR
+
+    def test_negative_flow_rejected(self):
+        call = MemoryCallSpec(map=make_commutator_map(PAULI_Z, 0.5), duration=-1.0)
+        with pytest.raises(UnsupportedSpecError) as exc:
+            unfolded_memory_call(call, random_density(2, 1), random_density(2, 2), 1)
+        assert str(exc.value) == "group-commutator unfolding needs positive flow"
+
+
+class TestQueriedMemoryCall:
+    def test_is_a_query_block_of_opposite_duration(self):
+        m = make_commutator_map(random_hermitian(3, 5), 0.7)
+        call = MemoryCallSpec(map=m, duration=0.6)
+        rho, sig = random_density(3, 6), random_density(3, 7)
+        out = queried_memory_call(call, rho, sig, 16)
+        ref = repeated_queries(m.generator, rho, sig, -0.6, 16)
+        assert out.matrix.tobytes() == ref.matrix.tobytes()
+
+    def test_converges_to_exact_call(self):
+        call = MemoryCallSpec(map=make_commutator_map(random_hermitian(3, 8), 0.5), duration=0.4)
+        rho, sig = random_density(3, 9), random_density(3, 10)
+        exact = exact_memory_call(call, rho, sig).matrix
+        errs = [trace_distance(queried_memory_call(call, rho, sig, m).matrix, exact)
+                for m in (8, 64)]
+        assert errs[1] < errs[0] / 4
 
 
 class TestMemoryUsageQuery:

@@ -608,6 +608,17 @@ def test_compare_without_recursion_names_strategies_before_numerics(
     assert "field 'strategies'" in capsys.readouterr().err
 
 
+def test_overflowing_imr_copy_count_is_3(tmp_path, capsys, monkeypatch):
+    """At seed 1 the purified state's mixedness reads exactly 0, so rounds go on
+    at ratio 1/2 until 1e300 is guaranteed, and the copy count
+    ``copies_out (2/c)^rounds`` would overflow a float: infeasible, not a traceback."""
+    monkeypatch.delenv("QDPSIM_SEED", raising=False)
+    doc = grover_doc(tmp_path, seed=1, strategy={
+        "kind": "qdp", "m": 16, "imr": {"reduction_factor": 1e300, "copies_out": 64}})
+    assert main(["run", write_config(tmp_path, doc)]) == 3
+    assert "reduction_factor" in capsys.readouterr().err
+
+
 def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys, monkeypatch):
     """Purified to roundoff, the state's mixedness reads below 0 before a
     1e300 reduction is guaranteed: the target is infeasible, not a breakdown."""

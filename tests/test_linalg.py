@@ -19,6 +19,7 @@ from qdpsim import (
     spectrum,
     trace_distance,
 )
+from qdpsim.linalg import EIG_CLIP_ATOL, HERM_WARN_ATOL
 
 
 class TestKron:
@@ -247,3 +248,74 @@ class TestStates:
 def test_hermitize_rejects_large_deviation():
     with pytest.raises(InvariantError):
         hermitize(np.array([[0.0, 1e-3], [0.0, 0.0]]))
+
+
+def symmetrize_after_division(matrix):
+    """``DensityMatrix``'s stored matrix by the reference formula that
+    symmetrizes again after every trace division, clipped or not."""
+    a = np.asarray(matrix, dtype=complex)
+    a = (a + a.conj().T) / 2.0
+    w, v = np.linalg.eigh(a)
+    if w.min() < -EIG_CLIP_ATOL:
+        w = np.clip(w, 0.0, None)
+        a = (v * w) @ v.conj().T
+    a = a / np.real(np.trace(a))
+    return (a + a.conj().T) / 2.0
+
+
+def conjugated_state(dim, seed):
+    """A seeded state conjugated by a unitary: Hermitian up to roundoff."""
+    u = herm_exp(random_hermitian(dim, seed + 100), 0.7)
+    return u @ random_density(dim, seed).matrix @ u.conj().T
+
+
+class TestDensityMatrixBits:
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_seeded_states(self, dim):
+        for seed in range(3):
+            rho = conjugated_state(dim, seed)
+            assert DensityMatrix(rho).matrix.tobytes() == symmetrize_after_division(rho).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_warned_window(self, dim):
+        g = random_hermitian(dim, dim) * 1j  # anti-Hermitian
+        rho = conjugated_state(dim, 1) + 5 * HERM_WARN_ATOL * g / np.max(np.abs(g))
+        with pytest.warns(RuntimeWarning, match="symmetrizing"):
+            dm = DensityMatrix(rho)
+        assert dm.matrix.tobytes() == symmetrize_after_division(rho).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_clipped_states(self, dim):
+        for seed in range(3):
+            psi = random_pure(dim, seed).projector()
+            rho = (1 + 5e-10 * (dim - 1)) * psi - 5e-10 * (np.eye(dim) - psi)
+            dm = DensityMatrix(rho)
+            assert dm.clip_magnitude > 0
+            assert dm.matrix.tobytes() == symmetrize_after_division(rho).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+class TestNonFiniteRejected:
+    @staticmethod
+    def entry(bad, part):
+        return complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+
+    def test_density_matrix(self, bad, part):
+        a = np.eye(2, dtype=complex) / 2
+        a[0, 1] = self.entry(bad, part)
+        with pytest.raises(InvariantError, match="non-finite"):
+            DensityMatrix(a)
+
+    def test_hermitize_and_kron(self, bad, part):
+        a = np.eye(2, dtype=complex) / 2
+        a[1, 0] = self.entry(bad, part)
+        for fn in (hermitize, lambda x: kron(x, np.eye(2)), lambda x: kron(np.eye(2), x)):
+            with pytest.raises(InvariantError, match="non-finite"):
+                fn(a)
+
+    def test_pure_state(self, bad, part):
+        v = np.array([1.0, 0.0], dtype=complex)
+        v[1] = self.entry(bad, part)
+        with pytest.raises(InvariantError, match="non-finite"):
+            PureState(v)
