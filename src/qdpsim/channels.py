@@ -8,7 +8,8 @@ A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
 ``Nhat = sum_jk |k><j| (x) N(|j><k|)`` is built from the action on first read
 of ``generator``, symmetrized by ``linalg.hermitize`` (the one Hermiticity
-check) and diagonalized once, on first read of ``eigh``.  The Choi matrix is
+check), diagonalized once, on first read of ``eigh``, and exponentiated again
+only when the query duration changes (``unitary``).  The Choi matrix is
 ``Nhat`` partially transposed on the first factor, derived only when read.
 Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
 the memory register applies the map's exponential to the working state up to
@@ -142,6 +143,22 @@ class QueryGenerator:
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
+
+    def unitary(self, s: float) -> np.ndarray:
+        """Read-only ``exp(-i Nhat s)``, ``herm_exp`` over ``eigh``.
+
+        The last duration's unitary is kept, in one slot keyed on the bits of
+        ``s`` (so ``-0.0`` and ``0.0`` stay apart): every step of a run queries
+        its generator at one duration, and a schedule of varying durations
+        then holds one unitary, not one per step.
+        """
+        key = float(s).hex()
+        last = self.__dict__.get("_unitary")
+        if last is None or last[0] != key:
+            u = herm_exp(self.n_hat, float(s), self.eigh)
+            u.setflags(write=False)
+            last = self.__dict__["_unitary"] = (key, u)
+        return last[1]
 
 
 @dataclass(frozen=True)
@@ -343,7 +360,7 @@ def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) ->
     how large query counts stay cheap.
     """
     d_in, d_out = gen.d_in, gen.d_out
-    w4 = herm_exp(gen.n_hat, float(s), gen.eigh).reshape(d_in, d_out, d_in, d_out)
+    w4 = gen.unitary(s).reshape(d_in, d_out, d_in, d_out)
     t1 = np.einsum("akmi,mn->akni", w4, memory.matrix)
     sup = np.einsum("akni,alnj->klij", t1, w4.conj())
     return sup.reshape(d_out * d_out, d_out * d_out)
@@ -352,14 +369,19 @@ def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) ->
 def repeated_queries(
     gen: QueryGenerator, memory: DensityMatrix, working: DensityMatrix, s: float, m: int
 ) -> DensityMatrix:
-    """Apply ``m`` queries of duration ``s/m`` with fresh identical memory."""
+    """Apply ``m`` queries of duration ``s/m`` with fresh identical memory.
+
+    Each query is ``sup.dot(vec)``: the same BLAS ``zgemv`` as ``sup @ vec``,
+    with the same bits, without the matmul ufunc dispatch, which costs more
+    than the product itself at the small ``d_out`` of long query runs.
+    """
     m = int(m)
     if m < 1:
         raise InvariantError("query count must be >= 1")
     sup = query_superoperator(gen, memory, float(s) / m)
     vec = working.matrix.reshape(-1)
     for _ in range(m):
-        vec = sup @ vec
+        vec = sup.dot(vec)
     out = vec.reshape(working.dim, working.dim)
     return DensityMatrix(out, working.factor_dims)
 

@@ -324,6 +324,34 @@ def _check_ledger_digits(scenario: str, p: dict, s: dict) -> None:
         )
 
 
+# Largest dense operator a query run may build, in bytes: its query generator
+# ``Nhat`` (16 d_in^2 d_out^2) or its superoperator (16 d_out^4).
+MAX_OPERATOR_BYTES = 2**30
+
+
+def _check_operator_size(scenario: str, p: dict, s: dict) -> None:
+    """Reject, before any numerics, a query run whose query generator or
+    superoperator would exceed ``MAX_OPERATOR_BYTES``; sizes are compared as
+    log2, so a size field's value is never expanded."""
+    if scenario == "cost" or (scenario != "channel-error" and s["kind"] not in ("qdp", "hybrid")):
+        return
+    if scenario == "qite" and p["model"] == "heisenberg_chain":
+        n = p["n_qubits"]  # float(n) overflows from 2^1024 on, far over any limit
+        path, log_d = "params.n_qubits", float(n) if n < 2**1023 else math.inf
+    elif scenario == "osd":
+        path, log_d = "params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])
+    else:
+        path, log_d = "params.dim", math.log2(p["dim"])
+    # qite's map reads the state and a resource state: d_in = d_out^2.
+    log_in = 2 * log_d if scenario == "qite" else log_d
+    log_bytes = 4 + max(2 * log_in + 2 * log_d, 4 * log_d)
+    if log_bytes > math.log2(MAX_OPERATOR_BYTES):
+        raise InfeasibleConfigError(
+            f"field '{path}' gives a query operator of 2^{log_bytes:.2f} bytes, "
+            f"more than the {MAX_OPERATOR_BYTES} bytes a run may build"
+        )
+
+
 def _value(path: str, f: _Field, value):
     """``value`` checked against ``f`` and converted (reals to float)."""
     if f.many:
@@ -402,6 +430,7 @@ class ExperimentConfig:
                 got = (params if section == "params" else strategy)[key]
                 raise ConfigError(f"field '{path}' must {requirement}, got {got!r}")
         _check_ledger_digits(scenario, params, strategy)
+        _check_operator_size(scenario, params, strategy)
         fields = {k: v for k, v in strategy.items() if k != "kind"}
         if fields.get("imr") is not None:
             fields["imr"] = IMRConfig(**fields["imr"])

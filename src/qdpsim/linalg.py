@@ -189,9 +189,10 @@ class DensityMatrix:
         tr = float(np.real(np.trace(a)))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
-        w, v = np.linalg.eigh(a)
         clip = 0.0
-        if w.min() < -EIG_CLIP_ATOL:
+        # ``eigvalsh`` decides; the eigenvectors are computed only to clip.
+        if np.linalg.eigvalsh(a).min() < -EIG_CLIP_ATOL:
+            w, v = np.linalg.eigh(a)
             clip = float(-w.min())
             w = np.clip(w, 0.0, None)
             a = (v * w) @ v.conj().T

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian
 from qdpsim import (
+    DensityMatrix,
     DimensionError,
     InvariantError,
     MemoryCallSpec,
@@ -95,18 +96,18 @@ class TestActionMatchesChoi:
         assert "choi" not in vars(m)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_identity_map(3),
+        lambda: make_scaled_identity_map(0.7, 3),
+        lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+        lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+        lambda: make_pair_commutator_map(2, 0.9),
+    ],
+    ids=["identity", "scaled", "commutator", "osd", "pair-commutator"],
+)
 class TestQuerySuperoperatorDecomposesOnce:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: make_identity_map(3),
-            lambda: make_scaled_identity_map(0.7, 3),
-            lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
-            lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
-            lambda: make_pair_commutator_map(2, 0.9),
-        ],
-        ids=["identity", "scaled", "commutator", "osd", "pair-commutator"],
-    )
     def test_matches_the_undecomposed_formula(self, build):
         gen = build().generator
         memory = random_density(gen.d_in, 71)
@@ -117,6 +118,34 @@ class TestQuerySuperoperatorDecomposesOnce:
             sup = np.einsum("akni,alnj->klij", t1, w4.conj()).reshape(d_out**2, d_out**2)
             assert np.array_equal(query_superoperator(gen, memory, s), sup)
         assert gen.eigh is gen.eigh
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
+        gen = build().generator
+        memory = random_density(gen.d_in, 72)
+        working = random_density(gen.d_out, 73)
+        sup = query_superoperator(gen, memory, 0.6 / m)
+        vec = working.matrix.reshape(-1)
+        for _ in range(m):
+            vec = sup @ vec
+        expected = DensityMatrix(vec.reshape(gen.d_out, gen.d_out), working.factor_dims)
+        got = repeated_queries(gen, memory, working, 0.6, m)
+        assert np.array_equal(got.matrix, expected.matrix)
+
+
+class TestQueryGeneratorUnitary:
+    def test_one_slot_with_the_bits_of_herm_exp(self):
+        gen = make_commutator_map(random_hermitian(3, 23), 0.4).generator
+        u = gen.unitary(0.25)
+        assert np.array_equal(u, herm_exp(gen.n_hat, 0.25))
+        assert not u.flags.writeable
+        assert gen.unitary(0.25) is u
+        v = gen.unitary(-1.3)
+        assert v is not u and np.array_equal(v, herm_exp(gen.n_hat, -1.3))
+        # One slot: the earlier duration's unitary is built again, same bits.
+        again = gen.unitary(0.25)
+        assert again is not u and np.array_equal(again, u)
+        assert gen.unitary(-0.0) is not gen.unitary(0.0)
 
 
 class TestMakeCommutatorMap:

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 import json
+import pathlib
 import random
 import sys
 
@@ -378,17 +380,18 @@ def dbi_doc(strategy, n_steps, **overrides):
     return doc
 
 
+@pytest.fixture
+def no_runner(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("a scenario runner started")
+
+    for scenario in list(cli._RUNNERS):
+        monkeypatch.setitem(cli._RUNNERS, scenario, refuse)
+
+
 class TestLedgerDigits:
     """A report integer longer than ``str(int)`` prints exits 3 naming the
     field, before any scenario runner starts."""
-
-    @pytest.fixture
-    def no_runner(self, monkeypatch):
-        def refuse(cfg):
-            raise AssertionError("a scenario runner started")
-
-        for scenario in list(cli._RUNNERS):
-            monkeypatch.setitem(cli._RUNNERS, scenario, refuse)
 
     def test_cost_is_3_and_named(self, no_runner, capsys):
         assert main(["cost", "--L", "1", "--N", "10000"]) == 3  # depth (3^10000 - 1) / 2
@@ -441,6 +444,78 @@ class TestLedgerDigits:
             assert all(len(str(v)) <= limit for v in ints), (doc, ints)
             outcomes.append("accepted")
         assert {"accepted", "rejected"} <= set(outcomes)
+
+
+def load_workloads():
+    """The benchmark's workload generator, loaded from its file."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOperatorSize:
+    """A query run whose query generator or superoperator would pass
+    ``MAX_OPERATOR_BYTES`` exits 3 naming the size field, before any scenario
+    runner starts.  Only rejected sizes are run here."""
+
+    @pytest.mark.parametrize(
+        "field, scenario, strategy, params",
+        [
+            # 16 * 1024^2 * 32^2 B = 2^34 B
+            ("params.n_qubits", "qite", {"kind": "qdp", "m": 4}, {"n_qubits": 5, "n_steps": 1}),
+            ("params.n_qubits", "qite", {"kind": "hybrid", "n1": 0, "n2": 1, "m": 4},
+             {"n_qubits": 10**400, "n_steps": 1}),
+            ("params.dim", "qite", {"kind": "qdp", "m": 4},
+             {"model": "random", "dim": 21, "n_steps": 1}),  # 16 * 21^6 B
+            ("params.dim", "dbi", {"kind": "qdp", "m": 4}, {"dim": 91, "n_steps": 1}),
+            ("params.dim", "dbi", {"kind": "hybrid", "n1": 1, "n2": 1, "m": 4},
+             {"dim": 91, "n_steps": 2}),
+            ("params.dim", "grover", {"kind": "qdp", "m": 4},
+             {"L": 1, "dim": 91, "n_steps": 1, "delta0": 0.6}),
+            ("params.dims", "osd", {"kind": "qdp", "m": 4}, {"dims": [10, 10], "n_steps": 1}),
+            ("params.dim", "channel-error", {"kind": "exact"},
+             {"dim": 91, "s": 0.5, "m_values": [1]}),
+        ],
+        ids=["qite-5-qubits", "qite-huge-hybrid", "qite-random", "dbi-qdp", "dbi-hybrid",
+             "grover-qdp", "osd-qdp", "channel-error"],
+    )
+    def test_oversized_query_run_is_3_and_named(self, no_runner, tmp_path, capsys,
+                                                field, scenario, strategy, params):
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 1, "strategy": strategy,
+               "params": params}
+        assert main(["run", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert field in err and str(cli.MAX_OPERATOR_BYTES) in err
+
+    def test_compare_checks_each_listed_strategy(self, no_runner, tmp_path, capsys):
+        doc = {"schema_version": 1, "scenario": "dbi", "seed": 1, "strategy": {"kind": "exact"},
+               "params": {"dim": 91, "n_steps": 1},
+               "strategies": [{"kind": "exact"}, {"kind": "qdp", "m": 4}]}
+        assert main(["compare", write_config(tmp_path, doc)]) == 3
+        assert "params.dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, strategy, params",
+        [
+            ("qite", {"kind": "qdp", "m": 4}, {"n_qubits": 4, "n_steps": 1}),  # 2^28 B
+            ("dbi", {"kind": "qdp", "m": 4}, {"dim": 90, "n_steps": 1}),
+            ("osd", {"kind": "qdp", "m": 4}, {"dims": [9, 10], "n_steps": 1}),
+            ("dbi", {"kind": "exact"}, {"dim": 91, "n_steps": 1}),  # builds no Nhat
+        ],
+        ids=["qite-4-qubits", "dbi-dim-90", "osd-90", "dbi-exact"],
+    )
+    def test_sizes_at_the_limit_are_accepted(self, scenario, strategy, params):
+        ExperimentConfig.from_dict(
+            {"scenario": scenario, "seed": 1, "strategy": strategy, "params": params})
+
+    @pytest.mark.parametrize("workload", ["query-build", "query-apply", "memoryless"])
+    def test_benchmark_workloads_stay_under_the_limit(self, workload):
+        workloads = load_workloads()
+        for seed in (3, 7, 11):
+            for name, raw in workloads.configs(workload, seed):
+                ExperimentConfig.from_dict(raw)
 
 
 class TestCompare:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qdpsim import channels
 from qdpsim import (
     DBIConfig,
     DensityMatrix,
@@ -177,18 +178,18 @@ class TestGeneratorReuse:
         assert m.generator is m.generator
 
 
-def count_generator_decompositions(monkeypatch, run):
-    """``eigh`` calls made by ``run(spec)`` on a dbi spec whose argument equals
-    the spec's query generator ``Nhat``."""
+def count_generator_calls(monkeypatch, owner, name, run):
+    """Calls of ``owner.name`` made by ``run(spec)`` on a dbi spec whose first
+    argument equals the spec's query generator ``Nhat``."""
     args = []
-    eigh = np.linalg.eigh
+    fn = getattr(owner, name)
 
     def counting(a, *rest, **kwargs):
         args.append(np.array(a))
-        return eigh(a, *rest, **kwargs)
+        return fn(a, *rest, **kwargs)
 
     spec = small_dbi_spec()
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(owner, name, counting)
     run(spec)
     gen = spec.step.memory_calls[0].map.generator
     return sum(a.shape == gen.n_hat.shape and np.array_equal(a, gen.n_hat) for a in args)
@@ -196,11 +197,19 @@ def count_generator_decompositions(monkeypatch, run):
 
 class TestGeneratorDecomposedOnce:
     def test_qdp_run_decomposes_the_generator_once(self, monkeypatch):
-        assert count_generator_decompositions(monkeypatch, lambda spec: run_qdp(spec, 5, 8)) == 1
+        run = lambda spec: run_qdp(spec, 5, 8)  # noqa: E731
+        assert count_generator_calls(monkeypatch, np.linalg, "eigh", run) == 1
 
     def test_hybrid_run_decomposes_the_generator_once(self, monkeypatch):
         run = lambda spec: run_hybrid(spec, 2, 3, 8)  # noqa: E731
-        assert count_generator_decompositions(monkeypatch, run) == 1
+        assert count_generator_calls(monkeypatch, np.linalg, "eigh", run) == 1
+
+
+def test_qdp_run_exponentiates_the_generator_once(monkeypatch):
+    """Every step queries the generator at one duration, so ``herm_exp`` sees
+    ``Nhat`` once in a 5-step run."""
+    run = lambda spec: run_qdp(spec, 5, 8)  # noqa: E731
+    assert count_generator_calls(monkeypatch, channels, "herm_exp", run) == 1
 
 
 class TestUnfoldingCost:

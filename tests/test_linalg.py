@@ -293,6 +293,19 @@ class TestDensityMatrixBits:
             assert dm.clip_magnitude > 0
             assert dm.matrix.tobytes() == symmetrize_after_division(rho).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 8, 16])
+    @pytest.mark.parametrize("depth, clips", [(2e-10, True), (5e-11, False)])
+    def test_clip_decided_by_eigenvalues_alone(self, dim, depth, clips):
+        """``eigvalsh`` decides the clip; a clipped state keeps the bits and the
+        magnitude of the full ``eigh`` formula."""
+        for seed in range(3):
+            psi = random_pure(dim, seed).projector()
+            rho = (1 + depth * (dim - 1)) * psi - depth * (np.eye(dim) - psi)
+            dm = DensityMatrix(rho)
+            w = np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
+            assert dm.clip_magnitude == (float(-w.min()) if clips else 0.0)
+            assert dm.matrix.tobytes() == symmetrize_after_division(rho).tobytes()
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("part", ["real", "imag"])
