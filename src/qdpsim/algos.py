@@ -554,6 +554,18 @@ def schmidt_oracle(psi: PureState, dims) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(reduced))[::-1]
 
 
+def schmidt_estimate(state: np.ndarray, dims, diagonal) -> np.ndarray:
+    """The Schmidt spectrum estimate of the bipartite density matrix
+    ``state``: its reduced diagonal on the first subsystem, in descending
+    order of the instruction ``diagonal``'s entries, the order the flow sorts
+    the coefficients into.  It is not sorted by value, so a flow that put the
+    spectrum on the wrong basis states reads as an error against
+    ``schmidt_oracle``."""
+    _, mu = _validated_diagonal(diagonal)
+    reduced = partial_trace(state, dims, keep=[0])
+    return np.real(np.diag(reduced))[np.argsort(mu)[::-1]]
+
+
 def osd_recursion_spec(cfg: OSDConfig) -> RecursionSpec:
     """Single memory-call recursion rotating only the first subsystem."""
     dd, _ = _validated_diagonal(cfg.diagonal)
@@ -566,16 +578,7 @@ def osd_recursion_spec(cfg: OSDConfig) -> RecursionSpec:
 
 
 def osd_run(cfg: OSDConfig) -> tuple[TrajectoryRecord, np.ndarray]:
-    """Run the alignment with memory-usage queries and read the Schmidt
-    spectrum estimate off the final reduced state's diagonal.
-
-    The estimate is reported in descending order of the instruction
-    diagonal's entries, the order the flow sorts the coefficients into.
-    """
-    spec = osd_recursion_spec(cfg)
-    record = run_qdp(spec, cfg.n_steps, cfg.m_queries)
-    _, mu = _validated_diagonal(cfg.diagonal)
-    reduced = partial_trace(record.final_state.matrix, cfg.dims, keep=[0])
-    diag = np.real(np.diag(reduced))
-    order = np.argsort(mu)[::-1]
-    return record, diag[order]
+    """Run the alignment with memory-usage queries; return the trajectory and
+    the ``schmidt_estimate`` of its final state."""
+    record = run_qdp(osd_recursion_spec(cfg), cfg.n_steps, cfg.m_queries)
+    return record, schmidt_estimate(record.final_state.matrix, cfg.dims, cfg.diagonal)

@@ -15,8 +15,10 @@ One table below (``_TOP``, ``_STRATEGIES``, ``_PARAMS``, ``_RULES``) gives
 every field its type, range and default; ``ExperimentConfig.from_dict``
 applies it before any numerics.  A missing, mistyped or out-of-range field,
 a key the table does not list, or a broken rule between fields raises
-``ConfigError`` naming the field.  Integers are JSON integers (booleans are
-not), reals are finite JSON numbers, and a null value means "absent".
+``ConfigError`` naming the field.  ``compare`` puts each ``strategies[i]``
+entry through the same strategy check (``_strategy``) as ``strategy``.
+Integers are JSON integers (booleans are not), reals are finite JSON
+numbers, and a null value means "absent".
 
 Flags override file fields, and the QDPSIM_SEED environment variable
 overrides the file seed (an explicit --seed flag beats both).  Reruns with
@@ -34,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,6 +57,7 @@ from .algos import (
     offdiag_hs_norm,
     osd_recursion_spec,
     qite_recursion_spec,
+    schmidt_estimate,
     schmidt_oracle,
 )
 from .channels import (
@@ -83,10 +86,6 @@ from .imr import MAX_ROUNDS, IMRConfig
 from .linalg import PureState, partial_trace, random_density, random_pure
 
 SCHEMA_VERSION = 1
-SCENARIOS = ("grover", "dbi", "qite", "osd", "channel-error", "cost")
-
-_RANDOMIZED = {"grover", "dbi", "qite", "osd", "channel-error"}
-_RECURSIONS = ("grover", "dbi", "qite", "osd")  # the scenarios `compare` can run
 
 
 def _fmt(value) -> str:
@@ -153,7 +152,10 @@ class _Field(NamedTuple):
     of ints or reals is ``many`` with ``size`` entries if given.  ``lo``/``hi``
     bound numbers (strictly if ``open``), ``choices`` lists allowed values,
     ``table`` checks an object's keys.  ``default`` is used when the field is
-    absent or null: ``_REQUIRED``, a value, or a function of the fields above."""
+    absent or null: ``_REQUIRED`` or a plain value.  A null default leaves the
+    meaning to the code that reads the field (a null ``step_size`` is the
+    canonical step, a null dbi/osd ``mu`` is 0, ..., n-1), so nothing is built
+    from a size field while a config is parsed."""
 
     kind: str
     default: object = None
@@ -189,18 +191,6 @@ _IMR = _Field("object", None, table={
     "failure_threshold": _Field("real", 0.01, lo=0, hi=1, open=True),
 })
 
-_TOP = {
-    "schema_version": _Field("int", SCHEMA_VERSION, choices=(SCHEMA_VERSION,)),
-    "scenario": _Field("str", _REQUIRED, choices=SCENARIOS),
-    "seed": _Field("int", None, lo=0),
-    "strategy": _Field("object", {"kind": "exact"}),
-    "params": _Field("object", {}),
-    "output": _Field("object", {}, table={
-        "path": _Field("str"),
-        "format": _Field("str", "csv", choices=("csv", "json")),
-    }),
-    "strategies": _Field("list", []),  # read by `compare`
-}
 _STRATEGIES = {
     "exact": (ExactStrategy, {}),
     "unfolding": (UnfoldingStrategy, {"gc_substeps": _Field("int", 1, lo=1)}),
@@ -208,6 +198,7 @@ _STRATEGIES = {
     "hybrid": (HybridStrategy, {"n1": _STEPS, "n2": _STEPS, "m": _COUNT, "imr": _IMR}),
 }
 _KIND = _Field("str", _REQUIRED, choices=tuple(_STRATEGIES))
+_STRATEGY = _Field("object", {"kind": "exact"})
 _PARAMS = {
     "grover": {
         "L": _COUNT,
@@ -219,7 +210,7 @@ _PARAMS = {
     "dbi": {
         "dim": _Field("int", _REQUIRED, lo=2),
         "n_steps": _STEPS,
-        "mu": _Field("real", lambda p: list(range(p["dim"])), many=True),
+        "mu": _Field("real", None, many=True),  # None -> 0, ..., dim-1
         "step_size": _STEP_SIZE,
     },
     "qite": {
@@ -233,7 +224,7 @@ _PARAMS = {
     "osd": {
         "dims": _Field("int", _REQUIRED, lo=2, many=True, size=2),
         "n_steps": _STEPS,
-        "mu": _Field("real", lambda p: list(range(p["dims"][0])), many=True),
+        "mu": _Field("real", None, many=True),  # None -> 0, ..., dims[0]-1
         "step_size": _STEP_SIZE,
     },
     "channel-error": {
@@ -248,10 +239,26 @@ _PARAMS = {
     "cost": {"L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),
              "n1": _Field("int", None, lo=0), "n2": _Field("int", None, lo=0)},
 }
+SCENARIOS = tuple(_PARAMS)
+_RECURSIONS = tuple(name for name, table in _PARAMS.items() if "n_steps" in table)  # for `compare`
+
+_TOP = {
+    "schema_version": _Field("int", SCHEMA_VERSION, choices=(SCHEMA_VERSION,)),
+    "scenario": _Field("str", _REQUIRED, choices=SCENARIOS),
+    "seed": _Field("int", None, lo=0),
+    "strategy": _STRATEGY,
+    "params": _Field("object", {}),
+    "output": _Field("object", {}, table={
+        "path": _Field("str"),
+        "format": _Field("str", "csv", choices=("csv", "json")),
+    }),
+    "strategies": _Field("list", []),  # read by `compare`
+}
 
 
-def _increasing(mu: list, size: int) -> bool:
-    return len(mu) == size and all(a < b for a, b in zip(mu, mu[1:]))
+def _increasing(mu: Optional[list], size: int) -> bool:
+    """A null ``mu`` (0, ..., size-1) or ``size`` strictly increasing entries."""
+    return mu is None or len(mu) == size and all(a < b for a, b in zip(mu, mu[1:]))
 
 
 def _grover_cascade(p: dict) -> list:
@@ -263,6 +270,7 @@ def _grover_cascade(p: dict) -> list:
 
 
 # Rules tying fields together: (scenarios, field, requirement, holds(params, strategy)).
+# A ``strategy.`` field is named under the path of the strategy being checked.
 _RULES = (
     (("dbi",), "params.mu", "have params.dim strictly increasing entries",
      lambda p, s: _increasing(p["mu"], p["dim"])),
@@ -296,18 +304,19 @@ def _ledger_log10(calls: int, unfolded: int, queried: int, m: int, rounds: int) 
     return math.log10(2) + max(unfolding, queries) + queried * math.log10(m + 1)
 
 
-def _check_ledger_digits(scenario: str, p: dict, s: dict) -> None:
-    """Reject, before any numerics, a run whose report would print an integer
-    longer than ``str(int)`` allows; the digits are counted, never built."""
+def _check_ledger_digits(path: str, scenario: str, p: dict, s: dict) -> None:
+    """Reject, before any numerics, a run of the strategy ``s`` at ``path``
+    whose report would print an integer longer than ``str(int)`` allows; the
+    digits are counted, never built."""
     # 0 means no limit, as on Python before 3.10.7, which lacks the function.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if scenario == "cost":
-        path, m = "params.N", p["m"] or 0
+        name, m = "params.N", p["m"] or 0
         bound = max(_ledger_log10(p["L"], p["N"], 0, 0, 0), _ledger_log10(p["L"], 0, p["N"], m, 0),
                     _ledger_log10(p["L"], p["n1"] or 0, p["n2"] or 0, m, 0))
     elif "n_steps" in p:
         n, kind = p["n_steps"], s["kind"]
-        path = "strategy.n1 and strategy.n2" if kind == "hybrid" else "params.n_steps"
+        name = f"{path}.n1 and {path}.n2" if kind == "hybrid" else "params.n_steps"
         unfolded = {"unfolding": n, "hybrid": s.get("n1")}.get(kind, 0)
         # grover's L calls are covariant and unfold as they are; a commutator
         # call (every other scenario has one per step) unfolds into
@@ -319,21 +328,23 @@ def _check_ledger_digits(scenario: str, p: dict, s: dict) -> None:
         return
     if limit and bound >= limit:
         raise InfeasibleConfigError(
-            f"field '{path}' gives a ledger integer of up to {math.floor(bound) + 1} digits, "
+            f"field '{name}' gives a ledger integer of up to {math.floor(bound) + 1} digits, "
             f"more than the {limit} Python prints (see PYTHONINTMAXSTRDIGITS)"
         )
 
 
-# Largest dense operator a query run may build, in bytes: its query generator
-# ``Nhat`` (16 d_in^2 d_out^2) or its superoperator (16 d_out^4).
+# Largest dense operator a run may build, in bytes.  An exact or unfolding run
+# builds the d_in x d_in instruction matrix (16 d_in^2); a query run builds the
+# query generator ``Nhat`` (16 d_in^2 d_out^2), which is never smaller than its
+# superoperator (16 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
 
 
 def _check_operator_size(scenario: str, p: dict, s: dict) -> None:
-    """Reject, before any numerics, a query run whose query generator or
-    superoperator would exceed ``MAX_OPERATOR_BYTES``; sizes are compared as
-    log2, so a size field's value is never expanded."""
-    if scenario == "cost" or (scenario != "channel-error" and s["kind"] not in ("qdp", "hybrid")):
+    """Reject, before any numerics, a run whose largest dense operator would
+    exceed ``MAX_OPERATOR_BYTES``; sizes are compared as log2, so a size
+    field's value is never expanded."""
+    if scenario == "cost":
         return
     if scenario == "qite" and p["model"] == "heisenberg_chain":
         n = p["n_qubits"]  # float(n) overflows from 2^1024 on, far over any limit
@@ -344,10 +355,11 @@ def _check_operator_size(scenario: str, p: dict, s: dict) -> None:
         path, log_d = "params.dim", math.log2(p["dim"])
     # qite's map reads the state and a resource state: d_in = d_out^2.
     log_in = 2 * log_d if scenario == "qite" else log_d
-    log_bytes = 4 + max(2 * log_in + 2 * log_d, 4 * log_d)
+    queried = scenario == "channel-error" or s["kind"] in ("qdp", "hybrid")
+    log_bytes = 4 + 2 * log_in + (2 * log_d if queried else 0)
     if log_bytes > math.log2(MAX_OPERATOR_BYTES):
         raise InfeasibleConfigError(
-            f"field '{path}' gives a query operator of 2^{log_bytes:.2f} bytes, "
+            f"field '{path}' gives an operator of 2^{log_bytes:.2f} bytes, "
             f"more than the {MAX_OPERATOR_BYTES} bytes a run may build"
         )
 
@@ -390,9 +402,31 @@ def _section(path: str, table: dict, raw: dict) -> dict:
         if value is None:
             if f.default is _REQUIRED:
                 raise ConfigError(f"field '{prefix}{key}' is required")
-            value = f.default(out) if callable(f.default) else f.default
+            value = f.default
         out[key] = None if value is None else _value(prefix + key, f, value)
     return out
+
+
+def _strategy(path: str, raw, scenario: str, params: dict):
+    """The strategy descriptor of the object ``raw`` at ``path``, checked
+    against its kind's table, the rules tying it to the checked ``params``,
+    and the ledger and operator limits, before any numerics.  ``run`` checks
+    ``strategy`` here and ``compare`` each ``strategies[i]``."""
+    raw = _value(path, _STRATEGY, raw)
+    strategy_type, table = _STRATEGIES[_value(f"{path}.kind", _KIND, raw.get("kind"))]
+    strategy = _section(path, {"kind": _KIND, **table}, raw)
+    for scenarios, rule_path, requirement, holds in _RULES:
+        if scenario in scenarios and not holds(params, strategy):
+            section, key = rule_path.split(".")
+            got = (params if section == "params" else strategy)[key]
+            name = rule_path if section == "params" else f"{path}.{key}"
+            raise ConfigError(f"field '{name}' must {requirement}, got {got!r}")
+    _check_ledger_digits(path, scenario, params, strategy)
+    _check_operator_size(scenario, params, strategy)
+    fields = {k: v for k, v in strategy.items() if k != "kind"}
+    if fields.get("imr") is not None:
+        fields["imr"] = IMRConfig(**fields["imr"])
+    return strategy_type(**fields)
 
 
 @dataclass
@@ -412,7 +446,7 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         top = _section("", _TOP, raw)
         scenario = top["scenario"]
-        if scenario in _RANDOMIZED and top["seed"] is None:
+        if scenario != "cost" and top["seed"] is None:  # every other scenario is randomized
             raise ConfigError(f"field 'seed' is mandatory for scenario {scenario!r}")
         out = top["output"]["path"]
         if out is not None and (out == "" or os.path.isdir(out)
@@ -420,24 +454,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field 'output.path' must name a file in an existing directory, got {out!r}"
             )
-        kind = _value("strategy.kind", _KIND, top["strategy"].get("kind"))
-        strategy_type, table = _STRATEGIES[kind]
-        strategy = _section("strategy", {"kind": _KIND, **table}, top["strategy"])
         params = _section("params", _PARAMS[scenario], top["params"])
-        for scenarios, path, requirement, holds in _RULES:
-            if scenario in scenarios and not holds(params, strategy):
-                section, key = path.split(".")
-                got = (params if section == "params" else strategy)[key]
-                raise ConfigError(f"field '{path}' must {requirement}, got {got!r}")
-        _check_ledger_digits(scenario, params, strategy)
-        _check_operator_size(scenario, params, strategy)
-        fields = {k: v for k, v in strategy.items() if k != "kind"}
-        if fields.get("imr") is not None:
-            fields["imr"] = IMRConfig(**fields["imr"])
         return cls(
             scenario=scenario,
             seed=top["seed"],
-            strategy=strategy_type(**fields),
+            strategy=_strategy("strategy", top["strategy"], scenario, params),
             params=params,
             output_path=top["output"]["path"],
             output_format=top["output"]["format"],
@@ -485,9 +506,14 @@ def _run_grover(cfg: ExperimentConfig) -> RunReport:
     )
 
 
+def _diagonal(mu: Optional[list], size: int) -> np.ndarray:
+    """The instruction diagonal ``diag(mu)``; a null ``mu`` is 0, ..., size-1."""
+    return np.diag(np.asarray(range(size) if mu is None else mu, dtype=float))
+
+
 def _run_dbi(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    diag = np.diag(np.asarray(p["mu"], dtype=float))
+    diag = _diagonal(p["mu"], p["dim"])
     initial = random_density(p["dim"], cfg.seed).matrix * p["dim"]
     dcfg = DBIConfig(diagonal=diag, initial=initial, step_size=p["step_size"])
     record = run_strategy(dbi_recursion_spec(dcfg), p["n_steps"], cfg.strategy)
@@ -539,7 +565,7 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
 def _run_osd(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     da, db = p["dims"]
-    diag = np.diag(np.asarray(p["mu"], dtype=float))
+    diag = _diagonal(p["mu"], da)
     psi0 = PureState(random_pure(da * db, cfg.seed).amplitudes, (da, db))
     ocfg = OSDConfig(dims=(da, db), diagonal=diag, initial=psi0, step_size=p["step_size"])
     record = run_strategy(osd_recursion_spec(ocfg), p["n_steps"], cfg.strategy)
@@ -549,8 +575,7 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
         rows.append(
             (n, offdiag_hs_norm(reduced), pt.mixedness, pt.ledger.depth, pt.ledger.width)
         )
-    final_reduced = partial_trace(record.final_state.matrix, (da, db), keep=[0])
-    estimate = np.sort(np.real(np.diag(final_reduced)))[::-1]
+    estimate = schmidt_estimate(record.final_state.matrix, (da, db), diag)
     oracle = schmidt_oracle(psi0, (da, db))
     checks = [
         BoundCheck("schmidt_estimate_max_error", float(np.max(np.abs(estimate - oracle))), 1e-2)
@@ -652,7 +677,8 @@ def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
             f"field 'strategies' must be empty for scenario {cfg.scenario!r}, "
             f"which runs no recursion; compare runs {', '.join(_RECURSIONS)}"
         )
-    subs = [ExperimentConfig.from_dict(dict(cfg.raw, strategy=raw)) for raw in strategies]
+    subs = [replace(cfg, strategy=_strategy(f"strategies[{i}]", raw, cfg.scenario, cfg.params))
+            for i, raw in enumerate(strategies)]
     rows = []
     for raw, sub in zip(strategies, subs):
         report = _RUNNERS[cfg.scenario](sub)
@@ -674,7 +700,9 @@ def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
 # Entry point
 
 
-def _apply_overrides(raw: dict, args) -> dict:
+def _apply_overrides(raw, args):
+    if not isinstance(raw, dict):
+        return raw  # from_dict names what it must be
     raw = dict(raw)
     env_seed = os.environ.get("QDPSIM_SEED")
     if env_seed is not None:

@@ -5,9 +5,10 @@ import pathlib
 import random
 import sys
 
+import numpy as np
 import pytest
 
-from qdpsim import cli
+from qdpsim import PureState, cli
 from qdpsim.cli import ExperimentConfig, compare_strategies, main, run_scenario
 from qdpsim.errors import ConfigError, InfeasibleConfigError, InvariantError
 
@@ -702,3 +703,138 @@ def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys, monkeypatch):
         "kind": "qdp", "m": 16, "imr": {"reduction_factor": 1e300, "copies_out": 64}})
     assert main(["run", write_config(tmp_path, doc)]) == 3
     assert "reduction_factor" in capsys.readouterr().err
+
+
+class TestOperatorSizeOfEveryRun:
+    """Exact and unfolding runs are bounded by their d_in x d_in instruction
+    matrix (16 d_in^2 B; qite reads d_in = d^2).  Only rejected sizes are run."""
+
+    @pytest.mark.parametrize(
+        "field, scenario, strategy, params",
+        [
+            ("params.dim", "dbi", {"kind": "exact"}, {"dim": 10**9, "n_steps": 1}),
+            ("params.dims", "osd", {"kind": "exact"}, {"dims": [8192, 8192], "n_steps": 1}),
+            ("params.n_qubits", "qite", {"kind": "exact"}, {"n_qubits": 7, "n_steps": 1}),
+            ("params.dim", "grover", {"kind": "unfolding"},
+             {"L": 1, "dim": 100000, "n_steps": 1, "delta0": 0.6}),
+        ],
+        ids=["dbi-exact", "osd-exact", "qite-exact", "grover-unfolding"],
+    )
+    def test_oversized_run_is_3_and_named(self, no_runner, tmp_path, capsys,
+                                          field, scenario, strategy, params):
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 1, "strategy": strategy,
+               "params": params}
+        assert main(["run", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert f"field '{field}' gives an operator" in err
+        assert str(cli.MAX_OPERATOR_BYTES) in err
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("dbi", {"dim": 8192, "n_steps": 1}),  # 16 * 8192^2 B = 2^30 B
+            ("qite", {"n_qubits": 6, "n_steps": 1}),  # 16 * (2^12)^2 B = 2^28 B
+        ],
+        ids=["dbi-dim-8192", "qite-6-qubits"],
+    )
+    def test_exact_sizes_at_the_limit_are_accepted(self, scenario, params):
+        ExperimentConfig.from_dict(
+            {"scenario": scenario, "seed": 1, "strategy": {"kind": "exact"}, "params": params})
+
+
+class TestUnreadConfigPaths:
+    @pytest.mark.parametrize("text", ["[1, 2]", "[[1, 2]]", "[]"])
+    def test_config_that_is_not_an_object_is_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python reads integers of any length")
+    def test_integer_longer_than_python_reads_is_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("1" * 5000)
+        assert main(["run", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_real_beyond_the_float_range_is_2_and_named(self, tmp_path, capsys):
+        doc = grover_doc(tmp_path, params={"L": 1, "n_steps": 2, "delta0": 10**400})
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "field 'params.delta0'" in capsys.readouterr().err
+
+
+class TestCompareFieldNames:
+    """Each ``strategies`` entry is checked, before any run, under its own name."""
+
+    @pytest.mark.parametrize(
+        "code, field, strategies, n_steps",
+        [
+            (2, "field 'strategies[0]' must be object", ["qdp"], 2),
+            (2, "field 'strategies[1].m'", [{"kind": "exact"}, {"kind": "qdp", "m": 0}], 2),
+            (2, "field 'strategies[1].gc_substeps' is unknown",
+             [{"kind": "qdp", "m": 4}, {"kind": "exact", "gc_substeps": 2}], 2),
+            (2, "field 'strategies[1].n1' must satisfy",
+             [{"kind": "exact"}, {"kind": "hybrid", "n1": 1, "n2": 2, "m": 4}], 2),
+            (3, "field 'strategies[1].n1 and strategies[1].n2'",
+             [{"kind": "exact"}, {"kind": "hybrid", "n1": 6500, "n2": 2, "m": 1}], 6502),
+        ],
+        ids=["not-an-object", "bad-m", "unknown-key", "hybrid-split", "hybrid-ledger"],
+    )
+    def test_entry_is_named(self, no_runner, tmp_path, capsys, code, field, strategies,
+                            n_steps):
+        doc = dbi_doc({"kind": "exact"}, n_steps, strategies=strategies)
+        assert main(["compare", write_config(tmp_path, doc)]) == code
+        assert field in capsys.readouterr().err
+
+    def test_entries_share_the_checked_params(self, tmp_path, monkeypatch):
+        """``compare`` checks the config once: its entries reuse its params."""
+        calls = []
+        from_dict = ExperimentConfig.from_dict.__func__
+        monkeypatch.setattr(ExperimentConfig, "from_dict",
+                            classmethod(lambda cls, raw: calls.append(raw) or from_dict(cls, raw)))
+        strategies = [{"kind": "exact"}, {"kind": "unfolding"}, {"kind": "qdp", "m": 4}]
+        doc = dbi_doc({"kind": "exact"}, 2, strategies=strategies,
+                      output={"path": str(tmp_path / "cmp.csv")})
+        assert main(["compare", write_config(tmp_path, doc)]) == 0
+        assert len(calls) == 1
+        rows = (tmp_path / "cmp.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["exact", "unfolding", "qdp(m=4)"]
+
+
+@pytest.mark.parametrize(
+    "scenario, params, mu",
+    [
+        ("dbi", {"dim": 3, "n_steps": 2}, [0, 1, 2]),
+        ("osd", {"dims": [3, 2], "n_steps": 2}, [0, 1, 2]),
+    ],
+)
+def test_null_mu_is_zero_to_n_minus_one(tmp_path, scenario, params, mu):
+    texts = []
+    for given in (None, mu):
+        out = tmp_path / f"{scenario}-{given is None}.json"
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 3,
+               "strategy": {"kind": "qdp", "m": 4}, "params": dict(params, mu=given),
+               "output": {"path": str(out), "format": "json"}}
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        texts.append(json.loads(out.read_text()))
+    assert texts[0]["rows"] == texts[1]["rows"]
+    assert texts[0]["bound_checks"] == texts[1]["bound_checks"]
+
+
+@pytest.mark.parametrize("amplitudes, status", [
+    ([np.sqrt(0.1), 0, 0, np.sqrt(0.9)], "pass"),  # largest weight on the largest mu
+    ([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], "FAIL"),  # the right spectrum on the wrong states
+])
+def test_osd_check_reads_the_estimate_in_mu_order(tmp_path, capsys, monkeypatch,
+                                                    amplitudes, status):
+    """The flow sorts the largest Schmidt coefficient onto the largest ``mu``
+    entry; a state with the right spectrum on other basis states fails."""
+    monkeypatch.setattr(cli, "random_pure",
+                        lambda dim, seed: PureState(np.asarray(amplitudes, dtype=complex)))
+    doc = {"schema_version": 1, "scenario": "osd", "seed": 1, "strategy": {"kind": "exact"},
+           "params": {"dims": [2, 2], "n_steps": 0}}
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("bound schmidt_estimate_max_error: measured")
+    assert out.endswith(status)

@@ -12,6 +12,7 @@ from qdpsim import (
     partial_trace,
     random_pure,
     run_exact,
+    schmidt_estimate,
     schmidt_oracle,
 )
 
@@ -55,6 +56,14 @@ class TestConfigValidation:
         )
         with pytest.raises(InvariantError):
             osd_recursion_spec(cfg)
+
+
+class TestSchmidtEstimate:
+    @pytest.mark.parametrize("mu, expected", [([0.0, 1.0], [0.1, 0.9]), ([1.0, 0.0], [0.9, 0.1])])
+    def test_reads_the_reduced_diagonal_in_descending_mu_order(self, mu, expected):
+        psi = bipartite_pure([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], (2, 2))
+        estimate = schmidt_estimate(psi.projector(), (2, 2), np.diag(mu))
+        np.testing.assert_allclose(estimate, expected, atol=1e-14)
 
 
 class TestOsdRun:
