@@ -322,6 +322,14 @@ def exact_query_channel(
     return exact_memory_call(MemoryCallSpec(map=m, duration=-s), memory, working)
 
 
+def _check_query_dims(gen: QueryGenerator, memory: DensityMatrix, working: DensityMatrix):
+    if memory.dim != gen.d_in or working.dim != gen.d_out:
+        raise DimensionError(
+            f"memory/working dims ({memory.dim},{working.dim}) do not match "
+            f"generator ({gen.d_in},{gen.d_out})"
+        )
+
+
 def memory_usage_query(
     gen: QueryGenerator, memory: DensityMatrix, working: DensityMatrix, s: float
 ) -> DensityMatrix:
@@ -329,11 +337,7 @@ def memory_usage_query(
 
     Computes ``Tr_1[exp(-i Nhat s) (memory (x) working) exp(+i Nhat s)]``.
     """
-    if memory.dim != gen.d_in or working.dim != gen.d_out:
-        raise DimensionError(
-            f"memory/working dims ({memory.dim},{working.dim}) do not match "
-            f"generator ({gen.d_in},{gen.d_out})"
-        )
+    _check_query_dims(gen, memory, working)
     w = herm_exp(gen.n_hat, float(s))
     joint = w @ kron(memory.matrix, working.matrix) @ w.conj().T
     d_in, d_out = gen.d_in, gen.d_out
@@ -358,11 +362,28 @@ def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) ->
     Row-major vectorization; the returned matrix has shape
     ``(d_out^2, d_out^2)``.  Building it once and applying it repeatedly is
     how large query counts stay cheap.
+
+    With ``W = exp(-i Nhat s)`` indexed ``W[(a,k),(m,i)]`` (memory ``a, m``,
+    working ``k, i``) and ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, the entry for
+    output ``(k,l)`` and input ``(i,j)`` is ``G[(k,i),(l,j)]`` of the Gram
+    product ``G = A (1 (x) rho) A^dag``: one ``A @ rho`` and one ``zgemm``
+    against ``A^dag``.  ``G`` is then set to ``(G + G^dag) / 2``, which makes
+    it exactly Hermitian (IEEE addition commutes and halving is exact), so the
+    returned map preserves Hermiticity by construction:
+    ``sup4[k,l,i,j] == conj(sup4[l,k,j,i])`` bit for bit.  A matvec with it
+    leaves only its own summation-order roundoff off the adjoint.
     """
     d_in, d_out = gen.d_in, gen.d_out
-    w4 = gen.unitary(s).reshape(d_in, d_out, d_in, d_out)
-    t1 = np.einsum("akmi,mn->akni", w4, memory.matrix)
-    sup = np.einsum("akni,alnj->klij", t1, w4.conj())
+    a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    a = a.reshape(d_out * d_out, d_in * d_in)
+    # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is held;
+    # rebinding g frees A rho once the zgemm returns.
+    g = (a.reshape(-1, d_in) @ memory.matrix).reshape(a.shape)
+    g = np.conjugate(g, out=g) @ a.T
+    np.conjugate(g, out=g)
+    g += g.conj().T
+    g /= 2
+    sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
     return sup.reshape(d_out * d_out, d_out * d_out)
 
 
@@ -378,6 +399,7 @@ def repeated_queries(
     m = int(m)
     if m < 1:
         raise InvariantError("query count must be >= 1")
+    _check_query_dims(gen, memory, working)
     sup = query_superoperator(gen, memory, float(s) / m)
     vec = working.matrix.reshape(-1)
     for _ in range(m):

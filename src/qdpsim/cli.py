@@ -23,7 +23,8 @@ numbers, and a null value means "absent".
 Flags override file fields, and the QDPSIM_SEED environment variable
 overrides the file seed (an explicit --seed flag beats both).  Reruns with
 identical config and seed produce byte-identical output files; floats are
-serialized with 17 significant digits so the round trip is lossless.
+serialized with 17 significant digits so the round trip is lossless.  With
+no output path the report is written to stdout instead.
 
 Exit codes: 0 success, 2 config error, 3 infeasible configuration,
 4 numerical-invariant violation during a run.
@@ -756,15 +757,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = ExperimentConfig.from_dict(_apply_overrides(load_config(args.config), args))
-            report = run_scenario(cfg)
-            _summarize(report, cfg.output_path)
+            _summarize(run_scenario(cfg), cfg)
         elif args.command == "compare":
             cfg = ExperimentConfig.from_dict(_apply_overrides(load_config(args.config), args))
             strategies = cfg.raw.get("strategies") or []
-            report = compare_strategies(cfg, strategies)
-            _summarize(report, cfg.output_path)
+            _summarize(compare_strategies(cfg, strategies), cfg)
             if not strategies:
-                print("no strategies listed; empty report")
+                print("no strategies listed; empty report", file=sys.stderr)
         elif args.command == "cost":
             params = {"L": args.L, "N": args.N, "m": args.m, "n1": args.n1, "n2": args.n2}
             raw = {
@@ -775,11 +774,7 @@ def main(argv=None) -> int:
             if args.output:
                 raw["output"] = {"path": args.output, "format": args.format}
             cfg = ExperimentConfig.from_dict(raw)
-            report = run_scenario(cfg)
-            if not args.output:
-                sys.stdout.write(report.render(args.format))
-            else:
-                _summarize(report, cfg.output_path)
+            _summarize(run_scenario(cfg), replace(cfg, output_format=args.format))
     except (ConfigError, UnsupportedSpecError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -792,12 +787,20 @@ def main(argv=None) -> int:
     return 0
 
 
-def _summarize(report: RunReport, path: Optional[str]) -> None:
-    if path:
-        print(f"wrote {path} ({len(report.rows)} rows)")
+def _summarize(report: RunReport, cfg: ExperimentConfig) -> None:
+    """Print where the report went, then its bound checks, to stdout.  With no
+    ``output.path`` stdout holds the rendered report itself and the bound
+    checks go to stderr."""
+    log = sys.stdout
+    if cfg.output_path:
+        print(f"wrote {cfg.output_path} ({len(report.rows)} rows)")
+    else:
+        sys.stdout.write(report.render(cfg.output_format))
+        log = sys.stderr
     for check in report.bound_checks:
         status = "pass" if check.passed else "FAIL"
-        print(f"bound {check.name}: measured {_fmt(check.measured)} <= {_fmt(check.bound)}: {status}")
+        print(f"bound {check.name}: measured {_fmt(check.measured)} <= {_fmt(check.bound)}: {status}",
+              file=log)
 
 
 if __name__ == "__main__":

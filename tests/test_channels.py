@@ -108,16 +108,24 @@ class TestActionMatchesChoi:
     ids=["identity", "scaled", "commutator", "osd", "pair-commutator"],
 )
 class TestQuerySuperoperatorDecomposesOnce:
-    def test_matches_the_undecomposed_formula(self, build):
+    def test_matches_the_dense_query(self, build):
+        # Budget 8 eps per entry; 60 seeds per map measured at most 3 eps.
         gen = build().generator
         memory = random_density(gen.d_in, 71)
-        d_in, d_out = gen.d_in, gen.d_out
+        working = random_density(gen.d_out, 74)
         for s in (0.0, 0.25, -1.3):
-            w4 = herm_exp(gen.n_hat, s).reshape(d_in, d_out, d_in, d_out)
-            t1 = np.einsum("akmi,mn->akni", w4, memory.matrix)
-            sup = np.einsum("akni,alnj->klij", t1, w4.conj()).reshape(d_out**2, d_out**2)
-            assert np.array_equal(query_superoperator(gen, memory, s), sup)
+            sup = query_superoperator(gen, memory, s)
+            got = (sup @ working.matrix.reshape(-1)).reshape(gen.d_out, gen.d_out)
+            dense = memory_usage_query(gen, memory, working, s).matrix
+            assert np.max(np.abs(got - dense)) <= 8 * np.finfo(float).eps
         assert gen.eigh is gen.eigh
+
+    def test_preserves_hermiticity_exactly(self, build):
+        gen = build().generator
+        memory = random_density(gen.d_in, 71)
+        for s in (0.0, 0.25, -1.3):
+            sup4 = query_superoperator(gen, memory, s).reshape((gen.d_out,) * 4)
+            assert np.array_equal(sup4, sup4.transpose(1, 0, 3, 2).conj())
 
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
@@ -475,6 +483,12 @@ class TestRepeatedQueries:
         vec = (np.eye(3) / 3).reshape(-1)
         out = (sup @ vec).reshape(3, 3)
         assert abs(np.trace(out) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d_memory, d_working", [(3, 2), (2, 3)], ids=["memory", "working"])
+    def test_dim_mismatch_rejected(self, d_memory, d_working):
+        gen = make_identity_map(2).generator
+        with pytest.raises(DimensionError, match="memory/working dims"):
+            repeated_queries(gen, random_density(d_memory, 1), random_density(d_working, 2), 0.5, 4)
 
 
 class TestGroupCommutator:

@@ -519,6 +519,26 @@ class TestOperatorSize:
                 ExperimentConfig.from_dict(raw)
 
 
+class TestNoOutputPath:
+    """With no ``output.path``, ``run`` and ``compare`` write the report to stdout."""
+
+    def test_run_writes_the_file_bytes_to_stdout(self, tmp_path, capsys):
+        doc = grover_doc(tmp_path)
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        del doc["output"]
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out == (tmp_path / "out.csv").read_text()
+
+    def test_compare_writes_the_config_format_to_stdout(self, tmp_path, capsys):
+        doc = grover_doc(tmp_path, strategies=[{"kind": "exact"}, {"kind": "qdp", "m": 16}],
+                         output={"format": "json"})
+        assert main(["compare", write_config(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["columns"][0] == "strategy"
+        assert [row[0] for row in report["rows"]] == ["exact", "qdp(m=16)"]
+
+
 class TestCompare:
     def test_empty_strategy_list(self, tmp_path):
         doc = {
@@ -835,6 +855,6 @@ def test_osd_check_reads_the_estimate_in_mu_order(tmp_path, capsys, monkeypatch,
     doc = {"schema_version": 1, "scenario": "osd", "seed": 1, "strategy": {"kind": "exact"},
            "params": {"dims": [2, 2], "n_steps": 0}}
     assert main(["run", write_config(tmp_path, doc)]) == 0
-    out = capsys.readouterr().out.strip()
+    out = capsys.readouterr().err.strip()  # stdout holds the report: no output.path
     assert out.startswith("bound schmidt_estimate_max_error: measured")
     assert out.endswith(status)

@@ -9,12 +9,14 @@ Swap closed form: with memory ``rho = V diag(p) V^dag``, ``m`` identity-map
 with ``c, s = cos t, sin t``.  ``repeated_queries`` builds one query to a few
 eps and then applies it ``m`` times, each matvec adding roundoff of about eps,
 so its distance to the closed form is budgeted as ``(8 + m) eps`` (largest
-entry).  A survey over seeds 0-4 measured at most 5 eps at m = 1 and at most
-0.62 m eps for 16 <= m <= 2^16.
+entry).  A survey over seeds 0-4 measured at most 5.5 eps for m < 16 and at
+most 0.546 m eps for 16 <= m <= 2^16.
 
 The blocks stop at m = 2^16: the same drift moves the trace by about 2 m eps,
 which at m = 2^18 passes ``TRACE_ATOL`` (1e-10) for some inputs, so the
-output ``DensityMatrix`` is rejected (pinned below as an expected failure).
+output ``DensityMatrix`` is rejected.  Of the survey's 20 inputs, d = 2 seed 0
+and d = 4 seed 2, both at S = 0.6, fail there; the channel-error run on the
+second is pinned below as an expected failure.
 """
 
 import numpy as np
@@ -64,7 +66,7 @@ def test_long_swap_block_keeps_the_trace(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("QDPSIM_SEED", raising=False)
     path = tmp_path / "cfg.json"
     path.write_text(
-        '{"schema_version": 1, "scenario": "channel-error", "seed": 3, "params": '
+        '{"schema_version": 1, "scenario": "channel-error", "seed": 2, "params": '
         '{"dim": 4, "map": "dme", "s": 0.6, "m_values": [262144], "n_samples": 2}}'
     )
     code = main(["run", str(path)])
