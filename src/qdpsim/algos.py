@@ -17,9 +17,10 @@ reference quantities:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -135,12 +136,15 @@ def grover_delta_sequence(
         raise InvariantError(f"delta0 must be in (0, 1), got {delta0!r}")
     if n_steps < 0:
         raise InvariantError("n_steps must be >= 0")
-    order = 2 * int(alternations) + 1
-    out = [float(delta0)]
-    for _ in range(n_steps):
-        prev = out[-1]
-        out.append(_sech(order * _arcsech(prev)) + float(eps))
-    return out
+    return list(itertools.islice(grover_delta_cascade(delta0, alternations, eps), n_steps + 1))
+
+
+def grover_delta_cascade(delta0: float, alternations: int, eps: float = 0.0) -> Iterator[float]:
+    """``grover_delta_sequence`` without end, each distance computed when asked for."""
+    order, delta = 2 * int(alternations) + 1, float(delta0)
+    while True:
+        yield delta
+        delta = _sech(order * _arcsech(delta)) + float(eps)
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,11 @@ def grover_recursion_spec(cfg: GroverConfig, eps: float = 0.0) -> RecursionSpec:
     return RecursionSpec(
         step=step, root=cfg.initial.density(), target=cfg.target.density(), covariant=True
     )
+
+
+def grover_step_counts(alternations: int) -> tuple[int, int]:
+    """Calls and non-identity statics per ``grover_recursion_spec`` step (L and L)."""
+    return alternations, alternations
 
 
 def grover_qdp_run(

@@ -50,8 +50,10 @@ from .algos import (
     dbi_cost,
     dbi_recursion_spec,
     grover_config_from_distance,
+    grover_delta_cascade,
     grover_delta_sequence,
     grover_recursion_spec,
+    grover_step_counts,
     ground_state,
     energy as state_energy,
     heisenberg_chain,
@@ -262,12 +264,20 @@ def _increasing(mu: Optional[list], size: int) -> bool:
     return mu is None or len(mu) == size and all(a < b for a, b in zip(mu, mu[1:]))
 
 
-def _grover_cascade(p: dict) -> list:
-    """The eps-inflated distance cascade; ``[inf]`` once it leaves (0, 1]."""
-    try:
-        return grover_delta_sequence(p["delta0"], p["L"], p["n_steps"], p["eps"])
-    except InvariantError:
-        return [math.inf]
+def _cascade_fault(p: dict) -> Optional[str]:
+    """The rule field the eps-inflated distance cascade breaks at its first
+    failing step, walked lazily: ``params.eps`` at a distance of 1 or more,
+    ``params.n_steps`` at one after delta0 not above eps in floats."""
+    eps, prev = p["eps"], None
+    for n, delta in zip(range(p["n_steps"] + 1), grover_delta_cascade(p["delta0"], p["L"], eps)):
+        if not delta < 1.0:
+            return "params.eps"
+        if n and not delta - eps > 0.0:
+            return "params.n_steps"
+        if delta == prev:  # a fixed point: every later step repeats this one
+            return None
+        prev = delta
+    return None
 
 
 # Rules tying fields together: (scenarios, field, requirement, holds(params, strategy)).
@@ -287,50 +297,48 @@ _RULES = (
     (("grover",), "strategy.m", "be >= 2 * params.L for qdp and >= params.L for hybrid",
      lambda p, s: s.get("m", math.inf) >= (2 if s["kind"] == "qdp" else 1) * p["L"]),
     (("grover",), "params.eps", "keep the eps-inflated distance cascade below 1",
-     lambda p, s: max(_grover_cascade(p)) < 1.0),
+     lambda p, s: _cascade_fault(p) != "params.eps"),
     (("grover",), "params.n_steps", "keep every cascade step's distance above params.eps in floats",
-     lambda p, s: all(d - p["eps"] > 0.0 for d in _grover_cascade(p)[1:])),
+     lambda p, s: _cascade_fault(p) != "params.n_steps"),
     (("cost",), "params.n1", "come with params.n2 and params.m, and n1 + n2 == params.N",
      lambda p, s: (p["n1"], p["n2"]) == (None, None)
      or None not in (p["n1"], p["n2"], p["m"]) and p["n1"] + p["n2"] == p["N"]),
 )
 
 
-def _ledger_log10(calls: int, unfolded: int, queried: int, m: int, rounds: int) -> float:
-    """Upper bound on log10 of depth * width, which bounds every ledger integer
-    a report prints, after ``unfolded`` unfolding steps of ``calls`` calls, then
-    ``queried`` steps of ``m`` queries and up to ``rounds`` purification rounds."""
-    unfolding = unfolded * math.log10(2 * calls + 1) - math.log10(2)  # ((2L+1)^k - 1) / 2
-    queries = math.log10(queried * (m + 2 * calls + 1 + rounds) + 1)  # m + statics + rounds
-    return math.log10(2) + max(unfolding, queries) + queried * math.log10(m + 1)
+def _cost_forms(p: dict) -> dict:
+    """The strategies whose grover run ledgers ``cost`` tabulates, by row prefix."""
+    forms = {"unfolding": UnfoldingStrategy(), "qdp": p["m"] and QDPStrategy(p["m"]),
+             "hybrid": p["n1"] is not None and HybridStrategy(p["n1"], p["n2"], p["m"])}
+    return {name: form for name, form in forms.items() if form}
 
 
-def _check_ledger_digits(path: str, scenario: str, p: dict, s: dict) -> None:
-    """Reject, before any numerics, a run of the strategy ``s`` at ``path``
-    whose report would print an integer longer than ``str(int)`` allows; the
-    digits are counted, never built."""
+def _check_ledger_digits(path: str, scenario: str, p: dict, strategy) -> None:
+    """Reject, before any numerics, a run of ``strategy`` at ``path`` whose final
+    circuit size, read off its ``ledger`` at the run's worst case (every static
+    non-identity, ``MAX_ROUNDS`` purification rounds per query step), is longer
+    than ``str(int)`` prints.  Ledgers grow with the step count, so the form is
+    read at 1, 2, 4, ... steps and stops at the first too long."""
     # 0 means no limit, as on Python before 3.10.7, which lacks the function.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if scenario == "cost":
-        name, m = "params.N", p["m"] or 0
-        bound = max(_ledger_log10(p["L"], p["N"], 0, 0, 0), _ledger_log10(p["L"], 0, p["N"], m, 0),
-                    _ledger_log10(p["L"], p["n1"] or 0, p["n2"] or 0, m, 0))
+        name, n_steps, forms = "params.N", p["N"], _cost_forms(p).values()
+        calls, statics = grover_step_counts(p["L"])
     elif "n_steps" in p:
-        n, kind = p["n_steps"], s["kind"]
-        name = f"{path}.n1 and {path}.n2" if kind == "hybrid" else "params.n_steps"
-        unfolded = {"unfolding": n, "hybrid": s.get("n1")}.get(kind, 0)
-        # grover's L calls are covariant and unfold as they are; a commutator
-        # call (every other scenario has one per step) unfolds into
-        # 2 * gc_substeps group commutators.
-        calls = p["L"] if scenario == "grover" else 2 * s.get("gc_substeps", 1)
-        rounds = MAX_ROUNDS if s.get("imr") is not None else 0
-        bound = _ledger_log10(calls, unfolded, n - unfolded, s.get("m", 0), rounds)
+        name = f"{path}.n1 and {path}.n2" if isinstance(strategy, HybridStrategy) else "params.n_steps"
+        n_steps, forms = p["n_steps"], [strategy]
+        calls = grover_step_counts(p["L"])[0] if scenario == "grover" else 1  # one call elsewhere
+        # A purification round costs its query step one depth unit, as a static does.
+        statics = calls + 1 + (MAX_ROUNDS if getattr(strategy, "imr", None) else 0)
     else:
         return
-    if limit and bound >= limit:
+    covariant = scenario in ("grover", "cost")  # the search's calls commute through its step
+    ceiling, rungs = 10**limit, range(n_steps.bit_length() + 1)  # 2^k steps, then n_steps
+    if limit and any(form.ledger(calls, statics, min(2**k, n_steps), covariant).circuit_size
+                     >= ceiling for form in forms for k in rungs):
         raise InfeasibleConfigError(
-            f"field '{name}' gives a ledger integer of up to {math.floor(bound) + 1} digits, "
-            f"more than the {limit} Python prints (see PYTHONINTMAXSTRDIGITS)"
+            f"field '{name}' gives a ledger integer of more than the {limit} digits "
+            f"Python prints (see PYTHONINTMAXSTRDIGITS)"
         )
 
 
@@ -422,12 +430,13 @@ def _strategy(path: str, raw, scenario: str, params: dict):
             got = (params if section == "params" else strategy)[key]
             name = rule_path if section == "params" else f"{path}.{key}"
             raise ConfigError(f"field '{name}' must {requirement}, got {got!r}")
-    _check_ledger_digits(path, scenario, params, strategy)
-    _check_operator_size(scenario, params, strategy)
     fields = {k: v for k, v in strategy.items() if k != "kind"}
     if fields.get("imr") is not None:
         fields["imr"] = IMRConfig(**fields["imr"])
-    return strategy_type(**fields)
+    descriptor = strategy_type(**fields)
+    _check_ledger_digits(path, scenario, params, descriptor)
+    _check_operator_size(scenario, params, strategy)
+    return descriptor
 
 
 @dataclass
@@ -617,22 +626,12 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
 
 def _run_cost(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    n_calls, n_steps, m, n1, n2 = p["L"], p["N"], p["m"], p["n1"], p["n2"]
-    rows = []
-    final_calls, total = unfolding_cost(n_calls, n_steps)
-    rows.append(("unfolding_final_step_calls", final_calls))
-    rows.append(("unfolding_total_depth", total))
-    if m is not None:
-        qdp_depth = n_steps * m
-        qdp_width = (m + 1) ** n_steps
-        rows.append(("qdp_depth", qdp_depth))
-        rows.append(("qdp_width", qdp_width))
-        rows.append(("qdp_circuit_size", qdp_depth * qdp_width))
-        if n1 is not None:
-            hybrid_depth = (unfolding_cost(n_calls, n1)[1] if n1 else 0) + n2 * m
-            rows.append(("hybrid_depth", hybrid_depth))
-            rows.append(("hybrid_width", (m + 1) ** n2))
-            rows.append(("hybrid_circuit_size", hybrid_depth * (m + 1) ** n2))
+    final_calls, total = unfolding_cost(p["L"], p["N"])
+    rows = [("unfolding_final_step_calls", final_calls), ("unfolding_total_depth", total)]
+    for name, form in list(_cost_forms(p).items())[1:]:
+        ledger = form.ledger(*grover_step_counts(p["L"]), p["N"], covariant=True)
+        rows += [(f"{name}_depth", ledger.depth), (f"{name}_width", ledger.width),
+                 (f"{name}_circuit_size", ledger.circuit_size)]
     return RunReport(columns=["quantity", "value"], rows=rows)
 
 

@@ -21,8 +21,11 @@ its own step rule: its ``advance`` schedules a step's calls between the static
 unitaries and charges their cost (hybrid advances as unfolding or as queries,
 by step index).  The engine reads no map and applies no sign convention.
 
-Cost accounting uses one depth unit per elementary query, per non-identity
-static unitary and per purification round.  The width recorded at a
+Each descriptor's ``ledger`` is its cost in closed form, and ``advance``
+charges a step with that form's growth.  One depth unit is charged per
+elementary query, per non-identity static unitary of an exact or query-based
+step, per root call of an unfolded step (which charges no static) and, on
+top of the form, per purification round run.  The width recorded at a
 trajectory point is the number of root-state copies needed to produce that
 state: 1 for exact/unfolding, (m+1)^k after k query-based steps.
 """
@@ -42,7 +45,7 @@ from .channels import (
     repeated_queries,  # noqa: F401  not called here; perfbench's tracer test reads it
     unfolded_memory_call,
 )
-from .errors import DimensionError, InvariantError, UnsupportedSpecError
+from .errors import DimensionError, InfeasibleConfigError, InvariantError, UnsupportedSpecError
 from .imr import IMRConfig
 from .linalg import DensityMatrix, trace_distance
 
@@ -55,6 +58,10 @@ class CostLedger:
     width: int = 1
     imr_copies: int = 0
     success_probability: float = 1.0
+
+    @property
+    def circuit_size(self) -> int:
+        return self.depth * self.width
 
     def __post_init__(self):
         if self.depth < 0 or self.width < 0 or self.imr_copies < 0:
@@ -108,17 +115,15 @@ class RecursionStepSpec:
             if dev > UNITARY_ATOL:
                 raise InvariantError(f"static operator is not unitary ({dev:.3e})")
         object.__setattr__(self, "static_unitaries", statics)
+        nontrivial = sum(np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-12 for u in statics)
+        object.__setattr__(self, "_nontrivial_statics", int(nontrivial))
 
     @property
     def n_calls(self) -> int:
         return len(self.memory_calls)
 
     def nontrivial_static_count(self) -> int:
-        count = 0
-        for u in self.static_unitaries:
-            if np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-12:
-                count += 1
-        return count
+        return self._nontrivial_statics
 
 
 StepProvider = Union[RecursionStepSpec, Callable[[int], RecursionStepSpec]]
@@ -190,57 +195,55 @@ def _split_queries(m: int, n_calls: int) -> list[int]:
     return counts
 
 
-def _apply_imr(state, ledger, imr_cfg):
+def _charge(form, spec, step, n, ledger):
+    """``ledger`` plus the growth of ``form.ledger`` from ``n`` to ``n + 1`` steps."""
+    counts = (step.n_calls, step.nontrivial_static_count())
+    before, after = (form.ledger(*counts, k, spec.covariant) for k in (n, n + 1))
+    return replace(ledger, depth=ledger.depth + after.depth - before.depth,
+                   width=ledger.width * (after.width // before.width))
+
+
+def _purify(state, ledger, imr_cfg, n):
+    """Purify query step ``n``'s output if ``imr_cfg`` is given, and charge it."""
+    if imr_cfg is None:
+        return state, ledger
     outcome = imr_mod.imr_subroutine(state, imr_cfg)
+    p_success = ledger.success_probability * outcome.success_probability
+    if p_success == 0.0:  # each factor is at least 1 - failure_threshold > 0
+        raise InfeasibleConfigError(f"the run's success probability underflows a float at step "
+                                    f"{n + 1}: lower imr.failure_threshold or run fewer steps")
     ledger = replace(
         ledger,
         depth=ledger.depth + outcome.rounds_used,
         imr_copies=ledger.imr_copies + outcome.copies_consumed,
-        success_probability=ledger.success_probability * outcome.success_probability,
+        success_probability=p_success,
     )
     return outcome.state, ledger
 
 
-def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
-    """Root-call counts for unfolding an ``n_calls``-per-step recursion.
-
-    Returns ``(final_step_calls, total_depth)``: the final step costs
-    ``L (2L+1)^(n-1)`` root calls (a call to the state after k steps unfolds
-    into ``(2L+1)^k`` root calls), and the total sums that over all steps.
-    """
-    if n_calls < 1 or n_steps < 1:
-        raise InvariantError("unfolding cost needs n_calls >= 1 and n_steps >= 1")
-    total = sum(_unfolded_calls(n_calls, k) for k in range(n_steps))
-    return _unfolded_calls(n_calls, n_steps - 1), total
-
-
-def _unfolded_calls(n_calls: int, k: int) -> int:
-    """Root calls that step ``k`` (from 0) unfolds into: ``L (2L+1)^k``."""
-    return n_calls * (2 * n_calls + 1) ** k
-
-
 # Strategy descriptors ------------------------------------------------------
 #
-# Each descriptor is the step rule of its strategy: ``advance(spec, step, n,
-# state, ledger)`` has ``channels`` realize the memory-calls of step ``n`` (spec
-# ``step``) on ``state``, charges their cost and returns ``(state, ledger)``.
+# ``ledger(calls, statics, n_steps, covariant)``: the depth and width of
+# ``n_steps`` steps of ``calls`` memory-calls and ``statics`` non-identity
+# statics.  ``advance(spec, step, n, state, ledger)`` realizes step ``n`` on
+# ``state`` and charges it from the ``ledger`` of ``charge_as`` (default self).
 
 
 @dataclass(frozen=True)
 class ExactStrategy:
     """Every call is the exact unitary instructed by the step's input state."""
 
-    def advance(self, spec, step, n, state, ledger):
-        state = apply_step_exact(step, state, state)
-        depth = ledger.depth + step.n_calls + step.nontrivial_static_count()
-        return state, replace(ledger, depth=depth)
+    def ledger(self, calls, statics, n_steps, covariant=False):
+        return CostLedger(depth=n_steps * (calls + statics))
+
+    def advance(self, spec, step, n, state, ledger, charge_as=None):
+        return apply_step_exact(step, state, state), _charge(charge_as or self, spec, step, n, ledger)
 
 
 @dataclass(frozen=True)
 class UnfoldingStrategy:
     """Covariant steps are exact; otherwise each call is ``gc_substeps`` group
-    commutators instructed by the step's input state (``unfolded_memory_call``).
-    Step ``n`` charges the root calls its ``eff_calls`` calls unfold into."""
+    commutators instructed by the step's input state (``unfolded_memory_call``)."""
 
     gc_substeps: int = 1
 
@@ -248,15 +251,19 @@ class UnfoldingStrategy:
         if self.gc_substeps < 1:
             raise InvariantError("gc_substeps must be >= 1")
 
-    def advance(self, spec, step, n, state, ledger):
+    def ledger(self, calls, statics, n_steps, covariant=False):
+        """Root calls: step k's c calls (2 gc_substeps each unless covariant)
+        unfold into ``c (2c+1)^k``, ``((2c+1)^n - 1) / 2`` over n steps."""
+        c = calls if covariant else 2 * self.gc_substeps * calls
+        return CostLedger(depth=((2 * c + 1) ** n_steps - 1) // 2)
+
+    def advance(self, spec, step, n, state, ledger, charge_as=None):
         if spec.covariant:
             out = apply_step_exact(step, state, state)
-            eff_calls = step.n_calls
         else:
             substeps = [self.gc_substeps] * step.n_calls
             out = _interleave(step, state, state, unfolded_memory_call, substeps)
-            eff_calls = 2 * self.gc_substeps * step.n_calls
-        return out, replace(ledger, depth=ledger.depth + _unfolded_calls(eff_calls, n))
+        return out, _charge(charge_as or self, spec, step, n, ledger)
 
 
 @dataclass(frozen=True)
@@ -271,17 +278,13 @@ class QDPStrategy:
         if self.m < 1:
             raise InvariantError("query count m must be >= 1")
 
-    def advance(self, spec, step, n, state, ledger):
+    def ledger(self, calls, statics, n_steps, covariant=False):
+        return CostLedger(depth=n_steps * (self.m + statics), width=(self.m + 1) ** n_steps)
+
+    def advance(self, spec, step, n, state, ledger, charge_as=None):
         counts = _split_queries(self.m, step.n_calls)
         out = _interleave(step, state, state, queried_memory_call, counts)
-        ledger = replace(
-            ledger,
-            depth=ledger.depth + self.m + step.nontrivial_static_count(),
-            width=ledger.width * (self.m + 1),
-        )
-        if self.imr is not None:
-            out, ledger = _apply_imr(out, ledger, self.imr)
-        return out, ledger
+        return _purify(out, _charge(charge_as or self, spec, step, n, ledger), self.imr, n)
 
 
 @dataclass(frozen=True)
@@ -299,12 +302,29 @@ class HybridStrategy:
         if self.m < 1:
             raise InvariantError("query count m must be >= 1")
 
+    def ledger(self, calls, statics, n_steps, covariant=False):
+        unfolded = min(n_steps, self.n1)
+        head = UnfoldingStrategy().ledger(calls, statics, unfolded, covariant)
+        tail = QDPStrategy(self.m).ledger(calls, statics, n_steps - unfolded, covariant)
+        return CostLedger(depth=head.depth + tail.depth, width=tail.width)
+
     def advance(self, spec, step, n, state, ledger):
         rule = UnfoldingStrategy() if n < self.n1 else QDPStrategy(self.m, self.imr)
-        return rule.advance(spec, step, n, state, ledger)
+        return rule.advance(spec, step, n, state, ledger, charge_as=self)
 
 
 StrategyConfig = Union[ExactStrategy, UnfoldingStrategy, QDPStrategy, HybridStrategy]
+
+
+def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
+    """``(final_step_calls, total_depth)`` of unfolding an ``n_calls``-per-step
+    covariant recursion, read off ``UnfoldingStrategy.ledger``: the final step
+    costs ``L (2L+1)^(n-1)`` root calls, the total sums all steps'."""
+    if n_calls < 1 or n_steps < 1:
+        raise InvariantError("unfolding cost needs n_calls >= 1 and n_steps >= 1")
+    before, after = (UnfoldingStrategy().ledger(n_calls, 0, n, covariant=True).depth
+                     for n in (n_steps - 1, n_steps))
+    return after - before, after
 
 
 # ---------------------------------------------------------------------------
