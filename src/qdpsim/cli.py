@@ -347,11 +347,16 @@ def _check_ledger_digits(path: str, scenario: str, p: dict, strategy) -> None:
 # query generator ``Nhat`` (16 d_in^2 d_out^2), which is never smaller than its
 # superoperator (16 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
+# Largest trajectory a run may keep, in bytes: one dense d x d state per step
+# plus the root, 16 (n_steps + 1) d^2.  Four operators' worth, so a run at the
+# largest operator may still take a few steps.
+MAX_TRAJECTORY_BYTES = 4 * MAX_OPERATOR_BYTES
 
 
 def _check_operator_size(scenario: str, p: dict, s: dict) -> None:
     """Reject, before any numerics, a run whose largest dense operator would
-    exceed ``MAX_OPERATOR_BYTES``; sizes are compared as log2, so a size
+    exceed ``MAX_OPERATOR_BYTES`` or whose trajectory would exceed
+    ``MAX_TRAJECTORY_BYTES``; sizes are compared as log2, so a size or step
     field's value is never expanded."""
     if scenario == "cost":
         return
@@ -371,6 +376,13 @@ def _check_operator_size(scenario: str, p: dict, s: dict) -> None:
             f"field '{path}' gives an operator of 2^{log_bytes:.2f} bytes, "
             f"more than the {MAX_OPERATOR_BYTES} bytes a run may build"
         )
+    if "n_steps" in p:
+        log_bytes = math.log2(p["n_steps"] + 1) + 4 + 2 * log_d
+        if log_bytes > math.log2(MAX_TRAJECTORY_BYTES):
+            raise InfeasibleConfigError(
+                f"field 'params.n_steps' gives a trajectory of 2^{log_bytes:.2f} bytes, "
+                f"more than the {MAX_TRAJECTORY_BYTES} bytes a run may keep"
+            )
 
 
 def _value(path: str, f: _Field, value):

@@ -196,11 +196,13 @@ def _split_queries(m: int, n_calls: int) -> list[int]:
 
 
 def _charge(form, spec, step, n, ledger):
-    """``ledger`` plus the growth of ``form.ledger`` from ``n`` to ``n + 1`` steps."""
-    counts = (step.n_calls, step.nontrivial_static_count())
-    before, after = (form.ledger(*counts, k, spec.covariant) for k in (n, n + 1))
-    return replace(ledger, depth=ledger.depth + after.depth - before.depth,
-                   width=ledger.width * (after.width // before.width))
+    """``ledger`` plus the growth of ``form``'s closed form from ``n`` to
+    ``n + 1`` steps, read as plain pairs: one ledger is built per step."""
+    calls, statics = step.n_calls, step.nontrivial_static_count()
+    d0, w0 = form.depth_width(calls, statics, n, spec.covariant)
+    d1, w1 = form.depth_width(calls, statics, n + 1, spec.covariant)
+    return CostLedger(ledger.depth + d1 - d0, ledger.width * (w1 // w0),
+                      ledger.imr_copies, ledger.success_probability)
 
 
 def _purify(state, ledger, imr_cfg, n):
@@ -223,25 +225,34 @@ def _purify(state, ledger, imr_cfg, n):
 
 # Strategy descriptors ------------------------------------------------------
 #
-# ``ledger(calls, statics, n_steps, covariant)``: the depth and width of
+# ``depth_width(calls, statics, n_steps, covariant)``: the depth and width of
 # ``n_steps`` steps of ``calls`` memory-calls and ``statics`` non-identity
-# statics.  ``advance(spec, step, n, state, ledger)`` realizes step ``n`` on
-# ``state`` and charges it from the ``ledger`` of ``charge_as`` (default self).
+# statics, the descriptor's one closed form; ``ledger`` returns it as a
+# ``CostLedger``.  ``advance(spec, step, n, state, ledger)`` realizes step
+# ``n`` on ``state`` and charges it from the form of ``charge_as`` (default
+# self).
+
+
+class _ClosedForm:
+    def ledger(self, calls, statics, n_steps, covariant=False) -> CostLedger:
+        """``depth_width`` as a ledger without purification."""
+        depth, width = self.depth_width(calls, statics, n_steps, covariant)
+        return CostLedger(depth=depth, width=width)
 
 
 @dataclass(frozen=True)
-class ExactStrategy:
+class ExactStrategy(_ClosedForm):
     """Every call is the exact unitary instructed by the step's input state."""
 
-    def ledger(self, calls, statics, n_steps, covariant=False):
-        return CostLedger(depth=n_steps * (calls + statics))
+    def depth_width(self, calls, statics, n_steps, covariant=False):
+        return n_steps * (calls + statics), 1
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
         return apply_step_exact(step, state, state), _charge(charge_as or self, spec, step, n, ledger)
 
 
 @dataclass(frozen=True)
-class UnfoldingStrategy:
+class UnfoldingStrategy(_ClosedForm):
     """Covariant steps are exact; otherwise each call is ``gc_substeps`` group
     commutators instructed by the step's input state (``unfolded_memory_call``)."""
 
@@ -251,11 +262,11 @@ class UnfoldingStrategy:
         if self.gc_substeps < 1:
             raise InvariantError("gc_substeps must be >= 1")
 
-    def ledger(self, calls, statics, n_steps, covariant=False):
+    def depth_width(self, calls, statics, n_steps, covariant=False):
         """Root calls: step k's c calls (2 gc_substeps each unless covariant)
         unfold into ``c (2c+1)^k``, ``((2c+1)^n - 1) / 2`` over n steps."""
         c = calls if covariant else 2 * self.gc_substeps * calls
-        return CostLedger(depth=((2 * c + 1) ** n_steps - 1) // 2)
+        return ((2 * c + 1) ** n_steps - 1) // 2, 1
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
         if spec.covariant:
@@ -267,7 +278,7 @@ class UnfoldingStrategy:
 
 
 @dataclass(frozen=True)
-class QDPStrategy:
+class QDPStrategy(_ClosedForm):
     """Each call is a block of queries on copies of the step's input state
     (``queried_memory_call``); the step's ``m`` queries are split over its calls."""
 
@@ -278,8 +289,8 @@ class QDPStrategy:
         if self.m < 1:
             raise InvariantError("query count m must be >= 1")
 
-    def ledger(self, calls, statics, n_steps, covariant=False):
-        return CostLedger(depth=n_steps * (self.m + statics), width=(self.m + 1) ** n_steps)
+    def depth_width(self, calls, statics, n_steps, covariant=False):
+        return n_steps * (self.m + statics), (self.m + 1) ** n_steps
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
         counts = _split_queries(self.m, step.n_calls)
@@ -288,7 +299,7 @@ class QDPStrategy:
 
 
 @dataclass(frozen=True)
-class HybridStrategy:
+class HybridStrategy(_ClosedForm):
     """Unfolding for steps ``n < n1``, queries for the ``n2`` steps after."""
 
     n1: int
@@ -302,11 +313,11 @@ class HybridStrategy:
         if self.m < 1:
             raise InvariantError("query count m must be >= 1")
 
-    def ledger(self, calls, statics, n_steps, covariant=False):
+    def depth_width(self, calls, statics, n_steps, covariant=False):
         unfolded = min(n_steps, self.n1)
-        head = UnfoldingStrategy().ledger(calls, statics, unfolded, covariant)
-        tail = QDPStrategy(self.m).ledger(calls, statics, n_steps - unfolded, covariant)
-        return CostLedger(depth=head.depth + tail.depth, width=tail.width)
+        head, _ = UnfoldingStrategy().depth_width(calls, statics, unfolded, covariant)
+        tail, width = QDPStrategy(self.m).depth_width(calls, statics, n_steps - unfolded, covariant)
+        return head + tail, width
 
     def advance(self, spec, step, n, state, ledger):
         rule = UnfoldingStrategy() if n < self.n1 else QDPStrategy(self.m, self.imr)
@@ -318,11 +329,11 @@ StrategyConfig = Union[ExactStrategy, UnfoldingStrategy, QDPStrategy, HybridStra
 
 def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
     """``(final_step_calls, total_depth)`` of unfolding an ``n_calls``-per-step
-    covariant recursion, read off ``UnfoldingStrategy.ledger``: the final step
+    covariant recursion, read off ``UnfoldingStrategy.depth_width``: the final step
     costs ``L (2L+1)^(n-1)`` root calls, the total sums all steps'."""
     if n_calls < 1 or n_steps < 1:
         raise InvariantError("unfolding cost needs n_calls >= 1 and n_steps >= 1")
-    before, after = (UnfoldingStrategy().ledger(n_calls, 0, n, covariant=True).depth
+    before, after = (UnfoldingStrategy().depth_width(n_calls, 0, n, covariant=True)[0]
                      for n in (n_steps - 1, n_steps))
     return after - before, after
 

@@ -15,3 +15,11 @@ def random_hermitian(dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (g + g.conj().T) / 2.0
+
+
+def squares(m, d_out):
+    """Whether ``repeated_queries`` runs a block of ``m`` queries on a
+    ``d_out``-dimensional working state by repeated squaring (else by ``m``
+    matvecs): its rule ``2 log2(m) d_out^2 < m``, pinned against the code by
+    ``test_channels.TestRepeatedSquaring``."""
+    return 2 * m.bit_length() * d_out**2 < m

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian
+from conftest import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian, squares
 from qdpsim import (
     DensityMatrix,
     DimensionError,
@@ -10,6 +12,7 @@ from qdpsim import (
     UnsupportedSpecError,
     QueryGenerator,
     channel_error_probe,
+    channels,
     dme_query,
     exact_memory_call,
     exact_query_channel,
@@ -129,6 +132,8 @@ class TestQuerySuperoperatorDecomposesOnce:
 
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
+        # Below the squaring crossover a block is the loop, bit for bit; past it
+        # (pair-commutator, d_out = 2, m = 64) it keeps the oracle's (8 + m) eps.
         gen = build().generator
         memory = random_density(gen.d_in, 72)
         working = random_density(gen.d_out, 73)
@@ -138,7 +143,10 @@ class TestQuerySuperoperatorDecomposesOnce:
             vec = sup @ vec
         expected = DensityMatrix(vec.reshape(gen.d_out, gen.d_out), working.factor_dims)
         got = repeated_queries(gen, memory, working, 0.6, m)
-        assert np.array_equal(got.matrix, expected.matrix)
+        if squares(m, gen.d_out):
+            assert np.max(np.abs(got.matrix - expected.matrix)) <= (8 + m) * np.finfo(float).eps
+        else:
+            assert np.array_equal(got.matrix, expected.matrix)
 
 
 class TestQueryGeneratorUnitary:
@@ -489,6 +497,66 @@ class TestRepeatedQueries:
         gen = make_identity_map(2).generator
         with pytest.raises(DimensionError, match="memory/working dims"):
             repeated_queries(gen, random_density(d_memory, 1), random_density(d_working, 2), 0.5, 4)
+
+
+def record_powers(monkeypatch):
+    """Spy on ``channels._mirror_mean``: the list of every superoperator it
+    returns, one query's first, then each square of a squared block."""
+    powers, real = [], channels._mirror_mean
+
+    def recording(p, d):
+        powers.append(real(p, d).copy())
+        return powers[-1]
+
+    monkeypatch.setattr(channels, "_mirror_mean", recording)
+    return powers
+
+
+class TestRepeatedSquaring:
+    MAPS = {
+        "identity": lambda: make_identity_map(2),
+        "commutator": lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+        "osd": lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+        "pair-commutator": lambda: make_pair_commutator_map(2, 0.9),
+    }
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_squares_past_the_crossover_in_log2_m_products(self, monkeypatch, d):
+        gen = make_identity_map(d).generator
+        rho, sigma = random_density(d, 1), random_density(d, 2)
+        last_loop = max(m for m in range(1, 400) if not squares(m, d))
+        powers = record_powers(monkeypatch)
+        for m in [1, 2, last_loop, last_loop + 1, 2 * last_loop, 2**16 + 1]:
+            powers.clear()
+            repeated_queries(gen, rho, sigma, 0.6, m)
+            squarings = m.bit_length() - 1 if squares(m, d) else 0
+            assert len(powers) == 1 + squarings, m
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_every_power_preserves_hermiticity_exactly(self, monkeypatch, name):
+        gen = self.MAPS[name]().generator
+        d, m = gen.d_out, 2**12 + 5
+        powers = record_powers(monkeypatch)
+        repeated_queries(gen, random_density(gen.d_in, 3), random_density(d, 4), -1.3, m)
+        assert len(powers) == m.bit_length()
+        for p in powers:
+            p4 = p.reshape((d,) * 4)
+            assert np.array_equal(p4, p4.transpose(1, 0, 3, 2).conj())
+        # the k-th square is sup^(2^k), up to roundoff
+        for k in (1, 2, 3):
+            want = np.linalg.matrix_power(powers[0], 2**k)
+            assert np.max(np.abs(powers[k] - want)) <= 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    @pytest.mark.parametrize("s", [0.6, -1.3])
+    def test_long_block_needs_no_hermitian_repair(self, name, s):
+        gen = self.MAPS[name]().generator
+        for seed in range(3):
+            memory = random_density(gen.d_in, 10 + seed)
+            working = random_pure(gen.d_out, 20 + seed).density()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", message="symmetrizing matrix")
+                repeated_queries(gen, memory, working, s, 2**16)
 
 
 class TestGroupCommutator:

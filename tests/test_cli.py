@@ -761,6 +761,23 @@ class TestOperatorSizeOfEveryRun:
         ExperimentConfig.from_dict(
             {"scenario": scenario, "seed": 1, "strategy": {"kind": "exact"}, "params": params})
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_exact_step_count_past_the_trajectory_is_3_and_named(self, no_runner, tmp_path,
+                                                                   capsys, command):
+        # The exact ledger of 10^4299 steps prints, so only the trajectory check stops it.
+        doc = dbi_doc({"kind": "exact"}, 10**4299, strategies=[{"kind": "exact"}])
+        assert main([command, write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert "field 'params.n_steps' gives a trajectory" in err
+        assert str(cli.MAX_TRAJECTORY_BYTES) in err
+
+    def test_trajectory_at_the_limit_is_accepted(self):
+        # dim 2: 16 * 4 * 2^26 B = MAX_TRAJECTORY_BYTES, reached at n_steps = 2^26 - 1
+        n_limit = cli.MAX_TRAJECTORY_BYTES // 64 - 1
+        ExperimentConfig.from_dict(dbi_doc({"kind": "exact"}, n_limit))
+        with pytest.raises(InfeasibleConfigError, match="params.n_steps"):
+            ExperimentConfig.from_dict(dbi_doc({"kind": "exact"}, n_limit + 1))
+
 
 class TestUnreadConfigPaths:
     @pytest.mark.parametrize("text", ["[1, 2]", "[[1, 2]]", "[]"])

@@ -7,16 +7,23 @@ Swap closed form: with memory ``rho = V diag(p) V^dag``, ``m`` identity-map
 * ``x_ii -> c^(2m) x_ii + p_i (1 - c^(2m))`` on it,
 
 with ``c, s = cos t, sin t``.  ``repeated_queries`` builds one query to a few
-eps and then applies it ``m`` times, each matvec adding roundoff of about eps,
-so its distance to the closed form is budgeted as ``(8 + m) eps`` (largest
-entry).  A survey over seeds 0-4 measured at most 5.5 eps for m < 16 and at
-most 0.546 m eps for 16 <= m <= 2^16.
+eps and then applies it ``m`` times, by ``m`` matvecs or, past the crossover
+``2 log2(m) d^2 < m``, by repeated squaring; either way its distance to the
+closed form is budgeted as ``(8 + m) eps`` (largest entry).  ``M_VALUES``
+squares from m = 49 at d = 2 and from m = 289 at d = 4.  A survey over seeds
+0-4 measured at most 5.5 eps for m < 16, and for 16 <= m <= 2^16 at most
+0.672 m eps with the loop alone and 0.713 m eps with squaring (both at
+m = 288); at m = 2^16, 0.546 m eps with the loop and 0.536 m eps squaring.
 
-The blocks stop at m = 2^16: the same drift moves the trace by about 2 m eps,
-which at m = 2^18 passes ``TRACE_ATOL`` (1e-10) for some inputs, so the
-output ``DensityMatrix`` is rejected.  Of the survey's 20 inputs, d = 2 seed 0
-and d = 4 seed 2, both at S = 0.6, fail there; the channel-error run on the
-second is pinned below as an expected failure.
+The blocks stop at m = 2^16.  One query's superoperator misses trace
+preservation by about 2 eps, and a block of ``m`` queries amplifies that
+defect to about ``m`` times it, by matvecs and by squaring alike, so at
+m = 2^18 the trace passes ``TRACE_ATOL`` (1e-10) for some inputs and the
+output ``DensityMatrix`` is rejected.  Of the survey's 20 inputs at m = 2^18,
+mean drift 261k eps with the loop and 269k eps with squaring, three fail
+there, all at S = 0.6: d = 2 seed 0, d = 4 seed 2 and d = 4 seed 4 (453k eps
+against a limit of 450k; 434k eps with the loop).  The channel-error run on
+d = 4 seed 2 is pinned below as an expected failure.
 """
 
 import numpy as np
@@ -26,7 +33,9 @@ from qdpsim import make_identity_map, random_density, random_pure, repeated_quer
 from qdpsim.cli import main
 
 EPS = np.finfo(float).eps
-M_VALUES = [1, 2, 3] + [4**k for k in range(2, 9)]  # up to 2^16
+# Up to 2^16, with the last looped and the first squared block at d = 2 (48, 49)
+# and at d = 4 (288, 289).
+M_VALUES = [1, 2, 3, 16, 48, 49, 64, 256, 288, 289] + [4**k for k in range(5, 9)]
 
 
 def swap_closed_form(rho, sigma, total, m):
@@ -60,8 +69,8 @@ def test_closed_form_is_one_query_at_m_1():
     np.testing.assert_allclose(swap_closed_form(rho, sigma, 0.7, 1), direct, rtol=0, atol=1e-15)
 
 
-@pytest.mark.xfail(strict=True, reason="the m-fold matvec loop drifts the trace by ~2 m eps, "
-                   "past TRACE_ATOL at m = 2^18, so a valid config exits 4")
+@pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's ~2 eps "
+                   "trace defect m-fold, past TRACE_ATOL at m = 2^18, so a valid config exits 4")
 def test_long_swap_block_keeps_the_trace(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("QDPSIM_SEED", raising=False)
     path = tmp_path / "cfg.json"
