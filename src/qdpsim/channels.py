@@ -27,6 +27,12 @@ Sign conventions, fixed here once and relied on everywhere else:
 The two directions are adjoint, so ``queried_memory_call`` realizes a call of
 duration ``s`` by queries of total duration ``-s``.  ``exact_query_channel`` is
 the query-side limit, the comparison point for error measurements.
+
+The three realizations and ``repeated_queries`` take the working register as
+a plain matrix (a ``DensityMatrix`` is read as its matrix) and return a plain
+matrix: a recursion step carries its working state through its calls
+unvalidated and validates it once, as the step's output (``engine``).  The
+instruction or memory they read is a validated state.
 """
 
 from __future__ import annotations
@@ -274,19 +280,23 @@ def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
 # Channels
 
 
-def exact_memory_call(
-    call: MemoryCallSpec, instruction: DensityMatrix, working: DensityMatrix
-) -> DensityMatrix:
-    """Apply ``exp(i * duration * N(instruction))`` to the working state."""
-    if working.dim != call.map.d_out:
-        raise DimensionError(f"working dim {working.dim} != map d_out {call.map.d_out}")
+def _matrix(state) -> np.ndarray:
+    """A ``DensityMatrix``'s matrix, or ``state`` itself, taken to be one."""
+    return state.matrix if isinstance(state, DensityMatrix) else state
+
+
+def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working) -> np.ndarray:
+    """Apply ``exp(i * duration * N(instruction))`` to the working matrix."""
+    w = _matrix(working)
+    if w.shape[0] != call.map.d_out:
+        raise DimensionError(f"working dim {w.shape[0]} != map d_out {call.map.d_out}")
     u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
-    return DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
+    return u @ w @ u.conj().T
 
 
 def unfolded_memory_call(
-    call: MemoryCallSpec, instruction: DensityMatrix, working: DensityMatrix, substeps: int
-) -> DensityMatrix:
+    call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int
+) -> np.ndarray:
     """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``:
     the call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``, applied as
     ``substeps`` group commutators with error O(flow^1.5 / sqrt(substeps))."""
@@ -302,15 +312,17 @@ def unfolded_memory_call(
     u = np.eye(instruction.dim, dtype=complex)
     for _ in range(substeps):
         u = gc @ u
-    return DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
+    w = _matrix(working)
+    return u @ w @ u.conj().T
 
 
 def queried_memory_call(
-    call: MemoryCallSpec, instruction: DensityMatrix, working: DensityMatrix, m: int
-) -> DensityMatrix:
+    call: MemoryCallSpec, instruction: DensityMatrix, working, m: int
+) -> np.ndarray:
     """``exp(i * duration * N(instruction))`` by ``m`` queries of total duration
-    ``-duration``, each consuming a copy of the instruction register as memory."""
-    memory = DensityMatrix(call.instruction_matrix(instruction), factor_dims=(call.map.d_in,))
+    ``-duration``, each consuming a copy of the instruction register as memory:
+    the validated instruction's matrix (``instruction_matrix``), not wrapped again."""
+    memory = call.instruction_matrix(instruction)
     return repeated_queries(call.map.generator, memory, working, -call.duration, m)
 
 
@@ -319,13 +331,16 @@ def exact_query_channel(
 ) -> DensityMatrix:
     """The unitary channel that memory-usage queries of total duration ``s``
     converge to: conjugation by ``exp(-i s N(memory))``."""
-    return exact_memory_call(MemoryCallSpec(map=m, duration=-s), memory, working)
+    out = exact_memory_call(MemoryCallSpec(map=m, duration=-s), memory, working)
+    return DensityMatrix(out, working.factor_dims)
 
 
-def _check_query_dims(gen: QueryGenerator, memory: DensityMatrix, working: DensityMatrix):
-    if memory.dim != gen.d_in or working.dim != gen.d_out:
+def _check_query_dims(gen: QueryGenerator, memory, working):
+    """``memory`` and ``working`` are matrices or ``DensityMatrix`` states."""
+    d_mem, d_work = _matrix(memory).shape[0], _matrix(working).shape[0]
+    if d_mem != gen.d_in or d_work != gen.d_out:
         raise DimensionError(
-            f"memory/working dims ({memory.dim},{working.dim}) do not match "
+            f"memory/working dims ({d_mem},{d_work}) do not match "
             f"generator ({gen.d_in},{gen.d_out})"
         )
 
@@ -356,8 +371,9 @@ def dme_query(memory: DensityMatrix, working: DensityMatrix, s: float) -> Densit
     return DensityMatrix(out, working.factor_dims)
 
 
-def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) -> np.ndarray:
-    """Matrix of one query as a linear map on vectorized working states.
+def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
+    """Matrix of one query as a linear map on vectorized working states, for a
+    ``memory`` state given as a ``DensityMatrix`` or its matrix.
 
     Row-major vectorization; the returned matrix has shape
     ``(d_out^2, d_out^2)``.  Building it once and applying it repeatedly is
@@ -378,7 +394,7 @@ def query_superoperator(gen: QueryGenerator, memory: DensityMatrix, s: float) ->
     a = a.reshape(d_out * d_out, d_in * d_in)
     # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is held;
     # rebinding g frees A rho once the zgemm returns.
-    g = (a.reshape(-1, d_in) @ memory.matrix).reshape(a.shape)
+    g = (a.reshape(-1, d_in) @ _matrix(memory)).reshape(a.shape)
     g = np.conjugate(g, out=g) @ a.T
     np.conjugate(g, out=g)
     sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
@@ -399,10 +415,9 @@ def _mirror_mean(p: np.ndarray, d: int) -> np.ndarray:
     return p
 
 
-def repeated_queries(
-    gen: QueryGenerator, memory: DensityMatrix, working: DensityMatrix, s: float, m: int
-) -> DensityMatrix:
-    """Apply ``m`` queries of duration ``s/m`` with fresh identical memory.
+def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> np.ndarray:
+    """Apply ``m`` queries of duration ``s/m`` with fresh identical memory to the
+    working matrix; ``memory`` is a state's matrix or its ``DensityMatrix``.
 
     The block is ``sup^m`` on the vectorized working state, ``sup`` being one
     query's ``(d^2, d^2)`` superoperator (``d = d_out``), realized as either
@@ -427,7 +442,7 @@ def repeated_queries(
     _check_query_dims(gen, memory, working)
     d = gen.d_out
     sup = query_superoperator(gen, memory, float(s) / m)
-    vec = working.matrix.reshape(-1)
+    vec = _matrix(working).reshape(-1)
     if 2 * m.bit_length() * d * d < m:
         while True:
             if m & 1:
@@ -439,8 +454,7 @@ def repeated_queries(
     else:
         for _ in range(m):
             vec = sup.dot(vec)
-    out = vec.reshape(working.dim, working.dim)
-    return DensityMatrix(out, working.factor_dims)
+    return vec.reshape(d, d)
 
 
 def group_commutator(a, b, s: float) -> np.ndarray:
@@ -480,7 +494,7 @@ def channel_error_probe(
     worst = 0.0
     for _ in range(int(n_samples)):
         working = random_pure(gen.d_out, rng.integers(2**63)).density()
-        approx = repeated_queries(gen, memory, working, s, m)
+        approx = DensityMatrix(repeated_queries(gen, memory, working, s, m), working.factor_dims)
         exact = exact_query_channel(map_spec, memory, working, s)
         worst = max(worst, trace_distance(approx.matrix, exact.matrix))
     return worst

@@ -21,6 +21,11 @@ its own step rule: its ``advance`` schedules a step's calls between the static
 unitaries and charges their cost (hybrid advances as unfolding or as queries,
 by step index).  The engine reads no map and applies no sign convention.
 
+A state is validated once per step, at the step's boundary: ``_interleave``
+carries the working state through the step's static unitaries and calls as a
+plain matrix, skips identity statics (the flags ``nontrivial_static_count``
+charges), and wraps the step's output in one ``DensityMatrix``.
+
 Each descriptor's ``ledger`` is its cost in closed form, and ``advance``
 charges a step with that form's growth.  One depth unit is charged per
 elementary query, per non-identity static unitary of an exact or query-based
@@ -115,15 +120,17 @@ class RecursionStepSpec:
             if dev > UNITARY_ATOL:
                 raise InvariantError(f"static operator is not unitary ({dev:.3e})")
         object.__setattr__(self, "static_unitaries", statics)
-        nontrivial = sum(np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-12 for u in statics)
-        object.__setattr__(self, "_nontrivial_statics", int(nontrivial))
+        # One flag per static: applied by ``_interleave`` and charged by the
+        # ledger exactly when the static is more than 1e-12 off the identity.
+        nontrivial = tuple(bool(np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-12) for u in statics)
+        object.__setattr__(self, "nontrivial_statics", nontrivial)
 
     @property
     def n_calls(self) -> int:
         return len(self.memory_calls)
 
     def nontrivial_static_count(self) -> int:
-        return self._nontrivial_statics
+        return sum(self.nontrivial_statics)
 
 
 StepProvider = Union[RecursionStepSpec, Callable[[int], RecursionStepSpec]]
@@ -160,19 +167,25 @@ def _point(state, target, ledger) -> TrajectoryPoint:
     )
 
 
-def _conjugate(u: np.ndarray, state: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(u @ state.matrix @ u.conj().T, state.factor_dims)
+def _static(step: RecursionStepSpec, idx: int, mat: np.ndarray) -> np.ndarray:
+    """``mat`` conjugated by static unitary ``idx``, unless its flag in
+    ``step.nontrivial_statics`` marks it as the identity."""
+    if not step.nontrivial_statics[idx]:
+        return mat
+    u = step.static_unitaries[idx]
+    return u @ mat @ u.conj().T
 
 
-def _interleave(step, instruction, working, realize, per_call=None):
-    """Conjugate ``working`` by the static unitaries, applying memory-call
-    ``idx`` between them as ``realize(call, instruction, working)``, with
-    ``per_call[idx]`` as a fourth argument when given."""
+def _interleave(step, instruction, working, realize, per_call=None) -> DensityMatrix:
+    """Conjugate ``working``'s matrix by the static unitaries, applying
+    memory-call ``idx`` between them as ``realize(call, instruction, matrix)``,
+    with ``per_call[idx]`` as a fourth argument when given, and validate the
+    result once, as the step's output state."""
+    mat = working.matrix
     for idx, call in enumerate(step.memory_calls):
         extra = () if per_call is None else (per_call[idx],)
-        working = _conjugate(step.static_unitaries[idx], working)
-        working = realize(call, instruction, working, *extra)
-    return _conjugate(step.static_unitaries[-1], working)
+        mat = realize(call, instruction, _static(step, idx, mat), *extra)
+    return DensityMatrix(_static(step, step.n_calls, mat), working.factor_dims)
 
 
 def apply_step_exact(

@@ -23,6 +23,9 @@ from .errors import InfeasibleConfigError, InvariantError
 from .linalg import DensityMatrix
 
 MIXEDNESS_PRECONDITION = 1.0 / 3.0
+# A mixedness at or below this is roundoff on a pure state: purifying it is
+# not needed, and the per-round bounds no longer describe it.
+PURE_MIXEDNESS = 8 * sys.float_info.epsilon
 MAX_ROUNDS = 10_000  # more rounds than this means purification is not contracting
 
 
@@ -57,8 +60,8 @@ class IMROutcome:
 
 
 def mixedness(rho: DensityMatrix) -> float:
-    """One minus the largest eigenvalue."""
-    return float(1.0 - np.max(np.linalg.eigvalsh(rho.matrix)))
+    """One minus the largest eigenvalue, read off the spectrum ``rho`` keeps."""
+    return float(1.0 - np.max(rho.eigenvalues))
 
 
 def imr_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
@@ -85,16 +88,18 @@ def imr_subroutine(rho: DensityMatrix, cfg: IMRConfig) -> IMROutcome:
     ``1/reduction_factor``; the realized reduction is at least as good.  The
     survival rate c solves ``c = 1 - x0 - sqrt(log(R/q_th) / M)``, clamped to
     1/2 from above; c <= 0 means the requested copy count cannot guarantee the
-    failure threshold.  A target is infeasible when rounds cannot reach it in
-    double precision (the mixedness reads below 0 first) or when its copy
-    count ``copies_out (2/c)^R`` overflows a float.
+    failure threshold.  A state whose mixedness reads at most
+    ``PURE_MIXEDNESS`` is pure to roundoff and runs no round.  A target is
+    infeasible when rounds cannot reach it in double precision (the mixedness
+    reads below 0 first) or when its copy count ``copies_out (2/c)^R``
+    overflows a float.
     """
     x0 = mixedness(rho)
     if x0 > MIXEDNESS_PRECONDITION + 1e-12:
         raise InvariantError(
             f"mixedness {x0:.4f} exceeds the subroutine precondition 1/3"
         )
-    if x0 <= 0.0:
+    if x0 <= PURE_MIXEDNESS:
         return IMROutcome(
             state=rho,
             rounds_used=0,

@@ -134,11 +134,20 @@ def herm_exp(h, t: float, eig=None) -> np.ndarray:
 
 
 def trace_distance(a, b) -> float:
-    """Half the trace norm of ``a - b``, via singular values."""
+    """Half the trace norm of ``a - b``.
+
+    When ``a - b`` equals its adjoint bit for bit, as it does for any two
+    ``DensityMatrix`` matrices (each is exactly Hermitian, and IEEE
+    subtraction keeps that), the norm is the sum of absolute ``eigvalsh``
+    eigenvalues; otherwise it is the sum of singular values.
+    """
     aa, bb = _as_square(a), _as_square(b)
     if aa.shape != bb.shape:
         raise DimensionError(f"shape mismatch {aa.shape} vs {bb.shape}")
-    sv = np.linalg.svd(aa - bb, compute_uv=False)
+    diff = aa - bb
+    if (diff == diff.conj().T).all():
+        return float(np.sum(np.abs(np.linalg.eigvalsh(diff))) / 2.0)
+    sv = np.linalg.svd(diff, compute_uv=False)
     return float(np.sum(sv) / 2.0)
 
 
@@ -177,10 +186,13 @@ class DensityMatrix:
     Construction symmetrizes the matrix, requires the trace to be within
     ``TRACE_ATOL`` of one, and clips eigenvalues below ``-EIG_CLIP_ATOL`` to
     zero (renormalizing and recording the clip magnitude).  The stored matrix
-    is read-only.
+    is read-only, and so are its ``eigenvalues``: ``eigvalsh`` of the stored
+    matrix, ascending, the spectrum that decided the clip (computed again
+    after a clip), which diagnostics read instead of decomposing the state
+    again.
     """
 
-    __slots__ = ("matrix", "factor_dims", "clip_magnitude")
+    __slots__ = ("matrix", "factor_dims", "clip_magnitude", "eigenvalues")
 
     def __init__(self, matrix, factor_dims=None):
         a = hermitize(matrix)
@@ -190,20 +202,24 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
         clip = 0.0
-        # ``eigvalsh`` decides; the eigenvectors are computed only to clip.
-        if np.linalg.eigvalsh(a).min() < -EIG_CLIP_ATOL:
+        # Equal to its adjoint after ``hermitize`` and a real trace division.
+        out = a / tr
+        # ``eigvalsh`` decides (ascending); the eigenvectors are computed only to clip.
+        w = np.linalg.eigvalsh(out)
+        if w[0] < -EIG_CLIP_ATOL:
             w, v = np.linalg.eigh(a)
             clip = float(-w.min())
             w = np.clip(w, 0.0, None)
             a = (v * w) @ v.conj().T
-        # Equal to its adjoint after ``hermitize`` and a real trace division.
-        a = a / np.real(np.trace(a))
-        if clip:
-            a = (a + a.conj().T) / 2.0
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+            out = a / np.real(np.trace(a))
+            out = (out + out.conj().T) / 2.0
+            w = np.linalg.eigvalsh(out)
+        out.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "matrix", out)
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "clip_magnitude", clip)
+        object.__setattr__(self, "eigenvalues", w)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

@@ -141,12 +141,12 @@ class TestQuerySuperoperatorDecomposesOnce:
         vec = working.matrix.reshape(-1)
         for _ in range(m):
             vec = sup @ vec
-        expected = DensityMatrix(vec.reshape(gen.d_out, gen.d_out), working.factor_dims)
+        expected = vec.reshape(gen.d_out, gen.d_out)
         got = repeated_queries(gen, memory, working, 0.6, m)
         if squares(m, gen.d_out):
-            assert np.max(np.abs(got.matrix - expected.matrix)) <= (8 + m) * np.finfo(float).eps
+            assert np.max(np.abs(got - expected)) <= (8 + m) * np.finfo(float).eps
         else:
-            assert np.array_equal(got.matrix, expected.matrix)
+            assert np.array_equal(got, expected)
 
 
 class TestQueryGeneratorUnitary:
@@ -282,7 +282,7 @@ class TestExactMemoryCall:
         rho = random_density(2, 1)
         sig = random_density(2, 2)
         out = exact_memory_call(call, rho, sig)
-        np.testing.assert_allclose(out.matrix, sig.matrix, atol=1e-13)
+        np.testing.assert_allclose(out, sig.matrix, atol=1e-13)
 
     def test_identity_map_matches_herm_exp_composition(self):
         s = 0.8
@@ -291,7 +291,7 @@ class TestExactMemoryCall:
         sig = random_density(3, 4)
         u = herm_exp(rho.matrix, -s)  # e^{+i s rho}
         np.testing.assert_allclose(
-            exact_memory_call(call, rho, sig).matrix,
+            exact_memory_call(call, rho, sig),
             u @ sig.matrix @ u.conj().T,
             atol=1e-12,
         )
@@ -304,7 +304,7 @@ class TestExactMemoryCall:
         refl = np.eye(3, dtype=complex) - (1 - np.exp(-1j * alpha)) * psi.projector()
         sig = random_density(3, 6)
         np.testing.assert_allclose(
-            exact_memory_call(call, psi.density(), sig).matrix,
+            exact_memory_call(call, psi.density(), sig),
             refl @ sig.matrix @ refl.conj().T,
             atol=1e-12,
         )
@@ -320,7 +320,7 @@ class TestExactMemoryCall:
         sig = random_density(4, 9)
         out = exact_memory_call(call, rho, sig)
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(sig.matrix), atol=1e-9
+            np.linalg.eigvalsh(out), np.linalg.eigvalsh(sig.matrix), atol=1e-9
         )
 
 
@@ -330,8 +330,8 @@ class TestUnfoldedMemoryCall:
     def test_converges_to_exact_call(self):
         call = MemoryCallSpec(map=make_commutator_map(random_hermitian(3, 1), 0.4), duration=1.0)
         rho, sig = random_density(3, 2), random_density(3, 3)
-        exact = exact_memory_call(call, rho, sig).matrix
-        errs = [trace_distance(unfolded_memory_call(call, rho, sig, g).matrix, exact)
+        exact = exact_memory_call(call, rho, sig)
+        errs = [trace_distance(unfolded_memory_call(call, rho, sig, g), exact)
                 for g in (16, 64)]
         assert errs[1] < errs[0] < 0.05
 
@@ -365,13 +365,13 @@ class TestQueriedMemoryCall:
         rho, sig = random_density(3, 6), random_density(3, 7)
         out = queried_memory_call(call, rho, sig, 16)
         ref = repeated_queries(m.generator, rho, sig, -0.6, 16)
-        assert out.matrix.tobytes() == ref.matrix.tobytes()
+        assert out.tobytes() == ref.tobytes()
 
     def test_converges_to_exact_call(self):
         call = MemoryCallSpec(map=make_commutator_map(random_hermitian(3, 8), 0.5), duration=0.4)
         rho, sig = random_density(3, 9), random_density(3, 10)
-        exact = exact_memory_call(call, rho, sig).matrix
-        errs = [trace_distance(queried_memory_call(call, rho, sig, m).matrix, exact)
+        exact = exact_memory_call(call, rho, sig)
+        errs = [trace_distance(queried_memory_call(call, rho, sig, m), exact)
                 for m in (8, 64)]
         assert errs[1] < errs[0] / 4
 
@@ -447,7 +447,7 @@ class TestRepeatedQueries:
         for _ in range(6):
             manual = memory_usage_query(gen, rho, manual, 0.4 / 6)
         fast = repeated_queries(gen, rho, sig, 0.4, 6)
-        np.testing.assert_allclose(fast.matrix, manual.matrix, atol=1e-12)
+        np.testing.assert_allclose(fast, manual.matrix, atol=1e-12)
 
     def test_doubling_m_at_least_halves_error(self):
         m = make_scaled_identity_map(0.9, 3)
@@ -458,7 +458,7 @@ class TestRepeatedQueries:
         for mm in (4, 8, 16, 32):
             out = repeated_queries(gen, rho, sig, s, mm)
             exact = exact_query_channel(m, rho, sig, s)
-            errors[mm] = trace_distance(out.matrix, exact.matrix)
+            errors[mm] = trace_distance(out, exact.matrix)
         for mm in (4, 8, 16):
             assert errors[2 * mm] <= errors[mm] / 1.8
 
@@ -467,7 +467,7 @@ class TestRepeatedQueries:
         rho = random_density(2, 51)
         for mm in (1, 3, 7):
             out = repeated_queries(gen, rho, rho, 1.3, mm)
-            np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+            np.testing.assert_allclose(out, rho.matrix, atol=1e-12)
 
     def test_error_bound_inside_window(self):
         rng = np.random.default_rng(8)
@@ -556,7 +556,7 @@ class TestRepeatedSquaring:
             working = random_pure(gen.d_out, 20 + seed).density()
             with warnings.catch_warnings():
                 warnings.filterwarnings("error", message="symmetrizing matrix")
-                repeated_queries(gen, memory, working, s, 2**16)
+                DensityMatrix(repeated_queries(gen, memory, working, s, 2**16))
 
 
 class TestGroupCommutator:

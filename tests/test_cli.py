@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qdpsim import PureState, cli
+from qdpsim import PureState, cli, engine
 from qdpsim.cli import ExperimentConfig, compare_strategies, main, run_scenario
 from qdpsim.errors import ConfigError, InfeasibleConfigError, InvariantError
 
@@ -141,6 +141,39 @@ class TestExitCodes:
         monkeypatch.setattr("qdpsim.cli.run_strategy", broken)
         assert main(["run", write_config(tmp_path, grover_doc(tmp_path))]) == 4
         assert "numerical invariant violated: trace drifted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "realization, scenario, strategy, params",
+        [
+            ("exact_memory_call", "grover", {"kind": "exact"},
+             {"L": 2, "n_steps": 2, "delta0": 0.6}),
+            ("queried_memory_call", "grover", {"kind": "qdp", "m": 16},
+             {"L": 2, "n_steps": 2, "delta0": 0.6}),
+            ("unfolded_memory_call", "dbi", {"kind": "unfolding"}, {"dim": 3, "n_steps": 2}),
+        ],
+        ids=["exact", "queried", "unfolded"],
+    )
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            # a 1e-9 anti-Hermitian part: a deviation of 2e-9 > HERM_ATOL
+            (lambda out: out + 1e-9j * np.eye(out.shape[0]), "matrix is not Hermitian"),
+            (lambda out: out * (1 + 1e-8), "is not 1 within"),
+        ],
+        ids=["hermiticity", "trace"],
+    )
+    def test_mid_step_break_is_4(self, tmp_path, monkeypatch, capsys, realization, scenario,
+                                 strategy, params, fault, message):
+        """A memory-call's output is validated at the step's boundary, after
+        the statics and calls that follow it, and a break there still exits 4."""
+        real = getattr(engine, realization)
+        monkeypatch.setattr(engine, realization, lambda *args: fault(real(*args)))
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 7, "strategy": strategy,
+               "params": params, "output": {"path": str(tmp_path / "out.csv")}}
+        assert main(["run", write_config(tmp_path, doc)]) == 4
+        assert message in capsys.readouterr().err
+        monkeypatch.setattr(engine, realization, real)
+        assert main(["run", write_config(tmp_path, doc)]) == 0
 
     def test_output_unwritable_at_write_is_2_and_named(self, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdpsim import channels
+from qdpsim.engine import apply_step_exact
 from qdpsim import (
     DBIConfig,
     DensityMatrix,
@@ -417,3 +418,79 @@ class TestQueryRunsBuildNoChoi:
         maps = [call.map for s in steps for call in s.memory_calls]
         assert any("generator" in vars(m) for m in maps)
         assert not any("choi" in vars(m) for m in maps)
+
+
+def phase_static(theta):
+    """``diag(e^{-i theta}, 1, 1)``: ``theta`` off the identity (max entry)."""
+    return np.diag(np.exp(-1j * np.array([theta, 0.0, 0.0])))
+
+
+class TestIdentityStatics:
+    """A static unitary is conjugated through, and charged, exactly when its
+    flag in ``nontrivial_statics`` is set: more than 1e-12 off the identity."""
+
+    CALL = MemoryCallSpec(map=make_commutator_map(np.diag([0.0, 1.0, 2.0]), 0.7), duration=1.0)
+
+    def step(self, static):
+        return RecursionStepSpec(static_unitaries=(static, static), memory_calls=(self.CALL,))
+
+    @staticmethod
+    def explicit(static, rho):
+        """The step with every static conjugated explicitly."""
+        mat = static @ rho.matrix @ static.conj().T
+        mat = channels.exact_memory_call(TestIdentityStatics.CALL, rho, mat)
+        return DensityMatrix(static @ mat @ static.conj().T).matrix
+
+    def depth(self, step, rho):
+        return run_exact(RecursionSpec(step=step, root=rho), 1).final_ledger.depth
+
+    def test_identity_statics_give_the_conjugated_state(self):
+        step, rho = self.step(np.eye(3)), random_density(3, 1)
+        assert step.nontrivial_statics == (False, False)
+        got = apply_step_exact(step, rho, rho).matrix
+        assert np.max(np.abs(got - self.explicit(np.eye(3), rho))) <= 4 * np.finfo(float).eps
+        assert self.depth(step, rho) == 1
+
+    def test_static_2e_12_off_the_identity_is_applied(self):
+        static, rho = phase_static(2e-12), random_density(3, 1)
+        step = self.step(static)
+        assert step.nontrivial_statics == (True, True)
+        got = apply_step_exact(step, rho, rho).matrix
+        assert np.max(np.abs(got - self.explicit(static, rho))) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(got - self.explicit(np.eye(3), rho))) > 1e-13
+        assert self.depth(step, rho) == 3
+
+    def test_one_flag_decides_both(self):
+        rho = random_density(3, 1)
+        step = self.step(phase_static(2e-12))
+        object.__setattr__(step, "nontrivial_statics", (False, False))
+        skipped = apply_step_exact(step, rho, rho).matrix
+        assert np.array_equal(skipped, apply_step_exact(self.step(np.eye(3)), rho, rho).matrix)
+        assert step.nontrivial_static_count() == 0 and self.depth(step, rho) == 1
+
+
+@pytest.mark.parametrize(
+    "build, run",
+    [
+        (small_dbi_spec, lambda spec, n: run_exact(spec, n)),
+        (small_dbi_spec, lambda spec, n: run_unfolding(spec, n, 2)),
+        (lambda: grover_recursion_spec(grover_config_from_distance(0.99, 2, 3)),
+         lambda spec, n: run_exact(spec, n)),
+    ],
+    ids=["dbi-exact", "dbi-unfolding", "grover-exact"],
+)
+def test_one_validated_state_per_step(monkeypatch, build, run):
+    """A step's working state stays a plain matrix between its statics and
+    calls; only its output is a ``DensityMatrix``."""
+    spec = build()
+    n_steps = 3 if spec.covariant else 20
+    built = []
+    init = DensityMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting)
+    run(spec, n_steps)
+    assert len(built) <= n_steps + 1

@@ -10,7 +10,9 @@ from qdpsim import (
     imr_round,
     imr_subroutine,
     mixedness,
+    random_pure,
 )
+from qdpsim.imr import PURE_MIXEDNESS
 
 
 def seeded_state_with_mixedness(dim, x, seed):
@@ -35,6 +37,11 @@ class TestMixedness:
 
     def test_read_off_spectrum(self):
         assert mixedness(DensityMatrix(np.diag([0.8, 0.2]))) == pytest.approx(0.2, abs=1e-14)
+
+    def test_reads_the_spectrum_the_state_keeps(self):
+        for seed in range(5):
+            rho = seeded_state_with_mixedness(4, 0.1, seed)
+            assert mixedness(rho) == float(1.0 - np.max(np.linalg.eigvalsh(rho.matrix)))
 
 
 class TestRound:
@@ -127,6 +134,16 @@ class TestSubroutine:
         assert out.rounds_used == 0
         assert out.copies_consumed == 5
         assert out.success_probability == 1.0
+
+    def test_pure_to_roundoff_runs_no_round(self):
+        # random_pure(4, 1) reads mixedness 2.2e-16 and random_pure(4, 8) 1.1e-16:
+        # purifying them would charge rounds that cannot reduce anything.
+        for seed in (1, 8):
+            rho = random_pure(4, seed).density()
+            assert 0.0 < mixedness(rho) <= PURE_MIXEDNESS
+            out = imr_subroutine(rho, IMRConfig(2.0, copies_out=1, failure_threshold=0.99))
+            assert out.rounds_used == 0 and out.state is rho
+            assert out.success_probability == 1.0
 
     def test_small_mixedness_halving_needs_two_rounds(self):
         # the per-round ratio bound is 1/2 + O(x), strictly above 1/2, so a

@@ -188,14 +188,15 @@ class TestLedgerDigitsAreExact:
         assert "params.N" in capsys.readouterr().err
 
 
-def imr_doc(tmp_path, n_steps, hybrid=False):
-    strategy = {"kind": "qdp", "m": 16,
-                "imr": {"reduction_factor": 2.0, "copies_out": 1, "failure_threshold": 0.99}}
+IMR_LOW_SUCCESS = {"reduction_factor": 2.0, "copies_out": 1, "failure_threshold": 0.99}
+
+
+def imr_doc(tmp_path, scenario, params, hybrid=False):
+    strategy = {"kind": "qdp", "m": 16, "imr": IMR_LOW_SUCCESS}
     if hybrid:
-        strategy.update(kind="hybrid", n1=0, n2=n_steps)
-    doc = {"schema_version": 1, "scenario": "dbi", "seed": 7, "strategy": strategy,
-           "params": {"dim": 2, "n_steps": n_steps},
-           "output": {"path": str(tmp_path / "out.csv")}}
+        strategy.update(kind="hybrid", n1=0, n2=params["n_steps"])
+    doc = {"schema_version": 1, "scenario": scenario, "seed": 7, "strategy": strategy,
+           "params": params, "output": {"path": str(tmp_path / "out.csv")}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -203,16 +204,32 @@ def imr_doc(tmp_path, n_steps, hybrid=False):
 
 class TestSuccessProbabilityUnderflow:
     """A product of per-step success probabilities that underflows a float is
-    an infeasible purification target, not a broken invariant."""
+    an infeasible purification target, not a broken invariant.  The osd [2, 2]
+    run purifies every step; the dbi dim 2 run reaches states that are pure to
+    roundoff, which need no purification however many steps it runs."""
+
+    def test_underflow_is_3_and_named(self, tmp_path, capsys):
+        assert main(["run", imr_doc(tmp_path, "osd", {"dims": [2, 2], "n_steps": 200})]) == 3
+        err = capsys.readouterr().err
+        assert "imr.failure_threshold" in err and "step 162" in err
+
+    def test_161_steps_still_run(self, tmp_path):
+        assert main(["run", imr_doc(tmp_path, "osd", {"dims": [2, 2], "n_steps": 161})]) == 0
+
+    def test_hybrid_query_phase_underflows_at_the_same_step(self):
+        """The CLI runs osd as exact or qdp only; the engine's hybrid query
+        phase charges purification the same way."""
+        imr = IMRConfig(**IMR_LOW_SUCCESS)
+        messages = []
+        for strategy in (QDPStrategy(16, imr), HybridStrategy(0, 200, 16, imr)):
+            with pytest.raises(InfeasibleConfigError, match="underflows a float at step") as exc:
+                run_strategy(osd_spec(), 200, strategy)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("hybrid", [False, True], ids=["qdp", "hybrid"])
-    def test_underflow_is_3_and_named(self, tmp_path, capsys, hybrid):
-        assert main(["run", imr_doc(tmp_path, 800, hybrid)]) == 3
-        err = capsys.readouterr().err
-        assert "imr.failure_threshold" in err and "step 614" in err
-
-    def test_600_steps_still_run(self, tmp_path):
-        assert main(["run", imr_doc(tmp_path, 600)]) == 0
+    def test_roundoff_pure_states_run_800_steps(self, tmp_path, hybrid):
+        assert main(["run", imr_doc(tmp_path, "dbi", {"dim": 2, "n_steps": 800}, hybrid)]) == 0
 
 
 def test_cascade_rules_walk_the_steps_lazily(tmp_path, capsys):
