@@ -24,7 +24,8 @@ by step index).  The engine reads no map and applies no sign convention.
 A state is validated once per step, at the step's boundary: ``_interleave``
 carries the working state through the step's static unitaries and calls as a
 plain matrix, skips identity statics (the flags ``nontrivial_static_count``
-charges), and wraps the step's output in one ``DensityMatrix``.
+charges), checks and renormalizes the trace after each call, and wraps the
+step's output in one ``DensityMatrix``.
 
 Each descriptor's ``ledger`` is its cost in closed form, and ``advance``
 charges a step with that form's growth.  One depth unit is charged per
@@ -52,7 +53,7 @@ from .channels import (
 )
 from .errors import DimensionError, InfeasibleConfigError, InvariantError, UnsupportedSpecError
 from .imr import IMRConfig
-from .linalg import DensityMatrix, trace_distance
+from .linalg import DensityMatrix, trace_distance, unit_trace
 
 UNITARY_ATOL = 1e-9
 
@@ -180,11 +181,15 @@ def _interleave(step, instruction, working, realize, per_call=None) -> DensityMa
     """Conjugate ``working``'s matrix by the static unitaries, applying
     memory-call ``idx`` between them as ``realize(call, instruction, matrix)``,
     with ``per_call[idx]`` as a fourth argument when given, and validate the
-    result once, as the step's output state."""
+    result once, as the step's output state.
+
+    Each call's output is trace-checked and renormalized (``unit_trace``), so
+    a query block's trace drift is held to ``TRACE_ATOL`` per call, not summed
+    over the step's calls."""
     mat = working.matrix
     for idx, call in enumerate(step.memory_calls):
         extra = () if per_call is None else (per_call[idx],)
-        mat = realize(call, instruction, _static(step, idx, mat), *extra)
+        mat = unit_trace(realize(call, instruction, _static(step, idx, mat), *extra))
     return DensityMatrix(_static(step, step.n_calls, mat), working.factor_dims)
 
 

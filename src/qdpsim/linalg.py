@@ -134,21 +134,20 @@ def herm_exp(h, t: float, eig=None) -> np.ndarray:
 
 
 def trace_distance(a, b) -> float:
-    """Half the trace norm of ``a - b``.
-
-    When ``a - b`` equals its adjoint bit for bit, as it does for any two
-    ``DensityMatrix`` matrices (each is exactly Hermitian, and IEEE
-    subtraction keeps that), the norm is the sum of absolute ``eigvalsh``
-    eigenvalues; otherwise it is the sum of singular values.
-    """
+    """Half the trace norm of ``a - b``, via singular values."""
     aa, bb = _as_square(a), _as_square(b)
     if aa.shape != bb.shape:
         raise DimensionError(f"shape mismatch {aa.shape} vs {bb.shape}")
-    diff = aa - bb
-    if (diff == diff.conj().T).all():
-        return float(np.sum(np.abs(np.linalg.eigvalsh(diff))) / 2.0)
-    sv = np.linalg.svd(diff, compute_uv=False)
+    sv = np.linalg.svd(aa - bb, compute_uv=False)
     return float(np.sum(sv) / 2.0)
+
+
+def unit_trace(a: np.ndarray) -> np.ndarray:
+    """``a`` divided by its real trace, which must be within ``TRACE_ATOL`` of one."""
+    tr = float(np.real(np.trace(a)))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise InvariantError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
+    return a / tr
 
 
 def hs_norm(a) -> float:
@@ -198,12 +197,9 @@ class DensityMatrix:
         a = hermitize(matrix)
         dim = a.shape[0]
         dims = _check_factor_dims(factor_dims, dim) if factor_dims is not None else (dim,)
-        tr = float(np.real(np.trace(a)))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvariantError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
         clip = 0.0
         # Equal to its adjoint after ``hermitize`` and a real trace division.
-        out = a / tr
+        out = unit_trace(a)
         # ``eigvalsh`` decides (ascending); the eigenvectors are computed only to clip.
         w = np.linalg.eigvalsh(out)
         if w[0] < -EIG_CLIP_ATOL:

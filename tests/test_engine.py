@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qdpsim import channels
+from qdpsim import channels, engine
 from qdpsim.engine import apply_step_exact
+from qdpsim.linalg import TRACE_ATOL
 from qdpsim import (
     DBIConfig,
     DensityMatrix,
@@ -467,6 +468,28 @@ class TestIdentityStatics:
         skipped = apply_step_exact(step, rho, rho).matrix
         assert np.array_equal(skipped, apply_step_exact(self.step(np.eye(3)), rho, rho).matrix)
         assert step.nontrivial_static_count() == 0 and self.depth(step, rho) == 1
+
+
+class TestTraceCheckedPerCall:
+    """Each memory-call's output is trace-checked and renormalized on its own,
+    so a step's calls do not add their drifts into one check."""
+
+    def step_with(self, monkeypatch, n_calls, scale):
+        real = engine.exact_memory_call
+        monkeypatch.setattr(engine, "exact_memory_call", lambda *args: real(*args) * scale)
+        step = RecursionStepSpec(static_unitaries=(np.eye(3),) * (n_calls + 1),
+                                 memory_calls=(TestIdentityStatics.CALL,) * n_calls)
+        rho = random_density(3, 1)
+        return apply_step_exact(step, rho, rho)
+
+    def test_calls_within_the_tolerance_each_pass(self, monkeypatch):
+        # 3 x 0.6 TRACE_ATOL would fail one check of the whole step
+        out = self.step_with(monkeypatch, 3, 1 + 0.6 * TRACE_ATOL)
+        assert abs(np.trace(out.matrix).real - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_one_call_over_the_tolerance_is_an_invariant_error(self, monkeypatch):
+        with pytest.raises(InvariantError, match="is not 1 within"):
+            self.step_with(monkeypatch, 3, 1 + 1.5 * TRACE_ATOL)
 
 
 @pytest.mark.parametrize(

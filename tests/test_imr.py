@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from qdpsim import (
     DensityMatrix,
     IMRConfig,
     InfeasibleConfigError,
     InvariantError,
+    herm_exp,
     imr_ratio_bound,
     imr_round,
     imr_subroutine,
     mixedness,
     random_pure,
 )
-from qdpsim.imr import PURE_MIXEDNESS
+from qdpsim.imr import PURE_MIXEDNESS_PER_DIM
 
 
 def seeded_state_with_mixedness(dim, x, seed):
@@ -140,10 +142,23 @@ class TestSubroutine:
         # purifying them would charge rounds that cannot reduce anything.
         for seed in (1, 8):
             rho = random_pure(4, seed).density()
-            assert 0.0 < mixedness(rho) <= PURE_MIXEDNESS
+            assert 0.0 < mixedness(rho) <= PURE_MIXEDNESS_PER_DIM * 4
             out = imr_subroutine(rho, IMRConfig(2.0, copies_out=1, failure_threshold=0.99))
             assert out.rounds_used == 0 and out.state is rho
             assert out.success_probability == 1.0
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (16, 13), (32, 6)])
+    def test_pure_to_roundoff_after_many_steps_runs_no_round(self, dim, seed):
+        # These chains read up to 8.0, 9.0 and 8.5 eps: a floor of 8 eps
+        # regardless of dim would charge the last two rounds.
+        mat = random_pure(dim, seed).density().matrix
+        us = [herm_exp(random_hermitian(dim, 1000 * seed + k), 0.9) for k in range(4)]
+        cfg = IMRConfig(2.0, copies_out=1, failure_threshold=0.99)
+        for k in range(400):
+            rho = DensityMatrix(us[k % 4] @ mat @ us[k % 4].conj().T)
+            mat = rho.matrix
+            assert mixedness(rho) <= PURE_MIXEDNESS_PER_DIM * dim
+            assert imr_subroutine(rho, cfg).rounds_used == 0
 
     def test_small_mixedness_halving_needs_two_rounds(self):
         # the per-round ratio bound is 1/2 + O(x), strictly above 1/2, so a
