@@ -402,13 +402,12 @@ def dbi_encode(p) -> tuple[DensityMatrix, float]:
 def dbi_recursion_spec(cfg: DBIConfig) -> RecursionSpec:
     """Engine form: single commutator memory-call per step on the encoded
     state, with the flow duration rescaled by the encoding normalization."""
-    dd, _ = _validated_diagonal(cfg.diagonal)
     root, scale = dbi_encode(cfg.initial)
     s_eff = cfg.resolved_step() * scale
-    call = MemoryCallSpec(map=make_commutator_map(dd, s_eff), duration=1.0)
+    call = MemoryCallSpec(map=make_commutator_map(cfg.diagonal, s_eff), duration=1.0)
     eye = np.eye(root.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
-    target = DensityMatrix(dbi_sorted_fixed_point(root.matrix, dd))
+    target = DensityMatrix(dbi_sorted_fixed_point(root.matrix, cfg.diagonal))
     return RecursionSpec(step=step, root=root, target=target, covariant=False)
 
 
@@ -553,7 +552,7 @@ class OSDConfig:
         if self.step_size is not None:
             return float(self.step_size)
         reduced = partial_trace(self.initial.projector(), self.dims, keep=[0])
-        return 1.0 / (4.0 * hs_norm(reduced) * hs_norm(self.diagonal))
+        return dbi_canonical_step_size(reduced, self.diagonal)
 
 
 def schmidt_oracle(psi: PureState, dims) -> np.ndarray:
@@ -577,8 +576,7 @@ def schmidt_estimate(state: np.ndarray, dims, diagonal) -> np.ndarray:
 
 def osd_recursion_spec(cfg: OSDConfig) -> RecursionSpec:
     """Single memory-call recursion rotating only the first subsystem."""
-    dd, _ = _validated_diagonal(cfg.diagonal)
-    m = make_osd_map(dd, cfg.resolved_step(), cfg.dims)
+    m = make_osd_map(cfg.diagonal, cfg.resolved_step(), cfg.dims)
     call = MemoryCallSpec(map=m, duration=1.0)
     eye = np.eye(cfg.initial.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))

@@ -8,7 +8,7 @@ A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
 ``Nhat = sum_jk |k><j| (x) N(|j><k|)`` is built from the action on first read
 of ``generator``, symmetrized by ``linalg.hermitize`` (the one Hermiticity
-check), diagonalized once, on first read of ``eigh``, and exponentiated again
+check), and exponentiated by ``linalg.herm_exp`` (its one eigendecomposition)
 only when the query duration changes (``unitary``).  The Choi matrix is
 ``Nhat`` partially transposed on the first factor, derived only when read.
 Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
@@ -141,17 +141,8 @@ class QueryGenerator:
             unit[j, k] = 0.0
         return cls(n_hat=n_hat4.reshape(d_in * d_out, d_in * d_out), d_in=d_in, d_out=d_out)
 
-    @functools.cached_property
-    def eigh(self):
-        """``np.linalg.eigh(n_hat)``, computed on first read and shared by
-        every query built from this generator (see ``herm_exp``)."""
-        w, v = np.linalg.eigh(self.n_hat)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
-
     def unitary(self, s: float) -> np.ndarray:
-        """Read-only ``exp(-i Nhat s)``, ``herm_exp`` over ``eigh``.
+        """Read-only ``exp(-i Nhat s)`` by ``herm_exp``.
 
         The last duration's unitary is kept, in one slot keyed on the bits of
         ``s`` (so ``-0.0`` and ``0.0`` stay apart): every step of a run queries
@@ -161,7 +152,7 @@ class QueryGenerator:
         key = float(s).hex()
         last = self.__dict__.get("_unitary")
         if last is None or last[0] != key:
-            u = herm_exp(self.n_hat, float(s), self.eigh)
+            u = herm_exp(self.n_hat, float(s))
             u.setflags(write=False)
             last = self.__dict__["_unitary"] = (key, u)
         return last[1]
@@ -186,15 +177,10 @@ class MemoryCallSpec:
             raise InvariantError("duration must be finite")
 
     def instruction_matrix(self, state: DensityMatrix) -> np.ndarray:
+        """``state``'s matrix (x) ``extra_instruction``; its consumer checks the dim."""
         if self.extra_instruction is None:
-            mat = state.matrix
-        else:
-            mat = kron(state.matrix, self.extra_instruction.matrix)
-        if mat.shape[0] != self.map.d_in:
-            raise DimensionError(
-                f"instruction dim {mat.shape[0]} != map d_in {self.map.d_in}"
-            )
-        return mat
+            return state.matrix
+        return kron(state.matrix, self.extra_instruction.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -177,27 +177,25 @@ def _static(step: RecursionStepSpec, idx: int, mat: np.ndarray) -> np.ndarray:
     return u @ mat @ u.conj().T
 
 
-def _interleave(step, instruction, working, realize, per_call=None) -> DensityMatrix:
-    """Conjugate ``working``'s matrix by the static unitaries, applying
-    memory-call ``idx`` between them as ``realize(call, instruction, matrix)``,
-    with ``per_call[idx]`` as a fourth argument when given, and validate the
-    result once, as the step's output state.
+def _interleave(step, state, realize, per_call=None) -> DensityMatrix:
+    """Conjugate ``state``'s matrix by the static unitaries, applying
+    memory-call ``idx`` between them as ``realize(call, state, matrix)``, with
+    ``per_call[idx]`` as a fourth argument when given, and validate the result
+    once, as the step's output state.
 
     Each call's output is trace-checked and renormalized (``unit_trace``), so
     a query block's trace drift is held to ``TRACE_ATOL`` per call, not summed
     over the step's calls."""
-    mat = working.matrix
+    mat = state.matrix
     for idx, call in enumerate(step.memory_calls):
         extra = () if per_call is None else (per_call[idx],)
-        mat = unit_trace(realize(call, instruction, _static(step, idx, mat), *extra))
-    return DensityMatrix(_static(step, step.n_calls, mat), working.factor_dims)
+        mat = unit_trace(realize(call, state, _static(step, idx, mat), *extra))
+    return DensityMatrix(_static(step, step.n_calls, mat), state.factor_dims)
 
 
-def apply_step_exact(
-    step: RecursionStepSpec, instruction: DensityMatrix, working: DensityMatrix
-) -> DensityMatrix:
-    """One exact recursion step: calls instructed by ``instruction``."""
-    return _interleave(step, instruction, working, exact_memory_call)
+def apply_step_exact(step: RecursionStepSpec, state: DensityMatrix) -> DensityMatrix:
+    """One exact recursion step on ``state``, its calls instructed by ``state``."""
+    return _interleave(step, state, exact_memory_call)
 
 
 def _split_queries(m: int, n_calls: int) -> list[int]:
@@ -266,7 +264,7 @@ class ExactStrategy(_ClosedForm):
         return n_steps * (calls + statics), 1
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
-        return apply_step_exact(step, state, state), _charge(charge_as or self, spec, step, n, ledger)
+        return apply_step_exact(step, state), _charge(charge_as or self, spec, step, n, ledger)
 
 
 @dataclass(frozen=True)
@@ -288,10 +286,10 @@ class UnfoldingStrategy(_ClosedForm):
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
         if spec.covariant:
-            out = apply_step_exact(step, state, state)
+            out = apply_step_exact(step, state)
         else:
             substeps = [self.gc_substeps] * step.n_calls
-            out = _interleave(step, state, state, unfolded_memory_call, substeps)
+            out = _interleave(step, state, unfolded_memory_call, substeps)
         return out, _charge(charge_as or self, spec, step, n, ledger)
 
 
@@ -312,7 +310,7 @@ class QDPStrategy(_ClosedForm):
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
         counts = _split_queries(self.m, step.n_calls)
-        out = _interleave(step, state, state, queried_memory_call, counts)
+        out = _interleave(step, state, queried_memory_call, counts)
         return _purify(out, _charge(charge_as or self, spec, step, n, ledger), self.imr, n)
 
 
@@ -431,5 +429,5 @@ def local_accuracy_check(
 ) -> float:
     """Per-step error: distance from ``sigma_next`` to the exact step applied
     to (and instructed by) ``sigma_curr``."""
-    ideal = apply_step_exact(step, sigma_curr, sigma_curr)
+    ideal = apply_step_exact(step, sigma_curr)
     return trace_distance(sigma_next.matrix, ideal.matrix)

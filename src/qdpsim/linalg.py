@@ -28,7 +28,10 @@ HERM_ATOL = 1e-10
 HERM_WARN_ATOL = 1e-12
 
 TRACE_ATOL = 1e-10
+# ``DensityMatrix`` clips eigenvalues in [-EIG_CLIP_MAX, -EIG_CLIP_ATOL) to zero
+# and rejects lower ones: a state that far from positive is broken, not rounded.
 EIG_CLIP_ATOL = 1e-10
+EIG_CLIP_MAX = 1e-8
 NORM_ATOL = 1e-10
 
 
@@ -184,7 +187,8 @@ class DensityMatrix:
 
     Construction symmetrizes the matrix, requires the trace to be within
     ``TRACE_ATOL`` of one, and clips eigenvalues below ``-EIG_CLIP_ATOL`` to
-    zero (renormalizing and recording the clip magnitude).  The stored matrix
+    zero (renormalizing and recording the clip magnitude), down to
+    ``-EIG_CLIP_MAX``; a lower eigenvalue is rejected.  The stored matrix
     is read-only, and so are its ``eigenvalues``: ``eigvalsh`` of the stored
     matrix, ascending, the spectrum that decided the clip (computed again
     after a clip), which diagnostics read instead of decomposing the state
@@ -203,6 +207,8 @@ class DensityMatrix:
         # ``eigvalsh`` decides (ascending); the eigenvectors are computed only to clip.
         w = np.linalg.eigvalsh(out)
         if w[0] < -EIG_CLIP_ATOL:
+            if w[0] < -EIG_CLIP_MAX:
+                raise InvariantError(f"eigenvalue {w[0]:.3e} is below -{EIG_CLIP_MAX}")
             w, v = np.linalg.eigh(a)
             clip = float(-w.min())
             w = np.clip(w, 0.0, None)

@@ -121,7 +121,6 @@ class TestQuerySuperoperatorDecomposesOnce:
             got = (sup @ working.matrix.reshape(-1)).reshape(gen.d_out, gen.d_out)
             dense = memory_usage_query(gen, memory, working, s).matrix
             assert np.max(np.abs(got - dense)) <= 8 * np.finfo(float).eps
-        assert gen.eigh is gen.eigh
 
     def test_preserves_hermiticity_exactly(self, build):
         gen = build().generator
@@ -714,3 +713,54 @@ class TestGeneratorFromAction:
         monkeypatch.setattr("qdpsim.channels.hermitize", counting)
         QueryGenerator.from_map(m)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: map_apply(map_from_function(lambda x: x[:1, :1], 2, 2), np.eye(2)),
+         DimensionError, r"map output shape \(1, 1\) != \(2,2\)"),
+        (lambda: QueryGenerator(n_hat=np.eye(4), d_in=2, d_out=3),
+         DimensionError, "generator dimension does not match"),
+        (lambda: MemoryCallSpec(map=make_identity_map(2), duration=np.nan),
+         InvariantError, "duration must be finite"),
+        (lambda: MemoryCallSpec(map=make_identity_map(2), duration=-np.inf),
+         InvariantError, "duration must be finite"),
+        (lambda: make_osd_map(PAULI_X, 0.5, (2, 2)),
+         InvariantError, "instruction operator must be diagonal"),
+        (lambda: make_osd_map(np.diag([0.0, 1.0, 2.0]), 0.5, (2, 2)),
+         DimensionError, "diagonal operator dim 3 != 2"),
+        (lambda: dme_query(random_density(2, 0), random_density(3, 1), 0.3),
+         DimensionError, "dim mismatch 2 vs 3"),
+        (lambda: repeated_queries(make_identity_map(2).generator, random_density(2, 0),
+                                  random_density(2, 1), 0.3, 0),
+         InvariantError, "query count must be >= 1"),
+        (lambda: group_commutator(PAULI_X, np.eye(3), 0.1),
+         DimensionError, "shape mismatch"),
+        (lambda: channel_error_probe(make_identity_map(2).generator, make_identity_map(2),
+                                     random_density(2, 0), 0.3, 4, 0, seed=1),
+         InvariantError, "n_samples must be >= 1"),
+    ],
+    ids=["map-output", "generator-dims", "duration-nan", "duration-inf", "osd-not-diagonal",
+         "osd-diagonal-dim", "dme-dims", "no-queries", "commutator-shapes", "no-samples"],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+class TestInstructionDimensionChecked:
+    """An instruction register of the wrong size (here a lifted map fed
+    ``state (x) extra`` with the wrong extra) is rejected by the realization
+    that reads it."""
+
+    CALL = MemoryCallSpec(map=make_pair_commutator_map(2, 0.9),
+                          extra_instruction=random_density(3, 4))
+
+    def test_exact_call(self):
+        with pytest.raises(DimensionError, match="input dim 6 != map d_in 4"):
+            exact_memory_call(self.CALL, random_density(2, 1), random_density(2, 2))
+
+    def test_queried_call(self):
+        with pytest.raises(DimensionError, match=r"memory/working dims \(6,2\)"):
+            queried_memory_call(self.CALL, random_density(2, 1), random_density(2, 2), 4)

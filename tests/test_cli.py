@@ -19,6 +19,15 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def negative_eigenvalue(out):
+    """``out`` with its lowest eigenvalue set to -1e-6 and its highest raised to
+    keep the trace: Hermitian and of unit trace, but not a state."""
+    w, v = np.linalg.eigh((out + out.conj().T) / 2)
+    w[-1] += w[0] + 1e-6
+    w[0] = -1e-6
+    return (v * w) @ v.conj().T
+
+
 def grover_doc(tmp_path, out_name="out.csv", **overrides):
     doc = {
         "schema_version": 1,
@@ -159,8 +168,9 @@ class TestExitCodes:
             # a 1e-9 anti-Hermitian part: a deviation of 2e-9 > HERM_ATOL
             (lambda out: out + 1e-9j * np.eye(out.shape[0]), "matrix is not Hermitian"),
             (lambda out: out * (1 + 1e-8), "is not 1 within"),
+            (negative_eigenvalue, "is below -1e-08"),
         ],
-        ids=["hermiticity", "trace"],
+        ids=["hermiticity", "trace", "positivity"],
     )
     def test_mid_step_break_is_4(self, tmp_path, monkeypatch, capsys, realization, scenario,
                                  strategy, params, fault, message):

@@ -7,8 +7,10 @@ from qdpsim import channels, engine
 from qdpsim.engine import apply_step_exact
 from qdpsim.linalg import TRACE_ATOL
 from qdpsim import (
+    CostLedger,
     DBIConfig,
     DensityMatrix,
+    DimensionError,
     ExactStrategy,
     HybridStrategy,
     IMRConfig,
@@ -69,6 +71,36 @@ class TestStepSpecValidation:
             RecursionStepSpec(
                 static_unitaries=(np.eye(2) * 2, np.eye(2)), memory_calls=(call,)
             )
+
+    def test_non_square_static(self):
+        with pytest.raises(DimensionError, match="static unitaries must be square"):
+            RecursionStepSpec(static_unitaries=(np.ones((2, 3)),), memory_calls=())
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"depth": -1}, "ledger entries must be non-negative"),
+        ({"width": -1}, "ledger entries must be non-negative"),
+        ({"imr_copies": -1}, "ledger entries must be non-negative"),
+        ({"success_probability": 0.0}, r"success probability must be in \(0, 1\]"),
+        ({"success_probability": 1.5}, r"success probability must be in \(0, 1\]"),
+    ],
+)
+def test_cost_ledger_checks(fields, match):
+    with pytest.raises(InvariantError, match=match):
+        CostLedger(**fields)
+
+
+def test_query_step_without_memory_calls():
+    """A step of one static and no calls runs under qdp as under exact, and
+    is charged its closed form."""
+    u = phase_static(0.3)
+    spec = RecursionSpec(step=RecursionStepSpec(static_unitaries=(u,), memory_calls=()),
+                         root=random_density(3, 5))
+    rec = run_qdp(spec, 2, 4)
+    assert np.array_equal(rec.final_state.matrix, run_exact(spec, 2).final_state.matrix)
+    assert rec.final_ledger == QDPStrategy(4).ledger(0, 1, 2)
 
 
 class TestRunExact:
@@ -448,7 +480,7 @@ class TestIdentityStatics:
     def test_identity_statics_give_the_conjugated_state(self):
         step, rho = self.step(np.eye(3)), random_density(3, 1)
         assert step.nontrivial_statics == (False, False)
-        got = apply_step_exact(step, rho, rho).matrix
+        got = apply_step_exact(step, rho).matrix
         assert np.max(np.abs(got - self.explicit(np.eye(3), rho))) <= 4 * np.finfo(float).eps
         assert self.depth(step, rho) == 1
 
@@ -456,7 +488,7 @@ class TestIdentityStatics:
         static, rho = phase_static(2e-12), random_density(3, 1)
         step = self.step(static)
         assert step.nontrivial_statics == (True, True)
-        got = apply_step_exact(step, rho, rho).matrix
+        got = apply_step_exact(step, rho).matrix
         assert np.max(np.abs(got - self.explicit(static, rho))) <= 4 * np.finfo(float).eps
         assert np.max(np.abs(got - self.explicit(np.eye(3), rho))) > 1e-13
         assert self.depth(step, rho) == 3
@@ -465,8 +497,8 @@ class TestIdentityStatics:
         rho = random_density(3, 1)
         step = self.step(phase_static(2e-12))
         object.__setattr__(step, "nontrivial_statics", (False, False))
-        skipped = apply_step_exact(step, rho, rho).matrix
-        assert np.array_equal(skipped, apply_step_exact(self.step(np.eye(3)), rho, rho).matrix)
+        skipped = apply_step_exact(step, rho).matrix
+        assert np.array_equal(skipped, apply_step_exact(self.step(np.eye(3)), rho).matrix)
         assert step.nontrivial_static_count() == 0 and self.depth(step, rho) == 1
 
 
@@ -480,7 +512,7 @@ class TestTraceCheckedPerCall:
         step = RecursionStepSpec(static_unitaries=(np.eye(3),) * (n_calls + 1),
                                  memory_calls=(TestIdentityStatics.CALL,) * n_calls)
         rho = random_density(3, 1)
-        return apply_step_exact(step, rho, rho)
+        return apply_step_exact(step, rho)
 
     def test_calls_within_the_tolerance_each_pass(self, monkeypatch):
         # 3 x 0.6 TRACE_ATOL would fail one check of the whole step

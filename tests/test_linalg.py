@@ -19,7 +19,7 @@ from qdpsim import (
     spectrum,
     trace_distance,
 )
-from qdpsim.linalg import EIG_CLIP_ATOL, HERM_WARN_ATOL
+from qdpsim.linalg import EIG_CLIP_ATOL, EIG_CLIP_MAX, HERM_WARN_ATOL
 
 
 class TestKron:
@@ -229,6 +229,15 @@ class TestStates:
         assert np.min(np.linalg.eigvalsh(dm.matrix)) >= -1e-12
         assert abs(np.trace(dm.matrix) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("low", [-0.5, -2 * EIG_CLIP_MAX])
+    def test_density_rejects_an_eigenvalue_below_the_clip_bound(self, low):
+        with pytest.raises(InvariantError, match="is below -1e-08"):
+            DensityMatrix(np.diag([1.0 - low, low]))
+
+    def test_density_clips_down_to_the_clip_bound(self):
+        dm = DensityMatrix(np.diag([1.0 + 0.5 * EIG_CLIP_MAX, -0.5 * EIG_CLIP_MAX]))
+        assert dm.clip_magnitude == 0.5 * EIG_CLIP_MAX
+
     def test_factor_dims_must_multiply(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
@@ -243,6 +252,41 @@ class TestStates:
             dm.matrix = np.eye(2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: kron(np.ones(3), np.eye(2)), "expected a matrix, got ndim=1"),
+        (lambda: hermitize(np.ones((2, 3))), "expected a square matrix"),
+        (lambda: DensityMatrix(np.eye(2) / 2, (2, 0)), "factor dims must be positive"),
+        (lambda: DensityMatrix(np.eye(2) / 2, ()), "factor dims must be positive"),
+        (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[2]), "out of range for 2 factors"),
+        (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[-1]), "out of range for 2 factors"),
+        (lambda: partial_transpose(np.eye(4), (2, 2), 2), "out of range for 2 factors"),
+        (lambda: partial_transpose(np.eye(4), (2, 2), -1), "out of range for 2 factors"),
+        (lambda: trace_distance(np.eye(2) / 2, np.eye(3) / 3), "shape mismatch"),
+        (lambda: random_density(0, 1), "dim must be >= 1"),
+        (lambda: random_pure(0, 1), "dim must be >= 1"),
+    ],
+    ids=["ndim", "not-square", "zero-factor", "no-factors", "trace-keep-high", "trace-keep-low",
+         "transpose-high", "transpose-low", "distance-shapes", "random-density", "random-pure"],
+)
+def test_argument_checks_raise_dimension_errors(call, match):
+    with pytest.raises(DimensionError, match=match):
+        call()
+
+
+def test_pure_state_is_immutable():
+    psi = random_pure(2, 0)
+    with pytest.raises(AttributeError, match="PureState is immutable"):
+        psi.amplitudes = np.array([1.0, 0.0])
+    with pytest.raises(ValueError):
+        psi.amplitudes[0] = 1.0
+
+
+def test_op_norm_of_an_empty_matrix_is_zero():
+    assert op_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_hermitize_rejects_large_deviation():

@@ -57,6 +57,18 @@ class TestConfigValidation:
         with pytest.raises(InvariantError):
             osd_recursion_spec(cfg)
 
+    def test_canonical_step(self):
+        psi = PureState(random_pure(4, 2).amplitudes, (2, 2))
+        cfg = OSDConfig(dims=(2, 2), diagonal=np.diag([0.0, 1.0]), initial=psi)
+        reduced = partial_trace(psi.projector(), (2, 2), keep=[0])
+        assert cfg.resolved_step() == 1.0 / (4.0 * np.linalg.norm(reduced) * 1.0)
+
+    def test_zero_diagonal_has_no_canonical_step(self):
+        cfg = OSDConfig(dims=(2, 2), diagonal=np.zeros((2, 2)),
+                        initial=PureState(random_pure(4, 2).amplitudes, (2, 2)))
+        with pytest.raises(InvariantError, match="canonical step size needs non-zero"):
+            cfg.resolved_step()
+
 
 class TestSchmidtEstimate:
     @pytest.mark.parametrize("mu, expected", [([0.0, 1.0], [0.1, 0.9]), ([1.0, 0.0], [0.9, 0.1])])
