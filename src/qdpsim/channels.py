@@ -6,14 +6,17 @@ copies of ``rho`` (``queried_memory_call``).  The engine reads no map.
 
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
-``Nhat = sum_jk |k><j| (x) N(|j><k|)`` is built from the action on first read
-of ``generator``, symmetrized by ``linalg.hermitize`` (the one Hermiticity
-check), and exponentiated by ``linalg.herm_exp`` (its one eigendecomposition)
-only when the query duration changes (``unitary``).  The Choi matrix is
-``Nhat`` partially transposed on the first factor, derived only when read.
-Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
-the memory register applies the map's exponential to the working state up to
-O(s^2).
+``Nhat = sum_jk |k><j| (x) N(|j><k|)`` defines the query unitary
+``exp(-i Nhat t)``.  The package's own maps (swap, commutator, osd and pair
+commutator) pass that unitary in closed form (``query_unitary``), so a query
+run never builds ``Nhat``.  Only a dense map (``map_from_function``) has its
+``Nhat`` built from the action, symmetrized by ``linalg.hermitize`` (the one
+Hermiticity check) and diagonalized by ``linalg.herm_exp``; ``choi`` and
+``query_error_bound`` read ``Nhat`` too, built on first read.
+``QueryGenerator.unitary`` picks the realization, once per query duration.  The
+Choi matrix is ``Nhat`` partially transposed on the first factor.  Conjugating
+a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out the memory
+register applies the map's exponential to the working state up to O(s^2).
 
 Sign conventions, fixed here once and relied on everywhere else:
 
@@ -63,13 +66,17 @@ class HermitianPreservingMap:
 
     ``commutator_form``, when set, records that the map is
     ``rho -> -i * s * [d, rho]`` for a Hermitian ``d``; ``unfolded_memory_call``
-    reads it to realize such calls by group commutators.
+    reads it to realize such calls by group commutators.  ``query_unitary``,
+    when set, is the closed form ``t -> exp(-i Nhat t)`` of the map's query
+    unitary (memory register first), which ``QueryGenerator.unitary`` calls
+    instead of diagonalizing ``Nhat``.
     """
 
     d_in: int
     d_out: int
     action: Callable[[np.ndarray], np.ndarray]
     commutator_form: Optional[tuple[np.ndarray, float]] = None
+    query_unitary: Optional[Callable[[float], np.ndarray]] = None
 
     @functools.cached_property
     def choi(self) -> np.ndarray:
@@ -81,8 +88,14 @@ class HermitianPreservingMap:
 
     @functools.cached_property
     def generator(self) -> "QueryGenerator":
-        """The map's query generator ``Nhat``, built on first read."""
-        return QueryGenerator.from_map(self)
+        """The map's query generator; its ``Nhat`` is built (``from_map``)
+        only when read.  The build reads a bare map of the same action, not
+        this one, so the map and its cached generator hold no reference
+        cycle, and both go (with the unitary the generator keeps) as soon as
+        the map is dropped."""
+        bare = HermitianPreservingMap(self.d_in, self.d_out, self.action)
+        return QueryGenerator(lambda: QueryGenerator.from_map(bare).n_hat,
+                              self.d_in, self.d_out, self.query_unitary)
 
 
 def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
@@ -107,24 +120,35 @@ def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
     return _act(m, a)
 
 
-@dataclass(frozen=True)
 class QueryGenerator:
-    """Hermitian generator ``Nhat`` of memory-usage queries, hermitized on creation."""
+    """Hermitian generator ``Nhat`` of memory-usage queries and its query
+    unitary ``exp(-i Nhat t)``.
 
-    n_hat: np.ndarray
-    d_in: int
-    d_out: int
+    ``n_hat`` is the generator's matrix, hermitized on creation, or a
+    function returning it hermitized, called on first read of ``n_hat``.
+    ``closed_form``, when given, is ``t -> exp(-i Nhat t)`` in closed form.
+    """
 
-    def __post_init__(self):
-        n_hat = hermitize(self.n_hat)
-        if n_hat.shape[0] != self.d_in * self.d_out:
+    def __init__(self, n_hat, d_in: int, d_out: int,
+                 closed_form: Optional[Callable[[float], np.ndarray]] = None):
+        self.d_in, self.d_out, self.closed_form = d_in, d_out, closed_form
+        if callable(n_hat):
+            self._build = n_hat
+            return
+        n_hat = hermitize(n_hat)
+        if n_hat.shape[0] != d_in * d_out:
             raise DimensionError("generator dimension does not match d_in*d_out")
         n_hat.setflags(write=False)
-        object.__setattr__(self, "n_hat", n_hat)
+        self.n_hat = n_hat
+
+    @functools.cached_property
+    def n_hat(self) -> np.ndarray:
+        return self._build()
 
     @classmethod
     def from_map(cls, m: HermitianPreservingMap) -> "QueryGenerator":
-        """``Nhat`` from the action: ``N(|j><k|)`` fills block ``[k, :, j, :]``.
+        """The dense generator of ``m``: ``Nhat`` built from the action, with
+        ``N(|j><k|)`` in block ``[k, :, j, :]``, and no closed form.
 
         Same bits as symmetrizing the Choi matrix, then transposing it: the
         transpose only permutes entries, and ``hermitize``'s
@@ -139,10 +163,11 @@ class QueryGenerator:
             unit[j, k] = 1.0
             n_hat4[k, :, j, :] = _act(m, unit)
             unit[j, k] = 0.0
-        return cls(n_hat=n_hat4.reshape(d_in * d_out, d_in * d_out), d_in=d_in, d_out=d_out)
+        return cls(n_hat4.reshape(d_in * d_out, d_in * d_out), d_in, d_out)
 
     def unitary(self, s: float) -> np.ndarray:
-        """Read-only ``exp(-i Nhat s)`` by ``herm_exp``.
+        """Read-only ``exp(-i Nhat s)``: the closed form when there is one,
+        else ``herm_exp`` of ``n_hat``.
 
         The last duration's unitary is kept, in one slot keyed on the bits of
         ``s`` (so ``-0.0`` and ``0.0`` stay apart): every step of a run queries
@@ -152,7 +177,10 @@ class QueryGenerator:
         key = float(s).hex()
         last = self.__dict__.get("_unitary")
         if last is None or last[0] != key:
-            u = herm_exp(self.n_hat, float(s))
+            if self.closed_form is None:
+                u = herm_exp(self.n_hat, float(s))
+            else:
+                u = self.closed_form(float(s))
             u.setflags(write=False)
             last = self.__dict__["_unitary"] = (key, u)
         return last[1]
@@ -193,9 +221,46 @@ def make_identity_map(dim: int) -> HermitianPreservingMap:
 
 
 def make_scaled_identity_map(alpha: float, dim: int) -> HermitianPreservingMap:
-    """The map ``rho -> -alpha * rho``; generator ``-alpha * SWAP``."""
-    a = float(alpha)
-    return map_from_function(lambda x: -a * x, dim, dim)
+    """The map ``rho -> -alpha * rho``; generator ``-alpha * SWAP``, query
+    unitary ``cos(alpha t) 1 + i sin(alpha t) SWAP``."""
+    alpha, d = float(alpha), int(dim)
+
+    def unitary(t):
+        a, b = np.indices((d, d))
+        u = np.zeros((d, d, d, d), dtype=complex)
+        u[b, a, a, b] = 1j * np.sin(alpha * t)  # SWAP |ab> = |ba>
+        u[a, b, a, b] += np.cos(alpha * t)
+        return u.reshape(d * d, d * d)
+
+    return map_from_function(lambda x: -alpha * x, d, d, query_unitary=unitary)
+
+
+def _commutator_unitary(dd: np.ndarray, s: float) -> Callable[[float], np.ndarray]:
+    """``t -> exp(-i Nhat t)`` of the map ``rho -> -i s [dd, rho]``.
+
+    In ``dd``'s eigenbasis ``Nhat`` only couples ``|ab>`` with ``|ba>``, so
+    the unitary is ``W[a,b,a,b] = cos(theta_ab)`` and
+    ``W[b,a,a,b] = sin(theta_ab)`` for ``a != b``, ``W[a,a,a,a] = 1``, with
+    ``theta_ab = -t s (mu_a - mu_b)``.  A non-diagonal
+    ``dd = V diag(mu) V^dag`` conjugates ``W`` by ``V (x) V``.
+    """
+    d = dd.shape[0]
+
+    def unitary(t):
+        if np.count_nonzero(dd - np.diag(np.diag(dd))):
+            mu, v = np.linalg.eigh(dd)
+            vv = np.kron(v, v)
+        else:
+            mu, vv = np.real(np.diag(dd)), None
+        theta = -t * s * (mu[:, None] - mu[None, :])
+        a, b = np.indices((d, d))
+        w = np.zeros((d, d, d, d), dtype=complex)
+        w[b, a, a, b] = np.sin(theta)  # a == b gets 0 here and 1 below
+        w[a, b, a, b] = np.cos(theta)
+        w = w.reshape(d * d, d * d)
+        return w if vv is None else vv @ w @ vv.conj().T
+
+    return unitary
 
 
 def make_commutator_map(d, s: float) -> HermitianPreservingMap:
@@ -203,7 +268,8 @@ def make_commutator_map(d, s: float) -> HermitianPreservingMap:
     dd, ss = hermitize(d), float(s)
     dim = dd.shape[0]
     return map_from_function(
-        lambda x: -1j * ss * (dd @ x - x @ dd), dim, dim, commutator_form=(dd, ss)
+        lambda x: -1j * ss * (dd @ x - x @ dd), dim, dim,
+        commutator_form=(dd, ss), query_unitary=_commutator_unitary(dd, ss),
     )
 
 
@@ -223,7 +289,10 @@ def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
 def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap:
     """The map ``rho_AB -> -i s [d_a, Tr_B rho_AB] (x) 1_B``.
 
-    ``d_a`` must be diagonal with pairwise distinct entries.
+    ``d_a`` must be diagonal with pairwise distinct entries.  Its generator is
+    the commutator generator on the A registers times ``1_B``, so its query
+    unitary is ``W_A (x) 1_B`` over registers (memory A, memory B, working A,
+    working B).
     """
     da, db = int(dims[0]), int(dims[1])
     dd, _ = _validated_diagonal(d_a)
@@ -231,12 +300,18 @@ def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap
         raise DimensionError(f"diagonal operator dim {dd.shape[0]} != {da}")
     ss = float(s)
     eye_b = np.eye(db, dtype=complex)
+    unitary_a = _commutator_unitary(dd, ss)
 
     def fn(x):
         xa = np.trace(x.reshape(da, db, da, db), axis1=1, axis2=3)
         return kron(-1j * ss * (dd @ xa - xa @ dd), eye_b)
 
-    return map_from_function(fn, da * db, da * db)
+    def unitary(t):
+        w_a = unitary_a(t).reshape(da, da, da, da)
+        u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
+        return u.reshape((da * db) ** 2, (da * db) ** 2)
+
+    return map_from_function(fn, da * db, da * db, query_unitary=unitary)
 
 
 def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
@@ -245,7 +320,10 @@ def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
     The map acts on the doubled register and satisfies
     ``N(rho (x) chi) = -i s (rho chi - chi rho)``; on matrix units it
     contracts the two factors into an ordinary operator product, once in each
-    order.
+    order.  Its generator is ``-i s (C - C^2)`` for the cyclic shift
+    ``C|x y z> = |y z x>`` of the three registers, so its query unitary is
+    ``c0 1 + c1 C + c2 C^2`` with ``c_j = (1 + 2 cos(theta - 2 pi j / 3)) / 3``
+    and ``theta = -sqrt(3) s t``.
     """
     d = int(dim)
     ss = float(s)
@@ -259,7 +337,17 @@ def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
         second_first = np.einsum("apqa->pq", x4)
         return -1j * ss * (first_second - second_first)
 
-    return map_from_function(fn, d * d, d)
+    def unitary(t):
+        theta = -np.sqrt(3.0) * ss * t
+        c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3))
+        x, y, z = np.indices((d, d, d))
+        u = np.zeros((d,) * 6, dtype=complex)
+        u[x, y, z, x, y, z] += c0
+        u[y, z, x, x, y, z] += c1
+        u[z, x, y, x, y, z] += c2
+        return u.reshape(d**3, d**3)
+
+    return map_from_function(fn, d * d, d, query_unitary=unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +427,7 @@ def memory_usage_query(
     Computes ``Tr_1[exp(-i Nhat s) (memory (x) working) exp(+i Nhat s)]``.
     """
     _check_query_dims(gen, memory, working)
-    w = herm_exp(gen.n_hat, float(s))
+    w = gen.unitary(s)
     joint = w @ kron(memory.matrix, working.matrix) @ w.conj().T
     d_in, d_out = gen.d_in, gen.d_out
     out = np.trace(joint.reshape(d_in, d_out, d_in, d_out), axis1=0, axis2=2)

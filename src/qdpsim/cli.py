@@ -343,9 +343,9 @@ def _check_ledger_digits(path: str, scenario: str, p: dict, strategy) -> None:
 
 
 # Largest dense operator a run may build, in bytes.  An exact or unfolding run
-# builds the d_in x d_in instruction matrix (16 d_in^2); a query run builds the
-# query generator ``Nhat`` (16 d_in^2 d_out^2), which is never smaller than its
-# superoperator (16 d_out^4) because d_in >= d_out.
+# builds the d_in x d_in instruction matrix (16 d_in^2); a query run builds its
+# map's query unitary, the size of ``Nhat`` (16 d_in^2 d_out^2), which is never
+# smaller than its superoperator (16 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
 # Largest trajectory a run may keep, in bytes: one dense d x d state per step
 # plus the root, 16 (n_steps + 1) d^2.  Four operators' worth, so a run at the

@@ -306,7 +306,10 @@ class QDPStrategy(_ClosedForm):
             raise InvariantError("query count m must be >= 1")
 
     def depth_width(self, calls, statics, n_steps, covariant=False):
-        return n_steps * (self.m + statics), (self.m + 1) ** n_steps
+        """A step with calls costs its ``m`` queries and ``m`` memory copies;
+        a call-free step costs its statics only."""
+        m = self.m if calls else 0
+        return n_steps * (m + statics), (m + 1) ** n_steps
 
     def advance(self, spec, step, n, state, ledger, charge_as=None):
         counts = _split_queries(self.m, step.n_calls)

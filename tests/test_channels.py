@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -150,7 +151,9 @@ class TestQuerySuperoperatorDecomposesOnce:
 
 class TestQueryGeneratorUnitary:
     def test_one_slot_with_the_bits_of_herm_exp(self):
-        gen = make_commutator_map(random_hermitian(3, 23), 0.4).generator
+        # A dense map: its unitary is herm_exp of its Nhat.
+        h = random_hermitian(3, 23)
+        gen = map_from_function(lambda x: -0.4j * (h @ x - x @ h), 3, 3).generator
         u = gen.unitary(0.25)
         assert np.array_equal(u, herm_exp(gen.n_hat, 0.25))
         assert not u.flags.writeable
@@ -161,6 +164,27 @@ class TestQueryGeneratorUnitary:
         again = gen.unitary(0.25)
         assert again is not u and np.array_equal(again, u)
         assert gen.unitary(-0.0) is not gen.unitary(0.0)
+
+    @pytest.mark.parametrize("build", [lambda: make_identity_map(2),
+                                       lambda: map_from_function(lambda x: x, 2, 2)],
+                             ids=["closed-form", "dense"])
+    def test_map_and_generator_are_freed_without_the_cycle_collector(self, build):
+        # A cycle between a map and its cached generator would keep the
+        # generator's unitary alive until a full collection.
+        m = build()
+        m.generator.unitary(0.3)
+        m.generator.n_hat
+        ref = weakref.ref(m.generator)
+        del m
+        assert ref() is None
+
+    def test_closed_form_in_one_slot(self):
+        m = make_commutator_map(random_hermitian(3, 23), 0.4)
+        u = m.generator.unitary(0.25)
+        assert np.array_equal(u, m.query_unitary(0.25))
+        assert not u.flags.writeable
+        assert m.generator.unitary(0.25) is u
+        assert "n_hat" not in vars(m.generator)
 
 
 class TestMakeCommutatorMap:

@@ -1,8 +1,10 @@
 import copy
 import importlib.util
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import numpy as np
@@ -918,3 +920,25 @@ def test_osd_check_reads_the_estimate_in_mu_order(tmp_path, capsys, monkeypatch,
     out = capsys.readouterr().err.strip()  # stdout holds the report: no output.path
     assert out.startswith("bound schmidt_estimate_max_error: measured")
     assert out.endswith(status)
+
+
+def test_qite_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """A qite qdp run writes the same report bytes with OpenBLAS at 1 and at 2
+    threads.  Its queries no longer diagonalize the 512-dim ``Nhat`` (the
+    pair-commutator map's query unitary is in closed form), which is where
+    the thread count used to move ``energy`` by up to 2.7e-13."""
+    out = tmp_path / "report.json"
+    doc = {"schema_version": 1, "scenario": "qite", "seed": 3, "strategy": {"kind": "qdp", "m": 16},
+           "params": {"model": "heisenberg_chain", "n_qubits": 3, "n_steps": 2},
+           "output": {"path": str(out), "format": "json"}}
+    path = write_config(tmp_path, doc)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", "import sys; from qdpsim.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", "run", path], env=env, check=True,
+                       capture_output=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

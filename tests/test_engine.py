@@ -101,6 +101,8 @@ def test_query_step_without_memory_calls():
     rec = run_qdp(spec, 2, 4)
     assert np.array_equal(rec.final_state.matrix, run_exact(spec, 2).final_state.matrix)
     assert rec.final_ledger == QDPStrategy(4).ledger(0, 1, 2)
+    # No call, so no query and no memory copy: the exact run's depth and width.
+    assert (rec.final_ledger.depth, rec.final_ledger.width) == (2, 1)
 
 
 class TestRunExact:
@@ -196,16 +198,40 @@ def count_generator_builds(monkeypatch):
     return maps
 
 
-class TestGeneratorReuse:
-    def test_qdp_run_builds_one_generator_per_map(self, monkeypatch):
-        maps = count_generator_builds(monkeypatch)
-        run_qdp(small_dbi_spec(), 5, 8)
-        assert len(maps) == 1
+def with_call_map(spec, wrap):
+    """``spec`` with its one memory-call's map replaced by ``wrap(map)``."""
+    call = spec.step.memory_calls[0]
+    call = dataclasses.replace(call, map=wrap(call.map))
+    return dataclasses.replace(spec, step=dataclasses.replace(spec.step, memory_calls=(call,)))
 
-    def test_hybrid_run_builds_one_generator_per_map(self, monkeypatch):
-        maps = count_generator_builds(monkeypatch)
-        run_hybrid(small_dbi_spec(), 2, 3, 8)
-        assert len(maps) == 1
+
+def dense(m):
+    """``m`` without its closed form, so its queries diagonalize ``Nhat``."""
+    return dataclasses.replace(m, query_unitary=None)
+
+
+class TestGeneratorReuse:
+    """A run evaluates its map's closed-form query unitary once per query
+    duration, and never builds ``Nhat``."""
+
+    @staticmethod
+    def recording(durations):
+        def wrap(m):
+            def unitary(t):
+                durations.append(t)
+                return m.query_unitary(t)
+            return dataclasses.replace(m, query_unitary=unitary)
+        return wrap
+
+    def test_qdp_run_evaluates_the_closed_form_once(self, monkeypatch):
+        maps, durations = count_generator_builds(monkeypatch), []
+        run_qdp(with_call_map(small_dbi_spec(), self.recording(durations)), 5, 8)
+        assert durations == [-1.0 / 8] and maps == []
+
+    def test_hybrid_run_evaluates_the_closed_form_once(self, monkeypatch):
+        maps, durations = count_generator_builds(monkeypatch), []
+        run_hybrid(with_call_map(small_dbi_spec(), self.recording(durations)), 2, 3, 8)
+        assert durations == [-1.0 / 8] and maps == []
 
     def test_generator_is_cached_on_the_map(self):
         m = make_identity_map(2)
@@ -213,8 +239,8 @@ class TestGeneratorReuse:
 
 
 def count_generator_calls(monkeypatch, owner, name, run):
-    """Calls of ``owner.name`` made by ``run(spec)`` on a dbi spec whose first
-    argument equals the spec's query generator ``Nhat``."""
+    """Calls of ``owner.name`` made by ``run(spec)`` on a dense dbi spec whose
+    first argument equals the spec's query generator ``Nhat``."""
     args = []
     fn = getattr(owner, name)
 
@@ -222,7 +248,7 @@ def count_generator_calls(monkeypatch, owner, name, run):
         args.append(np.array(a))
         return fn(a, *rest, **kwargs)
 
-    spec = small_dbi_spec()
+    spec = with_call_map(small_dbi_spec(), dense)
     monkeypatch.setattr(owner, name, counting)
     run(spec)
     gen = spec.step.memory_calls[0].map.generator
@@ -230,6 +256,8 @@ def count_generator_calls(monkeypatch, owner, name, run):
 
 
 class TestGeneratorDecomposedOnce:
+    """A dense map's ``Nhat`` is diagonalized once per run."""
+
     def test_qdp_run_decomposes_the_generator_once(self, monkeypatch):
         run = lambda spec: run_qdp(spec, 5, 8)  # noqa: E731
         assert count_generator_calls(monkeypatch, np.linalg, "eigh", run) == 1
@@ -241,7 +269,7 @@ class TestGeneratorDecomposedOnce:
 
 def test_qdp_run_exponentiates_the_generator_once(monkeypatch):
     """Every step queries the generator at one duration, so ``herm_exp`` sees
-    ``Nhat`` once in a 5-step run."""
+    a dense map's ``Nhat`` once in a 5-step run."""
     run = lambda spec: run_qdp(spec, 5, 8)  # noqa: E731
     assert count_generator_calls(monkeypatch, channels, "herm_exp", run) == 1
 

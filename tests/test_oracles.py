@@ -11,29 +11,30 @@ eps and then applies it ``m`` times, by ``m`` matvecs or, past the crossover
 ``2 log2(m) d^2 < m``, by repeated squaring; either way its distance to the
 closed form is budgeted as ``(8 + m) eps`` (largest entry), once validated as
 a ``DensityMatrix``, as a recursion step validates its output: the raw block
-reads up to 2.19 m eps, since the trace normalization removes its drift.  ``M_VALUES``
-squares from m = 49 at d = 2 and from m = 289 at d = 4.  A survey over seeds
-0-4 measured at most 5.5 eps for m < 16, and for 16 <= m <= 2^16 at most
-0.672 m eps with the loop alone and 0.713 m eps with squaring (both at
-m = 288); at m = 2^16, 0.546 m eps with the loop and 0.536 m eps squaring.
+reads up to 1.11 m eps (2.19 with ``herm_exp``), since the trace normalization
+removes its drift.  ``M_VALUES`` squares from m = 49 at d = 2 and from
+m = 289 at d = 4.  With the query unitary in closed form, a survey over
+seeds 0-4 measured at most 6.0 eps for m < 16, at most 0.500 m eps for
+16 <= m <= 2^16 and 0.384 m eps at m = 2^16 (0.713 and 0.536 m eps when the
+unitary came from ``herm_exp``).
 
 The blocks stop at m = 2^16.  One query's superoperator misses trace
-preservation by about 2 eps, and a block of ``m`` queries amplifies that
-defect to about ``m`` times it, by matvecs and by squaring alike, so at
-m = 2^18 the trace passes ``TRACE_ATOL`` (1e-10) for some inputs and the
-output ``DensityMatrix`` is rejected.  Of the survey's 20 inputs at m = 2^18,
-mean drift 261k eps with the loop and 269k eps with squaring, three fail
-there, all at S = 0.6: d = 2 seed 0, d = 4 seed 2 and d = 4 seed 4 (453k eps
-against a limit of 450k; 434k eps with the loop).  The channel-error run on
-d = 4 seed 2 is pinned below as an expected failure.
+preservation by a few eps, and a block of ``m`` queries amplifies that
+defect to about ``m`` times it, by matvecs and by squaring alike, so for
+large enough m the trace passes ``TRACE_ATOL`` (1e-10) and the output
+``DensityMatrix`` is rejected.  Of the survey's 20 inputs, worst drift
+2.23e5 eps at m = 2^18, where none fails, and 1.49e6 eps at m = 2^20, where
+10 fail.  The channel-error run on d = 4 seed 9 at m = 2^20 is pinned below
+as an expected failure.
 
 Dense query: a block of ``m`` queries of duration ``S/m`` is ``m`` successive
 ``memory_usage_query`` calls, each handed the same memory copy and each
-exponentiating ``Nhat`` and validating its output on its own.  It has no
-closed form, but it shares no code with the superoperator, the loop or the
-squaring.  The validated block is budgeted ``(8 + m) eps`` against it; over
-seeds 0-19 the worst was 1.03 eps at m = 1 and 0.661 m eps at m = 64
-(commutator map, d = 2), and 0.436 m eps at m = 1024.
+applying the generator's query unitary and validating its output on its own.
+It shares that unitary with the block (the closed forms have their own
+oracle below) but not the superoperator, the loop or the squaring.  The
+validated block is budgeted ``(8 + m) eps`` against it; over seeds 0-19 the
+worst was 1.03 eps at m = 1 and 0.429 m eps at m = 64 (commutator map,
+d = 2), and 0.349 m eps at m = 1024.
 """
 
 import numpy as np
@@ -42,10 +43,13 @@ import pytest
 from conftest import random_hermitian
 from qdpsim import (
     DensityMatrix,
+    QueryGenerator,
+    herm_exp,
     make_commutator_map,
     make_identity_map,
     make_osd_map,
     make_pair_commutator_map,
+    make_scaled_identity_map,
     memory_usage_query,
     random_density,
     random_pure,
@@ -116,14 +120,115 @@ def test_query_blocks_match_the_dense_query(build, longer, seed, total):
         assert err <= (8 + m) * EPS, (m, err / EPS)
 
 
-@pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's ~2 eps "
-                   "trace defect m-fold, past TRACE_ATOL at m = 2^18, so a valid config exits 4")
+# Closed-form query unitaries ------------------------------------------------
+#
+# Each map constructor's ``query_unitary`` against ``herm_exp`` of the map's
+# ``Nhat`` built from its action, at the workloads' sizes and per-query
+# durations, and both against the same closed form in ``np.longdouble``.  Over
+# seeds 0-11 the closed forms were at most 11.5 eps from ``herm_exp`` (dense
+# commutator, d = 4) and at most 2.5 eps from the long-double form, against
+# 6.0 eps for ``herm_exp``.
+
+LD = np.longdouble
+DURATIONS = [1 / 64, -1 / 256, 0.05]
+CLOSED_FORM_BUDGET = 32 * EPS
+
+
+def ld_commutator(mu, s, t):
+    mu = np.asarray(mu, LD)
+    d = len(mu)
+    theta = -LD(t) * LD(s) * (mu[:, None] - mu[None, :])
+    w = np.zeros((d,) * 4, dtype=np.clongdouble)
+    a, b = np.indices((d, d))
+    w[b, a, a, b] = np.sin(theta)
+    w[a, b, a, b] = np.cos(theta)
+    return w.reshape(d * d, d * d)
+
+
+def ld_osd(mu, s, d_b, t):
+    d_a = len(mu)
+    w = np.zeros((d_a, d_b, d_a, d_b) * 2, dtype=np.clongdouble)
+    for b, c in np.ndindex(d_b, d_b):
+        w[:, b, :, c, :, b, :, c] = ld_commutator(mu, s, t).reshape((d_a,) * 4)
+    return w.reshape((d_a * d_b) ** 2, (d_a * d_b) ** 2)
+
+
+def ld_pair_commutator(d, s, t):
+    theta, pi = -np.sqrt(LD(3)) * LD(s) * LD(t), np.arccos(LD(-1))
+    c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * pi * j / 3)) / 3 for j in range(3))
+    x, y, z = np.indices((d, d, d))
+    w = np.zeros((d,) * 6, dtype=np.clongdouble)
+    w[x, y, z, x, y, z] += c0
+    w[y, z, x, x, y, z] += c1
+    w[z, x, y, x, y, z] += c2
+    return w.reshape(d**3, d**3)
+
+
+def ld_swap(alpha, d, t):
+    swap = np.eye(d * d, dtype=LD).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return np.cos(LD(alpha) * LD(t)) * np.eye(d * d, dtype=LD) + 1j * np.sin(LD(alpha) * LD(t)) * swap
+
+
+def check_closed_form(m, ld_unitary=None):
+    """``m.query_unitary(t)`` within the budget of ``herm_exp(Nhat, t)``, and
+    no farther than it from ``ld_unitary(t)`` where long double is wider."""
+    n_hat = QueryGenerator.from_map(m).n_hat
+    for t in DURATIONS:
+        closed, dense = m.query_unitary(t), herm_exp(n_hat, t)
+        assert np.max(np.abs(closed - dense)) <= CLOSED_FORM_BUDGET, t
+        if ld_unitary is not None and np.finfo(LD).eps < EPS:
+            exact = ld_unitary(t)
+            dist = [np.max(np.abs(u.astype(np.clongdouble) - exact)) for u in (closed, dense)]
+            assert dist[0] <= dist[1], (t, [float(x) / EPS for x in dist])
+
+
+def seeded(seed):
+    rng = np.random.default_rng(seed)
+    return rng, float(rng.uniform(0.2, 1.5))
+
+
+@pytest.mark.parametrize("dim", [12, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commutator_closed_form(dim, seed):
+    rng, s = seeded(seed)
+    mu = np.sort(rng.standard_normal(dim))
+    check_closed_form(make_commutator_map(np.diag(mu), s), lambda t: ld_commutator(mu, s, t))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_commutator_closed_form_dense_operator(seed):
+    _, s = seeded(seed)
+    check_closed_form(make_commutator_map(random_hermitian(4, seed), s))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_osd_closed_form(seed):
+    rng, s = seeded(seed)
+    mu = np.array([0.0, rng.uniform(0.5, 2.0)])
+    check_closed_form(make_osd_map(np.diag(mu), s, (2, 6)), lambda t: ld_osd(mu, s, 6, t))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_commutator_closed_form(seed):
+    _, s = seeded(seed)
+    check_closed_form(make_pair_commutator_map(8, s), lambda t: ld_pair_commutator(8, s, t))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_swap_closed_form(dim, seed):
+    _, alpha = seeded(seed)
+    check_closed_form(make_scaled_identity_map(alpha, dim), lambda t: ld_swap(alpha, dim, t))
+
+
+@pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's trace "
+                   "defect m-fold, past TRACE_ATOL at m = 2^20, so a valid config exits 4")
 def test_long_swap_block_keeps_the_trace(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("QDPSIM_SEED", raising=False)
     path = tmp_path / "cfg.json"
     path.write_text(
-        '{"schema_version": 1, "scenario": "channel-error", "seed": 2, "params": '
-        '{"dim": 4, "map": "dme", "s": 0.6, "m_values": [262144], "n_samples": 2}}'
+        '{"schema_version": 1, "scenario": "channel-error", "seed": 9, "params": '
+        '{"dim": 4, "map": "dme", "s": 0.6, "m_values": [1048576], "n_samples": 2}}'
     )
     code = main(["run", str(path)])
     capsys.readouterr()
