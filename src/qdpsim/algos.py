@@ -47,24 +47,7 @@ from .linalg import (
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev machinery and the reflection cascade
-
-
-def chebyshev_T(m: float, x: float) -> float:
-    """Chebyshev polynomial of the first kind, real orders allowed.
-
-    cos(m arccos x) on [-1, 1], cosh(m arcosh x) above 1; below -1 the real
-    part of the analytic continuation, cos(pi m) cosh(m arcosh(-x)), which
-    reduces to the usual parity rule at integer orders.
-    """
-    m = float(m)
-    x = float(x)
-    with np.errstate(over="ignore"):
-        if abs(x) <= 1.0:
-            return float(np.cos(m * np.arccos(x)))
-        if x > 1.0:
-            return float(np.cosh(m * np.arccosh(x)))
-        return float(np.cos(np.pi * m) * np.cosh(m * np.arccosh(-x)))
+# The reflection cascade
 
 
 def _arcsech(x: float) -> float:
@@ -487,8 +470,6 @@ def qite_encode_hamiltonian(h) -> tuple[np.ndarray, DensityMatrix, float]:
     tr = float(np.real(np.trace(shifted)))
     if tr <= 1e-12:
         raise InvariantError("Hamiltonian is proportional to the identity")
-    if np.linalg.eigvalsh(shifted).min() < -1e-10:
-        raise InvariantError("shifted Hamiltonian is not positive semidefinite")
     return shifted, DensityMatrix(shifted / tr), tr
 
 

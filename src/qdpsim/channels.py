@@ -11,12 +11,12 @@ which is all an exact memory-call reads.  Its Hermitian *query generator*
 commutator) pass that unitary in closed form (``query_unitary``), so a query
 run never builds ``Nhat``.  Only a dense map (``map_from_function``) has its
 ``Nhat`` built from the action, symmetrized by ``linalg.hermitize`` (the one
-Hermiticity check) and diagonalized by ``linalg.herm_exp``; ``choi`` and
-``query_error_bound`` read ``Nhat`` too, built on first read.
-``QueryGenerator.unitary`` picks the realization, once per query duration.  The
-Choi matrix is ``Nhat`` partially transposed on the first factor.  Conjugating
-a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out the memory
-register applies the map's exponential to the working state up to O(s^2).
+Hermiticity check) and diagonalized by ``linalg.herm_exp``;
+``query_error_bound`` reads ``Nhat`` too, built on first read.
+``QueryGenerator.unitary`` picks the realization, once per query duration.
+Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
+the memory register applies the map's exponential to the working state up to
+O(s^2).
 
 Sign conventions, fixed here once and relied on everywhere else:
 
@@ -53,7 +53,6 @@ from .linalg import (
     hermitize,
     kron,
     op_norm,
-    partial_transpose,
     random_pure,
     trace_distance,
     _as_square,
@@ -77,14 +76,6 @@ class HermitianPreservingMap:
     action: Callable[[np.ndarray], np.ndarray]
     commutator_form: Optional[tuple[np.ndarray, float]] = None
     query_unitary: Optional[Callable[[float], np.ndarray]] = None
-
-    @functools.cached_property
-    def choi(self) -> np.ndarray:
-        """Choi matrix, the partial transpose of ``generator.n_hat``, built on
-        first read; a map that is not Hermitian-preserving fails ``hermitize``."""
-        choi = partial_transpose(self.generator.n_hat, (self.d_in, self.d_out), 0)
-        choi.setflags(write=False)
-        return choi
 
     @functools.cached_property
     def generator(self) -> "QueryGenerator":
@@ -149,12 +140,8 @@ class QueryGenerator:
     def from_map(cls, m: HermitianPreservingMap) -> "QueryGenerator":
         """The dense generator of ``m``: ``Nhat`` built from the action, with
         ``N(|j><k|)`` in block ``[k, :, j, :]``, and no closed form.
-
-        Same bits as symmetrizing the Choi matrix, then transposing it: the
-        transpose only permutes entries, and ``hermitize``'s
-        ``(a_P + conj(a_P')) / 2`` meets each entry with the same mirror
-        partner in the same order, so its largest deviation is the same number
-        too.  Hermitizing the result again would return its bits (see ``herm_exp``).
+        ``hermitize`` rejects a map that is not Hermitian-preserving.
+        Hermitizing the result again would return its bits (see ``herm_exp``).
         """
         d_in, d_out = m.d_in, m.d_out
         n_hat4 = np.zeros((d_in, d_out, d_in, d_out), dtype=complex)

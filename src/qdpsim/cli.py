@@ -20,8 +20,7 @@ entry through the same strategy check (``_strategy``) as ``strategy``.
 Integers are JSON integers (booleans are not), reals are finite JSON
 numbers, and a null value means "absent".
 
-Flags override file fields, and the QDPSIM_SEED environment variable
-overrides the file seed (an explicit --seed flag beats both).  Reruns with
+Flags override file fields (``--seed`` the file seed).  Reruns with
 identical config and seed produce byte-identical output files; floats are
 serialized with 17 significant digits so the round trip is lossless.  With
 no output path the report is written to stdout instead.
@@ -716,12 +715,6 @@ def _apply_overrides(raw, args):
     if not isinstance(raw, dict):
         return raw  # from_dict names what it must be
     raw = dict(raw)
-    env_seed = os.environ.get("QDPSIM_SEED")
-    if env_seed is not None:
-        try:
-            raw["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"QDPSIM_SEED must be an integer, got {env_seed!r}") from exc
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     flags = {"path": getattr(args, "output", None), "format": getattr(args, "format", None)}
@@ -752,7 +745,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--format", choices=["csv", "json"])
 
     p_cost = sub.add_parser("cost", help="closed-form depth/width cost table")
-    p_cost.add_argument("--scenario", default="grover", choices=["grover"])
     p_cost.add_argument("--L", type=int, required=True, help="memory-calls per step")
     p_cost.add_argument("--N", type=int, required=True, help="recursion steps")
     p_cost.add_argument("--m", type=int, help="queries per step (adds query-strategy rows)")

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvariantError
 
-# Hermiticity handling, in ``hermitize`` only (states, generators and Choi
-# matrices alike, with no per-call override): deviations up to HERM_WARN_ATOL
+# Hermiticity handling, in ``hermitize`` only (states and generators alike,
+# with no per-call override): deviations up to HERM_WARN_ATOL
 # are symmetrized silently, deviations in (HERM_WARN_ATOL, HERM_ATOL] are
 # symmetrized with a warning, anything larger is rejected.
 HERM_ATOL = 1e-10
@@ -108,19 +107,6 @@ def partial_trace(m, factor_dims, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def partial_transpose(m, factor_dims, part: int) -> np.ndarray:
-    """Transpose the indices of a single tensor factor; involutive."""
-    a = _as_square(m)
-    dims = _check_factor_dims(factor_dims, a.shape[0])
-    k = len(dims)
-    part = int(part)
-    if part < 0 or part >= k:
-        raise DimensionError(f"factor index {part} out of range for {k} factors")
-    t = a.reshape(dims + dims)
-    t = np.swapaxes(t, part, part + k)
-    return t.reshape(a.shape)
-
-
 def herm_exp(h, t: float, eig=None) -> np.ndarray:
     """exp(-i*h*t) for Hermitian ``h`` via spectral decomposition.
 
@@ -164,22 +150,6 @@ def op_norm(a) -> float:
     if h.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted non-increasing, with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectrum(h) -> Spectrum:
-    """Full spectral decomposition of a Hermitian matrix, sorted non-increasing."""
-    hh = hermitize(h)
-    w, v = np.linalg.eigh(hh)
-    order = np.argsort(w)[::-1]
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 class DensityMatrix:

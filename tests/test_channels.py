@@ -29,7 +29,6 @@ from qdpsim import (
     map_apply,
     memory_usage_query,
     partial_trace,
-    partial_transpose,
     query_error_bound,
     random_density,
     random_pure,
@@ -71,7 +70,7 @@ class TestMapApply:
             map_apply(make_identity_map(2), np.eye(3))
 
 
-class TestActionMatchesChoi:
+class TestActionMatchesGenerator:
     @pytest.mark.parametrize(
         "build",
         [
@@ -84,20 +83,21 @@ class TestActionMatchesChoi:
         ],
         ids=["identity", "scaled", "commutator", "osd", "pair-commutator", "non-square"],
     )
-    def test_action_equals_choi_contraction(self, build):
+    def test_action_equals_generator_contraction(self, build):
+        # N(|j><k|) is Nhat's block [k, :, j, :], so N(x) = sum_jk x_jk N(|j><k|)
         m = build()
         rng = np.random.default_rng(31)
-        choi4 = m.choi.reshape(m.d_in, m.d_out, m.d_in, m.d_out)
+        n_hat4 = m.generator.n_hat.reshape(m.d_in, m.d_out, m.d_in, m.d_out)
         for _ in range(3):
             x = rng.standard_normal((m.d_in, m.d_in)) + 1j * rng.standard_normal((m.d_in, m.d_in))
-            expected = np.einsum("jakb,jk->ab", choi4, x)
+            expected = np.einsum("kajb,jk->ab", n_hat4, x)
             np.testing.assert_allclose(map_apply(m, x), expected, rtol=0, atol=1e-13)
-        assert m.choi is m.choi
+        assert m.generator is m.generator
 
-    def test_exact_call_builds_no_choi(self):
+    def test_exact_call_builds_no_generator(self):
         m = make_commutator_map(random_hermitian(3, 22), 0.4)
         exact_memory_call(MemoryCallSpec(map=m), random_density(3, 1), random_density(3, 2))
-        assert "choi" not in vars(m)
+        assert "generator" not in vars(m)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +190,7 @@ class TestQueryGeneratorUnitary:
 class TestMakeCommutatorMap:
     def test_zero_duration_gives_zero_map(self):
         m = make_commutator_map(PAULI_Z, 0.0)
-        np.testing.assert_allclose(m.choi, 0.0, atol=1e-15)
+        np.testing.assert_allclose(m.generator.n_hat, 0.0, atol=1e-15)
 
     def test_generator_entry_pattern(self):
         # Nhat = i s (mu_k - mu_j) |kj><jk| for diagonal instruction operators
@@ -658,25 +658,25 @@ class TestChannelErrorProbe:
 
 
 class TestHermitianPreservingMapValidation:
-    def test_rejects_non_hermitian_choi(self):
+    def test_rejects_non_hermitian_n_hat(self):
         m = map_from_function(lambda x: 1j * x, 2, 2)
         with pytest.raises(InvariantError):
-            m.choi
+            m.generator.n_hat
 
-    def test_choi_symmetrizes_small_deviation_with_warning(self):
-        # the Choi matrix deviates from Hermitian by 2 * eps, inside the
+    def test_n_hat_symmetrizes_small_deviation_with_warning(self):
+        # Nhat deviates from Hermitian by 2 * eps, inside the
         # (HERM_WARN_ATOL, HERM_ATOL] window of hermitize
         eps = 1e-11
         m = map_from_function(lambda x: x + 1j * eps * np.trace(x) * np.eye(2), 2, 2)
         with pytest.warns(RuntimeWarning, match="symmetrizing matrix"):
-            choi = m.choi
-        np.testing.assert_array_equal(choi, choi.conj().T)
+            n_hat = m.generator.n_hat
+        np.testing.assert_array_equal(n_hat, n_hat.conj().T)
 
-    def test_choi_rejects_deviation_above_herm_atol(self):
+    def test_n_hat_rejects_deviation_above_herm_atol(self):
         eps = 1e-9
         m = map_from_function(lambda x: x + 1j * eps * np.trace(x) * np.eye(2), 2, 2)
         with pytest.raises(InvariantError, match="not Hermitian"):
-            m.choi
+            m.generator.n_hat
 
     def test_exact_call_rejects_non_hermitian_generator(self):
         # the generator 1j * rho deviates from Hermitian by 2 max|rho|
@@ -691,8 +691,8 @@ class TestHermitianPreservingMapValidation:
 
 
 def choi_from_action(m):
-    """The Choi matrix as the map built it from the action before ``Nhat``
-    was: ``N(|j><k|)`` in block ``[j, :, k, :]``, then ``hermitize``."""
+    """The map's Choi matrix built from the action: ``N(|j><k|)`` in block
+    ``[j, :, k, :]``, then ``hermitize``."""
     d_in, d_out = m.d_in, m.d_out
     choi4 = np.zeros((d_in, d_out, d_in, d_out), dtype=complex)
     for j in range(d_in):
@@ -717,13 +717,11 @@ class TestGeneratorFromAction:
     def test_same_bits_as_the_choi_route(self, build):
         m = build()
         choi = choi_from_action(build())
-        n_hat = hermitize(partial_transpose(choi, (m.d_in, m.d_out), 0))
+        # Nhat is the Choi matrix transposed on the first (input) factor
+        choi4 = choi.reshape(m.d_in, m.d_out, m.d_in, m.d_out)
+        n_hat = hermitize(choi4.swapaxes(0, 2).reshape(choi.shape))
         assert np.array_equal(m.generator.n_hat, n_hat)
         assert m.generator.n_hat.tobytes() == n_hat.tobytes()
-        assert np.array_equal(m.choi, choi)
-        assert m.choi.tobytes() == choi.tobytes()
-        assert m.choi is m.choi
-        assert not m.choi.flags.writeable
 
     @pytest.mark.parametrize("build", BUILDS, ids=IDS)
     def test_from_map_hermitizes_once(self, build, monkeypatch):

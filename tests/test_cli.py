@@ -255,35 +255,27 @@ class TestDeterminism:
         main(["run", path2])
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_environment_does_not_reseed_the_run(self, tmp_path, monkeypatch):
+        # the benchmark calls main in-process, so an inherited variable
+        # must not move a config off its file seed
         doc = grover_doc(tmp_path, out_name="a.csv")
-        doc["params"]["dim"] = 3
-        path = write_config(tmp_path, doc)
-        main(["run", path])
-        monkeypatch.setenv("QDPSIM_SEED", "8")
-        doc2 = grover_doc(tmp_path, out_name="b.csv")
-        doc2["params"]["dim"] = 3
-        path2 = write_config(tmp_path, doc2, name="cfg2.json")
-        main(["run", path2])
-        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
-
-    def test_seed_flag_beats_env_and_file(self, tmp_path, monkeypatch):
-        doc = grover_doc(tmp_path, out_name="want.csv", seed=9)
         doc["params"]["dim"] = 3
         main(["run", write_config(tmp_path, doc)])
         monkeypatch.setenv("QDPSIM_SEED", "8")
+        assert main(["run", write_config(tmp_path, doc), "--output", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_seed_flag_beats_file(self, tmp_path):
+        doc = grover_doc(tmp_path, out_name="want.csv", seed=9)
+        doc["params"]["dim"] = 3
+        main(["run", write_config(tmp_path, doc)])
         doc2 = grover_doc(tmp_path, out_name="got.csv")
         doc2["params"]["dim"] = 3
         path2 = write_config(tmp_path, doc2, name="cfg2.json")
         assert main(["run", path2, "--seed", "9"]) == 0
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert main(["run", path2, "--output", str(tmp_path / "env.csv")]) == 0
-        assert (tmp_path / "env.csv").read_bytes() != (tmp_path / "want.csv").read_bytes()
-
-    def test_non_integer_env_seed_is_2_and_named(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QDPSIM_SEED", "abc")
-        assert main(["run", write_config(tmp_path, grover_doc(tmp_path))]) == 2
-        assert "QDPSIM_SEED" in capsys.readouterr().err
+        assert main(["run", path2, "--output", str(tmp_path / "file.csv")]) == 0
+        assert (tmp_path / "file.csv").read_bytes() != (tmp_path / "want.csv").read_bytes()
 
 
 class TestSchemas:
@@ -396,15 +388,14 @@ class TestSchemas:
 
 class TestCost:
     def test_unfolding_final_step_calls(self, capsys):
-        assert main(["cost", "--scenario", "grover", "--L", "2", "--N", "4"]) == 0
+        assert main(["cost", "--L", "2", "--N", "4"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "quantity,value"
         assert "unfolding_final_step_calls,250" in out
 
     def test_hybrid_rows(self, capsys):
         rc = main(
-            ["cost", "--scenario", "grover", "--L", "1", "--N", "4",
-             "--m", "8", "--n1", "2", "--n2", "2"]
+            ["cost", "--L", "1", "--N", "4", "--m", "8", "--n1", "2", "--n2", "2"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -413,8 +404,7 @@ class TestCost:
 
     def test_mismatched_hybrid_split(self, capsys):
         rc = main(
-            ["cost", "--scenario", "grover", "--L", "1", "--N", "4",
-             "--m", "8", "--n1", "1", "--n2", "2"]
+            ["cost", "--L", "1", "--N", "4", "--m", "8", "--n1", "1", "--n2", "2"]
         )
         assert rc == 2
 
@@ -702,7 +692,6 @@ def test_config_mutants_exit_cleanly(tmp_path, monkeypatch, capsys):
     bad input is a config error (2) or infeasible (3), never a traceback and
     never a numerical-invariant violation (4)."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QDPSIM_SEED", raising=False)
     rng = random.Random(20240)
     failures, count = [], 0
     for base in MUTATION_BASES:
@@ -725,7 +714,6 @@ def test_compare_of_each_mutation_base_exits_cleanly(tmp_path, monkeypatch, caps
     """``compare`` with a base config's own strategy exits 0, 2 or 3: a
     scenario without a recursion to compare is a config error, not a traceback."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QDPSIM_SEED", raising=False)
     codes = []
     for base in MUTATION_BASES:
         doc = dict(base, strategies=[base.get("strategy", {"kind": "exact"})])
@@ -749,21 +737,19 @@ def test_compare_without_recursion_names_strategies_before_numerics(
     assert "field 'strategies'" in capsys.readouterr().err
 
 
-def test_overflowing_imr_copy_count_is_3(tmp_path, capsys, monkeypatch):
+def test_overflowing_imr_copy_count_is_3(tmp_path, capsys):
     """At seed 1 the purified state's mixedness reads exactly 0, so rounds go on
     at ratio 1/2 until 1e300 is guaranteed, and the copy count
     ``copies_out (2/c)^rounds`` would overflow a float: infeasible, not a traceback."""
-    monkeypatch.delenv("QDPSIM_SEED", raising=False)
     doc = grover_doc(tmp_path, seed=1, strategy={
         "kind": "qdp", "m": 16, "imr": {"reduction_factor": 1e300, "copies_out": 64}})
     assert main(["run", write_config(tmp_path, doc)]) == 3
     assert "reduction_factor" in capsys.readouterr().err
 
 
-def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys, monkeypatch):
+def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys):
     """Purified to roundoff, the state's mixedness reads below 0 before a
     1e300 reduction is guaranteed: the target is infeasible, not a breakdown."""
-    monkeypatch.delenv("QDPSIM_SEED", raising=False)
     doc = grover_doc(tmp_path, strategy={
         "kind": "qdp", "m": 16, "imr": {"reduction_factor": 1e300, "copies_out": 64}})
     assert main(["run", write_config(tmp_path, doc)]) == 3

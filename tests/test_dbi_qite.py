@@ -240,6 +240,24 @@ class TestQiteEncoding:
         with pytest.raises(InvariantError):
             qite_encode_hamiltonian(np.eye(3))
 
+    @staticmethod
+    def large_hamiltonian():
+        # at norm 1e8 the shifted H's least eigenvalue reads -5.9e-8 from
+        # roundoff, yet it normalizes to a valid resource state
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        return 1e8 * (g + g.conj().T) / 2
+
+    def test_large_hamiltonian_is_encoded(self):
+        shifted, chi, tr = qite_encode_hamiltonian(self.large_hamiltonian())
+        np.testing.assert_allclose(chi.matrix, shifted / tr, rtol=0, atol=1e-15)
+        assert abs(chi.eigenvalues.min()) <= 1e-15  # zero at the state's scale
+
+    def test_large_hamiltonian_builds_a_spec(self):
+        h = self.large_hamiltonian()
+        spec = qite_recursion_spec(QITEConfig(hamiltonian=h, initial=random_pure(4, 0)))
+        np.testing.assert_array_equal(spec.target.matrix, ground_state(h)[0].density().matrix)
+
     def test_zero_ground_overlap_rejected(self):
         h = np.diag([0.0, 1.0, 2.0])
         cfg = QITEConfig(hamiltonian=h, initial=PureState([0.0, 1.0, 0.0]))

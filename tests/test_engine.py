@@ -453,7 +453,7 @@ class TestLocalAccuracy:
         assert val > 0.1
 
 
-class TestQueryRunsBuildNoChoi:
+class TestQueriedMaps:
     @pytest.mark.parametrize(
         "run",
         [
@@ -467,7 +467,7 @@ class TestQueryRunsBuildNoChoi:
         [small_dbi_spec, lambda: grover_recursion_spec(grover_config_from_distance(0.6, 2, 3))],
         ids=["dbi", "grover"],
     )
-    def test_queried_maps_hold_no_choi(self, build, run):
+    def test_queried_maps_hold_their_generator(self, build, run):
         spec = build()
         steps = []
 
@@ -478,7 +478,6 @@ class TestQueryRunsBuildNoChoi:
         run(dataclasses.replace(spec, step=step))
         maps = [call.map for s in steps for call in s.memory_calls]
         assert any("generator" in vars(m) for m in maps)
-        assert not any("choi" in vars(m) for m in maps)
 
 
 def phase_static(theta):

@@ -5,9 +5,12 @@ import pytest
 
 from qdpsim import (
     DensityMatrix,
+    DimensionError,
+    ExactStrategy,
+    GroverConfig,
     IMRConfig,
     InvariantError,
-    chebyshev_T,
+    PureState,
     grover_angles,
     grover_config_from_distance,
     grover_delta_sequence,
@@ -20,40 +23,13 @@ from qdpsim import (
     relevant_subspace_weight,
     run_exact,
     run_qdp,
+    run_strategy,
 )
 
 
 def pure_distance(psi, tau):
     resid = psi.amplitudes - np.vdot(tau.amplitudes, psi.amplitudes) * tau.amplitudes
     return float(np.linalg.norm(resid))
-
-
-class TestChebyshev:
-    @pytest.mark.parametrize("m", [0.2, 1 / 3, 2.0, 7.0])
-    def test_value_one_is_fixed(self, m):
-        assert chebyshev_T(m, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("x", [0.96, 0.99, 1.0])
-    def test_fractional_inverse_composition_principal_branch(self, x):
-        # valid on [cos(pi/m), 1], the window the cascade actually uses
-        assert chebyshev_T(1 / 5, chebyshev_T(5, x)) == pytest.approx(x, abs=1e-12)
-
-    @pytest.mark.parametrize("x", [1.0, 1.2, 5.0, 100.0])
-    def test_fractional_inverse_composition_above_one(self, x):
-        assert chebyshev_T(1 / 7, chebyshev_T(7, x)) == pytest.approx(x, rel=1e-12)
-
-    def test_cubic_identity(self):
-        # T_3(x) = 4x^3 - 3x
-        assert chebyshev_T(3, 0.6) == pytest.approx(4 * 0.6**3 - 3 * 0.6, abs=1e-14)
-        assert chebyshev_T(3, 0.6) == pytest.approx(-0.936, abs=1e-12)
-
-    def test_above_one_branch(self):
-        x = 1.7
-        assert chebyshev_T(2, x) == pytest.approx(2 * x * x - 1, abs=1e-12)
-
-    def test_below_minus_one_integer_parity(self):
-        assert chebyshev_T(2, -1.5) == pytest.approx(chebyshev_T(2, 1.5), abs=1e-12)
-        assert chebyshev_T(3, -1.5) == pytest.approx(-chebyshev_T(3, 1.5), abs=1e-12)
 
 
 class TestAngles:
@@ -72,6 +48,10 @@ class TestAngles:
             grover_angles(1, 0.0)
         with pytest.raises(InvariantError):
             grover_angles(1, 1.0)
+
+    def test_rejects_no_alternations(self):
+        with pytest.raises(InvariantError, match="alternation count must be >= 1"):
+            grover_angles(0, 0.5)
 
     def test_convention_pinned_by_one_step_recurrence(self):
         # the inner Chebyshev argument (1/q) and the target family's phase
@@ -103,6 +83,15 @@ class TestDeltaSequence:
     def test_rejects_bad_delta0(self):
         with pytest.raises(InvariantError):
             grover_delta_sequence(1.2, 1, 1)
+
+    def test_rejects_negative_step_count(self):
+        with pytest.raises(InvariantError, match="n_steps must be >= 0"):
+            grover_delta_sequence(0.6, 1, -1)
+
+    def test_inflation_past_one_is_rejected(self):
+        # delta_1 = sech(3 arcsech(0.9)) + 0.7 > 1 has no arcsech for delta_2
+        with pytest.raises(InvariantError, match="arcsech needs x in"):
+            grover_delta_sequence(0.9, 1, 2, eps=0.7)
 
     def test_contraction_map_monotone_and_convex_on_grid(self):
         for alternations in (1, 2):
@@ -144,6 +133,35 @@ class TestCascadeAccuracy:
         deltas = grover_delta_sequence(delta0, alternations, 3)
         for pt, d in zip(rec.points, deltas):
             assert abs(pt.distance_to_target - d) <= 1e-8
+
+
+class TestGroverConfig:
+    TARGET = PureState([1.0, 0.0])
+    INITIAL = PureState([0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "initial, alternations, n_steps, error, match",
+        [
+            (INITIAL, 0, 1, InvariantError, "alternation count must be >= 1"),
+            (INITIAL, 1, -1, InvariantError, "n_steps must be >= 0"),
+            (PureState([0.6, 0.8, 0.0]), 1, 1, DimensionError, "initial and target dims differ"),
+            (PureState([0.0, 1.0]), 1, 1, InvariantError, "must overlap the target"),
+        ],
+        ids=["alternations", "n-steps", "dims", "orthogonal"],
+    )
+    def test_rejects(self, initial, alternations, n_steps, error, match):
+        with pytest.raises(error, match=match):
+            GroverConfig(initial=initial, target=self.TARGET,
+                         alternations=alternations, n_steps=n_steps)
+
+    def test_from_distance_rejects_one_dimension(self):
+        with pytest.raises(DimensionError, match="need dim >= 2"):
+            grover_config_from_distance(0.6, 1, 1, dim=1)
+
+    def test_step_outside_the_schedule_is_rejected(self):
+        cfg = grover_config_from_distance(0.6, 1, 2)
+        with pytest.raises(InvariantError, match="step index 2 outside schedule of 2"):
+            run_strategy(grover_recursion_spec(cfg), cfg.n_steps + 1, ExactStrategy())
 
 
 class TestGroverQdp:

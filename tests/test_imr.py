@@ -202,6 +202,13 @@ class TestSubroutine:
         with pytest.raises(InfeasibleConfigError):
             imr_subroutine(rho, IMRConfig(2.0, copies_out=1, failure_threshold=1e-9))
 
+    def test_round_limit_stops_a_run_that_does_not_converge(self, monkeypatch):
+        # the guard stops a loop whose rounds keep running; lower it to reach it
+        monkeypatch.setattr("qdpsim.imr.MAX_ROUNDS", 1)
+        rho = DensityMatrix(np.diag([0.9, 0.1]))
+        with pytest.raises(InfeasibleConfigError, match="purification is not contracting"):
+            imr_subroutine(rho, IMRConfig(1e6, copies_out=100, failure_threshold=0.01))
+
     def test_config_validation(self):
         with pytest.raises(InvariantError):
             IMRConfig(reduction_factor=1.0)

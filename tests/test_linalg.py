@@ -13,10 +13,8 @@ from qdpsim import (
     kron,
     op_norm,
     partial_trace,
-    partial_transpose,
     random_density,
     random_pure,
-    spectrum,
     trace_distance,
 )
 from qdpsim.linalg import EIG_CLIP_ATOL, EIG_CLIP_MAX, HERM_WARN_ATOL
@@ -59,27 +57,6 @@ class TestPartialTrace:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             partial_trace(np.eye(4), (2, 3), keep=[0])
-
-
-class TestPartialTranspose:
-    def test_product_operator(self):
-        a = random_hermitian(2, 3)
-        b = random_hermitian(3, 4)
-        out = partial_transpose(kron(a, b), (2, 3), part=0)
-        np.testing.assert_allclose(out, kron(a.T, b), atol=1e-14)
-
-    def test_involution(self):
-        m = random_hermitian(6, 5)
-        out = partial_transpose(partial_transpose(m, (2, 3), 1), (2, 3), 1)
-        np.testing.assert_array_equal(out, m)
-
-    def test_swap_becomes_entangled_projector(self):
-        # sum_jk |jj><kk| is twice the normalized maximally entangled projector
-        expected = np.zeros((4, 4), dtype=complex)
-        for j in range(2):
-            for k in range(2):
-                expected[3 * j, 3 * k] = 1.0
-        np.testing.assert_allclose(partial_transpose(SWAP_2Q, (2, 2), 0), expected, atol=1e-15)
 
 
 class TestHermExp:
@@ -174,31 +151,6 @@ class TestNorms:
         assert abs(op_norm(SWAP_2Q) - 1.0) < 1e-14
 
 
-class TestSpectrum:
-    def test_sorted_diagonal(self):
-        s = spectrum(np.diag([0.2, 0.8]))
-        np.testing.assert_allclose(s.eigenvalues, [0.8, 0.2])
-
-    def test_maximally_mixed(self):
-        s = spectrum(np.eye(4) / 4)
-        np.testing.assert_allclose(s.eigenvalues, [0.25] * 4)
-
-    def test_2x2_against_quadratic_formula(self):
-        h = random_hermitian(2, 13)
-        tr, det = np.real(np.trace(h)), np.real(np.linalg.det(h))
-        disc = np.sqrt(tr * tr - 4 * det)
-        s = spectrum(h)
-        np.testing.assert_allclose(s.eigenvalues, [(tr + disc) / 2, (tr - disc) / 2], atol=1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        h = random_hermitian(6, 17)
-        s = spectrum(h)
-        v = s.eigenvectors
-        assert np.linalg.norm(v.conj().T @ v - np.eye(6), 2) <= 1e-8
-        recon = (v * s.eigenvalues) @ v.conj().T
-        assert np.linalg.norm(recon - h, 2) <= 1e-8
-
-
 class TestStates:
     def test_random_density_deterministic(self):
         a = random_density(4, 7)
@@ -263,14 +215,12 @@ class TestStates:
         (lambda: DensityMatrix(np.eye(2) / 2, ()), "factor dims must be positive"),
         (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[2]), "out of range for 2 factors"),
         (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[-1]), "out of range for 2 factors"),
-        (lambda: partial_transpose(np.eye(4), (2, 2), 2), "out of range for 2 factors"),
-        (lambda: partial_transpose(np.eye(4), (2, 2), -1), "out of range for 2 factors"),
         (lambda: trace_distance(np.eye(2) / 2, np.eye(3) / 3), "shape mismatch"),
         (lambda: random_density(0, 1), "dim must be >= 1"),
         (lambda: random_pure(0, 1), "dim must be >= 1"),
     ],
     ids=["ndim", "not-square", "zero-factor", "no-factors", "trace-keep-high", "trace-keep-low",
-         "transpose-high", "transpose-low", "distance-shapes", "random-density", "random-pure"],
+         "distance-shapes", "random-density", "random-pure"],
 )
 def test_argument_checks_raise_dimension_errors(call, match):
     with pytest.raises(DimensionError, match=match):

@@ -223,8 +223,7 @@ def test_swap_closed_form(dim, seed):
 
 @pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's trace "
                    "defect m-fold, past TRACE_ATOL at m = 2^20, so a valid config exits 4")
-def test_long_swap_block_keeps_the_trace(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("QDPSIM_SEED", raising=False)
+def test_long_swap_block_keeps_the_trace(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(
         '{"schema_version": 1, "scenario": "channel-error", "seed": 9, "params": '

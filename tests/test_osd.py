@@ -57,6 +57,13 @@ class TestConfigValidation:
         with pytest.raises(InvariantError):
             osd_recursion_spec(cfg)
 
+    @pytest.mark.parametrize("n_steps, m_queries", [(-1, 32), (20, 0)], ids=["n-steps", "m"])
+    def test_step_and_query_counts_checked(self, n_steps, m_queries):
+        with pytest.raises(InvariantError, match="need n_steps >= 0 and m_queries >= 1"):
+            OSDConfig(dims=(2, 2), diagonal=np.diag([0.0, 1.0]),
+                      initial=PureState(random_pure(4, 2).amplitudes, (2, 2)),
+                      n_steps=n_steps, m_queries=m_queries)
+
     def test_canonical_step(self):
         psi = PureState(random_pure(4, 2).amplitudes, (2, 2))
         cfg = OSDConfig(dims=(2, 2), diagonal=np.diag([0.0, 1.0]), initial=psi)
