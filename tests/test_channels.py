@@ -70,7 +70,7 @@ class TestMapApply:
             map_apply(make_identity_map(2), np.eye(3))
 
 
-class TestActionMatchesGenerator:
+class TestActionMatchesChoi:
     @pytest.mark.parametrize(
         "build",
         [
@@ -83,7 +83,7 @@ class TestActionMatchesGenerator:
         ],
         ids=["identity", "scaled", "commutator", "osd", "pair-commutator", "non-square"],
     )
-    def test_action_equals_generator_contraction(self, build):
+    def test_action_equals_choi_contraction(self, build):
         # N(|j><k|) is Nhat's block [k, :, j, :], so N(x) = sum_jk x_jk N(|j><k|)
         m = build()
         rng = np.random.default_rng(31)

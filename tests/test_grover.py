@@ -93,6 +93,14 @@ class TestDeltaSequence:
         with pytest.raises(InvariantError, match="arcsech needs x in"):
             grover_delta_sequence(0.9, 1, 2, eps=0.7)
 
+    @pytest.mark.parametrize("alternations", [1, 2, 3])
+    @pytest.mark.parametrize("delta0", [0.3, 0.6, 0.95])
+    def test_step_is_inverse_chebyshev_of_inverse(self, delta0, alternations):
+        # sech(q arcsech(x)) = 1 / T_q(1/x), with T_q from its power-series coefficients
+        t_q = np.polynomial.chebyshev.Chebyshev.basis(2 * alternations + 1)
+        seq = grover_delta_sequence(delta0, alternations, 1)
+        assert seq[1] == pytest.approx(1.0 / t_q(1.0 / delta0), rel=1e-12)
+
     def test_contraction_map_monotone_and_convex_on_grid(self):
         for alternations in (1, 2):
             order = 2 * alternations + 1
@@ -114,6 +122,15 @@ class TestGroverStep:
         cfg = grover_config_from_distance(0.6, 1, 1)
         out = grover_step(cfg.initial, cfg, 54 / 730)
         assert pure_distance(out, cfg.target) == pytest.approx(54 / 730, abs=1e-8)
+
+    @pytest.mark.parametrize("alternations", [1, 2, 3])
+    def test_lands_on_inverse_chebyshev_distance(self, alternations):
+        # the angles' fractional Chebyshev value T_{1/(2L+1)}(1/q) inverts T_{2L+1}
+        t_q = np.polynomial.chebyshev.Chebyshev.basis(2 * alternations + 1)
+        target = 1.0 / t_q(1.0 / 0.8)
+        cfg = grover_config_from_distance(0.8, alternations, 1)
+        out = grover_step(cfg.initial, cfg, target)
+        assert pure_distance(out, cfg.target) == pytest.approx(target, abs=1e-10)
 
     def test_support_stays_in_plane(self):
         cfg = grover_config_from_distance(0.7, 2, 1, dim=5, seed=2)

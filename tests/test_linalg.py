@@ -67,6 +67,10 @@ class TestHermExp:
         u = herm_exp(PAULI_Z, np.pi / 2)
         np.testing.assert_allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]), atol=1e-14)
 
+    def test_diagonal_closed_form(self):
+        u = herm_exp(np.diag([0.2, -0.8, 1.5]), 0.9)
+        np.testing.assert_allclose(u, np.diag(np.exp(-0.9j * np.array([0.2, -0.8, 1.5]))), atol=1e-15)
+
     def test_inverse_pair(self):
         h = random_hermitian(5, 9)
         np.testing.assert_allclose(herm_exp(h, 0.7) @ herm_exp(h, -0.7), np.eye(5), atol=1e-10)
@@ -149,6 +153,12 @@ class TestNorms:
 
     def test_op_norm_swap(self):
         assert abs(op_norm(SWAP_2Q) - 1.0) < 1e-14
+
+    def test_op_norm_2x2_against_quadratic_formula(self):
+        h = random_hermitian(2, 13)
+        tr, det = np.real(np.trace(h)), np.real(np.linalg.det(h))
+        disc = np.sqrt(tr * tr - 4 * det)
+        assert op_norm(h) == pytest.approx(max(abs(tr + disc), abs(tr - disc)) / 2, abs=1e-12)
 
 
 class TestStates:
