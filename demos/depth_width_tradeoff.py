@@ -4,6 +4,9 @@ Unfolding keeps one register but pays (2L+1)^N sequential root calls; the
 query-based strategy runs in depth linear in N but consumes (m+1)^N root
 copies in parallel.  Splitting the recursion between the two balances the
 exponentials, which is visible in the circuit size (depth times width).
+Under a fixed width budget the shallowest split is not always the longest
+query tail that fits: the frontier at the end brute-forces it over the
+strategies' closed forms.
 """
 
 from qdpsim import (
@@ -44,6 +47,13 @@ def main():
     for n in range(1, n_steps + 1):
         final, total = unfolding_cost(1, n)
         print(f"  N={n}: final step {final:>4} calls, total depth {total:>5}")
+
+    print(f"\ndepth-minimal hybrid split per width budget {m + 1}^k:")
+    splits = [(n1, *HybridStrategy(n1, n_steps - n1, m).depth_width(1, 1, n_steps, True))
+              for n1 in range(n_steps + 1)]
+    for k in range(n_steps + 1):
+        n1, depth, width = min((s for s in splits if s[2] <= (m + 1) ** k), key=lambda s: s[1:])
+        print(f"  k={k}: n1={n1} n2={n_steps - n1}, depth {depth:>4}, width {width:>6}")
 
 
 if __name__ == "__main__":

@@ -141,7 +141,7 @@ class QueryGenerator:
         """The dense generator of ``m``: ``Nhat`` built from the action, with
         ``N(|j><k|)`` in block ``[k, :, j, :]``, and no closed form.
         ``hermitize`` rejects a map that is not Hermitian-preserving.
-        Hermitizing the result again would return its bits (see ``herm_exp``).
+        Hermitizing it again, as ``herm_exp`` does, returns its bits.
         """
         d_in, d_out = m.d_in, m.d_out
         n_hat4 = np.zeros((d_in, d_out, d_in, d_out), dtype=complex)
@@ -360,7 +360,8 @@ def unfolded_memory_call(
 ) -> np.ndarray:
     """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``:
     the call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``, applied as
-    ``substeps`` group commutators with error O(flow^1.5 / sqrt(substeps))."""
+    one group commutator's ``substeps``-th power (by squaring), with error
+    O(flow^1.5 / sqrt(substeps))."""
     if call.map.commutator_form is None or call.extra_instruction is not None:
         raise UnsupportedSpecError(
             "unfolding a non-covariant recursion needs commutator-form memory-calls"
@@ -370,9 +371,7 @@ def unfolded_memory_call(
     if not flow > 0:
         raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
     gc = group_commutator(instruction.matrix, -d_op, flow / substeps)
-    u = np.eye(instruction.dim, dtype=complex)
-    for _ in range(substeps):
-        u = gc @ u
+    u = np.linalg.matrix_power(gc, substeps)
     w = _matrix(working)
     return u @ w @ u.conj().T
 
@@ -519,19 +518,19 @@ def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> 
 
 
 def group_commutator(a, b, s: float) -> np.ndarray:
-    """``exp(-i sqrt(s) b) exp(-i sqrt(s) a) exp(+i sqrt(s) b) exp(+i sqrt(s) a)``.
+    """``e_b e_a e_b^dag e_a^dag`` with ``e_x = exp(-i sqrt(s) x)``.
 
     Approximates ``exp(s [a, b])`` with operator-norm error bounded by
-    ``s^1.5 (||[a,[a,b]]|| + ||[b,[b,a]]||)``.
+    ``s^1.5 (||[a,[a,b]]|| + ||[b,[b,a]]||)``.  Each operator goes through
+    ``herm_exp`` once; the inverse exponentials are the adjoints.
     """
     if not s > 0:
         raise InvariantError("group commutator step must be positive")
-    aa, bb = hermitize(a), hermitize(b)
-    if aa.shape != bb.shape:
-        raise DimensionError(f"shape mismatch {aa.shape} vs {bb.shape}")
     r = np.sqrt(float(s))
-    ea, eb = np.linalg.eigh(aa), np.linalg.eigh(bb)
-    return herm_exp(bb, r, eb) @ herm_exp(aa, r, ea) @ herm_exp(bb, -r, eb) @ herm_exp(aa, -r, ea)
+    ea, eb = herm_exp(a, r), herm_exp(b, r)
+    if ea.shape != eb.shape:
+        raise DimensionError(f"shape mismatch {ea.shape} vs {eb.shape}")
+    return eb @ ea @ eb.conj().T @ ea.conj().T
 
 
 def channel_error_probe(

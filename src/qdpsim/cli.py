@@ -715,9 +715,9 @@ def _apply_overrides(raw, args):
     if not isinstance(raw, dict):
         return raw  # from_dict names what it must be
     raw = dict(raw)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["seed"] = args.seed
-    flags = {"path": getattr(args, "output", None), "format": getattr(args, "format", None)}
+    flags = {"path": args.output, "format": args.format}
     flags = {key: value for key, value in flags.items() if value is not None}
     output = raw.get("output") or {}
     if flags and isinstance(output, dict):  # else the schema names the bad field
@@ -732,17 +732,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one scenario from a JSON config")
-    p_run.add_argument("config", help="path to the experiment config")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--output", help="override the output path")
-    p_run.add_argument("--format", choices=["csv", "json"], help="override the output format")
-
-    p_cmp = sub.add_parser("compare", help="run every strategy in the config's 'strategies' list")
-    p_cmp.add_argument("config")
-    p_cmp.add_argument("--seed", type=int)
-    p_cmp.add_argument("--output")
-    p_cmp.add_argument("--format", choices=["csv", "json"])
+    for name, text in (("run", "execute one scenario from a JSON config"),
+                       ("compare", "run every strategy in the config's 'strategies' list")):
+        p_cfg = sub.add_parser(name, help=text)
+        p_cfg.add_argument("config", help="path to the experiment config")
+        p_cfg.add_argument("--seed", type=int, help="override the config seed")
+        p_cfg.add_argument("--output", help="override the output path")
+        p_cfg.add_argument("--format", choices=["csv", "json"], help="override the output format")
 
     p_cost = sub.add_parser("cost", help="closed-form depth/width cost table")
     p_cost.add_argument("--L", type=int, required=True, help="memory-calls per step")
@@ -758,11 +754,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "compare"):
             cfg = ExperimentConfig.from_dict(_apply_overrides(load_config(args.config), args))
+        if args.command == "run":
             _summarize(run_scenario(cfg), cfg)
         elif args.command == "compare":
-            cfg = ExperimentConfig.from_dict(_apply_overrides(load_config(args.config), args))
             strategies = cfg.raw.get("strategies") or []
             _summarize(compare_strategies(cfg, strategies), cfg)
             if not strategies:

@@ -67,11 +67,12 @@ def mixedness(rho: DensityMatrix) -> float:
 
 
 def imr_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """One purification round and its success probability ``(1 + Tr rho^2)/2``."""
+    """One round ``(rho + rho^2) / (1 + Tr rho^2)``, with ``rho^2`` formed once,
+    and its success probability ``(1 + Tr rho^2) / 2``."""
     mat = rho.matrix
-    purity = rho.purity()
-    out = (mat + mat @ mat) / (1.0 + purity)
-    return DensityMatrix(out, rho.factor_dims), (1.0 + purity) / 2.0
+    sq = mat @ mat
+    purity = float(np.real(np.trace(sq)))
+    return DensityMatrix((mat + sq) / (1.0 + purity), rho.factor_dims), (1.0 + purity) / 2.0
 
 
 def imr_ratio_bound(x: float) -> float:

@@ -107,18 +107,9 @@ def partial_trace(m, factor_dims, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def herm_exp(h, t: float, eig=None) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian ``h`` via spectral decomposition.
-
-    ``eig``, when given, is ``np.linalg.eigh(h)`` of an ``h`` that already went
-    through ``hermitize``; ``h`` is then neither checked nor decomposed again,
-    so one decomposition serves every ``t``.  The result has the same bits as
-    without ``eig``: for an exactly Hermitian ``a`` (``a_ij == conj(a_ji)``, as
-    ``hermitize`` returns), ``(a + a^dag) / 2`` doubles and halves each entry
-    exactly, so ``hermitize(h)`` returns ``h``'s bits and ``eigh`` sees the
-    same input.
-    """
-    w, v = np.linalg.eigh(hermitize(h)) if eig is None else eig
+def herm_exp(h, t: float) -> np.ndarray:
+    """exp(-i*h*t) for Hermitian ``h`` via spectral decomposition."""
+    w, v = np.linalg.eigh(hermitize(h))
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
@@ -199,9 +190,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, factors={self.factor_dims})"

@@ -149,6 +149,50 @@ def test_cost_quotes_the_run_depth(capsys):
     assert rows["hybrid_depth"] == "18" and rows["hybrid_circuit_size"] == "306"
 
 
+def frontier(L, N, m):
+    """The depth-minimal grover hybrid split ``(n1, depth, width)`` under each
+    width budget ``(m+1)^k``, k = 0..N, brute-forced over the closed forms;
+    a tie goes to the narrower split."""
+    splits = [(n1, *HybridStrategy(n1, N - n1, m).depth_width(L, L, N, True))
+              for n1 in range(N + 1)]
+    return [min((s for s in splits if s[2] <= (m + 1) ** k), key=lambda s: s[1:])
+            for k in range(N + 1)]
+
+
+FRONTIER_CASES = [(L, N, m) for L in (1, 2) for N in (4, 6, 8) for m in (4, 16, 64)]
+
+
+class TestHybridFrontier:
+    """The paper's depth/width balance: under a width budget, the hybrid split
+    that minimizes depth.  Moving a step from unfolding to queries saves
+    ``c (2c+1)^(n1-1)`` root calls and costs ``m + statics``, so the longest
+    query tail that fits is not always the shallowest."""
+
+    @pytest.mark.parametrize("L, N, m", FRONTIER_CASES)
+    def test_minimal_depth_never_grows_with_the_budget(self, L, N, m):
+        depths = [depth for _, depth, _ in frontier(L, N, m)]
+        assert all(a >= b for a, b in zip(depths, depths[1:])), depths
+
+    @pytest.mark.parametrize("L, N, m", FRONTIER_CASES)
+    def test_one_unfolded_step_beats_all_queries(self, L, N, m):
+        depth = {n1: HybridStrategy(n1, N - n1, m).depth_width(L, L, N, True)[0] for n1 in (0, 1)}
+        assert depth[1] == depth[0] - m
+        assert frontier(L, N, m)[-1][0] != 0
+
+    def test_longest_query_tail_is_not_always_the_shallowest(self):
+        assert frontier(1, 4, 64) == [(4, 40, 1)] * 5  # pure unfolding at every width
+        # n1 = 3 from k = 5 on, though a tail of k > 5 query steps fits too.
+        assert [(n1, depth) for n1, depth, _ in frontier(1, 8, 16)[5:]] == [(3, 98)] * 4
+
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_chosen_splits_run_to_their_form(self, L, m):
+        spec = grover_spec(L, 4)
+        for n1 in sorted({n1 for n1, _, _ in frontier(L, 4, m)}):
+            strategy = HybridStrategy(n1, 4 - n1, m)
+            assert run_strategy(spec, 4, strategy).final_ledger == strategy.ledger(L, L, 4, True)
+
+
 class TestLedgerDigitsAreExact:
     """The digit check rejects a ``cost`` config exactly when its table would
     print an integer longer than the limit."""

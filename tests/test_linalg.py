@@ -94,14 +94,6 @@ class TestHermExp:
         assert np.linalg.norm(u.conj().T @ u - np.eye(3), 2) <= 1e-9
 
 
-    @pytest.mark.parametrize("dim", [2, 8, 64])
-    @pytest.mark.parametrize("t", [0.0, 0.3, -1.7])
-    def test_given_decomposition_gives_the_same_bits(self, dim, t):
-        h = random_hermitian(dim, 40 + dim)
-        eig = np.linalg.eigh(hermitize(h))
-        assert np.array_equal(herm_exp(h, t, eig), herm_exp(h, t))
-
-
 class TestTraceDistance:
     def test_self_distance(self):
         rho = random_density(3, 11).matrix
