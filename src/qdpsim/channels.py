@@ -28,8 +28,15 @@ Sign conventions, fixed here once and relied on everywhere else:
   the unitary channel of ``exp(-i s N(rho))``.
 
 The two directions are adjoint, so ``queried_memory_call`` realizes a call of
-duration ``s`` by queries of total duration ``-s``.  ``exact_query_channel`` is
-the query-side limit, the comparison point for error measurements.
+duration ``s`` by queries of total duration ``-s``.
+
+A block of queries applies one query's superoperator (``query_superoperator``)
+again and again.  The superoperator is built from the query unitary by a
+scatter over pairs of its nonzeros, one product per pair, wherever that takes
+fewer multiplies than a dense Gram product.  The swap, diagonal commutator,
+osd and pair-commutator unitaries have at most 3 nonzeros per row, so only a
+dense map's ``herm_exp`` unitary and a non-diagonal commutator's rotated one
+still go through the Gram ``zgemm``.
 
 The three realizations and ``repeated_queries`` take the working register as
 a plain matrix (a ``DensityMatrix`` is read as its matrix) and return a plain
@@ -156,21 +163,63 @@ class QueryGenerator:
         """Read-only ``exp(-i Nhat s)``: the closed form when there is one,
         else ``herm_exp`` of ``n_hat``.
 
-        The last duration's unitary is kept, in one slot keyed on the bits of
-        ``s`` (so ``-0.0`` and ``0.0`` stay apart): every step of a run queries
-        its generator at one duration, and a schedule of varying durations
-        then holds one unitary, not one per step.
+        The last duration's unitary is kept, with its pair plan once a
+        superoperator build reads it (``_pairs``), in one slot keyed on the
+        bits of ``s`` (so ``-0.0`` and ``0.0`` stay apart): every step of a run
+        queries its generator at one duration, and a schedule of varying
+        durations then holds one unitary, not one per step.
         """
+        return self._slot(s)["unitary"]
+
+    def _pairs(self, s: float):
+        """``_pair_plan`` of ``unitary(s)``, made on its first read and kept in
+        the unitary's slot, since it depends on the unitary alone."""
+        slot = self._slot(s)
+        if "pairs" not in slot:
+            slot["pairs"] = _pair_plan(slot["unitary"], self.d_in, self.d_out)
+        return slot["pairs"]
+
+    def _slot(self, s: float) -> dict:
         key = float(s).hex()
-        last = self.__dict__.get("_unitary")
-        if last is None or last[0] != key:
+        slot = self.__dict__.get("_last")
+        if slot is None or slot["key"] != key:
             if self.closed_form is None:
                 u = herm_exp(self.n_hat, float(s))
             else:
                 u = self.closed_form(float(s))
             u.setflags(write=False)
-            last = self.__dict__["_unitary"] = (key, u)
-        return last[1]
+            slot = self.__dict__["_last"] = {"key": key, "unitary": u}
+        return slot
+
+
+def _pair_plan(w: np.ndarray, d_in: int, d_out: int):
+    """Index plan of the pair scatter that builds a query superoperator from
+    the nonzeros of its unitary ``w``, or ``None`` where the Gram product of
+    ``query_superoperator`` takes fewer multiplies.
+
+    The superoperator entry ``S4[k,l,i,j]`` sums
+    ``W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])`` over pairs of nonzeros
+    of ``W`` that share the memory-output index ``a``.  The plan lists, per
+    pair, its flat ``(k,l,i,j)`` output index, its flat ``(m,m')`` index into
+    the memory matrix and its weight ``W[(a,k),(m,i)] conj(W[(a,l),(m',j)])``.
+    A unitary with ``r`` nonzeros per row has ``r^2 d_in d_out^2`` pairs
+    against the Gram's ``d_in^2 d_out^4`` multiplies.
+    """
+    w4 = w.reshape(d_in, d_out, d_in, d_out)
+    a, k, m, i = np.nonzero(w4)  # in row-major order, so grouped by a
+    counts = np.bincount(a, minlength=d_in)
+    n_pairs = int(counts @ counts)
+    if n_pairs > d_in**2 * d_out**4:
+        return None
+    # Pair each nonzero p with every nonzero q of its a, q running from the
+    # first nonzero of that a.
+    per = counts[a]
+    p = np.repeat(np.arange(a.size), per)
+    first = (np.cumsum(counts) - counts)[a]
+    q = np.repeat(first - (np.cumsum(per) - per), per) + np.arange(n_pairs)
+    vals = w4[a, k, m, i]
+    out = ((k[p] * d_out + k[q]) * d_out + i[p]) * d_out + i[q]
+    return out, m[p] * d_in + m[q], vals[p] * vals[q].conj()
 
 
 @dataclass(frozen=True)
@@ -386,18 +435,11 @@ def queried_memory_call(
     return repeated_queries(call.map.generator, memory, working, -call.duration, m)
 
 
-def exact_query_channel(
-    m: HermitianPreservingMap, memory: DensityMatrix, working: DensityMatrix, s: float
-) -> DensityMatrix:
-    """The unitary channel that memory-usage queries of total duration ``s``
-    converge to: conjugation by ``exp(-i s N(memory))``."""
-    out = exact_memory_call(MemoryCallSpec(map=m, duration=-s), memory, working)
-    return DensityMatrix(out, working.factor_dims)
-
-
-def _check_query_dims(gen: QueryGenerator, memory, working):
-    """``memory`` and ``working`` are matrices or ``DensityMatrix`` states."""
-    d_mem, d_work = _matrix(memory).shape[0], _matrix(working).shape[0]
+def _check_query_dims(gen: QueryGenerator, memory, working=None):
+    """``memory`` and ``working`` are matrices or ``DensityMatrix`` states;
+    without ``working`` only the memory is checked."""
+    d_mem = _matrix(memory).shape[0]
+    d_work = gen.d_out if working is None else _matrix(working).shape[0]
     if d_mem != gen.d_in or d_work != gen.d_out:
         raise DimensionError(
             f"memory/working dims ({d_mem},{d_work}) do not match "
@@ -440,24 +482,45 @@ def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
     how large query counts stay cheap.
 
     With ``W = exp(-i Nhat s)`` indexed ``W[(a,k),(m,i)]`` (memory ``a, m``,
-    working ``k, i``) and ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, the entry for
-    output ``(k,l)`` and input ``(i,j)`` is ``G[(k,i),(l,j)]`` of the Gram
-    product ``G = A (1 (x) rho) A^dag``: one ``A @ rho`` and one ``zgemm``
-    against ``A^dag``.  The superoperator is then set to its mean with its
-    mirror (``_mirror_mean``; entrywise the same ``(G + G^dag) / 2``), so it
-    preserves Hermiticity by construction:
+    working ``k, i``), the entry for output ``(k,l)`` and input ``(i,j)`` is
+    ``sum W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])``.  It is built one of
+    two ways, whichever takes fewer multiplies for this ``W``:
+
+    * a pair scatter (``_pair_plan``): one product per pair of nonzeros of
+      ``W`` sharing ``a``, that is one gather from ``rho``, one multiply by the
+      pairs' weights and one ``np.bincount`` per real and imaginary part.
+      The swap, diagonal commutator, osd and pair-commutator unitaries have
+      at most 3 nonzeros per row and are built this way;
+    * a Gram product ``G = A (1 (x) rho) A^dag`` with
+      ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, entry ``G[(k,i),(l,j)]``: one
+      ``A @ rho`` and one ``zgemm`` against ``A^dag``, for a dense ``W``
+      (``herm_exp`` of a dense map's ``Nhat``, a non-diagonal commutator).
+
+    The plan and the choice are made once per unitary, in its cache slot.
+    The superoperator is then set to its mean with its mirror
+    (``_mirror_mean``), so it preserves Hermiticity by construction:
     ``sup4[k,l,i,j] == conj(sup4[l,k,j,i])`` bit for bit.  A matvec with it
     leaves only its own summation-order roundoff off the adjoint.
     """
+    _check_query_dims(gen, memory)
     d_in, d_out = gen.d_in, gen.d_out
-    a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
-    a = a.reshape(d_out * d_out, d_in * d_in)
-    # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is held;
-    # rebinding g frees A rho once the zgemm returns.
-    g = (a.reshape(-1, d_in) @ _matrix(memory)).reshape(a.shape)
-    g = np.conjugate(g, out=g) @ a.T
-    np.conjugate(g, out=g)
-    sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
+    rho = _matrix(memory)
+    pairs = gen._pairs(s)
+    if pairs is not None:
+        out, gather, weights = pairs
+        terms = weights * rho.reshape(-1)[gather]
+        sup = np.empty(d_out**4, dtype=complex)
+        sup.real = np.bincount(out, terms.real, d_out**4)
+        sup.imag = np.bincount(out, terms.imag, d_out**4)
+    else:
+        a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+        a = a.reshape(d_out * d_out, d_in * d_in)
+        # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is
+        # held; rebinding g frees A rho once the zgemm returns.
+        g = (a.reshape(-1, d_in) @ rho).reshape(a.shape)
+        g = np.conjugate(g, out=g) @ a.T
+        np.conjugate(g, out=g)
+        sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
     return _mirror_mean(sup.reshape(d_out * d_out, d_out * d_out), d_out)
 
 
@@ -471,7 +534,7 @@ def _mirror_mean(p: np.ndarray, d: int) -> np.ndarray:
     """
     p4 = p.reshape(d, d, d, d)
     p4 += p4.transpose(1, 0, 3, 2).conj()
-    p4 /= 2
+    p4 *= 0.5  # exact halving, without a complex division
     return p
 
 
@@ -543,7 +606,8 @@ def channel_error_probe(
     seed,
 ) -> float:
     """Sampled lower bound on the trace-norm distance between ``m`` repeated
-    queries and the exact unitary channel they approximate.
+    queries of total duration ``s`` and the unitary channel they converge to,
+    conjugation by ``exp(-i s N(memory))``, formed once per probe.
 
     Maximizes the output distance over seeded random pure working states, so
     the value reported never exceeds the true channel distance.
@@ -551,11 +615,12 @@ def channel_error_probe(
     if n_samples < 1:
         raise InvariantError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
+    u = herm_exp(map_apply(map_spec, memory.matrix), s)
     worst = 0.0
     for _ in range(int(n_samples)):
         working = random_pure(gen.d_out, rng.integers(2**63)).density()
         approx = DensityMatrix(repeated_queries(gen, memory, working, s, m), working.factor_dims)
-        exact = exact_query_channel(map_spec, memory, working, s)
+        exact = DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
         worst = max(worst, trace_distance(approx.matrix, exact.matrix))
     return worst
 

@@ -16,7 +16,6 @@ from qdpsim import (
     channels,
     dme_query,
     exact_memory_call,
-    exact_query_channel,
     group_commutator,
     herm_exp,
     hermitize,
@@ -45,6 +44,15 @@ from qdpsim.channels import (
 
 def plus_state():
     return np.full((2, 2), 0.5, dtype=complex)
+
+
+def dense_partial_trace():
+    """A 6 -> 3 map, a fixed unitary conjugation then the trace over a qubit,
+    whose ``herm_exp`` query unitary has no zero entry: its superoperator
+    keeps the Gram product.  A bare partial trace's unitary has exact zeros
+    and is scattered."""
+    v = herm_exp(random_hermitian(6, 25), 1.0)
+    return map_from_function(lambda x: partial_trace(v @ x @ v.conj().T, (3, 2), keep=[0]), 6, 3)
 
 
 class TestMapApply:
@@ -108,8 +116,13 @@ class TestActionMatchesChoi:
         lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
         lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
         lambda: make_pair_commutator_map(2, 0.9),
+        lambda: make_commutator_map(np.diag(np.arange(16.0)), 0.1),
+        lambda: make_osd_map(np.diag([0.0, 1.0]), 0.3, (2, 6)),
+        lambda: make_pair_commutator_map(8, 0.2),
+        dense_partial_trace,
     ],
-    ids=["identity", "scaled", "commutator", "osd", "pair-commutator"],
+    ids=["identity", "scaled", "commutator", "osd", "pair-commutator", "diagonal-commutator-16",
+         "osd-2x6", "pair-commutator-8", "partial-trace"],
 )
 class TestQuerySuperoperatorDecomposesOnce:
     def test_matches_the_dense_query(self, build):
@@ -185,6 +198,37 @@ class TestQueryGeneratorUnitary:
         assert not u.flags.writeable
         assert m.generator.unitary(0.25) is u
         assert "n_hat" not in vars(m.generator)
+
+    @pytest.mark.parametrize(
+        "build, scatters",
+        [
+            (lambda: make_identity_map(3), True),
+            (lambda: make_commutator_map(np.diag(np.arange(16.0)), 0.1), True),
+            (lambda: make_osd_map(np.diag([0.0, 1.0]), 0.3, (2, 6)), True),
+            (lambda: make_pair_commutator_map(8, 0.2), True),
+            (lambda: make_commutator_map(random_hermitian(3, 21), 0.4), False),
+            (dense_partial_trace, False),
+        ],
+        ids=["swap", "diagonal-commutator-16", "osd-2x6", "pair-commutator-8",
+             "commutator", "partial-trace"],
+    )
+    def test_pair_plan_shares_the_unitary_slot(self, build, scatters):
+        # The closed forms have at most 3 nonzeros per row, so at most
+        # 9 d_in d_out^2 pairs; a dense unitary keeps the Gram product.
+        gen = build().generator
+        query_superoperator(gen, random_density(gen.d_in, 71), 0.25)
+        pairs = gen._pairs(0.25)
+        assert (pairs is not None) == scatters
+        if scatters:
+            assert pairs[0].size <= 9 * gen.d_in * gen.d_out**2
+        assert gen._pairs(0.25) is pairs
+        u = gen.unitary(0.25)
+        gen.unitary(-1.3)
+        assert gen.unitary(0.25) is not u
+        if scatters:
+            again = gen._pairs(0.25)
+            assert again is not pairs
+            assert all(np.array_equal(x, y) for x, y in zip(again, pairs))
 
 
 class TestMakeCommutatorMap:
@@ -495,8 +539,8 @@ class TestRepeatedQueries:
         errors = {}
         for mm in (4, 8, 16, 32):
             out = repeated_queries(gen, rho, sig, s, mm)
-            exact = exact_query_channel(m, rho, sig, s)
-            errors[mm] = trace_distance(out, exact.matrix)
+            exact = exact_memory_call(MemoryCallSpec(map=m, duration=-s), rho, sig)
+            errors[mm] = trace_distance(out, exact)
         for mm in (4, 8, 16):
             assert errors[2 * mm] <= errors[mm] / 1.8
 
@@ -530,11 +574,21 @@ class TestRepeatedQueries:
         out = (sup @ vec).reshape(3, 3)
         assert abs(np.trace(out) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("d_memory, d_working", [(3, 2), (2, 3)], ids=["memory", "working"])
-    def test_dim_mismatch_rejected(self, d_memory, d_working):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda gen: repeated_queries(gen, random_density(3, 1), random_density(2, 2), 0.5, 4),
+            lambda gen: repeated_queries(gen, random_density(2, 1), random_density(3, 2), 0.5, 4),
+            # Unchecked, the pair scatter would gather from the 3 x 3 memory
+            # as if it were 2 x 2 and return a wrong superoperator.
+            lambda gen: query_superoperator(gen, random_density(3, 1), 0.5),
+        ],
+        ids=["memory", "working", "superoperator"],
+    )
+    def test_dim_mismatch_rejected(self, query):
         gen = make_identity_map(2).generator
         with pytest.raises(DimensionError, match="memory/working dims"):
-            repeated_queries(gen, random_density(d_memory, 1), random_density(d_working, 2), 0.5, 4)
+            query(gen)
 
 
 def record_powers(monkeypatch):

@@ -922,19 +922,26 @@ def test_qite_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     """A qite qdp run writes the same report bytes with OpenBLAS at 1 and at 2
     threads.  Its queries no longer diagonalize the 512-dim ``Nhat`` (the
     pair-commutator map's query unitary is in closed form), which is where
-    the thread count used to move ``energy`` by up to 2.7e-13."""
-    out = tmp_path / "report.json"
-    doc = {"schema_version": 1, "scenario": "qite", "seed": 3, "strategy": {"kind": "qdp", "m": 16},
-           "params": {"model": "heisenberg_chain", "n_qubits": 3, "n_steps": 2},
-           "output": {"path": str(out), "format": "json"}}
-    path = write_config(tmp_path, doc)
+    the thread count used to move ``energy`` by up to 2.7e-13.  The dbi and osd
+    query runs hold too: their superoperators are built by a pair scatter,
+    which calls no BLAS."""
     src = str(pathlib.Path(cli.__file__).parents[1])
-    reports = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", "import sys; from qdpsim.cli import main; "
-                        "sys.exit(main(sys.argv[1:]))", "run", path], env=env, check=True,
-                       capture_output=True)
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    for scenario, m, params in [
+        ("qite", 16, {"model": "heisenberg_chain", "n_qubits": 3, "n_steps": 2}),
+        ("dbi", 64, {"dim": 16, "n_steps": 2}),
+        ("osd", 32, {"dims": [2, 6], "n_steps": 2}),
+    ]:
+        out = tmp_path / f"{scenario}.json"
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 3,
+               "strategy": {"kind": "qdp", "m": m}, "params": params,
+               "output": {"path": str(out), "format": "json"}}
+        path = write_config(tmp_path, doc)
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", "import sys; from qdpsim.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", "run", path], env=env, check=True,
+                           capture_output=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], scenario

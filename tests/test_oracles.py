@@ -13,18 +13,19 @@ closed form is budgeted as ``(8 + m) eps`` (largest entry), once validated as
 a ``DensityMatrix``, as a recursion step validates its output: the raw block
 reads up to 1.11 m eps (2.19 with ``herm_exp``), since the trace normalization
 removes its drift.  ``M_VALUES`` squares from m = 49 at d = 2 and from
-m = 289 at d = 4.  With the query unitary in closed form, a survey over
-seeds 0-4 measured at most 6.0 eps for m < 16, at most 0.500 m eps for
-16 <= m <= 2^16 and 0.384 m eps at m = 2^16 (0.713 and 0.536 m eps when the
-unitary came from ``herm_exp``).
+m = 289 at d = 4.  With the query unitary in closed form and the
+superoperator built by the pair scatter, a survey over seeds 0-4 measured at
+most 6.0 eps for m < 16, at most 0.531 m eps for 16 <= m <= 2^16 and
+0.404 m eps at m = 2^16 (0.500 and 0.384 m eps with the Gram product, 0.713
+and 0.536 m eps when the unitary came from ``herm_exp``).
 
 The blocks stop at m = 2^16.  One query's superoperator misses trace
 preservation by a few eps, and a block of ``m`` queries amplifies that
 defect to about ``m`` times it, by matvecs and by squaring alike, so for
 large enough m the trace passes ``TRACE_ATOL`` (1e-10) and the output
 ``DensityMatrix`` is rejected.  Of the survey's 20 inputs, worst drift
-2.23e5 eps at m = 2^18, where none fails, and 1.49e6 eps at m = 2^20, where
-10 fail.  The channel-error run on d = 4 seed 9 at m = 2^20 is pinned below
+1.99e5 eps at m = 2^18, where none fails, and 1.49e6 eps at m = 2^20, where
+13 fail.  The channel-error run on d = 4 seed 9 at m = 2^20 is pinned below
 as an expected failure.
 
 Dense query: a block of ``m`` queries of duration ``S/m`` is ``m`` successive
@@ -33,8 +34,9 @@ applying the generator's query unitary and validating its output on its own.
 It shares that unitary with the block (the closed forms have their own
 oracle below) but not the superoperator, the loop or the squaring.  The
 validated block is budgeted ``(8 + m) eps`` against it; over seeds 0-19 the
-worst was 1.03 eps at m = 1 and 0.429 m eps at m = 64 (commutator map,
-d = 2), and 0.349 m eps at m = 1024.
+worst was 1.03 eps at m = 1 (commutator map, d = 2), 0.639 m eps at m = 16
+and 0.603 m eps at m = 64 (pair commutator), and 0.488 m eps at m = 1024
+(pair commutator).
 """
 
 import numpy as np
@@ -219,6 +221,71 @@ def test_pair_commutator_closed_form(seed):
 def test_swap_closed_form(dim, seed):
     _, alpha = seeded(seed)
     check_closed_form(make_scaled_identity_map(alpha, dim), lambda t: ld_swap(alpha, dim, t))
+
+
+# Extended-precision block -------------------------------------------------
+#
+# ``m`` queries of duration ``S/m`` evaluated in ``np.clongdouble`` from the
+# long-double closed forms above: each query conjugates ``rho (x) sigma`` by the
+# unitary and traces out the memory, as ``memory_usage_query`` does.  Unlike
+# the dense query, this oracle shares no float64 unitary with the block, so it
+# judges the whole path, unitary included.  Over seeds 0-9 and m up to 256 the
+# validated block read at most 0.77 of the ``(8 + m) eps`` budget (pair
+# commutator; 0.84 with the Gram product).
+
+
+def ld_block(w, rho, sigma, m):
+    """``m`` queries of unitary ``w`` on ``sigma``, each with memory ``rho``."""
+    d_in, d_out = rho.shape[0], sigma.shape[0]
+    rho, out, w_dag = rho.astype(np.clongdouble), sigma.astype(np.clongdouble), w.conj().T
+    for _ in range(m):
+        joint = w @ np.kron(rho, out) @ w_dag
+        out = np.trace(joint.reshape(d_in, d_out, d_in, d_out), axis1=0, axis2=2)
+    return out
+
+
+def swap_case(dim):
+    def build(seed):
+        _, alpha = seeded(seed)
+        return make_scaled_identity_map(alpha, dim), lambda t: ld_swap(alpha, dim, t)
+    return build
+
+
+def commutator_case(seed):
+    rng, s = seeded(seed)
+    mu = np.sort(rng.standard_normal(4))
+    return make_commutator_map(np.diag(mu), s), lambda t: ld_commutator(mu, s, t)
+
+
+def osd_case(seed):
+    rng, s = seeded(seed)
+    mu = np.array([0.0, rng.uniform(0.5, 2.0)])
+    return make_osd_map(np.diag(mu), s, (2, 2)), lambda t: ld_osd(mu, s, 2, t)
+
+
+def pair_commutator_case(seed):
+    _, s = seeded(seed)
+    return make_pair_commutator_map(2, s), lambda t: ld_pair_commutator(2, s, t)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize(
+    "build",
+    [swap_case(2), swap_case(4), commutator_case, osd_case, pair_commutator_case],
+    ids=["swap-2", "swap-4", "diagonal-commutator-4", "osd-2x2", "pair-commutator-2"],
+)
+@pytest.mark.parametrize("total", [0.6, -1.3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_query_blocks_match_the_long_double_block(build, seed, total):
+    mapping, ld_unitary = build(seed)
+    gen = mapping.generator
+    rho = random_density(gen.d_in, seed)
+    sigma = random_pure(gen.d_out, 100 + seed).density()
+    for m in [1, 3, 16, 64]:
+        got = DensityMatrix(repeated_queries(gen, rho, sigma, total, m)).matrix
+        exact = ld_block(ld_unitary(total / m), rho.matrix, sigma.matrix, m)
+        err = float(np.max(np.abs(got - exact)))
+        assert err <= (8 + m) * EPS, (m, err / EPS)
 
 
 @pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's trace "
