@@ -33,10 +33,17 @@ duration ``s`` by queries of total duration ``-s``.
 A block of queries applies one query's superoperator (``query_superoperator``)
 again and again.  The superoperator is built from the query unitary by a
 scatter over pairs of its nonzeros, one product per pair, wherever that takes
-fewer multiplies than a dense Gram product.  The swap, diagonal commutator,
-osd and pair-commutator unitaries have at most 3 nonzeros per row, so only a
+fewer multiplies than a dense Gram product.  The swap, diagonal commutator
+and pair-commutator unitaries have at most 3 nonzeros per row, so only a
 dense map's ``herm_exp`` unitary and a non-diagonal commutator's rotated one
 still go through the Gram ``zgemm``.
+
+An osd map is *lifted*: the commutator map on A, fed ``Tr_B`` of its input
+and tensored with ``1_B`` (``HermitianPreservingMap.lift``).  Its exact and
+queried calls run on the A factor (``_lifted_call``): a ``d_A x d_A``
+unitary, or a ``d_A^2 x d_A^2`` query block applied to the working matrix as
+a batch of ``d_B^2`` columns.  Its dense ``W_A (x) 1_B`` query unitary is
+read only by ``memory_usage_query`` and blocks on its own generator.
 
 The three realizations and ``repeated_queries`` take the working register as
 a plain matrix (a ``DensityMatrix`` is read as its matrix) and return a plain
@@ -75,7 +82,10 @@ class HermitianPreservingMap:
     reads it to realize such calls by group commutators.  ``query_unitary``,
     when set, is the closed form ``t -> exp(-i Nhat t)`` of the map's query
     unitary (memory register first), which ``QueryGenerator.unitary`` calls
-    instead of diagonalizing ``Nhat``.
+    instead of diagonalizing ``Nhat``.  ``lift``, when set, is ``(inner, d_b)``:
+    the map is ``x -> inner(Tr_B x) (x) 1_B`` (``_lift``), and
+    ``exact_memory_call`` and ``queried_memory_call`` realize its calls on
+    the A factor (``_lifted_call``).
     """
 
     d_in: int
@@ -83,6 +93,7 @@ class HermitianPreservingMap:
     action: Callable[[np.ndarray], np.ndarray]
     commutator_form: Optional[tuple[np.ndarray, float]] = None
     query_unitary: Optional[Callable[[float], np.ndarray]] = None
+    lift: Optional[tuple["HermitianPreservingMap", int]] = None
 
     @functools.cached_property
     def generator(self) -> "QueryGenerator":
@@ -110,12 +121,17 @@ def map_from_function(
     return HermitianPreservingMap(d_in=d_in, d_out=d_out, action=fn, **kwargs)
 
 
-def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
-    """Apply the map to an operator."""
+def _input(m: HermitianPreservingMap, x) -> np.ndarray:
+    """``x`` as a square matrix of the map's input dimension."""
     a = _as_square(x)
     if a.shape[0] != m.d_in:
         raise DimensionError(f"input dim {a.shape[0]} != map d_in {m.d_in}")
-    return _act(m, a)
+    return a
+
+
+def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
+    """Apply the map to an operator."""
+    return _act(m, _input(m, x))
 
 
 class QueryGenerator:
@@ -322,32 +338,51 @@ def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
     return dd, mu
 
 
-def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap:
-    """The map ``rho_AB -> -i s [d_a, Tr_B rho_AB] (x) 1_B``.
+def _trace_b(x: np.ndarray, d_b: int) -> np.ndarray:
+    """``Tr_B`` of the matrix ``x`` on registers ``A (x) B``, ``dim B = d_b``."""
+    d_a = x.shape[0] // d_b
+    return np.trace(x.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
 
-    ``d_a`` must be diagonal with pairwise distinct entries.  Its generator is
-    the commutator generator on the A registers times ``1_B``, so its query
-    unitary is ``W_A (x) 1_B`` over registers (memory A, memory B, working A,
-    working B).
+
+def _lift(inner: HermitianPreservingMap, d_b: int) -> HermitianPreservingMap:
+    """The map ``x -> inner(Tr_B x) (x) 1_B`` on registers ``A (x) B``.
+
+    Its generator is ``inner``'s generator on the A registers times ``1_B``,
+    so its query unitary is ``W_A (x) 1_B`` over registers (memory A,
+    memory B, working A, working B), with ``W_A`` the inner map's query
+    unitary.  That dense unitary is what ``memory_usage_query`` and a block
+    on the map's own generator read; the map's calls go through ``lift``.
+    """
+    a_in, a_out = inner.d_in, inner.d_out
+    eye_b = np.eye(d_b, dtype=complex)
+
+    def fn(x):
+        return kron(_act(inner, _trace_b(x, d_b)), eye_b)
+
+    def unitary(t):
+        w_a = inner.generator.unitary(t).reshape(a_in, a_out, a_in, a_out)
+        u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
+        return u.reshape(a_in * a_out * d_b**2, a_in * a_out * d_b**2)
+
+    return map_from_function(fn, a_in * d_b, a_out * d_b, query_unitary=unitary,
+                             lift=(inner, d_b))
+
+
+def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap:
+    """The map ``rho_AB -> -i s [d_a, Tr_B rho_AB] (x) 1_B``: the commutator
+    map ``rho -> -i s [d_a, rho]`` on A, lifted by ``Tr_B`` and ``(x) 1_B``
+    (``_lift``).
+
+    ``d_a`` must be diagonal with pairwise distinct entries.  A call of the
+    map is the commutator map's call on ``Tr_B`` of the instruction, applied
+    to the working state's A factor; its query unitary ``W_A (x) 1_B`` is
+    built only for ``memory_usage_query`` and the map's own generator.
     """
     da, db = int(dims[0]), int(dims[1])
     dd, _ = _validated_diagonal(d_a)
     if dd.shape[0] != da:
         raise DimensionError(f"diagonal operator dim {dd.shape[0]} != {da}")
-    ss = float(s)
-    eye_b = np.eye(db, dtype=complex)
-    unitary_a = _commutator_unitary(dd, ss)
-
-    def fn(x):
-        xa = np.trace(x.reshape(da, db, da, db), axis1=1, axis2=3)
-        return kron(-1j * ss * (dd @ xa - xa @ dd), eye_b)
-
-    def unitary(t):
-        w_a = unitary_a(t).reshape(da, da, da, da)
-        u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
-        return u.reshape((da * db) ** 2, (da * db) ** 2)
-
-    return map_from_function(fn, da * db, da * db, query_unitary=unitary)
+    return _lift(make_commutator_map(dd, s), db)
 
 
 def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
@@ -400,7 +435,10 @@ def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working)
     w = _matrix(working)
     if w.shape[0] != call.map.d_out:
         raise DimensionError(f"working dim {w.shape[0]} != map d_out {call.map.d_out}")
-    u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
+    x = call.instruction_matrix(instruction)
+    if call.map.lift is not None:
+        return _lifted_call(call, _input(call.map, x), w)
+    u = herm_exp(map_apply(call.map, x), -call.duration)
     return u @ w @ u.conj().T
 
 
@@ -432,12 +470,44 @@ def queried_memory_call(
     ``-duration``, each consuming a copy of the instruction register as memory:
     the validated instruction's matrix (``instruction_matrix``), not wrapped again."""
     memory = call.instruction_matrix(instruction)
+    if call.map.lift is not None:
+        _check_query_dims(call.map, memory, working)
+        return _lifted_call(call, memory, _matrix(working), m)
     return repeated_queries(call.map.generator, memory, working, -call.duration, m)
 
 
-def _check_query_dims(gen: QueryGenerator, memory, working=None):
-    """``memory`` and ``working`` are matrices or ``DensityMatrix`` states;
-    without ``working`` only the memory is checked."""
+def _lifted_call(call: MemoryCallSpec, memory: np.ndarray, working: np.ndarray,
+                 m: Optional[int] = None) -> np.ndarray:
+    """A call of a lifted map ``N(x) = inner(Tr_B x) (x) 1_B`` (its ``lift``):
+    the inner map's call, instructed by ``Tr_B`` of the instruction matrix
+    ``memory``, applied to the A index of the working matrix.  The caller
+    has checked both dimensions against the lifted map.
+
+    Exact when ``m`` is None: ``u (x) 1_B`` for the inner call's
+    ``d_A x d_A`` unitary ``u``, applied by two reshaped products.  Else
+    ``m`` queries: the inner map's ``d_A^2 x d_A^2`` query block applied to
+    the working matrix as a batch of ``d_B^2`` columns, one per ``(b, b')``
+    (``repeated_queries``).
+    """
+    inner, d_b = call.map.lift
+    d_a = inner.d_out
+    memory_a = _trace_b(memory, d_b)
+    if m is None:
+        u = herm_exp(map_apply(inner, memory_a), -call.duration)
+        # (u (x) 1) w on the row index, then (.) (u (x) 1)^dag on the column's A index
+        uw = (u @ working.reshape(d_a, -1)).reshape(d_a * d_b, d_a, d_b)
+        return np.matmul(u.conj(), uw).reshape(working.shape)
+    cols = working.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+    out = repeated_queries(inner.generator, memory_a, cols.reshape(d_a, d_a, d_b * d_b),
+                           -call.duration, m)
+    return out.reshape(d_a, d_a, d_b, d_b).transpose(0, 2, 1, 3).reshape(working.shape)
+
+
+def _check_query_dims(gen, memory, working=None):
+    """``memory`` and ``working`` against ``gen``'s ``d_in`` and ``d_out``
+    (``gen`` a generator or a map).  They are matrices or ``DensityMatrix``
+    states, and ``working`` may be a ``repeated_queries`` batch; without
+    ``working`` only the memory is checked."""
     d_mem = _matrix(memory).shape[0]
     d_work = gen.d_out if working is None else _matrix(working).shape[0]
     if d_mem != gen.d_in or d_work != gen.d_out:
@@ -541,18 +611,23 @@ def _mirror_mean(p: np.ndarray, d: int) -> np.ndarray:
 def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> np.ndarray:
     """Apply ``m`` queries of duration ``s/m`` with fresh identical memory to the
     working matrix; ``memory`` is a state's matrix or its ``DensityMatrix``.
+    ``working`` may also be a batch of ``k`` working matrices stacked on a
+    last axis, shape ``(d, d, k)``; each gets the same block, and the result
+    has the batch's shape.
 
     The block is ``sup^m`` on the vectorized working state, ``sup`` being one
-    query's ``(d^2, d^2)`` superoperator (``d = d_out``), realized as either
+    query's ``(d^2, d^2)`` superoperator (``d = d_out``), applied to a batch as
+    its ``(d^2, k)`` matrix of columns and realized as either
 
-    * ``m`` matvecs, each ``sup.dot(vec)``: the same BLAS ``zgemv`` as
-      ``sup @ vec``, with the same bits, without the matmul ufunc dispatch,
-      which costs more than the product itself at small ``d``; or
-    * binary exponentiation, when ``2 log2(m) d^2 < m``: ``m.bit_length() - 1``
-      squarings (``d^6`` each against a matvec's ``d^4``) plus one matvec per
-      set bit of ``m``, lowest first.  Each square is set to its mean with its
-      mirror, as in ``query_superoperator``, so every power preserves
-      Hermiticity exactly.
+    * ``m`` products ``sup.dot(vec)``: for one working matrix the same BLAS
+      ``zgemv`` as ``sup @ vec``, with the same bits, without the matmul
+      ufunc dispatch, which costs more than the product itself at small
+      ``d``; or
+    * binary exponentiation, when ``2 log2(m) d^2 < m k`` (``k = 1`` for one
+      working matrix): ``m.bit_length() - 1`` squarings (``d^6`` each against
+      a product's ``d^4 k``) plus one product per set bit of ``m``, lowest
+      first.  Each square is set to its mean with its mirror, as in
+      ``query_superoperator``, so every power preserves Hermiticity exactly.
 
     With BLAS at one thread the two cost the same near ``m = 2 log2(m) d^2``
     at ``d = 2, 3`` and near half that at ``d = 4 .. 16``.  Both are as close
@@ -565,8 +640,9 @@ def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> 
     _check_query_dims(gen, memory, working)
     d = gen.d_out
     sup = query_superoperator(gen, memory, float(s) / m)
-    vec = _matrix(working).reshape(-1)
-    if 2 * m.bit_length() * d * d < m:
+    w = _matrix(working)
+    vec = w.reshape(d * d, *w.shape[2:])
+    if 2 * m.bit_length() * d * d < m * (vec.size // (d * d)):
         while True:
             if m & 1:
                 vec = sup.dot(vec)
@@ -577,7 +653,7 @@ def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> 
     else:
         for _ in range(m):
             vec = sup.dot(vec)
-    return vec.reshape(d, d)
+    return vec.reshape(w.shape)
 
 
 def group_commutator(a, b, s: float) -> np.ndarray:
@@ -610,18 +686,21 @@ def channel_error_probe(
     conjugation by ``exp(-i s N(memory))``, formed once per probe.
 
     Maximizes the output distance over seeded random pure working states, so
-    the value reported never exceeds the true channel distance.
+    the value reported never exceeds the true channel distance.  The states
+    go through one block of queries together, as a batch (``repeated_queries``),
+    so the probe builds one superoperator.
     """
     if n_samples < 1:
         raise InvariantError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     u = herm_exp(map_apply(map_spec, memory.matrix), s)
+    states = [random_pure(gen.d_out, rng.integers(2**63)).density() for _ in range(int(n_samples))]
+    approx = repeated_queries(gen, memory, np.stack([w.matrix for w in states], axis=-1), s, m)
     worst = 0.0
-    for _ in range(int(n_samples)):
-        working = random_pure(gen.d_out, rng.integers(2**63)).density()
-        approx = DensityMatrix(repeated_queries(gen, memory, working, s, m), working.factor_dims)
+    for k, working in enumerate(states):
+        got = DensityMatrix(approx[..., k], working.factor_dims)
         exact = DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
-        worst = max(worst, trace_distance(approx.matrix, exact.matrix))
+        worst = max(worst, trace_distance(got.matrix, exact.matrix))
     return worst
 
 

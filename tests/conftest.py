@@ -17,9 +17,9 @@ def random_hermitian(dim, seed, scale=1.0):
     return scale * (g + g.conj().T) / 2.0
 
 
-def squares(m, d_out):
-    """Whether ``repeated_queries`` runs a block of ``m`` queries on a
-    ``d_out``-dimensional working state by repeated squaring (else by ``m``
-    matvecs): its rule ``2 log2(m) d_out^2 < m``, pinned against the code by
-    ``test_channels.TestRepeatedSquaring``."""
-    return 2 * m.bit_length() * d_out**2 < m
+def squares(m, d_out, k=1):
+    """Whether ``repeated_queries`` runs a block of ``m`` queries on a batch of
+    ``k`` ``d_out``-dimensional working states by repeated squaring (else by
+    ``m`` products): its rule ``2 log2(m) d_out^2 < m k``, pinned against the
+    code by ``test_channels.TestRepeatedSquaring``."""
+    return 2 * m.bit_length() * d_out**2 < m * k

@@ -458,6 +458,85 @@ class TestQueriedMemoryCall:
         assert errs[1] < errs[0] / 4
 
 
+def osd_case(dims, seed):
+    """A seeded osd map on ``dims`` with its instruction and working states."""
+    rng = np.random.default_rng(seed)
+    mu = np.sort(rng.uniform(0.0, 2.0, dims[0]))
+    m = make_osd_map(np.diag(mu), float(rng.uniform(0.2, 1.5)), dims)
+    d = dims[0] * dims[1]
+    return m, random_density(d, 10 + seed), random_pure(d, 20 + seed).density()
+
+
+def spy_dims(monkeypatch, name):
+    """Replace ``channels.<name>`` by a wrapper; return the list of the
+    ``d_out`` (or matrix dimension) of its first argument, one per call."""
+    seen, real = [], getattr(channels, name)
+
+    def spy(first, *args):
+        seen.append(getattr(first, "d_out", None) or np.shape(first)[0])
+        return real(first, *args)
+
+    monkeypatch.setattr(channels, name, spy)
+    return seen
+
+
+class TestLiftedCall:
+    """An osd call is realized on the A factor: the commutator call on
+    ``Tr_B`` of the instruction, applied to the working matrix's A index.
+    With ``d_A != d_B`` an A/B index swap would read as a wrong state."""
+
+    DIMS = [(2, 3), (3, 2), (2, 6)]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_call_matches_the_dense_unitary(self, monkeypatch, dims, seed):
+        # Measured at most 4.5 eps.
+        m, rho, sigma = osd_case(dims, seed)
+        u = herm_exp(map_apply(m, rho.matrix), -0.9)
+        dense = u @ sigma.matrix @ u.conj().T
+        sizes = spy_dims(monkeypatch, "herm_exp")
+        got = exact_memory_call(MemoryCallSpec(map=m, duration=0.9), rho, sigma)
+        assert np.max(np.abs(got - dense)) <= 16 * np.finfo(float).eps
+        assert sizes == [dims[0]]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_query_block_matches_the_dense_block(self, monkeypatch, dims, seed):
+        # Measured at most 0.18 (8 + m) eps.
+        m, rho, sigma = osd_case(dims, seed)
+        counts = (1, 3, 16, 64)
+        dense = [repeated_queries(m.generator, rho, sigma, -0.9, n) for n in counts]
+        sizes = spy_dims(monkeypatch, "query_superoperator")
+        for n, want in zip(counts, dense):
+            got = queried_memory_call(MemoryCallSpec(map=m, duration=0.9), rho, sigma, n)
+            assert np.max(np.abs(got - want)) <= (8 + n) * np.finfo(float).eps, n
+        assert sizes == [dims[0]] * len(counts)
+
+    EXACT = staticmethod(lambda call, rho, sigma: exact_memory_call(call, rho, sigma))
+    QUERY = staticmethod(lambda call, rho, sigma: queried_memory_call(call, rho, sigma, 4))
+
+    @pytest.mark.parametrize(
+        "realize, d_instruction, d_working, match",
+        [
+            (EXACT, 6, 4, "working dim 4 != map d_out 6"),
+            (EXACT, 4, 6, "input dim 4 != map d_in 6"),
+            (QUERY, 6, 4, r"memory/working dims \(6,4\) do not match generator \(6,6\)"),
+            (QUERY, 4, 6, r"memory/working dims \(4,6\) do not match generator \(6,6\)"),
+        ],
+        ids=["exact-working", "exact-instruction", "query-working", "query-memory"],
+    )
+    def test_dimensions_checked_against_the_lifted_map(self, realize, d_instruction,
+                                                        d_working, match):
+        call = MemoryCallSpec(map=make_osd_map(np.diag([0.0, 1.0]), 0.5, (2, 3)))
+        with pytest.raises(DimensionError, match=match):
+            realize(call, random_density(d_instruction, 1), random_density(d_working, 2))
+
+    def test_unfolding_still_rejected(self):
+        call = MemoryCallSpec(map=make_osd_map(np.diag([0.0, 1.0]), 0.5, (2, 3)))
+        with pytest.raises(UnsupportedSpecError, match="commutator-form"):
+            unfolded_memory_call(call, random_density(6, 1), random_density(6, 2), 4)
+
+
 class TestMemoryUsageQuery:
     def test_zero_duration(self):
         gen = QueryGenerator.from_map(make_identity_map(2))
@@ -590,6 +669,19 @@ class TestRepeatedQueries:
         with pytest.raises(DimensionError, match="memory/working dims"):
             query(gen)
 
+    @pytest.mark.parametrize("m", [1, 7, 64, 1000])
+    def test_batch_matches_column_by_column(self, m):
+        # m = 64 squares the batch of 5 and loops each column (d = 3), within
+        # the oracle's (8 + m) eps; the other m take one path for both.
+        gen = make_commutator_map(random_hermitian(3, 21), 0.4).generator
+        memory = random_density(3, 1)
+        states = [random_pure(3, 30 + k).density().matrix for k in range(5)]
+        got = repeated_queries(gen, memory, np.stack(states, axis=-1), 0.6, m)
+        assert got.shape == (3, 3, 5)
+        for k, working in enumerate(states):
+            one = repeated_queries(gen, memory, working, 0.6, m)
+            assert np.max(np.abs(got[..., k] - one)) <= (8 + m) * np.finfo(float).eps, k
+
 
 def record_powers(monkeypatch):
     """Spy on ``channels._mirror_mean``: the list of every superoperator it
@@ -622,6 +714,17 @@ class TestRepeatedSquaring:
             powers.clear()
             repeated_queries(gen, rho, sigma, 0.6, m)
             squarings = m.bit_length() - 1 if squares(m, d) else 0
+            assert len(powers) == 1 + squarings, m
+
+    @pytest.mark.parametrize("k", [1, 4, 36])
+    def test_a_batch_squares_by_its_column_count(self, monkeypatch, k):
+        gen = make_commutator_map(random_hermitian(2, 21), 0.4).generator
+        batch = np.stack([random_pure(2, 30 + j).density().matrix for j in range(k)], axis=-1)
+        powers = record_powers(monkeypatch)
+        for m in [1, 2, 3, 8, 16, 32, 49]:
+            powers.clear()
+            repeated_queries(gen, random_density(2, 1), batch, 0.6, m)
+            squarings = m.bit_length() - 1 if squares(m, 2, k) else 0
             assert len(powers) == 1 + squarings, m
 
     @pytest.mark.parametrize("name", list(MAPS))
@@ -719,6 +822,29 @@ class TestChannelErrorProbe:
         gen = QueryGenerator.from_map(m)
         rho = random_density(3, 72)
         assert channel_error_probe(gen, m, rho, 0.1, 512, 3, 1) <= 1e-3
+
+    def test_one_superoperator_per_probe(self, monkeypatch):
+        m, rho = make_identity_map(4), random_density(4, 74)
+        sizes = spy_dims(monkeypatch, "query_superoperator")
+        for mm in (1, 4, 64, 4096):
+            sizes.clear()
+            channel_error_probe(m.generator, m, rho, 0.5, mm, 8, 3)
+            assert sizes == [4], mm
+
+    @pytest.mark.parametrize("mm", [1, 16, 4096])
+    def test_the_sample_by_sample_maximum(self, mm):
+        # The seeded states, drawn in order, each through its own block; the
+        # batch may take the other product order, so the oracle's (8 + m) eps.
+        m, rho = make_scaled_identity_map(0.8, 3), random_density(3, 75)
+        rng = np.random.default_rng(5)
+        u = herm_exp(map_apply(m, rho.matrix), 0.4)
+        worst = 0.0
+        for _ in range(6):
+            working = random_pure(3, rng.integers(2**63)).density().matrix
+            approx = repeated_queries(m.generator, rho, working, 0.4, mm)
+            worst = max(worst, trace_distance(approx, u @ working @ u.conj().T))
+        got = channel_error_probe(m.generator, m, rho, 0.4, mm, 6, 5)
+        assert abs(got - worst) <= (8 + mm) * np.finfo(float).eps
 
     def test_monotone_in_m_on_average(self):
         m = make_scaled_identity_map(0.8, 2)

@@ -924,16 +924,19 @@ def test_qite_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     pair-commutator map's query unitary is in closed form), which is where
     the thread count used to move ``energy`` by up to 2.7e-13.  The dbi and osd
     query runs hold too: their superoperators are built by a pair scatter,
-    which calls no BLAS."""
+    which calls no BLAS.  So does an osd exact run, whose calls are products
+    on the A factor."""
     src = str(pathlib.Path(cli.__file__).parents[1])
-    for scenario, m, params in [
-        ("qite", 16, {"model": "heisenberg_chain", "n_qubits": 3, "n_steps": 2}),
-        ("dbi", 64, {"dim": 16, "n_steps": 2}),
-        ("osd", 32, {"dims": [2, 6], "n_steps": 2}),
+    for scenario, strategy, params in [
+        ("qite", {"kind": "qdp", "m": 16}, {"model": "heisenberg_chain", "n_qubits": 3,
+                                            "n_steps": 2}),
+        ("dbi", {"kind": "qdp", "m": 64}, {"dim": 16, "n_steps": 2}),
+        ("osd", {"kind": "qdp", "m": 32}, {"dims": [2, 6], "n_steps": 2}),
+        ("osd", {"kind": "exact"}, {"dims": [2, 6], "n_steps": 2}),
     ]:
-        out = tmp_path / f"{scenario}.json"
+        out = tmp_path / f"{scenario}-{strategy['kind']}.json"
         doc = {"schema_version": 1, "scenario": scenario, "seed": 3,
-               "strategy": {"kind": "qdp", "m": m}, "params": params,
+               "strategy": strategy, "params": params,
                "output": {"path": str(out), "format": "json"}}
         path = write_config(tmp_path, doc)
         reports = []
@@ -944,4 +947,4 @@ def test_qite_report_does_not_depend_on_the_blas_thread_count(tmp_path):
                             "sys.exit(main(sys.argv[1:]))", "run", path], env=env, check=True,
                            capture_output=True)
             reports.append(out.read_bytes())
-        assert reports[0] == reports[1], scenario
+        assert reports[0] == reports[1], out.name

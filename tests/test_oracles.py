@@ -33,10 +33,13 @@ Dense query: a block of ``m`` queries of duration ``S/m`` is ``m`` successive
 applying the generator's query unitary and validating its output on its own.
 It shares that unitary with the block (the closed forms have their own
 oracle below) but not the superoperator, the loop or the squaring.  The
-validated block is budgeted ``(8 + m) eps`` against it; over seeds 0-19 the
-worst was 1.03 eps at m = 1 (commutator map, d = 2), 0.639 m eps at m = 16
-and 0.603 m eps at m = 64 (pair commutator), and 0.488 m eps at m = 1024
-(pair commutator).
+blocks run as a recursion step runs them (``queried_memory_call``), so an
+osd block is its A factor's block applied to ``d_B^2`` columns, which
+squares from m = 7 at osd (2, 2), m = 2 at (2, 3) and m = 23 at (3, 2).
+The validated block is budgeted ``(8 + m) eps`` against it; over seeds 0-19
+the worst was 1.03 eps at m = 1 (commutator map, d = 2), 0.639 m eps at
+m = 16 and 0.603 m eps at m = 64 (pair commutator), and 0.488 m eps at
+m = 1024 (pair commutator).
 """
 
 import numpy as np
@@ -45,6 +48,7 @@ import pytest
 from conftest import random_hermitian
 from qdpsim import (
     DensityMatrix,
+    MemoryCallSpec,
     QueryGenerator,
     herm_exp,
     make_commutator_map,
@@ -57,6 +61,7 @@ from qdpsim import (
     random_pure,
     repeated_queries,
 )
+from qdpsim.channels import queried_memory_call
 from qdpsim.cli import main
 
 EPS = np.finfo(float).eps
@@ -96,6 +101,14 @@ def test_closed_form_is_one_query_at_m_1():
     np.testing.assert_allclose(swap_closed_form(rho, sigma, 0.7, 1), direct, rtol=0, atol=1e-15)
 
 
+def query_block(mapping, rho, sigma, total, m):
+    """``m`` queries of total duration ``total`` as a recursion step runs them
+    (``queried_memory_call``, which realizes an osd block on the A factor),
+    validated as a ``DensityMatrix``."""
+    call = MemoryCallSpec(map=mapping, duration=-total)
+    return DensityMatrix(queried_memory_call(call, rho, sigma, m)).matrix
+
+
 @pytest.mark.parametrize(
     "build, longer",
     [
@@ -103,18 +116,21 @@ def test_closed_form_is_one_query_at_m_1():
         (lambda seed: make_commutator_map(random_hermitian(2, 30 + seed), 0.8), [1024]),
         (lambda seed: make_commutator_map(random_hermitian(3, 30 + seed), 0.8), []),
         (lambda seed: make_osd_map(np.diag([0.0, 1.0]), 0.7, (2, 2)), []),
+        (lambda seed: make_osd_map(np.diag([0.0, 1.0]), 0.7, (2, 3)), []),
+        (lambda seed: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.7, (3, 2)), []),
         (lambda seed: make_pair_commutator_map(2, 0.9), [1024]),
     ],
-    ids=["commutator-2", "commutator-3", "osd-2x2", "pair-commutator-2"],
+    ids=["commutator-2", "commutator-3", "osd-2x2", "osd-2x3", "osd-3x2", "pair-commutator-2"],
 )
 @pytest.mark.parametrize("total", [0.6, -1.3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_query_blocks_match_the_dense_query(build, longer, seed, total):
-    gen = build(seed).generator
+    mapping = build(seed)
+    gen = mapping.generator
     rho = random_density(gen.d_in, seed)
     sigma = random_pure(gen.d_out, 100 + seed).density()
     for m in [1, 2, 3, 16, 64] + longer:
-        got = DensityMatrix(repeated_queries(gen, rho, sigma, total, m)).matrix
+        got = query_block(mapping, rho, sigma, total, m)
         dense = sigma
         for _ in range(m):
             dense = memory_usage_query(gen, rho, dense, total / m)
@@ -230,8 +246,9 @@ def test_swap_closed_form(dim, seed):
 # unitary and traces out the memory, as ``memory_usage_query`` does.  Unlike
 # the dense query, this oracle shares no float64 unitary with the block, so it
 # judges the whole path, unitary included.  Over seeds 0-9 and m up to 256 the
-# validated block read at most 0.77 of the ``(8 + m) eps`` budget (pair
-# commutator; 0.84 with the Gram product).
+# validated block read at most 0.853 of the ``(8 + m) eps`` budget (osd (3, 2);
+# 0.857 with the block on the whole register) and 0.77 for the pair
+# commutator (0.84 with the Gram product).
 
 
 def ld_block(w, rho, sigma, m):
@@ -257,10 +274,12 @@ def commutator_case(seed):
     return make_commutator_map(np.diag(mu), s), lambda t: ld_commutator(mu, s, t)
 
 
-def osd_case(seed):
-    rng, s = seeded(seed)
-    mu = np.array([0.0, rng.uniform(0.5, 2.0)])
-    return make_osd_map(np.diag(mu), s, (2, 2)), lambda t: ld_osd(mu, s, 2, t)
+def osd_case(d_a, d_b):
+    def build(seed):
+        rng, s = seeded(seed)
+        mu = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 2.0, d_a - 1))])
+        return make_osd_map(np.diag(mu), s, (d_a, d_b)), lambda t: ld_osd(mu, s, d_b, t)
+    return build
 
 
 def pair_commutator_case(seed):
@@ -271,8 +290,10 @@ def pair_commutator_case(seed):
 @pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
 @pytest.mark.parametrize(
     "build",
-    [swap_case(2), swap_case(4), commutator_case, osd_case, pair_commutator_case],
-    ids=["swap-2", "swap-4", "diagonal-commutator-4", "osd-2x2", "pair-commutator-2"],
+    [swap_case(2), swap_case(4), commutator_case, osd_case(2, 2), osd_case(2, 3),
+     osd_case(3, 2), pair_commutator_case],
+    ids=["swap-2", "swap-4", "diagonal-commutator-4", "osd-2x2", "osd-2x3", "osd-3x2",
+         "pair-commutator-2"],
 )
 @pytest.mark.parametrize("total", [0.6, -1.3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -282,7 +303,7 @@ def test_query_blocks_match_the_long_double_block(build, seed, total):
     rho = random_density(gen.d_in, seed)
     sigma = random_pure(gen.d_out, 100 + seed).density()
     for m in [1, 3, 16, 64]:
-        got = DensityMatrix(repeated_queries(gen, rho, sigma, total, m)).matrix
+        got = query_block(mapping, rho, sigma, total, m)
         exact = ld_block(ld_unitary(total / m), rho.matrix, sigma.matrix, m)
         err = float(np.max(np.abs(got - exact)))
         assert err <= (8 + m) * EPS, (m, err / EPS)
