@@ -7,13 +7,12 @@ copies of ``rho`` (``queried_memory_call``).  The engine reads no map.
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
 ``Nhat = sum_jk |k><j| (x) N(|j><k|)`` defines the query unitary
-``exp(-i Nhat t)``.  The package's own maps (swap, commutator, osd and pair
-commutator) pass that unitary in closed form (``query_unitary``), so a query
-run never builds ``Nhat``.  Only a dense map (``map_from_function``) has its
-``Nhat`` built from the action, symmetrized by ``linalg.hermitize`` (the one
-Hermiticity check) and diagonalized by ``linalg.herm_exp``;
-``query_error_bound`` reads ``Nhat`` too, built on first read.
-``QueryGenerator.unitary`` picks the realization, once per query duration.
+``exp(-i Nhat t)`` and the error bound (``query_error_bound``).  The
+package's maps name their structure (``Swap``, ``Commutator``,
+``PairCommutator``, ``Lift``), which gives both in closed form, so no CLI run
+builds ``Nhat``.  Only a dense map (``map_from_function``) has its ``Nhat``
+built from the action, symmetrized by ``linalg.hermitize`` (the one
+Hermiticity check) and diagonalized by ``linalg.herm_exp``.
 Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
 the memory register applies the map's exponential to the working state up to
 O(s^2).
@@ -31,19 +30,14 @@ The two directions are adjoint, so ``queried_memory_call`` realizes a call of
 duration ``s`` by queries of total duration ``-s``.
 
 A block of queries applies one query's superoperator (``query_superoperator``)
-again and again.  The superoperator is built from the query unitary by a
-scatter over pairs of its nonzeros, one product per pair, wherever that takes
-fewer multiplies than a dense Gram product.  The swap, diagonal commutator
-and pair-commutator unitaries have at most 3 nonzeros per row, so only a
-dense map's ``herm_exp`` unitary and a non-diagonal commutator's rotated one
-still go through the Gram ``zgemm``.
+again and again, built from the query unitary by a scatter over pairs of its
+nonzeros or, for a dense map's or a non-diagonal commutator's unitary, by a
+Gram ``zgemm``.
 
-An osd map is *lifted*: the commutator map on A, fed ``Tr_B`` of its input
-and tensored with ``1_B`` (``HermitianPreservingMap.lift``).  Its exact and
-queried calls run on the A factor (``_lifted_call``): a ``d_A x d_A``
-unitary, or a ``d_A^2 x d_A^2`` query block applied to the working matrix as
-a batch of ``d_B^2`` columns.  Its dense ``W_A (x) 1_B`` query unitary is
-read only by ``memory_usage_query`` and blocks on its own generator.
+An osd map is a ``Lift`` of the commutator map on A.  Its exact and queried
+calls run on the A factor (``_lifted_call``): a ``d_A x d_A`` unitary, or a
+``d_A^2 x d_A^2`` query block applied to the working matrix as a batch of
+``d_B^2`` columns.
 
 The three realizations and ``repeated_queries`` take the working register as
 a plain matrix (a ``DensityMatrix`` is read as its matrix) and return a plain
@@ -55,7 +49,7 @@ instruction or memory they read is a validated state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,34 +71,25 @@ from .linalg import (
 class HermitianPreservingMap:
     """Linear Hermitian-preserving map, held as its action ``x -> N(x)``.
 
-    ``commutator_form``, when set, records that the map is
-    ``rho -> -i * s * [d, rho]`` for a Hermitian ``d``; ``unfolded_memory_call``
-    reads it to realize such calls by group commutators.  ``query_unitary``,
-    when set, is the closed form ``t -> exp(-i Nhat t)`` of the map's query
-    unitary (memory register first), which ``QueryGenerator.unitary`` calls
-    instead of diagonalizing ``Nhat``.  ``lift``, when set, is ``(inner, d_b)``:
-    the map is ``x -> inner(Tr_B x) (x) 1_B`` (``_lift``), and
-    ``exact_memory_call`` and ``queried_memory_call`` realize its calls on
-    the A factor (``_lifted_call``).
+    ``structure``, when set, names what the map is: ``Swap``, ``Commutator``
+    (whose calls unfold), ``PairCommutator`` or ``Lift`` (whose calls run on
+    the A factor).  Its ``unitary(t, d)`` and ``norm(d)``, ``d = d_out``, are
+    ``exp(-i Nhat t)`` (memory register first) and ``||Nhat||`` in closed
+    form.  A map without one is dense.
     """
 
     d_in: int
     d_out: int
     action: Callable[[np.ndarray], np.ndarray]
-    commutator_form: Optional[tuple[np.ndarray, float]] = None
-    query_unitary: Optional[Callable[[float], np.ndarray]] = None
-    lift: Optional[tuple["HermitianPreservingMap", int]] = None
+    structure: Optional[Swap | Commutator | PairCommutator | Lift] = None
 
     @functools.cached_property
     def generator(self) -> "QueryGenerator":
-        """The map's query generator; its ``Nhat`` is built (``from_map``)
-        only when read.  The build reads a bare map of the same action, not
-        this one, so the map and its cached generator hold no reference
-        cycle, and both go (with the unitary the generator keeps) as soon as
-        the map is dropped."""
-        bare = HermitianPreservingMap(self.d_in, self.d_out, self.action)
-        return QueryGenerator(lambda: QueryGenerator.from_map(bare).n_hat,
-                              self.d_in, self.d_out, self.query_unitary)
+        """The map's query generator: its structure's, holding no ``Nhat``,
+        or a dense map's ``Nhat`` built from the action (``from_map``)."""
+        if self.structure is None:
+            return QueryGenerator.from_map(self)
+        return QueryGenerator(None, self.d_in, self.d_out, self.structure)
 
 
 def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
@@ -115,10 +100,10 @@ def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
 
 
 def map_from_function(
-    fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int, **kwargs
+    fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int
 ) -> HermitianPreservingMap:
-    """The map with action ``fn`` from ``d_in x d_in`` to ``d_out x d_out``."""
-    return HermitianPreservingMap(d_in=d_in, d_out=d_out, action=fn, **kwargs)
+    """The dense map with action ``fn`` from ``d_in x d_in`` to ``d_out x d_out``."""
+    return HermitianPreservingMap(d_in=d_in, d_out=d_out, action=fn)
 
 
 def _input(m: HermitianPreservingMap, x) -> np.ndarray:
@@ -135,34 +120,27 @@ def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
 
 
 class QueryGenerator:
-    """Hermitian generator ``Nhat`` of memory-usage queries and its query
-    unitary ``exp(-i Nhat t)``.
+    """Hermitian generator ``Nhat`` of memory-usage queries, its norm
+    ``||Nhat||`` and its query unitary ``exp(-i Nhat t)``.
 
-    ``n_hat`` is the generator's matrix, hermitized on creation, or a
-    function returning it hermitized, called on first read of ``n_hat``.
-    ``closed_form``, when given, is ``t -> exp(-i Nhat t)`` in closed form.
+    A dense generator holds ``n_hat``, the generator's matrix, hermitized on
+    creation.  A structured one is given ``structure`` and no ``n_hat``
+    (``None``): its unitary and norm are the structure's closed forms.
     """
 
-    def __init__(self, n_hat, d_in: int, d_out: int,
-                 closed_form: Optional[Callable[[float], np.ndarray]] = None):
-        self.d_in, self.d_out, self.closed_form = d_in, d_out, closed_form
-        if callable(n_hat):
-            self._build = n_hat
-            return
-        n_hat = hermitize(n_hat)
-        if n_hat.shape[0] != d_in * d_out:
-            raise DimensionError("generator dimension does not match d_in*d_out")
-        n_hat.setflags(write=False)
+    def __init__(self, n_hat, d_in: int, d_out: int, structure=None):
+        self.d_in, self.d_out, self.structure = d_in, d_out, structure
+        if structure is None:
+            n_hat = hermitize(n_hat)
+            if n_hat.shape[0] != d_in * d_out:
+                raise DimensionError("generator dimension does not match d_in*d_out")
+            n_hat.setflags(write=False)
         self.n_hat = n_hat
-
-    @functools.cached_property
-    def n_hat(self) -> np.ndarray:
-        return self._build()
 
     @classmethod
     def from_map(cls, m: HermitianPreservingMap) -> "QueryGenerator":
         """The dense generator of ``m``: ``Nhat`` built from the action, with
-        ``N(|j><k|)`` in block ``[k, :, j, :]``, and no closed form.
+        ``N(|j><k|)`` in block ``[k, :, j, :]``, and no structure.
         ``hermitize`` rejects a map that is not Hermitian-preserving.
         Hermitizing it again, as ``herm_exp`` does, returns its bits.
         """
@@ -175,9 +153,16 @@ class QueryGenerator:
             unit[j, k] = 0.0
         return cls(n_hat4.reshape(d_in * d_out, d_in * d_out), d_in, d_out)
 
+    @functools.cached_property
+    def norm(self) -> float:
+        """``||Nhat||``: the structure's closed form, else ``op_norm(n_hat)``."""
+        if self.structure is None:
+            return op_norm(self.n_hat)
+        return float(self.structure.norm(self.d_out))
+
     def unitary(self, s: float) -> np.ndarray:
-        """Read-only ``exp(-i Nhat s)``: the closed form when there is one,
-        else ``herm_exp`` of ``n_hat``.
+        """Read-only ``exp(-i Nhat s)``: the structure's closed form, else
+        ``herm_exp`` of ``n_hat``.
 
         The last duration's unitary is kept, with its pair plan once a
         superoperator build reads it (``_pairs``), in one slot keyed on the
@@ -199,10 +184,10 @@ class QueryGenerator:
         key = float(s).hex()
         slot = self.__dict__.get("_last")
         if slot is None or slot["key"] != key:
-            if self.closed_form is None:
+            if self.structure is None:
                 u = herm_exp(self.n_hat, float(s))
             else:
-                u = self.closed_form(float(s))
+                u = self.structure.unitary(float(s), self.d_out)
             u.setflags(write=False)
             slot = self.__dict__["_last"] = {"key": key, "unitary": u}
         return slot
@@ -264,7 +249,115 @@ class MemoryCallSpec:
 
 
 # ---------------------------------------------------------------------------
-# Map constructors
+# Map structures and constructors
+
+
+@dataclass(frozen=True)
+class Swap:
+    """``N(x) = -alpha x``: ``Nhat = -alpha SWAP``, so ``||Nhat|| = |alpha|``
+    and the query unitary is ``cos(alpha t) 1 + i sin(alpha t) SWAP``."""
+
+    alpha: float
+
+    def norm(self, d: int) -> float:
+        return abs(self.alpha)
+
+    def unitary(self, t: float, d: int) -> np.ndarray:
+        a, b = np.indices((d, d))
+        u = np.zeros((d, d, d, d), dtype=complex)
+        u[b, a, a, b] = 1j * np.sin(self.alpha * t)  # SWAP |ab> = |ba>
+        u[a, b, a, b] += np.cos(self.alpha * t)
+        return u.reshape(d * d, d * d)
+
+
+@dataclass(frozen=True)
+class Commutator:
+    """``N(x) = -i s [d, x]`` for Hermitian ``d = v diag(mu) v^dag``, its
+    spectrum found once, when the structure is made (``v`` is None for a
+    diagonal ``d``).
+
+    In ``d``'s eigenbasis ``Nhat`` only couples ``|ab>`` with ``|ba>``, with
+    eigenvalues ``+-s (mu_a - mu_b)``, so ``||Nhat|| = |s| (max mu - min mu)``
+    and the query unitary is ``W[a,b,a,b] = cos(theta_ab)`` and
+    ``W[b,a,a,b] = sin(theta_ab)`` for ``a != b``, ``W[a,a,a,a] = 1``, with
+    ``theta_ab = -t s (mu_a - mu_b)``, conjugated by ``v (x) v``.
+    """
+
+    d: np.ndarray
+    s: float
+    mu: np.ndarray = field(init=False, repr=False)
+    v: Optional[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        diagonal = not np.count_nonzero(self.d - np.diag(np.diag(self.d)))
+        mu, v = (np.real(np.diag(self.d)), None) if diagonal else np.linalg.eigh(self.d)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "v", v)
+
+    def norm(self, d: int) -> float:
+        return abs(self.s) * (self.mu.max() - self.mu.min())
+
+    def unitary(self, t: float, d: int) -> np.ndarray:
+        theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
+        a, b = np.indices((d, d))
+        w = np.zeros((d, d, d, d), dtype=complex)
+        w[b, a, a, b] = np.sin(theta)  # a == b gets 0 here and 1 below
+        w[a, b, a, b] = np.cos(theta)
+        w = w.reshape(d * d, d * d)
+        if self.v is None:
+            return w
+        vv = np.kron(self.v, self.v)
+        return vv @ w @ vv.conj().T
+
+
+@dataclass(frozen=True)
+class PairCommutator:
+    """The degree-two map ``N(rho (x) chi) = -i s [rho, chi]``
+    (``make_pair_commutator_map``).  Its generator is ``-i s (C - C^2)`` for
+    the cyclic shift ``C|x y z> = |y z x>`` of the three registers, with
+    eigenvalues ``+-sqrt(3) s`` (all 0 at ``d = 1``, where ``C = 1``), and
+    its query unitary is ``c0 1 + c1 C + c2 C^2`` with
+    ``c_j = (1 + 2 cos(theta - 2 pi j / 3)) / 3`` and ``theta = -sqrt(3) s t``.
+    """
+
+    s: float
+
+    def norm(self, d: int) -> float:
+        return np.sqrt(3.0) * abs(self.s) if d > 1 else 0.0
+
+    def unitary(self, t: float, d: int) -> np.ndarray:
+        theta = -np.sqrt(3.0) * self.s * t
+        c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3))
+        x, y, z = np.indices((d, d, d))
+        u = np.zeros((d,) * 6, dtype=complex)
+        u[x, y, z, x, y, z] += c0
+        u[y, z, x, x, y, z] += c1
+        u[z, x, y, x, y, z] += c2
+        return u.reshape(d**3, d**3)
+
+
+@dataclass(frozen=True)
+class Lift:
+    """``N(x) = inner(Tr_B x) (x) 1_B`` on registers ``A (x) B``,
+    ``dim B = d_b``.
+
+    Its generator is ``inner``'s times ``1_B``, so its norm is the inner one
+    and its query unitary is ``W_A (x) 1_B`` over registers (memory A, memory
+    B, working A, working B).  Only ``memory_usage_query`` and blocks on the
+    map's own generator read that dense unitary.
+    """
+
+    inner: HermitianPreservingMap
+    d_b: int
+
+    def norm(self, d: int) -> float:
+        return self.inner.generator.norm
+
+    def unitary(self, t: float, d: int) -> np.ndarray:
+        a_in, a_out, eye_b = self.inner.d_in, self.inner.d_out, np.eye(self.d_b, dtype=complex)
+        w_a = self.inner.generator.unitary(t).reshape(a_in, a_out, a_in, a_out)
+        u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
+        return u.reshape(a_in * a_out * self.d_b**2, a_in * a_out * self.d_b**2)
 
 
 def make_identity_map(dim: int) -> HermitianPreservingMap:
@@ -273,56 +366,16 @@ def make_identity_map(dim: int) -> HermitianPreservingMap:
 
 
 def make_scaled_identity_map(alpha: float, dim: int) -> HermitianPreservingMap:
-    """The map ``rho -> -alpha * rho``; generator ``-alpha * SWAP``, query
-    unitary ``cos(alpha t) 1 + i sin(alpha t) SWAP``."""
+    """The map ``rho -> -alpha * rho`` (``Swap``)."""
     alpha, d = float(alpha), int(dim)
-
-    def unitary(t):
-        a, b = np.indices((d, d))
-        u = np.zeros((d, d, d, d), dtype=complex)
-        u[b, a, a, b] = 1j * np.sin(alpha * t)  # SWAP |ab> = |ba>
-        u[a, b, a, b] += np.cos(alpha * t)
-        return u.reshape(d * d, d * d)
-
-    return map_from_function(lambda x: -alpha * x, d, d, query_unitary=unitary)
-
-
-def _commutator_unitary(dd: np.ndarray, s: float) -> Callable[[float], np.ndarray]:
-    """``t -> exp(-i Nhat t)`` of the map ``rho -> -i s [dd, rho]``.
-
-    In ``dd``'s eigenbasis ``Nhat`` only couples ``|ab>`` with ``|ba>``, so
-    the unitary is ``W[a,b,a,b] = cos(theta_ab)`` and
-    ``W[b,a,a,b] = sin(theta_ab)`` for ``a != b``, ``W[a,a,a,a] = 1``, with
-    ``theta_ab = -t s (mu_a - mu_b)``.  A non-diagonal
-    ``dd = V diag(mu) V^dag`` conjugates ``W`` by ``V (x) V``.
-    """
-    d = dd.shape[0]
-
-    def unitary(t):
-        if np.count_nonzero(dd - np.diag(np.diag(dd))):
-            mu, v = np.linalg.eigh(dd)
-            vv = np.kron(v, v)
-        else:
-            mu, vv = np.real(np.diag(dd)), None
-        theta = -t * s * (mu[:, None] - mu[None, :])
-        a, b = np.indices((d, d))
-        w = np.zeros((d, d, d, d), dtype=complex)
-        w[b, a, a, b] = np.sin(theta)  # a == b gets 0 here and 1 below
-        w[a, b, a, b] = np.cos(theta)
-        w = w.reshape(d * d, d * d)
-        return w if vv is None else vv @ w @ vv.conj().T
-
-    return unitary
+    return HermitianPreservingMap(d, d, lambda x: -alpha * x, Swap(alpha))
 
 
 def make_commutator_map(d, s: float) -> HermitianPreservingMap:
-    """The map ``rho -> -i s [d, rho]`` for Hermitian ``d``."""
-    dd, ss = hermitize(d), float(s)
-    dim = dd.shape[0]
-    return map_from_function(
-        lambda x: -1j * ss * (dd @ x - x @ dd), dim, dim,
-        commutator_form=(dd, ss), query_unitary=_commutator_unitary(dd, ss),
-    )
+    """The map ``rho -> -i s [d, rho]`` for Hermitian ``d`` (``Commutator``)."""
+    c = Commutator(hermitize(d), float(s))
+    dd, ss, dim = c.d, c.s, c.d.shape[0]
+    return HermitianPreservingMap(dim, dim, lambda x: -1j * ss * (dd @ x - x @ dd), c)
 
 
 def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
@@ -344,60 +397,33 @@ def _trace_b(x: np.ndarray, d_b: int) -> np.ndarray:
     return np.trace(x.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
 
 
-def _lift(inner: HermitianPreservingMap, d_b: int) -> HermitianPreservingMap:
-    """The map ``x -> inner(Tr_B x) (x) 1_B`` on registers ``A (x) B``.
-
-    Its generator is ``inner``'s generator on the A registers times ``1_B``,
-    so its query unitary is ``W_A (x) 1_B`` over registers (memory A,
-    memory B, working A, working B), with ``W_A`` the inner map's query
-    unitary.  That dense unitary is what ``memory_usage_query`` and a block
-    on the map's own generator read; the map's calls go through ``lift``.
-    """
-    a_in, a_out = inner.d_in, inner.d_out
-    eye_b = np.eye(d_b, dtype=complex)
-
-    def fn(x):
-        return kron(_act(inner, _trace_b(x, d_b)), eye_b)
-
-    def unitary(t):
-        w_a = inner.generator.unitary(t).reshape(a_in, a_out, a_in, a_out)
-        u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
-        return u.reshape(a_in * a_out * d_b**2, a_in * a_out * d_b**2)
-
-    return map_from_function(fn, a_in * d_b, a_out * d_b, query_unitary=unitary,
-                             lift=(inner, d_b))
-
-
 def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap:
     """The map ``rho_AB -> -i s [d_a, Tr_B rho_AB] (x) 1_B``: the commutator
     map ``rho -> -i s [d_a, rho]`` on A, lifted by ``Tr_B`` and ``(x) 1_B``
-    (``_lift``).
+    (``Lift``).
 
-    ``d_a`` must be diagonal with pairwise distinct entries.  A call of the
-    map is the commutator map's call on ``Tr_B`` of the instruction, applied
-    to the working state's A factor; its query unitary ``W_A (x) 1_B`` is
-    built only for ``memory_usage_query`` and the map's own generator.
+    ``d_a`` must be diagonal with pairwise distinct entries.
     """
     da, db = int(dims[0]), int(dims[1])
     dd, _ = _validated_diagonal(d_a)
     if dd.shape[0] != da:
         raise DimensionError(f"diagonal operator dim {dd.shape[0]} != {da}")
-    return _lift(make_commutator_map(dd, s), db)
+    inner, eye_b = make_commutator_map(dd, s), np.eye(db, dtype=complex)
+    return HermitianPreservingMap(da * db, da * db,
+                                  lambda x: kron(_act(inner, _trace_b(x, db)), eye_b),
+                                  Lift(inner, db))
 
 
 def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
-    """Degree-two lift of ``(rho, chi) -> -i s [rho, chi]`` to one linear map.
+    """Degree-two lift of ``(rho, chi) -> -i s [rho, chi]`` to one linear map
+    (``PairCommutator``).
 
     The map acts on the doubled register and satisfies
     ``N(rho (x) chi) = -i s (rho chi - chi rho)``; on matrix units it
     contracts the two factors into an ordinary operator product, once in each
-    order.  Its generator is ``-i s (C - C^2)`` for the cyclic shift
-    ``C|x y z> = |y z x>`` of the three registers, so its query unitary is
-    ``c0 1 + c1 C + c2 C^2`` with ``c_j = (1 + 2 cos(theta - 2 pi j / 3)) / 3``
-    and ``theta = -sqrt(3) s t``.
+    order.
     """
-    d = int(dim)
-    ss = float(s)
+    d, ss = int(dim), float(s)
 
     def fn(x):
         # x indexes as x4[v1, v2, w1, w2] over the doubled register.
@@ -408,17 +434,7 @@ def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
         second_first = np.einsum("apqa->pq", x4)
         return -1j * ss * (first_second - second_first)
 
-    def unitary(t):
-        theta = -np.sqrt(3.0) * ss * t
-        c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3))
-        x, y, z = np.indices((d, d, d))
-        u = np.zeros((d,) * 6, dtype=complex)
-        u[x, y, z, x, y, z] += c0
-        u[y, z, x, x, y, z] += c1
-        u[z, x, y, x, y, z] += c2
-        return u.reshape(d**3, d**3)
-
-    return map_from_function(fn, d * d, d, query_unitary=unitary)
+    return HermitianPreservingMap(d * d, d, fn, PairCommutator(ss))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +452,7 @@ def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working)
     if w.shape[0] != call.map.d_out:
         raise DimensionError(f"working dim {w.shape[0]} != map d_out {call.map.d_out}")
     x = call.instruction_matrix(instruction)
-    if call.map.lift is not None:
+    if isinstance(call.map.structure, Lift):
         return _lifted_call(call, _input(call.map, x), w)
     u = herm_exp(map_apply(call.map, x), -call.duration)
     return u @ w @ u.conj().T
@@ -449,15 +465,15 @@ def unfolded_memory_call(
     the call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``, applied as
     one group commutator's ``substeps``-th power (by squaring), with error
     O(flow^1.5 / sqrt(substeps))."""
-    if call.map.commutator_form is None or call.extra_instruction is not None:
+    c = call.map.structure
+    if not isinstance(c, Commutator) or call.extra_instruction is not None:
         raise UnsupportedSpecError(
             "unfolding a non-covariant recursion needs commutator-form memory-calls"
         )
-    d_op, s_map = call.map.commutator_form
-    flow = call.duration * s_map
+    flow = call.duration * c.s
     if not flow > 0:
         raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
-    gc = group_commutator(instruction.matrix, -d_op, flow / substeps)
+    gc = group_commutator(instruction.matrix, -c.d, flow / substeps)
     u = np.linalg.matrix_power(gc, substeps)
     w = _matrix(working)
     return u @ w @ u.conj().T
@@ -470,7 +486,7 @@ def queried_memory_call(
     ``-duration``, each consuming a copy of the instruction register as memory:
     the validated instruction's matrix (``instruction_matrix``), not wrapped again."""
     memory = call.instruction_matrix(instruction)
-    if call.map.lift is not None:
+    if isinstance(call.map.structure, Lift):
         _check_query_dims(call.map, memory, working)
         return _lifted_call(call, memory, _matrix(working), m)
     return repeated_queries(call.map.generator, memory, working, -call.duration, m)
@@ -478,18 +494,14 @@ def queried_memory_call(
 
 def _lifted_call(call: MemoryCallSpec, memory: np.ndarray, working: np.ndarray,
                  m: Optional[int] = None) -> np.ndarray:
-    """A call of a lifted map ``N(x) = inner(Tr_B x) (x) 1_B`` (its ``lift``):
-    the inner map's call, instructed by ``Tr_B`` of the instruction matrix
-    ``memory``, applied to the A index of the working matrix.  The caller
-    has checked both dimensions against the lifted map.
-
-    Exact when ``m`` is None: ``u (x) 1_B`` for the inner call's
-    ``d_A x d_A`` unitary ``u``, applied by two reshaped products.  Else
-    ``m`` queries: the inner map's ``d_A^2 x d_A^2`` query block applied to
-    the working matrix as a batch of ``d_B^2`` columns, one per ``(b, b')``
-    (``repeated_queries``).
-    """
-    inner, d_b = call.map.lift
+    """A call of a ``Lift`` map: the inner map's call, instructed by ``Tr_B``
+    of the instruction matrix ``memory``, on the A index of the working
+    matrix, both dimensions checked by the caller.  Exact when ``m`` is None:
+    ``u (x) 1_B`` for the inner call's ``d_A x d_A`` unitary ``u``, by two
+    reshaped products.  Else ``m`` queries: the inner ``d_A^2 x d_A^2`` query
+    block on the working matrix as a batch of ``d_B^2`` columns, one per
+    ``(b, b')`` (``repeated_queries``)."""
+    inner, d_b = call.map.structure.inner, call.map.structure.d_b
     d_a = inner.d_out
     memory_a = _trace_b(memory, d_b)
     if m is None:
@@ -707,7 +719,7 @@ def channel_error_probe(
 def query_error_bound(gen: QueryGenerator, s: float, m: int) -> tuple[float, bool]:
     """Analytic ceiling ``4 ||Nhat||^2 s^2 / m`` on the repeated-query error,
     and whether ``||Nhat|| |s| / m`` falls in the window where it is asserted."""
-    norm = op_norm(gen.n_hat)
+    norm = gen.norm
     bound = 4.0 * norm * norm * float(s) * float(s) / int(m)
     within = 0.0 < norm * abs(float(s)) / int(m) <= 0.8
     return bound, within

@@ -619,6 +619,12 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
         mu = np.arange(dim, dtype=float) / max(dim - 1, 1)
         mmap = make_commutator_map(np.diag(mu), p["map_s"])
     gen = mmap.generator
+    if not np.isfinite(gen.norm * abs(s)):
+        scale = "params.alpha" if p["map"] == "scaled" else "params.map_s"
+        raise InfeasibleConfigError(
+            f"params.s and {scale} give ||Nhat|| |s| = {gen.norm:.3g} * {abs(s):.3g}, "
+            "past the float range"
+        )
     memory = random_density(dim, cfg.seed)
     rows, checks = [], []
     for m in p["m_values"]:

@@ -756,6 +756,21 @@ def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys):
     assert "reduction_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, scale", [
+    ({"dim": 2, "map": "scaled", "alpha": 1e300, "s": 1e10, "m_values": [4]}, "params.alpha"),
+    ({"dim": 2, "map": "commutator", "map_s": 1e300, "s": 1e9, "m_values": [4]},
+     "params.map_s"),
+], ids=["scaled", "commutator"])
+def test_overflowing_query_duration_is_3(tmp_path, capsys, monkeypatch, params, scale):
+    """``||Nhat|| |s|`` past the float range is infeasible, found from the
+    closed-form norm before the probe runs, not a non-finite matrix (exit 4)."""
+    monkeypatch.setattr(cli, "channel_error_probe", None)
+    doc = {"schema_version": 1, "scenario": "channel-error", "seed": 7, "params": params}
+    assert main(["run", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert "params.s" in err and scale in err
+
+
 @pytest.mark.xfail(strict=True, reason="the 10^6-fold group-commutator product drifts off "
                    "unitarity, so the step's trace leaves TRACE_ATOL and a valid config exits 4")
 def test_long_unfolded_call_keeps_the_trace(tmp_path, capsys):

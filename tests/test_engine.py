@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from qdpsim import channels, engine
+from qdpsim.cli import main
 from qdpsim.engine import apply_step_exact
 from qdpsim.linalg import TRACE_ATOL
 from qdpsim import (
@@ -206,8 +208,16 @@ def with_call_map(spec, wrap):
 
 
 def dense(m):
-    """``m`` without its closed form, so its queries diagonalize ``Nhat``."""
-    return dataclasses.replace(m, query_unitary=None)
+    """``m`` without its structure, so its queries diagonalize ``Nhat``."""
+    return dataclasses.replace(m, structure=None)
+
+
+def channel_error_config(tmp_path, params):
+    """A channel-error config file with the given ``params``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "scenario": "channel-error", "seed": 7,
+                                "params": params}))
+    return str(path)
 
 
 class TestGeneratorReuse:
@@ -216,11 +226,13 @@ class TestGeneratorReuse:
 
     @staticmethod
     def recording(durations):
-        def wrap(m):
-            def unitary(t):
+        class Recording(channels.Commutator):
+            def unitary(self, t, d):
                 durations.append(t)
-                return m.query_unitary(t)
-            return dataclasses.replace(m, query_unitary=unitary)
+                return super().unitary(t, d)
+
+        def wrap(m):
+            return dataclasses.replace(m, structure=Recording(m.structure.d, m.structure.s))
         return wrap
 
     def test_qdp_run_evaluates_the_closed_form_once(self, monkeypatch):
@@ -232,6 +244,19 @@ class TestGeneratorReuse:
         maps, durations = count_generator_builds(monkeypatch), []
         run_hybrid(with_call_map(small_dbi_spec(), self.recording(durations)), 2, 3, 8)
         assert durations == [-1.0 / 8] and maps == []
+
+    @pytest.mark.parametrize("params", [
+        {"dim": 4, "map": "dme", "s": 0.5, "m_values": [1, 16]},
+        {"dim": 3, "map": "scaled", "alpha": 0.7, "s": 0.5, "m_values": [4]},
+        {"dim": 24, "map": "commutator", "map_s": 0.3, "s": 0.5, "m_values": [4],
+         "n_samples": 1},
+    ], ids=["dme", "scaled", "commutator"])
+    def test_channel_error_run_builds_no_generator(self, monkeypatch, tmp_path, capsys, params):
+        # The error bound reads the closed-form ||Nhat||, not a d^2 x d^2 Nhat.
+        maps = count_generator_builds(monkeypatch)
+        assert main(["run", channel_error_config(tmp_path, params)]) == 0
+        capsys.readouterr()
+        assert maps == []
 
     def test_generator_is_cached_on_the_map(self):
         m = make_identity_map(2)
@@ -263,7 +288,10 @@ class TestGeneratorDecomposedOnce:
         assert count_generator_calls(monkeypatch, np.linalg, "eigh", run) == 1
 
     def test_hybrid_run_decomposes_the_generator_once(self, monkeypatch):
-        run = lambda spec: run_hybrid(spec, 2, 3, 8)  # noqa: E731
+        # Only a commutator map unfolds by group commutators; declared
+        # covariant, the dense map's unfolded steps are exact calls instead.
+        def run(spec):
+            return run_hybrid(dataclasses.replace(spec, covariant=True), 2, 3, 8)
         assert count_generator_calls(monkeypatch, np.linalg, "eigh", run) == 1
 
 
