@@ -49,6 +49,7 @@ instruction or memory they read is a validated state.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -295,7 +296,8 @@ class Commutator:
         object.__setattr__(self, "v", v)
 
     def norm(self, d: int) -> float:
-        return abs(self.s) * (self.mu.max() - self.mu.min())
+        # In Python floats, so a norm past the float range reads inf without a warning.
+        return abs(float(self.s)) * (float(self.mu.max()) - float(self.mu.min()))
 
     def unitary(self, t: float, d: int) -> np.ndarray:
         theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
@@ -317,16 +319,20 @@ class PairCommutator:
     the cyclic shift ``C|x y z> = |y z x>`` of the three registers, with
     eigenvalues ``+-sqrt(3) s`` (all 0 at ``d = 1``, where ``C = 1``), and
     its query unitary is ``c0 1 + c1 C + c2 C^2`` with
-    ``c_j = (1 + 2 cos(theta - 2 pi j / 3)) / 3`` and ``theta = -sqrt(3) s t``.
+    ``c_j = (1 + 2 cos(theta - 2 pi j / 3)) / 3`` and ``theta = -sqrt(3) s t``
+    reduced mod ``2 pi``.
     """
 
     s: float
 
     def norm(self, d: int) -> float:
-        return np.sqrt(3.0) * abs(self.s) if d > 1 else 0.0
+        return math.sqrt(3.0) * abs(float(self.s)) if d > 1 else 0.0
 
     def unitary(self, t: float, d: int) -> np.ndarray:
-        theta = -np.sqrt(3.0) * self.s * t
+        # theta - 2 pi j / 3 rounds at theta's magnitude, so at a large theta
+        # the c_j would stop sharing one angle and u^dag u would miss 1 (by
+        # 8e-7 at 1e10); fmod is exact and keeps every |theta| < 2 pi's bits.
+        theta = np.fmod(-np.sqrt(3.0) * self.s * t, 2 * np.pi)
         c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3))
         x, y, z = np.indices((d, d, d))
         u = np.zeros((d,) * 6, dtype=complex)

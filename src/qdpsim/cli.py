@@ -11,14 +11,20 @@ A config is one JSON file with a versioned schema::
       "output": {"path": "out.csv", "format": "csv"}
     }
 
-One table below (``_TOP``, ``_STRATEGIES``, ``_PARAMS``, ``_RULES``) gives
-every field its type, range and default; ``ExperimentConfig.from_dict``
-applies it before any numerics.  A missing, mistyped or out-of-range field,
-a key the table does not list, or a broken rule between fields raises
-``ConfigError`` naming the field.  ``compare`` puts each ``strategies[i]``
-entry through the same strategy check (``_strategy``) as ``strategy``.
-Integers are JSON integers (booleans are not), reals are finite JSON
-numbers, and a null value means "absent".
+Tables below give every field its type, range and default: ``_TOP`` the
+top level, ``_STRATEGIES`` each strategy kind, and ``_SCENARIOS`` each
+scenario's params and rules.  ``ExperimentConfig.from_dict`` applies them
+before any numerics.  A missing, mistyped or out-of-range field, a key the
+table does not list, or a broken rule between fields raises ``ConfigError``
+naming the field.  ``compare`` puts each ``strategies[i]`` entry through the
+same strategy check (``_strategy``) as ``strategy``.  Integers are JSON
+integers (booleans are not), reals are finite JSON numbers, and a null value
+means "absent".
+
+A ``_SCENARIOS`` entry holds everything else the CLI reads of its scenario
+too: its runner, the sizes and ledger counts the pre-run checks read, the
+column ``compare`` reports and whether it needs a seed.  No check branches
+on a scenario name.
 
 Flags override file fields (``--seed`` the file seed).  Reruns with
 identical config and seed produce byte-identical output files; floats are
@@ -37,7 +43,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -146,7 +152,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Config schema: every field's type, range and default, in one table
+# Config schema: every field's type, range and default
 
 
 class _Field(NamedTuple):
@@ -201,61 +207,6 @@ _STRATEGIES = {
 }
 _KIND = _Field("str", _REQUIRED, choices=tuple(_STRATEGIES))
 _STRATEGY = _Field("object", {"kind": "exact"})
-_PARAMS = {
-    "grover": {
-        "L": _COUNT,
-        "n_steps": _STEPS,
-        "delta0": _Field("real", _REQUIRED, lo=0, hi=1, open=True),
-        "dim": _Field("int", 2, lo=2),
-        "eps": _Field("real", 0.0, lo=0),
-    },
-    "dbi": {
-        "dim": _Field("int", _REQUIRED, lo=2),
-        "n_steps": _STEPS,
-        "mu": _Field("real", None, many=True),  # None -> 0, ..., dim-1
-        "step_size": _STEP_SIZE,
-    },
-    "qite": {
-        "n_steps": _STEPS,
-        "model": _Field("str", "heisenberg_chain", choices=("heisenberg_chain", "random")),
-        "n_qubits": _Field("int", 3, lo=1),
-        "field": _Field("real", 0.5),
-        "dim": _Field("int", None, lo=2),
-        "step_size": _STEP_SIZE,
-    },
-    "osd": {
-        "dims": _Field("int", _REQUIRED, lo=2, many=True, size=2),
-        "n_steps": _STEPS,
-        "mu": _Field("real", None, many=True),  # None -> 0, ..., dims[0]-1
-        "step_size": _STEP_SIZE,
-    },
-    "channel-error": {
-        "dim": _Field("int", _REQUIRED, lo=1),
-        "map": _Field("str", "dme", choices=("dme", "scaled", "commutator")),
-        "s": _Field("real", _REQUIRED),
-        "m_values": _Field("int", _REQUIRED, lo=1, many=True),
-        "n_samples": _Field("int", 5, lo=1),
-        "alpha": _Field("real", 1.0),
-        "map_s": _Field("real", 1.0),
-    },
-    "cost": {"L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),
-             "n1": _Field("int", None, lo=0), "n2": _Field("int", None, lo=0)},
-}
-SCENARIOS = tuple(_PARAMS)
-_RECURSIONS = tuple(name for name, table in _PARAMS.items() if "n_steps" in table)  # for `compare`
-
-_TOP = {
-    "schema_version": _Field("int", SCHEMA_VERSION, choices=(SCHEMA_VERSION,)),
-    "scenario": _Field("str", _REQUIRED, choices=SCENARIOS),
-    "seed": _Field("int", None, lo=0),
-    "strategy": _STRATEGY,
-    "params": _Field("object", {}),
-    "output": _Field("object", {}, table={
-        "path": _Field("str"),
-        "format": _Field("str", "csv", choices=("csv", "json")),
-    }),
-    "strategies": _Field("list", []),  # read by `compare`
-}
 
 
 def _increasing(mu: Optional[list], size: int) -> bool:
@@ -279,30 +230,10 @@ def _cascade_fault(p: dict) -> Optional[str]:
     return None
 
 
-# Rules tying fields together: (scenarios, field, requirement, holds(params, strategy)).
-# A ``strategy.`` field is named under the path of the strategy being checked.
-_RULES = (
-    (("dbi",), "params.mu", "have params.dim strictly increasing entries",
-     lambda p, s: _increasing(p["mu"], p["dim"])),
-    (("osd",), "params.mu", "have params.dims[0] strictly increasing entries",
-     lambda p, s: _increasing(p["mu"], p["dims"][0])),
-    (("osd",), "strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
-    (("qite",), "strategy.kind", "be exact, qdp or hybrid with n1 == 0 (no commutator to unfold)",
-     lambda p, s: s["kind"] != "unfolding" and s.get("n1", 0) == 0),
-    (("qite",), "params.dim", "be given for params.model random",
-     lambda p, s: p["model"] != "random" or p["dim"] is not None),
-    (("grover", "dbi", "qite"), "strategy.n1", "satisfy n1 + n2 == params.n_steps",
-     lambda p, s: s["kind"] != "hybrid" or s["n1"] + s["n2"] == p["n_steps"]),
-    (("grover",), "strategy.m", "be >= 2 * params.L for qdp and >= params.L for hybrid",
-     lambda p, s: s.get("m", math.inf) >= (2 if s["kind"] == "qdp" else 1) * p["L"]),
-    (("grover",), "params.eps", "keep the eps-inflated distance cascade below 1",
-     lambda p, s: _cascade_fault(p) != "params.eps"),
-    (("grover",), "params.n_steps", "keep every cascade step's distance above params.eps in floats",
-     lambda p, s: _cascade_fault(p) != "params.n_steps"),
-    (("cost",), "params.n1", "come with params.n2 and params.m, and n1 + n2 == params.N",
-     lambda p, s: (p["n1"], p["n2"]) == (None, None)
-     or None not in (p["n1"], p["n2"], p["m"]) and p["n1"] + p["n2"] == p["N"]),
-)
+# A rule: (field, requirement, holds(params, strategy)).  A ``strategy.`` field
+# is named under the path of the strategy being checked.
+_HYBRID_SPLIT = ("strategy.n1", "satisfy n1 + n2 == params.n_steps",
+                 lambda p, s: s["kind"] != "hybrid" or s["n1"] + s["n2"] == p["n_steps"])
 
 
 def _cost_forms(p: dict) -> dict:
@@ -312,7 +243,7 @@ def _cost_forms(p: dict) -> dict:
     return {name: form for name, form in forms.items() if form}
 
 
-def _check_ledger_digits(path: str, scenario: str, p: dict, strategy) -> None:
+def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None:
     """Reject, before any numerics, a run of ``strategy`` at ``path`` whose final
     circuit size, read off its ``ledger`` at the run's worst case (every static
     non-identity, ``MAX_ROUNDS`` purification rounds per query step), is longer
@@ -320,20 +251,18 @@ def _check_ledger_digits(path: str, scenario: str, p: dict, strategy) -> None:
     read at 1, 2, 4, ... steps and stops at the first too long."""
     # 0 means no limit, as on Python before 3.10.7, which lacks the function.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if scenario == "cost":
-        name, n_steps, forms = "params.N", p["N"], _cost_forms(p).values()
-        calls, statics = grover_step_counts(p["L"])
-    elif "n_steps" in p:
+    if entry.counts is None:
+        return
+    calls, statics = entry.counts(p)
+    if entry.forms:
+        name, n_steps, forms = "params.N", p["N"], entry.forms(p).values()
+    else:
         name = f"{path}.n1 and {path}.n2" if isinstance(strategy, HybridStrategy) else "params.n_steps"
         n_steps, forms = p["n_steps"], [strategy]
-        calls = grover_step_counts(p["L"])[0] if scenario == "grover" else 1  # one call elsewhere
         # A purification round costs its query step one depth unit, as a static does.
-        statics = calls + 1 + (MAX_ROUNDS if getattr(strategy, "imr", None) else 0)
-    else:
-        return
-    covariant = scenario in ("grover", "cost")  # the search's calls commute through its step
+        statics += MAX_ROUNDS if getattr(strategy, "imr", None) else 0
     ceiling, rungs = 10**limit, range(n_steps.bit_length() + 1)  # 2^k steps, then n_steps
-    if limit and any(form.ledger(calls, statics, min(2**k, n_steps), covariant).circuit_size
+    if limit and any(form.ledger(calls, statics, min(2**k, n_steps), entry.covariant).circuit_size
                      >= ceiling for form in forms for k in rungs):
         raise InfeasibleConfigError(
             f"field '{name}' gives a ledger integer of more than the {limit} digits "
@@ -352,24 +281,16 @@ MAX_OPERATOR_BYTES = 2**30
 MAX_TRAJECTORY_BYTES = 4 * MAX_OPERATOR_BYTES
 
 
-def _check_operator_size(scenario: str, p: dict, s: dict) -> None:
+def _check_operator_size(entry: _Scenario, p: dict, s: dict) -> None:
     """Reject, before any numerics, a run whose largest dense operator would
     exceed ``MAX_OPERATOR_BYTES`` or whose trajectory would exceed
     ``MAX_TRAJECTORY_BYTES``; sizes are compared as log2, so a size or step
     field's value is never expanded."""
-    if scenario == "cost":
+    if entry.size is None:
         return
-    if scenario == "qite" and p["model"] == "heisenberg_chain":
-        n = p["n_qubits"]  # float(n) overflows from 2^1024 on, far over any limit
-        path, log_d = "params.n_qubits", float(n) if n < 2**1023 else math.inf
-    elif scenario == "osd":
-        path, log_d = "params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])
-    else:
-        path, log_d = "params.dim", math.log2(p["dim"])
-    # qite's map reads the state and a resource state: d_in = d_out^2.
-    log_in = 2 * log_d if scenario == "qite" else log_d
-    queried = scenario == "channel-error" or s["kind"] in ("qdp", "hybrid")
-    log_bytes = 4 + 2 * log_in + (2 * log_d if queried else 0)
+    path, log_d = entry.size(p)
+    queried = entry.queries or s["kind"] in ("qdp", "hybrid")
+    log_bytes = 4 + 2 * (entry.inputs * log_d) + (2 * log_d if queried else 0)
     if log_bytes > math.log2(MAX_OPERATOR_BYTES):
         raise InfeasibleConfigError(
             f"field '{path}' gives an operator of 2^{log_bytes:.2f} bytes, "
@@ -429,14 +350,15 @@ def _section(path: str, table: dict, raw: dict) -> dict:
 
 def _strategy(path: str, raw, scenario: str, params: dict):
     """The strategy descriptor of the object ``raw`` at ``path``, checked
-    against its kind's table, the rules tying it to the checked ``params``,
-    and the ledger and operator limits, before any numerics.  ``run`` checks
-    ``strategy`` here and ``compare`` each ``strategies[i]``."""
+    against its kind's table, the scenario's rules tying it to the checked
+    ``params``, and the ledger and operator limits, before any numerics.
+    ``run`` checks ``strategy`` here and ``compare`` each ``strategies[i]``."""
+    entry = _SCENARIOS[scenario]
     raw = _value(path, _STRATEGY, raw)
     strategy_type, table = _STRATEGIES[_value(f"{path}.kind", _KIND, raw.get("kind"))]
     strategy = _section(path, {"kind": _KIND, **table}, raw)
-    for scenarios, rule_path, requirement, holds in _RULES:
-        if scenario in scenarios and not holds(params, strategy):
+    for rule_path, requirement, holds in entry.rules:
+        if not holds(params, strategy):
             section, key = rule_path.split(".")
             got = (params if section == "params" else strategy)[key]
             name = rule_path if section == "params" else f"{path}.{key}"
@@ -445,8 +367,8 @@ def _strategy(path: str, raw, scenario: str, params: dict):
     if fields.get("imr") is not None:
         fields["imr"] = IMRConfig(**fields["imr"])
     descriptor = strategy_type(**fields)
-    _check_ledger_digits(path, scenario, params, descriptor)
-    _check_operator_size(scenario, params, strategy)
+    _check_ledger_digits(path, entry, params, descriptor)
+    _check_operator_size(entry, params, strategy)
     return descriptor
 
 
@@ -467,7 +389,7 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         top = _section("", _TOP, raw)
         scenario = top["scenario"]
-        if scenario != "cost" and top["seed"] is None:  # every other scenario is randomized
+        if _SCENARIOS[scenario].seeded and top["seed"] is None:
             raise ConfigError(f"field 'seed' is mandatory for scenario {scenario!r}")
         out = top["output"]["path"]
         if out is not None and (out == "" or os.path.isdir(out)
@@ -475,7 +397,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field 'output.path' must name a file in an existing directory, got {out!r}"
             )
-        params = _section("params", _PARAMS[scenario], top["params"])
+        params = _section("params", _SCENARIOS[scenario].params, top["params"])
         return cls(
             scenario=scenario,
             seed=top["seed"],
@@ -503,27 +425,50 @@ def load_config(path: str) -> dict:
 # Scenario runners
 
 
+def _check_duration(gen, duration: float, fields: str) -> None:
+    """Reject a query duration ``||Nhat|| |duration|`` past the float range,
+    read off the generator's closed-form norm before any step runs, naming
+    the ``fields`` that set it: the map's action and unitary would hold no
+    finite entry, so the run is infeasible rather than broken mid-run."""
+    norm = gen.norm
+    if not np.isfinite(norm * abs(duration)):
+        raise InfeasibleConfigError(f"{fields} give ||Nhat|| |s| = {norm:.3g} * "
+                                    f"{abs(duration):.3g}, past the float range")
+
+
+def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, row,
+                flow: Optional[str] = None, checks=()) -> RunReport:
+    """Run ``spec`` for ``n_steps`` under the config's strategy: one row
+    ``(step, *row(point))`` per trajectory point under ``step`` and
+    ``columns``, and a ``BoundCheck`` per ``(name, measure(record), bound)``
+    of ``checks``.  ``flow`` names the fields that set the memory-call's
+    duration, checked first if a step reads the map's action or unitary."""
+    # An unfolded call reads neither; a hybrid run unfolds all but its n2 steps.
+    unfolded = isinstance(cfg.strategy, UnfoldingStrategy)
+    if flow and not unfolded and getattr(cfg.strategy, "n2", n_steps):
+        call = spec.resolve_step(0).memory_calls[0]
+        _check_duration(call.map.generator, call.duration, flow)
+    record = run_strategy(spec, n_steps, cfg.strategy)
+    rows = [(n, *row(pt)) for n, pt in enumerate(record.points)]
+    return RunReport(["step", *columns], rows,
+                     [BoundCheck(name, measure(record), bound) for name, measure, bound in checks])
+
+
 def _run_grover(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    gcfg = grover_config_from_distance(
-        delta0=p["delta0"], alternations=p["L"], n_steps=p["n_steps"], dim=p["dim"], seed=cfg.seed
-    )
-    eps = p["eps"]
-    record = run_strategy(grover_recursion_spec(gcfg, eps=eps), gcfg.n_steps, cfg.strategy)
-    rows = [
-        (n, pt.distance_to_target, pt.mixedness, pt.ledger.depth, pt.ledger.width,
-         pt.ledger.success_probability)
-        for n, pt in enumerate(record.points)
-    ]
-    checks = []
+    gcfg = grover_config_from_distance(delta0=p["delta0"], alternations=p["L"],
+                                       n_steps=p["n_steps"], dim=p["dim"], seed=cfg.seed)
+    eps, checks = p["eps"], []
     if eps > 0.0 and not isinstance(cfg.strategy, (ExactStrategy, UnfoldingStrategy)):
         deltas = grover_delta_sequence(gcfg.delta0, gcfg.alternations, gcfg.n_steps, eps)
-        bound = deltas[-1] + eps / (2.0 * gcfg.alternations * math.pi)
-        checks.append(BoundCheck("final_distance", record.points[-1].distance_to_target, bound))
-    return RunReport(
-        columns=["step", "trace_distance", "mixedness", "depth", "width", "p_success"],
-        rows=rows,
-        bound_checks=checks,
+        checks.append(("final_distance", lambda record: record.points[-1].distance_to_target,
+                       deltas[-1] + eps / (2.0 * gcfg.alternations * math.pi)))
+    return _trajectory(
+        cfg, grover_recursion_spec(gcfg, eps=eps), gcfg.n_steps,
+        ["trace_distance", "mixedness", "depth", "width", "p_success"],
+        lambda pt: (pt.distance_to_target, pt.mixedness, pt.ledger.depth, pt.ledger.width,
+                    pt.ledger.success_probability),
+        checks=checks,
     )
 
 
@@ -537,15 +482,12 @@ def _run_dbi(cfg: ExperimentConfig) -> RunReport:
     diag = _diagonal(p["mu"], p["dim"])
     initial = random_density(p["dim"], cfg.seed).matrix * p["dim"]
     dcfg = DBIConfig(diagonal=diag, initial=initial, step_size=p["step_size"])
-    record = run_strategy(dbi_recursion_spec(dcfg), p["n_steps"], cfg.strategy)
-    rows = [
-        (n, dbi_cost(pt.state.matrix, diag), offdiag_hs_norm(pt.state.matrix),
-         pt.distance_to_target, pt.ledger.depth, pt.ledger.width)
-        for n, pt in enumerate(record.points)
-    ]
-    return RunReport(
-        columns=["step", "cost", "offdiag_hs", "trace_distance", "depth", "width"],
-        rows=rows,
+    return _trajectory(
+        cfg, dbi_recursion_spec(dcfg), p["n_steps"],
+        ["cost", "offdiag_hs", "trace_distance", "depth", "width"],
+        lambda pt: (dbi_cost(pt.state.matrix, diag), offdiag_hs_norm(pt.state.matrix),
+                    pt.distance_to_target, pt.ledger.depth, pt.ledger.width),
+        flow="params.step_size and params.mu",
     )
 
 
@@ -563,23 +505,19 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
     h = _qite_hamiltonian(p, cfg.seed)
     psi0 = random_pure(h.shape[0], cfg.seed)
     qcfg = QITEConfig(hamiltonian=h, initial=psi0, step_size=p["step_size"])
+    fields = "params.dim" if p["model"] == "random" else "params.n_qubits and params.field"
     try:
         spec = qite_recursion_spec(qcfg)
         gs, _ = ground_state(h)
     except InvariantError as exc:
-        fields = "params.dim" if p["model"] == "random" else "params.n_qubits and params.field"
         raise InfeasibleConfigError(f"{fields} give QITE no unique ground state: {exc}") from exc
-    record = run_strategy(spec, p["n_steps"], cfg.strategy)
-    rows = []
-    for n, pt in enumerate(record.points):
-        infid = 1.0 - float(np.real(np.vdot(gs.amplitudes, pt.state.matrix @ gs.amplitudes)))
-        rows.append(
-            (n, state_energy(pt.state, h), infid, pt.mixedness,
-             pt.ledger.depth, pt.ledger.width)
-        )
-    return RunReport(
-        columns=["step", "energy", "ground_infidelity", "mixedness", "depth", "width"],
-        rows=rows,
+    return _trajectory(
+        cfg, spec, p["n_steps"],
+        ["energy", "ground_infidelity", "mixedness", "depth", "width"],
+        lambda pt: (state_energy(pt.state, h),
+                    1.0 - float(np.real(np.vdot(gs.amplitudes, pt.state.matrix @ gs.amplitudes))),
+                    pt.mixedness, pt.ledger.depth, pt.ledger.width),
+        flow=f"params.step_size and {fields}",
     )
 
 
@@ -589,22 +527,15 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
     diag = _diagonal(p["mu"], da)
     psi0 = PureState(random_pure(da * db, cfg.seed).amplitudes, (da, db))
     ocfg = OSDConfig(dims=(da, db), diagonal=diag, initial=psi0, step_size=p["step_size"])
-    record = run_strategy(osd_recursion_spec(ocfg), p["n_steps"], cfg.strategy)
-    rows = []
-    for n, pt in enumerate(record.points):
-        reduced = partial_trace(pt.state.matrix, (da, db), keep=[0])
-        rows.append(
-            (n, offdiag_hs_norm(reduced), pt.mixedness, pt.ledger.depth, pt.ledger.width)
-        )
-    estimate = schmidt_estimate(record.final_state.matrix, (da, db), diag)
     oracle = schmidt_oracle(psi0, (da, db))
-    checks = [
-        BoundCheck("schmidt_estimate_max_error", float(np.max(np.abs(estimate - oracle))), 1e-2)
-    ]
-    return RunReport(
-        columns=["step", "offdiag_hs", "mixedness", "depth", "width"],
-        rows=rows,
-        bound_checks=checks,
+    return _trajectory(
+        cfg, osd_recursion_spec(ocfg), p["n_steps"],
+        ["offdiag_hs", "mixedness", "depth", "width"],
+        lambda pt: (offdiag_hs_norm(partial_trace(pt.state.matrix, (da, db), keep=[0])),
+                    pt.mixedness, pt.ledger.depth, pt.ledger.width),
+        flow="params.step_size and params.mu",
+        checks=[("schmidt_estimate_max_error", lambda record: float(np.max(np.abs(
+            schmidt_estimate(record.final_state.matrix, (da, db), diag) - oracle))), 1e-2)],
     )
 
 
@@ -618,13 +549,8 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
     else:
         mu = np.arange(dim, dtype=float) / max(dim - 1, 1)
         mmap = make_commutator_map(np.diag(mu), p["map_s"])
-    gen = mmap.generator
-    if not np.isfinite(gen.norm * abs(s)):
-        scale = "params.alpha" if p["map"] == "scaled" else "params.map_s"
-        raise InfeasibleConfigError(
-            f"params.s and {scale} give ||Nhat|| |s| = {gen.norm:.3g} * {abs(s):.3g}, "
-            "past the float range"
-        )
+    gen, scale = mmap.generator, "params.alpha" if p["map"] == "scaled" else "params.map_s"
+    _check_duration(gen, s, f"params.s and {scale}")
     memory = random_density(dim, cfg.seed)
     rows, checks = [], []
     for m in p["m_values"]:
@@ -634,11 +560,8 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
         rows.append((m, s, err, bound, within, passed))
         if within:
             checks.append(BoundCheck(f"query_error_m{m}", err, bound))
-    return RunReport(
-        columns=["m", "s", "measured_error", "error_bound", "within_window", "passed"],
-        rows=rows,
-        bound_checks=checks,
-    )
+    columns = ["m", "s", "measured_error", "error_bound", "within_window", "passed"]
+    return RunReport(columns, rows, checks)
 
 
 def _run_cost(cfg: ExperimentConfig) -> RunReport:
@@ -652,13 +575,137 @@ def _run_cost(cfg: ExperimentConfig) -> RunReport:
     return RunReport(columns=["quantity", "value"], rows=rows)
 
 
-_RUNNERS = {
-    "grover": _run_grover,
-    "dbi": _run_dbi,
-    "qite": _run_qite,
-    "osd": _run_osd,
-    "channel-error": _run_channel_error,
-    "cost": _run_cost,
+# ---------------------------------------------------------------------------
+# The scenario table: everything the CLI reads of a scenario, in one entry
+
+
+class _Scenario(NamedTuple):
+    """One scenario.  ``params`` is its field table, ``rules`` are the rules
+    tying its fields together, checked in order, and ``run`` turns a checked
+    config into its report.
+
+    ``size(params)`` is ``(field, log2 d)``: the field giving the state
+    dimension ``d`` (None: no operator is built).  The memory-call map reads
+    ``inputs`` such states, so its input dimension is ``d_in = d^inputs``
+    (qite's reads the state and a resource state), and a ``queries``
+    scenario builds its map's query unitary whatever its strategy.
+
+    ``counts(params)`` is the ``(memory-calls, statics)`` per step the ledger
+    check charges, the calls commuting through the step if ``covariant``
+    (None: no ledger); ``forms(params)`` are the closed forms it charges at
+    ``params.N`` steps in place of the checked strategy at ``params.n_steps``.
+    ``distance`` is the column ``compare`` reports as ``final_distance``
+    (None: NaN), and a ``seeded`` scenario needs a seed."""
+
+    params: dict
+    run: Callable
+    rules: tuple = ()
+    size: Optional[Callable] = None
+    inputs: int = 1
+    queries: bool = False
+    counts: Optional[Callable] = None
+    covariant: bool = False
+    forms: Optional[Callable] = None
+    distance: Optional[str] = None
+    seeded: bool = True
+
+
+def _dim_size(p: dict) -> tuple:
+    return "params.dim", math.log2(p["dim"])
+
+
+def _qite_size(p: dict) -> tuple:
+    if p["model"] == "random":
+        return _dim_size(p)
+    n = p["n_qubits"]  # float(n) overflows from 2^1024 on, far over any limit
+    return "params.n_qubits", float(n) if n < 2**1023 else math.inf
+
+
+_SCENARIOS = {
+    "grover": _Scenario({
+        "L": _COUNT,
+        "n_steps": _STEPS,
+        "delta0": _Field("real", _REQUIRED, lo=0, hi=1, open=True),
+        "dim": _Field("int", 2, lo=2),
+        "eps": _Field("real", 0.0, lo=0),
+    }, _run_grover, (
+        _HYBRID_SPLIT,
+        ("strategy.m", "be >= 2 * params.L for qdp and >= params.L for hybrid",
+         lambda p, s: s.get("m", math.inf) >= (2 if s["kind"] == "qdp" else 1) * p["L"]),
+        ("params.eps", "keep the eps-inflated distance cascade below 1",
+         lambda p, s: _cascade_fault(p) != "params.eps"),
+        ("params.n_steps", "keep every cascade step's distance above params.eps in floats",
+         lambda p, s: _cascade_fault(p) != "params.n_steps"),
+    ), size=_dim_size, counts=lambda p: (p["L"], p["L"] + 1), covariant=True,
+        distance="trace_distance"),
+    "dbi": _Scenario({
+        "dim": _Field("int", _REQUIRED, lo=2),
+        "n_steps": _STEPS,
+        "mu": _Field("real", None, many=True),  # None -> 0, ..., dim-1
+        "step_size": _STEP_SIZE,
+    }, _run_dbi, (
+        ("params.mu", "have params.dim strictly increasing entries",
+         lambda p, s: _increasing(p["mu"], p["dim"])),
+        _HYBRID_SPLIT,
+    ), size=_dim_size, counts=lambda p: (1, 2), distance="trace_distance"),
+    "qite": _Scenario({
+        "n_steps": _STEPS,
+        "model": _Field("str", "heisenberg_chain", choices=("heisenberg_chain", "random")),
+        "n_qubits": _Field("int", 3, lo=1),
+        "field": _Field("real", 0.5),
+        "dim": _Field("int", None, lo=2),
+        "step_size": _STEP_SIZE,
+    }, _run_qite, (
+        ("strategy.kind", "be exact, qdp or hybrid with n1 == 0 (no commutator to unfold)",
+         lambda p, s: s["kind"] != "unfolding" and s.get("n1", 0) == 0),
+        ("params.dim", "be given for params.model random",
+         lambda p, s: p["model"] != "random" or p["dim"] is not None),
+        _HYBRID_SPLIT,
+    ), size=_qite_size, inputs=2, counts=lambda p: (1, 2), distance="ground_infidelity"),
+    "osd": _Scenario({
+        "dims": _Field("int", _REQUIRED, lo=2, many=True, size=2),
+        "n_steps": _STEPS,
+        "mu": _Field("real", None, many=True),  # None -> 0, ..., dims[0]-1
+        "step_size": _STEP_SIZE,
+    }, _run_osd, (
+        ("params.mu", "have params.dims[0] strictly increasing entries",
+         lambda p, s: _increasing(p["mu"], p["dims"][0])),
+        ("strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
+    ), size=lambda p: ("params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])),
+        counts=lambda p: (1, 2)),
+    "channel-error": _Scenario({
+        "dim": _Field("int", _REQUIRED, lo=1),
+        "map": _Field("str", "dme", choices=("dme", "scaled", "commutator")),
+        "s": _Field("real", _REQUIRED),
+        "m_values": _Field("int", _REQUIRED, lo=1, many=True),
+        "n_samples": _Field("int", 5, lo=1),
+        "alpha": _Field("real", 1.0),
+        "map_s": _Field("real", 1.0),
+    }, _run_channel_error, size=_dim_size, queries=True),
+    "cost": _Scenario({
+        "L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),
+        "n1": _Field("int", None, lo=0), "n2": _Field("int", None, lo=0),
+    }, _run_cost, (
+        ("params.n1", "come with params.n2 and params.m, and n1 + n2 == params.N",
+         lambda p, s: (p["n1"], p["n2"]) == (None, None)
+         or None not in (p["n1"], p["n2"], p["m"]) and p["n1"] + p["n2"] == p["N"]),
+    ), counts=lambda p: grover_step_counts(p["L"]), covariant=True, forms=_cost_forms,
+        seeded=False),
+}
+SCENARIOS = tuple(_SCENARIOS)
+_RECURSIONS = tuple(name for name, e in _SCENARIOS.items() if "n_steps" in e.params)  # `compare`
+
+_TOP = {
+    "schema_version": _Field("int", SCHEMA_VERSION, choices=(SCHEMA_VERSION,)),
+    "scenario": _Field("str", _REQUIRED, choices=SCENARIOS),
+    "seed": _Field("int", None, lo=0),
+    "strategy": _STRATEGY,
+    "params": _Field("object", {}),
+    "output": _Field("object", {}, table={
+        "path": _Field("str"),
+        "format": _Field("str", "csv", choices=("csv", "json")),
+    }),
+    "strategies": _Field("list", []),  # read by `compare`
 }
 
 
@@ -683,12 +730,13 @@ def _finish(report: RunReport, cfg: ExperimentConfig) -> RunReport:
 
 def run_scenario(cfg: ExperimentConfig) -> RunReport:
     """Execute one experiment config and return (and optionally write) its report."""
-    return _finish(_RUNNERS[cfg.scenario](cfg), cfg)
+    return _finish(_SCENARIOS[cfg.scenario].run(cfg), cfg)
 
 
 def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
     """Run several strategies on shared scenario parameters; one row each with
-    final distance, depth, width and circuit size (depth times width)."""
+    final distance (the scenario's ``distance`` column), depth, width and
+    circuit size (depth times width)."""
     if strategies and cfg.scenario not in _RECURSIONS:
         raise ConfigError(
             f"field 'strategies' must be empty for scenario {cfg.scenario!r}, "
@@ -696,16 +744,13 @@ def compare_strategies(cfg: ExperimentConfig, strategies: list) -> RunReport:
         )
     subs = [replace(cfg, strategy=_strategy(f"strategies[{i}]", raw, cfg.scenario, cfg.params))
             for i, raw in enumerate(strategies)]
-    rows = []
+    entry, rows = _SCENARIOS[cfg.scenario], []
     for raw, sub in zip(strategies, subs):
-        report = _RUNNERS[cfg.scenario](sub)
+        report = entry.run(sub)
         last = dict(zip(report.columns, report.rows[-1]))
-        final_distance = last.get("trace_distance", last.get("ground_infidelity"))
         depth, width = last["depth"], last["width"]
-        label = raw["kind"]
-        if raw.get("m") is not None:
-            label += f"(m={raw['m']})"
-        rows.append((label, final_distance if final_distance is not None else float("nan"),
+        label = raw["kind"] + (f"(m={raw['m']})" if raw.get("m") is not None else "")
+        rows.append((label, last[entry.distance] if entry.distance else float("nan"),
                      depth, width, depth * width))
     report = RunReport(
         columns=["strategy", "final_distance", "depth", "width", "circuit_size"], rows=rows

@@ -343,6 +343,14 @@ class TestPairCommutatorMap:
         out = map_apply(m, x)
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("theta", [1e5, 1e10, 1e15, 1e300, -7.7e200])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_query_unitary_is_unitary_at_large_angles(self, d, theta):
+        """``theta = -sqrt(3) s t`` is reduced mod 2 pi first; unreduced,
+        ``u^dag u`` missed 1 by 8.3e-7 at 1e10 and by 0.99 at 1e300."""
+        u = make_pair_commutator_map(d, 1.0).generator.unitary(theta / -np.sqrt(3.0))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d**3))) <= 8 * np.finfo(float).eps
+
 
 class TestExactMemoryCall:
     def test_zero_generator_returns_working(self):

@@ -43,6 +43,15 @@ def grover_doc(tmp_path, out_name="out.csv", **overrides):
     return doc
 
 
+# A small params table of each recursion scenario.
+SMALL_RECURSIONS = {
+    "grover": {"L": 2, "n_steps": 1, "delta0": 0.6, "dim": 4},
+    "dbi": {"dim": 3, "n_steps": 1},
+    "qite": {"n_qubits": 2, "n_steps": 1},
+    "osd": {"dims": [2, 3], "n_steps": 1},
+}
+
+
 class TestConfigValidation:
     def test_unknown_scenario_names_field(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "warp", "seed": 1})
@@ -145,12 +154,15 @@ class TestExitCodes:
         assert main(["run", path]) == 3
         assert field in capsys.readouterr().err
 
-    def test_mid_run_invariant_is_4(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("scenario", list(SMALL_RECURSIONS))
+    def test_mid_run_invariant_is_4(self, tmp_path, monkeypatch, capsys, scenario):
+        """Every runner calls ``run_strategy`` through the ``cli`` module name."""
         def broken(spec, n_steps, strategy):
             raise InvariantError("trace drifted")
 
         monkeypatch.setattr("qdpsim.cli.run_strategy", broken)
-        assert main(["run", write_config(tmp_path, grover_doc(tmp_path))]) == 4
+        doc = grover_doc(tmp_path, scenario=scenario, params=SMALL_RECURSIONS[scenario])
+        assert main(["run", write_config(tmp_path, doc)]) == 4
         assert "numerical invariant violated: trace drifted" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -416,13 +428,18 @@ def dbi_doc(strategy, n_steps, **overrides):
     return doc
 
 
-@pytest.fixture
-def no_runner(monkeypatch):
+def refuse_runners(monkeypatch):
+    """Make every scenario's runner raise, so a test sees that none started."""
     def refuse(cfg):
         raise AssertionError("a scenario runner started")
 
-    for scenario in list(cli._RUNNERS):
-        monkeypatch.setitem(cli._RUNNERS, scenario, refuse)
+    for scenario, entry in list(cli._SCENARIOS.items()):
+        monkeypatch.setitem(cli._SCENARIOS, scenario, entry._replace(run=refuse))
+
+
+@pytest.fixture
+def no_runner(monkeypatch):
+    refuse_runners(monkeypatch)
 
 
 class TestLedgerDigits:
@@ -612,6 +629,51 @@ class TestCompare:
         for c in cells:
             assert int(c[4]) == int(c[2]) * int(c[3])
 
+    @pytest.mark.parametrize("scenario, column", [
+        ("grover", "trace_distance"),
+        ("dbi", "trace_distance"),
+        ("qite", "ground_infidelity"),
+        ("osd", None),  # no fixed point to measure against: NaN
+    ])
+    def test_final_distance_is_the_last_run_row(self, tmp_path, scenario, column):
+        strategies = [{"kind": "exact"}, {"kind": "qdp", "m": 16}]
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 7,
+               "params": SMALL_RECURSIONS[scenario], "strategies": strategies,
+               "output": {"path": str(tmp_path / "cmp.csv")}}
+        assert main(["compare", write_config(tmp_path, doc)]) == 0
+        rows = [r.split(",") for r in (tmp_path / "cmp.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(strategies)
+        for row, strategy in zip(rows, strategies):
+            run = dict(doc, strategy=strategy, output={"path": str(tmp_path / "run.csv")})
+            assert main(["run", write_config(tmp_path, run, "run.json")]) == 0
+            lines = (tmp_path / "run.csv").read_text().splitlines()
+            last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+            assert row[1] == (last[column] if column else "nan")
+
+
+@pytest.mark.parametrize("scenario", list(SMALL_RECURSIONS))
+@pytest.mark.parametrize("strategy", [{"kind": "exact"}, {"kind": "qdp", "m": 16}])
+def test_scenario_table_describes_its_spec(tmp_path, monkeypatch, capsys, scenario, strategy):
+    """What the ledger and size checks read off a scenario's table entry is
+    what its runner builds: the spec's covariance, calls and statics per
+    step, and the root's and the call map's input dimensions."""
+    specs, real = [], cli.run_strategy
+    monkeypatch.setattr(cli, "run_strategy",
+                        lambda spec, *args: specs.append(spec) or real(spec, *args))
+    doc = grover_doc(tmp_path, scenario=scenario, strategy=strategy,
+                     params=SMALL_RECURSIONS[scenario])
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    entry, params = cli._SCENARIOS[scenario], ExperimentConfig.from_dict(doc).params
+    (spec,) = specs
+    step = spec.resolve_step(0)
+    calls, statics = entry.counts(params)
+    assert spec.covariant == entry.covariant
+    assert step.n_calls == calls
+    assert step.nontrivial_static_count() <= statics
+    _, log_d = entry.size(params)
+    assert np.log2(spec.root.dim) == pytest.approx(log_d, abs=1e-12)
+    assert np.log2(step.memory_calls[0].map.d_in) == pytest.approx(entry.inputs * log_d, abs=1e-12)
+
 
 # Small valid configs, about one per scenario, whose mutants must never crash.
 MUTATION_BASES = [
@@ -731,7 +793,7 @@ def test_compare_without_recursion_names_strategies_before_numerics(
     tmp_path, monkeypatch, capsys, scenario
 ):
     base = next(b for b in MUTATION_BASES if b["scenario"] == scenario)
-    monkeypatch.setattr(cli, "_RUNNERS", {})  # any run would raise KeyError
+    refuse_runners(monkeypatch)  # any run would raise AssertionError
     doc = dict(base, strategies=[{"kind": "exact"}], output={})
     assert main(["compare", write_config(tmp_path, doc)]) == 2
     assert "field 'strategies'" in capsys.readouterr().err
@@ -769,6 +831,60 @@ def test_overflowing_query_duration_is_3(tmp_path, capsys, monkeypatch, params, 
     assert main(["run", write_config(tmp_path, doc)]) == 3
     err = capsys.readouterr().err
     assert "params.s" in err and scale in err
+
+
+FLOW_OVERFLOWS = [  # ||Nhat|| |s| is inf in each; dbi's reads 1.9e307 at step_size 1e297
+    ("dbi", {"dim": 2, "n_steps": 1, "step_size": 1e300, "mu": [0, 1e10]},
+     "params.step_size and params.mu"),
+    ("osd", {"dims": [2, 2], "n_steps": 1, "step_size": 1e300, "mu": [0, 1e10]},
+     "params.step_size and params.mu"),
+    ("qite", {"n_steps": 1, "step_size": 1e308},
+     "params.step_size and params.n_qubits and params.field"),
+]
+FLOW_STRATEGIES = {"exact": {"kind": "exact"}, "qdp": {"kind": "qdp", "m": 4},
+                   "hybrid": {"kind": "hybrid", "n1": 0, "n2": 1, "m": 4}}
+
+
+@pytest.mark.parametrize("scenario, params, fields, strategy", [
+    pytest.param(scenario, params, fields, strategy, id=f"{scenario}-{kind}")
+    for scenario, params, fields in FLOW_OVERFLOWS
+    for kind, strategy in FLOW_STRATEGIES.items()
+    if (scenario, kind) != ("osd", "hybrid")  # osd runs exact or qdp
+])
+def test_overflowing_flow_is_3_and_named(tmp_path, capsys, monkeypatch,
+                                         scenario, params, fields, strategy):
+    """A memory-call whose ``||Nhat|| |s|`` overflows a float is infeasible,
+    found from the closed-form norm before the run starts, not a matrix of
+    non-finite entries mid-run (exit 4)."""
+    monkeypatch.setattr(cli, "run_strategy", None)
+    doc = {"schema_version": 1, "scenario": scenario, "seed": 7, "strategy": strategy,
+           "params": params}
+    assert main(["run", write_config(tmp_path, doc)]) == 3
+    assert f"infeasible configuration: {fields} give ||Nhat|| |s| = inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy, step_size, n_steps", [
+    ({"kind": "unfolding"}, 1e300, 1),  # reads neither the map's action nor its unitary
+    ({"kind": "hybrid", "n1": 1, "n2": 0, "m": 4}, 1e300, 1),  # unfolds its only step
+    ({"kind": "exact"}, 1e300, 0),  # runs no step
+    ({"kind": "exact"}, 1e297, 1),
+    ({"kind": "qdp", "m": 4}, 1e297, 1),
+], ids=["unfolding", "hybrid-unfolded", "no-step", "exact-in-range", "qdp-in-range"])
+def test_flow_that_no_call_overflows_runs(tmp_path, capsys, strategy, step_size, n_steps):
+    doc = {"schema_version": 1, "scenario": "dbi", "seed": 7, "strategy": strategy,
+           "params": dict(FLOW_OVERFLOWS[0][1], step_size=step_size, n_steps=n_steps)}
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("strategy", [{"kind": "exact"}, {"kind": "qdp", "m": 4}])
+def test_huge_qite_step_keeps_the_trace(tmp_path, capsys, strategy):
+    """The pair-commutator angle is reduced mod 2 pi, so its query unitary
+    stays unitary and a qdp run at step 1e305 keeps the trace, as exact does."""
+    doc = {"schema_version": 1, "scenario": "qite", "seed": 7, "strategy": strategy,
+           "params": {"n_steps": 1, "step_size": 1e305}}
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.xfail(strict=True, reason="the 10^6-fold group-commutator product drifts off "
