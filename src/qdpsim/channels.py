@@ -384,15 +384,20 @@ def make_commutator_map(d, s: float) -> HermitianPreservingMap:
     return HermitianPreservingMap(dim, dim, lambda x: -1j * ss * (dd @ x - x @ dd), c)
 
 
+# Smallest gap between two entries of a diagonal instruction operator: closer
+# entries make it degenerate.  The dbi and osd ``mu`` config rules read it.
+MIN_DIAGONAL_GAP = 1e-12
+
+
 def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
     """Hermitized ``d`` and its real diagonal; ``d`` must be diagonal with
-    pairwise distinct entries."""
+    entries more than ``MIN_DIAGONAL_GAP`` apart (its sorted entries' adjacent
+    gaps are the smallest)."""
     dd = hermitize(d)
     if np.max(np.abs(dd - np.diag(np.diag(dd)))) > 1e-12:
         raise InvariantError("instruction operator must be diagonal")
     mu = np.real(np.diag(dd)).copy()
-    gaps = np.abs(mu[:, None] - mu[None, :]) + np.eye(len(mu))
-    if gaps.min() <= 1e-12:
+    if np.any(np.diff(np.sort(mu)) <= MIN_DIAGONAL_GAP):
         raise InvariantError("diagonal instruction operator must be non-degenerate")
     return dd, mu
 

@@ -69,6 +69,7 @@ from .algos import (
     schmidt_oracle,
 )
 from .channels import (
+    MIN_DIAGONAL_GAP,
     channel_error_probe,
     make_commutator_map,
     make_identity_map,
@@ -210,8 +211,10 @@ _STRATEGY = _Field("object", {"kind": "exact"})
 
 
 def _increasing(mu: Optional[list], size: int) -> bool:
-    """A null ``mu`` (0, ..., size-1) or ``size`` strictly increasing entries."""
-    return mu is None or len(mu) == size and all(a < b for a, b in zip(mu, mu[1:]))
+    """A null ``mu`` (0, ..., size-1) or ``size`` entries, each more than
+    ``MIN_DIAGONAL_GAP`` above the one before."""
+    return mu is None or len(mu) == size and all(
+        b - a > MIN_DIAGONAL_GAP for a, b in zip(mu, mu[1:]))
 
 
 def _cascade_fault(p: dict) -> Optional[str]:
@@ -275,17 +278,27 @@ def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None
 # map's query unitary, the size of ``Nhat`` (16 d_in^2 d_out^2), which is never
 # smaller than its superoperator (16 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
-# Largest trajectory a run may keep, in bytes: one dense d x d state per step
-# plus the root, 16 (n_steps + 1) d^2.  Four operators' worth, so a run at the
-# largest operator may still take a few steps.
+# Largest set of states a run may keep at once, in bytes: a recursion keeps
+# its trajectory, one state per point, and a channel-error probe keeps three
+# states per sample (the sampled states, their stacked batch and the block's
+# output).  Each is charged ``kept_state_bytes(d)``.  Four operators' worth, so
+# a run at the largest operator may still take a few steps.
 MAX_TRAJECTORY_BYTES = 4 * MAX_OPERATOR_BYTES
+
+
+def kept_state_bytes(d: int) -> int:
+    """Bytes charged per kept ``d x d`` state: its complex matrix, its ``d``
+    eigenvalues and 1024 for the objects holding them (tracemalloc reads 500
+    to 700 for those at d = 2, 8 and 64)."""
+    return 16 * d * d + 8 * d + 1024
 
 
 def _check_operator_size(entry: _Scenario, p: dict, s: dict) -> None:
     """Reject, before any numerics, a run whose largest dense operator would
-    exceed ``MAX_OPERATOR_BYTES`` or whose trajectory would exceed
-    ``MAX_TRAJECTORY_BYTES``; sizes are compared as log2, so a size or step
-    field's value is never expanded."""
+    exceed ``MAX_OPERATOR_BYTES`` or whose kept states would exceed
+    ``MAX_TRAJECTORY_BYTES``.  The operator is compared as log2, so a size
+    field's value is never expanded; the kept states are counted only at
+    sizes under the operator limit."""
     if entry.size is None:
         return
     path, log_d = entry.size(p)
@@ -296,13 +309,13 @@ def _check_operator_size(entry: _Scenario, p: dict, s: dict) -> None:
             f"field '{path}' gives an operator of 2^{log_bytes:.2f} bytes, "
             f"more than the {MAX_OPERATOR_BYTES} bytes a run may build"
         )
-    if "n_steps" in p:
-        log_bytes = math.log2(p["n_steps"] + 1) + 4 + 2 * log_d
-        if log_bytes > math.log2(MAX_TRAJECTORY_BYTES):
-            raise InfeasibleConfigError(
-                f"field 'params.n_steps' gives a trajectory of 2^{log_bytes:.2f} bytes, "
-                f"more than the {MAX_TRAJECTORY_BYTES} bytes a run may keep"
-            )
+    path, what, count = entry.kept(p)
+    kept_bytes = count * kept_state_bytes(round(2**log_d))
+    if kept_bytes > MAX_TRAJECTORY_BYTES:
+        raise InfeasibleConfigError(
+            f"field '{path}' gives {what} of 2^{math.log2(kept_bytes):.2f} bytes, "
+            f"more than the {MAX_TRAJECTORY_BYTES} bytes a run may keep"
+        )
 
 
 def _value(path: str, f: _Field, value):
@@ -590,6 +603,10 @@ class _Scenario(NamedTuple):
     (qite's reads the state and a resource state), and a ``queries``
     scenario builds its map's query unitary whatever its strategy.
 
+    ``kept(params)`` is ``(field, what, count)``: the ``count`` of such states
+    a run keeps at once, which make up ``what``, set by ``field`` (by default
+    the ``n_steps + 1`` points of a recursion's trajectory).
+
     ``counts(params)`` is the ``(memory-calls, statics)`` per step the ledger
     check charges, the calls commuting through the step if ``covariant``
     (None: no ledger); ``forms(params)`` are the closed forms it charges at
@@ -603,6 +620,7 @@ class _Scenario(NamedTuple):
     size: Optional[Callable] = None
     inputs: int = 1
     queries: bool = False
+    kept: Callable = lambda p: ("params.n_steps", "a trajectory", p["n_steps"] + 1)
     counts: Optional[Callable] = None
     covariant: bool = False
     forms: Optional[Callable] = None
@@ -644,7 +662,7 @@ _SCENARIOS = {
         "mu": _Field("real", None, many=True),  # None -> 0, ..., dim-1
         "step_size": _STEP_SIZE,
     }, _run_dbi, (
-        ("params.mu", "have params.dim strictly increasing entries",
+        ("params.mu", f"have params.dim entries increasing by more than {MIN_DIAGONAL_GAP:g}",
          lambda p, s: _increasing(p["mu"], p["dim"])),
         _HYBRID_SPLIT,
     ), size=_dim_size, counts=lambda p: (1, 2), distance="trace_distance"),
@@ -668,7 +686,7 @@ _SCENARIOS = {
         "mu": _Field("real", None, many=True),  # None -> 0, ..., dims[0]-1
         "step_size": _STEP_SIZE,
     }, _run_osd, (
-        ("params.mu", "have params.dims[0] strictly increasing entries",
+        ("params.mu", f"have params.dims[0] entries increasing by more than {MIN_DIAGONAL_GAP:g}",
          lambda p, s: _increasing(p["mu"], p["dims"][0])),
         ("strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
     ), size=lambda p: ("params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])),
@@ -681,7 +699,8 @@ _SCENARIOS = {
         "n_samples": _Field("int", 5, lo=1),
         "alpha": _Field("real", 1.0),
         "map_s": _Field("real", 1.0),
-    }, _run_channel_error, size=_dim_size, queries=True),
+    }, _run_channel_error, size=_dim_size, queries=True,
+        kept=lambda p: ("params.n_samples", "a probe batch", 3 * p["n_samples"])),
     "cost": _Scenario({
         "L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),
         "n1": _Field("int", None, lo=0), "n2": _Field("int", None, lo=0),

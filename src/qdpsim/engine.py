@@ -16,10 +16,13 @@ instructed by the state the step acts on.  Strategies differ in which
                 (``queried_memory_call``).
 * hybrid      - unfolding for the first stretch, queries afterwards.
 
-One step loop (``run_strategy``) runs them all.  Each strategy descriptor is
-its own step rule: its ``advance`` schedules a step's calls between the static
-unitaries and charges their cost (hybrid advances as unfolding or as queries,
-by step index).  The engine reads no map and applies no sign convention.
+One step executor (``run_strategy``) runs them all.  For each step it asks
+the strategy for the step's rule (``rule(n)``: the descriptor itself, or a
+hybrid's unfolding or query phase by step index), has the rule ``realize``
+the step's calls between the static unitaries, charges the step from the
+strategy's closed form and, if the rule carries an ``imr``, purifies the
+output and charges that.  The engine reads no map and applies no sign
+convention.
 
 A state is validated once per step, at the step's boundary: ``_interleave``
 carries the working state through the step's static unitaries and calls as a
@@ -27,7 +30,7 @@ plain matrix, skips identity statics (the flags ``nontrivial_static_count``
 charges), checks and renormalizes the trace after each call, and wraps the
 step's output in one ``DensityMatrix``.
 
-Each descriptor's ``ledger`` is its cost in closed form, and ``advance``
+Each descriptor's ``ledger`` is its cost in closed form, and ``run_strategy``
 charges a step with that form's growth.  One depth unit is charged per
 elementary query, per non-identity static unitary of an exact or query-based
 step, per root call of an unfolded step (which charges no static) and, on
@@ -38,7 +41,7 @@ state: 1 for exact/unfolding, (m+1)^k after k query-based steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union, get_args
 
 import numpy as np
@@ -244,16 +247,20 @@ def _purify(state, ledger, imr_cfg, n):
 # ``depth_width(calls, statics, n_steps, covariant)``: the depth and width of
 # ``n_steps`` steps of ``calls`` memory-calls and ``statics`` non-identity
 # statics, the descriptor's one closed form; ``ledger`` returns it as a
-# ``CostLedger``.  ``advance(spec, step, n, state, ledger)`` realizes step
-# ``n`` on ``state`` and charges it from the form of ``charge_as`` (default
-# self).
+# ``CostLedger``.  ``rule(n)`` is the descriptor that realizes step ``n``, and
+# ``realize(spec, step, state)`` is that step's output before purification.
 
 
 class _ClosedForm:
+    imr = None  # a rule that purifies its step's output carries its IMRConfig
+
     def ledger(self, calls, statics, n_steps, covariant=False) -> CostLedger:
         """``depth_width`` as a ledger without purification."""
         depth, width = self.depth_width(calls, statics, n_steps, covariant)
         return CostLedger(depth=depth, width=width)
+
+    def rule(self, n):
+        return self
 
 
 @dataclass(frozen=True)
@@ -263,8 +270,8 @@ class ExactStrategy(_ClosedForm):
     def depth_width(self, calls, statics, n_steps, covariant=False):
         return n_steps * (calls + statics), 1
 
-    def advance(self, spec, step, n, state, ledger, charge_as=None):
-        return apply_step_exact(step, state), _charge(charge_as or self, spec, step, n, ledger)
+    def realize(self, spec, step, state):
+        return apply_step_exact(step, state)
 
 
 @dataclass(frozen=True)
@@ -284,13 +291,10 @@ class UnfoldingStrategy(_ClosedForm):
         c = calls if covariant else 2 * self.gc_substeps * calls
         return ((2 * c + 1) ** n_steps - 1) // 2, 1
 
-    def advance(self, spec, step, n, state, ledger, charge_as=None):
+    def realize(self, spec, step, state):
         if spec.covariant:
-            out = apply_step_exact(step, state)
-        else:
-            substeps = [self.gc_substeps] * step.n_calls
-            out = _interleave(step, state, unfolded_memory_call, substeps)
-        return out, _charge(charge_as or self, spec, step, n, ledger)
+            return apply_step_exact(step, state)
+        return _interleave(step, state, unfolded_memory_call, [self.gc_substeps] * step.n_calls)
 
 
 @dataclass(frozen=True)
@@ -311,36 +315,34 @@ class QDPStrategy(_ClosedForm):
         m = self.m if calls else 0
         return n_steps * (m + statics), (m + 1) ** n_steps
 
-    def advance(self, spec, step, n, state, ledger, charge_as=None):
-        counts = _split_queries(self.m, step.n_calls)
-        out = _interleave(step, state, queried_memory_call, counts)
-        return _purify(out, _charge(charge_as or self, spec, step, n, ledger), self.imr, n)
+    def realize(self, spec, step, state):
+        return _interleave(step, state, queried_memory_call, _split_queries(self.m, step.n_calls))
 
 
 @dataclass(frozen=True)
 class HybridStrategy(_ClosedForm):
-    """Unfolding for steps ``n < n1``, queries for the ``n2`` steps after."""
+    """Unfolding for steps ``n < n1``, queries for the ``n2`` steps after:
+    its two ``phases``, built once, are the rules of those steps."""
 
     n1: int
     n2: int
     m: int
     imr: Optional[IMRConfig] = None
+    phases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
             raise InvariantError("hybrid phase lengths must be >= 0")
-        if self.m < 1:
-            raise InvariantError("query count m must be >= 1")
+        object.__setattr__(self, "phases", (UnfoldingStrategy(), QDPStrategy(self.m, self.imr)))
 
     def depth_width(self, calls, statics, n_steps, covariant=False):
         unfolded = min(n_steps, self.n1)
-        head, _ = UnfoldingStrategy().depth_width(calls, statics, unfolded, covariant)
-        tail, width = QDPStrategy(self.m).depth_width(calls, statics, n_steps - unfolded, covariant)
+        head, _ = self.phases[0].depth_width(calls, statics, unfolded, covariant)
+        tail, width = self.phases[1].depth_width(calls, statics, n_steps - unfolded, covariant)
         return head + tail, width
 
-    def advance(self, spec, step, n, state, ledger):
-        rule = UnfoldingStrategy() if n < self.n1 else QDPStrategy(self.m, self.imr)
-        return rule.advance(spec, step, n, state, ledger, charge_as=self)
+    def rule(self, n):
+        return self.phases[n >= self.n1]
 
 
 StrategyConfig = Union[ExactStrategy, UnfoldingStrategy, QDPStrategy, HybridStrategy]
@@ -363,8 +365,9 @@ def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
 def run_strategy(
     spec: RecursionSpec, n_steps: int, strategy: StrategyConfig
 ) -> TrajectoryRecord:
-    """The recursion loop of every strategy: step ``n`` is advanced by
-    ``strategy.advance``."""
+    """The step executor of every strategy: step ``n`` is realized by
+    ``strategy.rule(n)``, charged from ``strategy``'s closed form and, if the
+    rule carries an ``imr``, purified."""
     if not isinstance(strategy, get_args(StrategyConfig)):
         raise UnsupportedSpecError(f"unknown strategy {strategy!r}")
     if isinstance(strategy, HybridStrategy) and strategy.n1 + strategy.n2 != n_steps:
@@ -377,7 +380,9 @@ def run_strategy(
     ledger = CostLedger()
     points = [_point(state, spec.target, ledger)]
     for n in range(n_steps):
-        state, ledger = strategy.advance(spec, spec.resolve_step(n), n, state, ledger)
+        step, rule = spec.resolve_step(n), strategy.rule(n)
+        state = rule.realize(spec, step, state)
+        state, ledger = _purify(state, _charge(strategy, spec, step, n, ledger), rule.imr, n)
         points.append(_point(state, spec.target, ledger))
     return TrajectoryRecord(points=tuple(points))
 

@@ -6,11 +6,22 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qdpsim import PureState, cli, engine
+from qdpsim import (
+    DBIConfig,
+    PureState,
+    channel_error_probe,
+    cli,
+    dbi_recursion_spec,
+    engine,
+    make_identity_map,
+    random_density,
+    run_exact,
+)
 from qdpsim.cli import ExperimentConfig, compare_strategies, main, run_scenario
 from qdpsim.errors import ConfigError, InfeasibleConfigError, InvariantError
 
@@ -103,6 +114,15 @@ class TestExitCodes:
             ("params.n_qubits", {"scenario": "qite", "params": {"n_qubits": 0, "n_steps": 1}}),
             ("params.mu", {"scenario": "dbi", "params": {"dim": 3, "n_steps": 2, "mu": "abc"}}),
             ("params.mu", {"scenario": "dbi", "params": {"dim": 3, "n_steps": 2, "mu": [2, 1, 0]}}),
+            # entries 1e-12 or less apart make a degenerate instruction diagonal
+            ("params.mu", {"scenario": "dbi", "strategy": {"kind": "exact"},
+                           "params": {"dim": 2, "n_steps": 1, "mu": [0, 1e-13]}}),
+            ("params.mu", {"scenario": "dbi", "strategy": {"kind": "exact"},
+                           "params": {"dim": 2, "n_steps": 1, "mu": [-1e-300, 1e-300]}}),
+            ("params.mu", {"scenario": "dbi", "strategy": {"kind": "exact"},
+                           "params": {"dim": 3, "n_steps": 1, "mu": [0, 1, 1.0000000000001]}}),
+            ("params.mu", {"scenario": "osd", "strategy": {"kind": "exact"},
+                           "params": {"dims": [2, 2], "n_steps": 1, "mu": [0, 1e-13]}}),
             ("params.dims", {"scenario": "osd", "params": {"dims": [2, "x"], "n_steps": 2}}),
             ("output.path", {"output": {"path": 7}}),
             ("seed", {"seed": -1}),
@@ -944,11 +964,81 @@ class TestOperatorSizeOfEveryRun:
         assert str(cli.MAX_TRAJECTORY_BYTES) in err
 
     def test_trajectory_at_the_limit_is_accepted(self):
-        # dim 2: 16 * 4 * 2^26 B = MAX_TRAJECTORY_BYTES, reached at n_steps = 2^26 - 1
-        n_limit = cli.MAX_TRAJECTORY_BYTES // 64 - 1
+        # dim 2: n_steps + 1 points of kept_state_bytes(2) B each
+        n_limit = cli.MAX_TRAJECTORY_BYTES // cli.kept_state_bytes(2) - 1
         ExperimentConfig.from_dict(dbi_doc({"kind": "exact"}, n_limit))
         with pytest.raises(InfeasibleConfigError, match="params.n_steps"):
             ExperimentConfig.from_dict(dbi_doc({"kind": "exact"}, n_limit + 1))
+
+
+    @pytest.mark.parametrize(
+        "field, what, scenario, params",
+        [
+            # 3 * 100000 * kept_state_bytes(64) B, about 20 GB
+            ("params.n_samples", "a probe batch", "channel-error",
+             {"dim": 64, "s": 0.5, "m_values": [4], "n_samples": 100000}),
+            ("params.n_samples", "a probe batch", "channel-error",
+             {"dim": 2, "s": 0.5, "m_values": [4], "n_samples": 10**12}),
+            # 2^26 points of kept_state_bytes(2) B, about 74 GB
+            ("params.n_steps", "a trajectory", "dbi", {"dim": 2, "n_steps": 2**26 - 1}),
+        ],
+        ids=["probe-dim-64", "probe-10^12-samples", "dbi-2^26-points"],
+    )
+    def test_kept_states_past_the_limit_are_3_and_named(self, no_runner, tmp_path, capsys,
+                                                        field, what, scenario, params):
+        doc = {"schema_version": 1, "scenario": scenario, "seed": 1,
+               "strategy": {"kind": "exact"}, "params": params}
+        assert main(["run", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert f"field '{field}' gives {what}" in err
+        assert str(cli.MAX_TRAJECTORY_BYTES) in err
+
+    def test_probe_batch_at_the_limit_is_accepted(self):
+        n_limit = cli.MAX_TRAJECTORY_BYTES // (3 * cli.kept_state_bytes(2))
+        doc = {"scenario": "channel-error", "seed": 1,
+               "params": {"dim": 2, "s": 0.5, "m_values": [4], "n_samples": n_limit}}
+        ExperimentConfig.from_dict(doc)
+        doc["params"]["n_samples"] += 1
+        with pytest.raises(InfeasibleConfigError, match="params.n_samples"):
+            ExperimentConfig.from_dict(doc)
+
+
+class TestKeptStateCharge:
+    """``kept_state_bytes(d)`` is at least what tracemalloc reads a run keeping
+    per state: per step of an exact dbi run, read as what its record frees,
+    and per state of a probe's peak (three per sample), read as the growth
+    between two batch sizes so the probe's one superoperator cancels."""
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_covers_a_trajectory_point(self, d):
+        cfg = DBIConfig(diagonal=np.diag(np.arange(d, dtype=float)),
+                        initial=random_density(d, 7).matrix * d)
+        spec = dbi_recursion_spec(cfg)
+        tracemalloc.start()
+        try:
+            record = run_exact(spec, 30)
+            held = tracemalloc.get_traced_memory()[0]
+            del record  # frees every point and every state but the spec's root
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept / 30 <= cli.kept_state_bytes(d)
+
+    # d = 64 is left out: its one superoperator alone is 2^28 B.
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_covers_a_probe_sample(self, d):
+        mmap = make_identity_map(d)
+        memory = random_density(d, 7)
+        channel_error_probe(mmap.generator, mmap, memory, 0.5, 4, 1, 7)
+        peaks = []
+        for n_samples in (50, 100):
+            tracemalloc.start()
+            try:
+                channel_error_probe(mmap.generator, mmap, memory, 0.5, 4, n_samples, 7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 50 <= 3 * cli.kept_state_bytes(d)
 
 
 class TestUnreadConfigPaths:

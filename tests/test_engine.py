@@ -428,6 +428,24 @@ class TestRunHybrid:
             assert len(rec) == 3
 
 
+def test_a_run_builds_no_strategy_descriptor(monkeypatch):
+    """``run_strategy`` realizes, charges and purifies each step with the
+    descriptors it is given: a hybrid's two phases are built with it."""
+    spec = grover_recursion_spec(grover_config_from_distance(0.5, 1, 5))
+    imr = IMRConfig(reduction_factor=2.0, copies_out=32, failure_threshold=0.05)
+    strategies = [HybridStrategy(n1=2, n2=3, m=16, imr=imr), QDPStrategy(m=16, imr=imr)]
+    built = []
+    for cls in (ExactStrategy, UnfoldingStrategy, QDPStrategy, HybridStrategy):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    records = [run_strategy(spec, 5, strategy) for strategy in strategies]
+    assert built == []
+    assert all(rec.final_ledger.imr_copies > 0 for rec in records)
+
+
 class TestStrategyChecks:
     @pytest.mark.parametrize(
         "error, message, call",
