@@ -299,6 +299,19 @@ class Commutator:
         # In Python floats, so a norm past the float range reads inf without a warning.
         return abs(float(self.s)) * (float(self.mu.max()) - float(self.mu.min()))
 
+    def instruction_exp(self, r: float) -> np.ndarray:
+        """Read-only ``herm_exp(-d, r)``, the instruction's factor of each group
+        commutator of an unfolded call at ``r = sqrt(step)``.  Every unfolded
+        call of a run shares one ``r``, so the last one is kept, in one slot
+        keyed on the bits of ``r`` (as ``QueryGenerator`` keys its unitary)."""
+        key = float(r).hex()
+        slot = self.__dict__.get("_exp")
+        if slot is None or slot[0] != key:
+            e = herm_exp(-self.d, r)
+            e.setflags(write=False)
+            slot = self.__dict__["_exp"] = (key, e)
+        return slot[1]
+
     def unitary(self, t: float, d: int) -> np.ndarray:
         theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
         a, b = np.indices((d, d))
@@ -484,7 +497,7 @@ def unfolded_memory_call(
     flow = call.duration * c.s
     if not flow > 0:
         raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
-    gc = group_commutator(instruction.matrix, -c.d, flow / substeps)
+    gc = group_commutator(instruction.matrix, -c.d, flow / substeps, c.instruction_exp)
     u = np.linalg.matrix_power(gc, substeps)
     w = _matrix(working)
     return u @ w @ u.conj().T
@@ -679,17 +692,19 @@ def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> 
     return vec.reshape(w.shape)
 
 
-def group_commutator(a, b, s: float) -> np.ndarray:
+def group_commutator(a, b, s: float, exp_b: Optional[Callable] = None) -> np.ndarray:
     """``e_b e_a e_b^dag e_a^dag`` with ``e_x = exp(-i sqrt(s) x)``.
 
     Approximates ``exp(s [a, b])`` with operator-norm error bounded by
     ``s^1.5 (||[a,[a,b]]|| + ||[b,[b,a]]||)``.  Each operator goes through
-    ``herm_exp`` once; the inverse exponentials are the adjoints.
+    ``herm_exp`` once, ``b``'s as ``exp_b(sqrt(s))`` if given (a caller that
+    keeps ``e_b``); the inverse exponentials are the adjoints.
     """
     if not s > 0:
         raise InvariantError("group commutator step must be positive")
     r = np.sqrt(float(s))
-    ea, eb = herm_exp(a, r), herm_exp(b, r)
+    ea = herm_exp(a, r)
+    eb = herm_exp(b, r) if exp_b is None else exp_b(r)
     if ea.shape != eb.shape:
         raise DimensionError(f"shape mismatch {ea.shape} vs {eb.shape}")
     return eb @ ea @ eb.conj().T @ ea.conj().T

@@ -52,7 +52,6 @@ from .algos import (
     DBIConfig,
     OSDConfig,
     QITEConfig,
-    dbi_cost,
     dbi_recursion_spec,
     grover_config_from_distance,
     grover_delta_cascade,
@@ -60,7 +59,6 @@ from .algos import (
     grover_recursion_spec,
     grover_step_counts,
     ground_state,
-    energy as state_energy,
     heisenberg_chain,
     offdiag_hs_norm,
     osd_recursion_spec,
@@ -82,6 +80,7 @@ from .engine import (
     QDPStrategy,
     UnfoldingStrategy,
     run_strategy,
+    stacked_chunks,
     unfolding_cost,
 )
 from .errors import (
@@ -92,7 +91,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .imr import MAX_ROUNDS, IMRConfig
-from .linalg import PureState, partial_trace, random_density, random_pure
+from .linalg import PureState, hermitize, hs_norm, partial_trace, random_density, random_pure
 
 SCHEMA_VERSION = 1
 
@@ -215,6 +214,13 @@ def _increasing(mu: Optional[list], size: int) -> bool:
     ``MIN_DIAGONAL_GAP`` above the one before."""
     return mu is None or len(mu) == size and all(
         b - a > MIN_DIAGONAL_GAP for a, b in zip(mu, mu[1:]))
+
+
+def _finite_norm(mu: Optional[list]) -> bool:
+    """A null ``mu``, or one whose squared norm ``sum mu_i^2`` is a finite
+    float: the squared Hilbert-Schmidt norm of ``diag(mu)``, which the
+    canonical step and the dbi ``cost`` column read."""
+    return mu is None or math.isfinite(sum(x * x for x in mu))
 
 
 def _cascade_fault(p: dict) -> Optional[str]:
@@ -449,20 +455,26 @@ def _check_duration(gen, duration: float, fields: str) -> None:
                                     f"{abs(duration):.3g}, past the float range")
 
 
-def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, row,
+def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, cells,
                 flow: Optional[str] = None, checks=()) -> RunReport:
     """Run ``spec`` for ``n_steps`` under the config's strategy: one row
-    ``(step, *row(point))`` per trajectory point under ``step`` and
-    ``columns``, and a ``BoundCheck`` per ``(name, measure(record), bound)``
-    of ``checks``.  ``flow`` names the fields that set the memory-call's
-    duration, checked first if a step reads the map's action or unitary."""
+    ``(step, *cells)`` per trajectory point under ``step`` and ``columns``,
+    and a ``BoundCheck`` per ``(name, measure(record), bound)`` of ``checks``.
+    ``cells(stack, points)`` gives the cells of one chunk of points
+    (``stacked_chunks``), one tuple per point, ``stack`` holding their state
+    matrices.  ``flow`` names the fields that set the memory-call's duration,
+    checked first if a step reads the map's action or unitary."""
     # An unfolded call reads neither; a hybrid run unfolds all but its n2 steps.
     unfolded = isinstance(cfg.strategy, UnfoldingStrategy)
     if flow and not unfolded and getattr(cfg.strategy, "n2", n_steps):
         call = spec.resolve_step(0).memory_calls[0]
         _check_duration(call.map.generator, call.duration, flow)
     record = run_strategy(spec, n_steps, cfg.strategy)
-    rows = [(n, *row(pt)) for n, pt in enumerate(record.points)]
+    points = record.points
+    rows = []
+    for start, stack in stacked_chunks([pt.state.matrix for pt in points]):
+        chunk = cells(stack, points[start:start + len(stack)])
+        rows += [(start + i, *row) for i, row in enumerate(chunk)]
     return RunReport(["step", *columns], rows,
                      [BoundCheck(name, measure(record), bound) for name, measure, bound in checks])
 
@@ -479,8 +491,8 @@ def _run_grover(cfg: ExperimentConfig) -> RunReport:
     return _trajectory(
         cfg, grover_recursion_spec(gcfg, eps=eps), gcfg.n_steps,
         ["trace_distance", "mixedness", "depth", "width", "p_success"],
-        lambda pt: (pt.distance_to_target, pt.mixedness, pt.ledger.depth, pt.ledger.width,
-                    pt.ledger.success_probability),
+        lambda stack, pts: [(pt.distance_to_target, pt.mixedness, pt.ledger.depth,
+                             pt.ledger.width, pt.ledger.success_probability) for pt in pts],
         checks=checks,
     )
 
@@ -498,8 +510,11 @@ def _run_dbi(cfg: ExperimentConfig) -> RunReport:
     return _trajectory(
         cfg, dbi_recursion_spec(dcfg), p["n_steps"],
         ["cost", "offdiag_hs", "trace_distance", "depth", "width"],
-        lambda pt: (dbi_cost(pt.state.matrix, diag), offdiag_hs_norm(pt.state.matrix),
-                    pt.distance_to_target, pt.ledger.depth, pt.ledger.width),
+        # ``dbi_cost`` without its ``hermitize``: the validated states and the
+        # real diagonal are Hermitian to the bit, so it returns them unchanged.
+        lambda stack, pts: [(hs_norm(x) ** 2, offdiag_hs_norm(m), pt.distance_to_target,
+                             pt.ledger.depth, pt.ledger.width)
+                            for x, m, pt in zip(stack - diag, stack, pts)],
         flow="params.step_size and params.mu",
     )
 
@@ -524,12 +539,14 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
         gs, _ = ground_state(h)
     except InvariantError as exc:
         raise InfeasibleConfigError(f"{fields} give QITE no unique ground state: {exc}") from exc
+    hh = hermitize(h)  # ``energy``'s operator, formed once
     return _trajectory(
         cfg, spec, p["n_steps"],
         ["energy", "ground_infidelity", "mixedness", "depth", "width"],
-        lambda pt: (state_energy(pt.state, h),
-                    1.0 - float(np.real(np.vdot(gs.amplitudes, pt.state.matrix @ gs.amplitudes))),
-                    pt.mixedness, pt.ledger.depth, pt.ledger.width),
+        lambda stack, pts: [(float(np.real(e)), 1.0 - float(np.real(np.vdot(gs.amplitudes, v))),
+                             pt.mixedness, pt.ledger.depth, pt.ledger.width)
+                            for e, v, pt in zip(np.trace(hh @ stack, axis1=1, axis2=2),
+                                                stack @ gs.amplitudes, pts)],
         flow=f"params.step_size and {fields}",
     )
 
@@ -544,8 +561,8 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
     return _trajectory(
         cfg, osd_recursion_spec(ocfg), p["n_steps"],
         ["offdiag_hs", "mixedness", "depth", "width"],
-        lambda pt: (offdiag_hs_norm(partial_trace(pt.state.matrix, (da, db), keep=[0])),
-                    pt.mixedness, pt.ledger.depth, pt.ledger.width),
+        lambda stack, pts: [(offdiag_hs_norm(r), pt.mixedness, pt.ledger.depth, pt.ledger.width)
+                            for r, pt in zip(partial_trace(stack, (da, db), keep=[0]), pts)],
         flow="params.step_size and params.mu",
         checks=[("schmidt_estimate_max_error", lambda record: float(np.max(np.abs(
             schmidt_estimate(record.final_state.matrix, (da, db), diag) - oracle))), 1e-2)],
@@ -664,6 +681,8 @@ _SCENARIOS = {
     }, _run_dbi, (
         ("params.mu", f"have params.dim entries increasing by more than {MIN_DIAGONAL_GAP:g}",
          lambda p, s: _increasing(p["mu"], p["dim"])),
+        ("params.mu", "have a squared norm sum mu_i^2 below the float range",
+         lambda p, s: _finite_norm(p["mu"])),
         _HYBRID_SPLIT,
     ), size=_dim_size, counts=lambda p: (1, 2), distance="trace_distance"),
     "qite": _Scenario({
@@ -688,6 +707,8 @@ _SCENARIOS = {
     }, _run_osd, (
         ("params.mu", f"have params.dims[0] entries increasing by more than {MIN_DIAGONAL_GAP:g}",
          lambda p, s: _increasing(p["mu"], p["dims"][0])),
+        ("params.mu", "have a squared norm sum mu_i^2 below the float range",
+         lambda p, s: _finite_norm(p["mu"])),
         ("strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
     ), size=lambda p: ("params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])),
         counts=lambda p: (1, 2)),

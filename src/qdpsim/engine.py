@@ -30,6 +30,12 @@ plain matrix, skips identity statics (the flags ``nontrivial_static_count``
 charges), checks and renormalizes the trace after each call, and wraps the
 step's output in one ``DensityMatrix``.
 
+The step loop keeps each step's state and ledger and does nothing else.  The
+per-point diagnostics, which no later step depends on, run after it: the
+distances to the spec's target by one stacked ``trace_distance`` per chunk
+of states (``stacked_chunks``, bounded in bytes), and the mixedness per point
+from the spectrum each state keeps.
+
 Each descriptor's ``ledger`` is its cost in closed form, and ``run_strategy``
 charges a step with that form's growth.  One depth unit is charged per
 elementary query, per non-identity static unitary of an exact or query-based
@@ -161,14 +167,27 @@ class RecursionSpec:
         return self.step
 
 
-def _point(state, target, ledger) -> TrajectoryPoint:
-    dist = trace_distance(state.matrix, target.matrix) if target is not None else None
-    return TrajectoryPoint(
-        state=state,
-        distance_to_target=dist,
-        mixedness=imr_mod.mixedness(state),
-        ledger=ledger,
-    )
+# Stacked matrices per diagnostics chunk, in bytes: bounded in bytes, not in
+# states, so a chunk holds 64 states at d = 8 and one from d = 64 on, and a
+# large state never stacks a large chunk.
+_CHUNK_BYTES = 64 * 1024
+
+
+def chunk_length(dim: int) -> int:
+    """States per diagnostics chunk at dimension ``dim``: as many ``dim x dim``
+    complex matrices as fit in ``_CHUNK_BYTES``, and at least one."""
+    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+
+
+def stacked_chunks(matrices):
+    """``(start, stack)`` for consecutive chunks of the equally sized square
+    ``matrices``, ``stack`` holding ``chunk_length`` of them from ``start`` on
+    (fewer in the last chunk) as one ``(k, d, d)`` array."""
+    if not len(matrices):
+        return
+    step = chunk_length(len(matrices[0]))
+    for start in range(0, len(matrices), step):
+        yield start, np.stack(matrices[start:start + step])
 
 
 def _static(step: RecursionStepSpec, idx: int, mat: np.ndarray) -> np.ndarray:
@@ -367,7 +386,11 @@ def run_strategy(
 ) -> TrajectoryRecord:
     """The step executor of every strategy: step ``n`` is realized by
     ``strategy.rule(n)``, charged from ``strategy``'s closed form and, if the
-    rule carries an ``imr``, purified."""
+    rule carries an ``imr``, purified.  The loop keeps each state and ledger
+    and does nothing else; the per-point diagnostics run after it, on states
+    no later step depends on: the distances to ``spec.target`` by one stacked
+    ``trace_distance`` per chunk (``stacked_chunks``), the mixedness per point
+    from the spectrum each state keeps."""
     if not isinstance(strategy, get_args(StrategyConfig)):
         raise UnsupportedSpecError(f"unknown strategy {strategy!r}")
     if isinstance(strategy, HybridStrategy) and strategy.n1 + strategy.n2 != n_steps:
@@ -376,15 +399,20 @@ def run_strategy(
         )
     if n_steps < 0:
         raise InvariantError("n_steps must be >= 0")
-    state = spec.root
-    ledger = CostLedger()
-    points = [_point(state, spec.target, ledger)]
+    states, ledgers = [spec.root], [CostLedger()]
     for n in range(n_steps):
         step, rule = spec.resolve_step(n), strategy.rule(n)
-        state = rule.realize(spec, step, state)
-        state, ledger = _purify(state, _charge(strategy, spec, step, n, ledger), rule.imr, n)
-        points.append(_point(state, spec.target, ledger))
-    return TrajectoryRecord(points=tuple(points))
+        state = rule.realize(spec, step, states[-1])
+        state, ledger = _purify(state, _charge(strategy, spec, step, n, ledgers[-1]), rule.imr, n)
+        states.append(state)
+        ledgers.append(ledger)
+    distances = [None] * len(states)
+    if spec.target is not None:
+        distances = [float(x) for _, stack in stacked_chunks([s.matrix for s in states])
+                     for x in trace_distance(stack, spec.target.matrix)]
+    return TrajectoryRecord(points=tuple(
+        TrajectoryPoint(state, dist, imr_mod.mixedness(state), ledger)
+        for state, dist, ledger in zip(states, distances, ledgers)))
 
 
 def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:

@@ -34,18 +34,18 @@ EIG_CLIP_MAX = 1e-8
 NORM_ATOL = 1e-10
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, stacked: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 + stacked:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise InvariantError("matrix contains non-finite entries")
     return a
 
 
-def _as_square(m) -> np.ndarray:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+def _as_square(m, stacked: bool = False) -> np.ndarray:
+    a = _as_matrix(m, stacked)
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -88,23 +88,25 @@ def partial_trace(m, factor_dims, keep) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 
     ``keep`` is a sequence of 0-based factor indices; kept factors stay in
-    their original order. The full trace is preserved.
+    their original order. The full trace is preserved.  ``m`` may also be a
+    ``(k, d, d)`` stack of matrices, each traced as it would be alone.
     """
-    a = _as_square(m)
-    dims = _check_factor_dims(factor_dims, a.shape[0])
+    a = _as_square(m, np.ndim(m) == 3)
+    lead = a.shape[:-2]
+    dims = _check_factor_dims(factor_dims, a.shape[-1])
     k = len(dims)
     keep = sorted(set(int(i) for i in (keep if np.iterable(keep) else [keep])))
     if any(i < 0 or i >= k for i in keep):
         raise DimensionError(f"keep indices {keep} out of range for {k} factors")
-    t = a.reshape(dims + dims)
+    t = a.reshape(lead + dims + dims)
     # Trace out dropped factors from the back so axis numbers stay valid.
     n_left = k
     for i in reversed(range(k)):
         if i not in keep:
-            t = np.trace(t, axis1=i, axis2=i + n_left)
+            t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + n_left)
             n_left -= 1
     d_keep = math.prod(dims[i] for i in keep) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def herm_exp(h, t: float) -> np.ndarray:
@@ -113,13 +115,17 @@ def herm_exp(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of ``a - b``, via singular values."""
-    aa, bb = _as_square(a), _as_square(b)
-    if aa.shape != bb.shape:
-        raise DimensionError(f"shape mismatch {aa.shape} vs {bb.shape}")
-    sv = np.linalg.svd(aa - bb, compute_uv=False)
-    return float(np.sum(sv) / 2.0)
+def trace_distance(a, b):
+    """Half the trace norm of ``a - b``, via singular values.
+
+    ``a`` may also be a ``(k, d, d)`` stack of matrices: the result is then
+    the array of the ``k`` distances to ``b``, from one batched ``svd``, each
+    with the bits of the distance of its matrix alone."""
+    aa, bb = _as_square(a, np.ndim(a) == 3), _as_square(b)
+    if aa.shape[-2:] != bb.shape:
+        raise DimensionError(f"shape mismatch {aa.shape[-2:]} vs {bb.shape}")
+    dist = np.sum(np.linalg.svd(aa - bb, compute_uv=False), axis=-1) / 2.0
+    return dist if aa.ndim == 3 else float(dist)
 
 
 def unit_trace(a: np.ndarray) -> np.ndarray:

@@ -426,6 +426,29 @@ class TestUnfoldedMemoryCall:
         got = unfolded_memory_call(call, rho, sig, substeps)
         assert np.max(np.abs(got - want)) <= (8 + substeps) * np.finfo(float).eps
 
+    def test_returns_a_fresh_group_commutator_power(self):
+        """Calls on one map, at substeps that reuse the structure's kept
+        instruction exponential and replace it, return the bits of a group
+        commutator formed afresh and raised to ``substeps``."""
+        call = MemoryCallSpec(map=make_commutator_map(random_hermitian(4, 5), 0.4), duration=1.0)
+        d = call.map.structure.d
+        for k, substeps in enumerate([1, 1, 3, 3, 1, 4, 4]):
+            rho, sig = random_density(4, 10 + k), random_density(4, 20 + k)
+            u = np.linalg.matrix_power(group_commutator(rho.matrix, -d, 0.4 / substeps), substeps)
+            want = u @ sig.matrix @ u.conj().T
+            assert unfolded_memory_call(call, rho, sig, substeps).tobytes() == want.tobytes()
+
+    def test_instruction_exponential_is_kept_in_one_slot(self):
+        c = make_commutator_map(random_hermitian(3, 2), 0.5).structure
+        first = c.instruction_exp(0.25)
+        assert first.tobytes() == herm_exp(-c.d, 0.25).tobytes()
+        assert not first.flags.writeable
+        assert c.instruction_exp(0.25) is first
+        other = c.instruction_exp(0.5)
+        assert other.tobytes() == herm_exp(-c.d, 0.5).tobytes()
+        again = c.instruction_exp(0.25)  # the slot now holds 0.5's
+        assert again is not first and again.tobytes() == first.tobytes()
+
     def test_non_commutator_map_rejected(self):
         call = MemoryCallSpec(map=make_scaled_identity_map(0.5, 2), duration=1.0)
         with pytest.raises(UnsupportedSpecError) as exc:

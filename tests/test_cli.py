@@ -16,9 +16,14 @@ from qdpsim import (
     PureState,
     channel_error_probe,
     cli,
+    dbi_cost,
     dbi_recursion_spec,
+    energy,
     engine,
+    ground_state,
     make_identity_map,
+    offdiag_hs_norm,
+    partial_trace,
     random_density,
     run_exact,
 )
@@ -96,6 +101,21 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"schema_version": 99, "scenario": "cost"})
 
 
+# Largest ``x`` with ``x * x`` finite: ``mu: [0, x]`` is the largest the rule accepts.
+LARGEST_MU = 1.3407807929942596e154
+# Configs whose ``mu`` has a squared norm past the float range.
+HUGE_MU = [
+    {"scenario": "dbi", "strategy": {"kind": kind},
+     "params": {"dim": 2, "n_steps": 1, "mu": [0, mu]}}
+    for kind in ("exact", "unfolding") for mu in (1e308, 1e160, float(np.nextafter(LARGEST_MU, 2e154)))
+] + [
+    {"scenario": "dbi", "strategy": {"kind": "exact"},
+     "params": {"dim": 3, "n_steps": 1, "mu": [-1e154, 0, 1e154]}},
+    {"scenario": "osd", "strategy": {"kind": "exact"},
+     "params": {"dims": [2, 2], "n_steps": 1, "mu": [0, 1e160]}},
+]
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         path = write_config(tmp_path, grover_doc(tmp_path))
@@ -123,6 +143,8 @@ class TestExitCodes:
                            "params": {"dim": 3, "n_steps": 1, "mu": [0, 1, 1.0000000000001]}}),
             ("params.mu", {"scenario": "osd", "strategy": {"kind": "exact"},
                            "params": {"dims": [2, 2], "n_steps": 1, "mu": [0, 1e-13]}}),
+            # a squared norm sum mu_i^2 past the float range
+            *[("params.mu", doc) for doc in HUGE_MU],
             ("params.dims", {"scenario": "osd", "params": {"dims": [2, "x"], "n_steps": 2}}),
             ("output.path", {"output": {"path": 7}}),
             ("seed", {"seed": -1}),
@@ -150,6 +172,24 @@ class TestExitCodes:
         assert main(["run", path]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides", HUGE_MU)
+    def test_huge_mu_is_2_without_a_warning(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, grover_doc(tmp_path, **overrides))
+        assert main(["run", path]) == 2
+        assert "field 'params.mu' must have a squared norm" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scenario, size, kind", [
+        ("dbi", {"dim": 2}, "exact"), ("dbi", {"dim": 2}, "unfolding"),
+        ("osd", {"dims": [2, 2]}, "exact"),
+    ])
+    @pytest.mark.parametrize("mu", [1e150, LARGEST_MU, -LARGEST_MU])
+    def test_largest_accepted_mu_runs_without_a_warning(self, tmp_path, scenario, size, kind, mu):
+        doc = grover_doc(tmp_path, scenario=scenario, strategy={"kind": kind},
+                         params={**size, "n_steps": 3, "mu": sorted([0, mu])})
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+
     @pytest.mark.parametrize(
         "field, overrides",
         [
@@ -173,6 +213,16 @@ class TestExitCodes:
         path = write_config(tmp_path, grover_doc(tmp_path, **overrides))
         assert main(["run", path]) == 3
         assert field in capsys.readouterr().err
+
+    def test_non_finite_hamiltonian_is_3(self, tmp_path, monkeypatch, capsys):
+        """A Hamiltonian with a non-finite entry (what a huge ``field`` makes)
+        is found with the ground state, before the run reads it, and is
+        infeasible, not a broken invariant."""
+        monkeypatch.setattr(cli, "_qite_hamiltonian", lambda p, seed: np.diag([np.inf, 0, 0, 1.0]))
+        doc = grover_doc(tmp_path, scenario="qite", strategy={"kind": "exact"},
+                         params={"n_qubits": 2, "n_steps": 1})
+        assert main(["run", write_config(tmp_path, doc)]) == 3
+        assert "params.n_qubits and params.field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", list(SMALL_RECURSIONS))
     def test_mid_run_invariant_is_4(self, tmp_path, monkeypatch, capsys, scenario):
@@ -1169,3 +1219,62 @@ def test_qite_report_does_not_depend_on_the_blas_thread_count(tmp_path):
                            capture_output=True)
             reports.append(out.read_bytes())
         assert reports[0] == reports[1], out.name
+
+
+def _bits(row):
+    return [v.hex() if isinstance(v, float) else v for v in row]
+
+
+class TestChunkedColumns:
+    """Each runner computes its columns over stacked chunks of points; every
+    cell keeps the bits of the per-point formula it replaced."""
+
+    @staticmethod
+    def old_row(scenario, p, seed, pt):
+        """The row a runner built from one point before its columns were chunked."""
+        m, ledger = pt.state.matrix, pt.ledger
+        if scenario == "dbi":
+            diag = cli._diagonal(p["mu"], p["dim"])
+            return (dbi_cost(m, diag), offdiag_hs_norm(m), pt.distance_to_target,
+                    ledger.depth, ledger.width)
+        if scenario == "qite":
+            h = cli._qite_hamiltonian(p, seed)
+            gs, _ = ground_state(h)
+            return (energy(pt.state, h),
+                    1.0 - float(np.real(np.vdot(gs.amplitudes, m @ gs.amplitudes))),
+                    pt.mixedness, ledger.depth, ledger.width)
+        if scenario == "osd":
+            return (offdiag_hs_norm(partial_trace(m, tuple(p["dims"]), keep=[0])),
+                    pt.mixedness, ledger.depth, ledger.width)
+        return (pt.distance_to_target, pt.mixedness, ledger.depth, ledger.width,
+                ledger.success_probability)
+
+    @pytest.mark.parametrize("scenario, strategy, params", [
+        ("dbi", {"kind": "exact"}, {"dim": 8, "n_steps": 64}),
+        ("dbi", {"kind": "unfolding", "gc_substeps": 2}, {"dim": 8, "n_steps": 65}),
+        ("dbi", {"kind": "qdp", "m": 8}, {"dim": 12, "n_steps": 28}),
+        ("dbi", {"kind": "exact"}, {"dim": 3, "n_steps": 0, "mu": [-1.5, 0.25, 2.0]}),
+        ("osd", {"kind": "exact"}, {"dims": [2, 4], "n_steps": 65}),
+        ("osd", {"kind": "exact"}, {"dims": [3, 4], "n_steps": 28, "mu": [0, 0.5, 3]}),
+        ("qite", {"kind": "exact"}, {"n_qubits": 3, "n_steps": 64}),
+        ("qite", {"kind": "qdp", "m": 16}, {"model": "random", "dim": 5, "n_steps": 4}),
+        ("grover", {"kind": "exact"}, {"L": 2, "dim": 8, "n_steps": 3, "delta0": 0.6}),
+        ("grover", {"kind": "qdp", "m": 32, "imr": {"reduction_factor": 2.0, "copies_out": 64}},
+         {"L": 1, "dim": 4, "n_steps": 3, "delta0": 0.6}),
+    ], ids=["dbi-exact", "dbi-unfolding", "dbi-qdp", "dbi-no-steps", "osd-2x4", "osd-3x4",
+            "qite-exact", "qite-random-qdp", "grover-exact", "grover-qdp-imr"])
+    def test_cells_keep_the_per_point_bits(self, monkeypatch, scenario, strategy, params):
+        records = []
+
+        def keep(spec, n_steps, strategy):
+            records.append(engine.run_strategy(spec, n_steps, strategy))
+            return records[-1]
+
+        monkeypatch.setattr(cli, "run_strategy", keep)
+        doc = {"scenario": scenario, "seed": 7, "strategy": strategy, "params": params}
+        cfg = ExperimentConfig.from_dict(doc)
+        report = run_scenario(cfg)
+        (record,) = records
+        assert len(report.rows) == len(record) == params["n_steps"] + 1
+        for n, (row, pt) in enumerate(zip(report.rows, record.points)):
+            assert _bits(row) == _bits((n, *self.old_row(scenario, cfg.params, 7, pt)))

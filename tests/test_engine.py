@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qdpsim import channels, engine
+from qdpsim import imr as imr_mod
+from qdpsim.algos import OSDConfig, osd_recursion_spec
 from qdpsim.cli import main
 from qdpsim.engine import apply_step_exact
 from qdpsim.linalg import TRACE_ATOL
@@ -18,6 +20,7 @@ from qdpsim import (
     IMRConfig,
     InvariantError,
     MemoryCallSpec,
+    PureState,
     QDPStrategy,
     QueryGenerator,
     RecursionSpec,
@@ -33,6 +36,7 @@ from qdpsim import (
     make_identity_map,
     make_scaled_identity_map,
     random_density,
+    random_pure,
     run_exact,
     run_hybrid,
     run_qdp,
@@ -622,3 +626,100 @@ def test_one_validated_state_per_step(monkeypatch, build, run):
     monkeypatch.setattr(DensityMatrix, "__init__", counting)
     run(spec, n_steps)
     assert len(built) <= n_steps + 1
+
+
+def chunk_boundary_steps(dim):
+    """Step counts around one diagnostics chunk at ``dim``: none, and a chunk's
+    length minus one, exactly and plus one."""
+    n = engine.chunk_length(dim)
+    return [0, n - 1, n, n + 1]
+
+
+def diagnostics_spec(scenario, dim):
+    """A ``dim``-dimensional spec of ``scenario`` with a target: dbi keeps its
+    own, a grover spec repeats its first step, an osd spec targets its root."""
+    if scenario == "dbi":
+        return small_dbi_spec(dim)
+    if scenario == "grover":
+        cfg = grover_config_from_distance(delta0=0.6, alternations=1, n_steps=1, dim=dim, seed=3)
+        spec = grover_recursion_spec(cfg)
+        return dataclasses.replace(spec, step=spec.resolve_step(0))
+    dims = (2, dim // 2)
+    psi = PureState(random_pure(dim, 5).amplitudes, dims)
+    spec = osd_recursion_spec(OSDConfig(dims=dims, diagonal=np.diag([0.0, 1.0]), initial=psi))
+    return dataclasses.replace(spec, target=spec.root)
+
+
+class TestDiagnosticsAfterTheLoop:
+    """``run_strategy`` computes the distances in stacked chunks after its step
+    loop; each point still reads what the per-point formulas read."""
+
+    @pytest.mark.parametrize("scenario, strategy", [
+        ("dbi", UnfoldingStrategy(2)), ("grover", ExactStrategy()), ("osd", ExactStrategy()),
+    ], ids=["dbi-unfolding", "grover-exact", "osd-exact"])
+    @pytest.mark.parametrize("dim", [2, 8, 12, 16])
+    def test_points_match_the_per_point_diagnostics(self, scenario, strategy, dim):
+        spec = diagnostics_spec(scenario, dim)
+        for n_steps in chunk_boundary_steps(dim):
+            record = run_strategy(spec, n_steps, strategy)
+            assert len(record) == n_steps + 1
+            for pt in record.points:
+                want = trace_distance(pt.state.matrix, spec.target.matrix)
+                assert pt.distance_to_target.hex() == want.hex()
+                assert pt.mixedness.hex() == imr_mod.mixedness(pt.state).hex()
+
+    def test_points_of_a_spec_without_target_have_no_distance(self):
+        record = run_exact(commuting_spec(), engine.chunk_length(3) + 1)
+        assert {pt.distance_to_target for pt in record.points} == {None}
+
+    @pytest.mark.parametrize("dim, length", [(2, 1024), (8, 64), (16, 16), (64, 1), (512, 1)])
+    def test_no_chunk_stacks_more_than_the_byte_budget(self, dim, length):
+        budget = engine._CHUNK_BYTES
+        assert engine.chunk_length(dim) == length
+        matrices = [np.full((dim, dim), k, dtype=complex) for k in range(2 * length + 1)]
+        starts, covered = [], []
+        for start, stack in engine.stacked_chunks(matrices):
+            assert stack.shape[1:] == (dim, dim)
+            assert stack.nbytes <= budget or len(stack) == 1
+            if start + len(stack) < len(matrices):  # a full chunk holds no room for one more
+                assert stack.nbytes + 16 * dim * dim > budget
+            starts.append(start)
+            covered += [int(m[0, 0].real) for m in stack]
+        assert covered == list(range(len(matrices)))
+        assert starts == list(range(0, len(matrices), length))
+
+    def test_no_matrices_make_no_chunk(self):
+        assert list(engine.stacked_chunks([])) == []
+
+
+def count_instruction_exps(monkeypatch, spec):
+    """The ``herm_exp`` calls a run makes on ``-D``, the instruction operator
+    of ``spec``'s commutator map, recorded by a spy on ``channels.herm_exp``."""
+    minus_d = -spec.resolve_step(0).memory_calls[0].map.structure.d
+    calls, real = [], channels.herm_exp
+
+    def spy(h, t):
+        if np.array_equal(h, minus_d):
+            calls.append(t)
+        return real(h, t)
+
+    monkeypatch.setattr(channels, "herm_exp", spy)
+    return calls
+
+
+class TestOneInstructionExponential:
+    """An unfolded run exponentiates its instruction operator once: every call
+    shares the map and the group commutator's step."""
+
+    @pytest.mark.parametrize("n_steps", [2, 7])
+    def test_unfolding_run(self, monkeypatch, n_steps):
+        spec = small_dbi_spec()
+        calls = count_instruction_exps(monkeypatch, spec)
+        run_unfolding(spec, n_steps, gc_substeps=4)
+        assert len(calls) == 1
+
+    def test_hybrid_run_unfolding_phase(self, monkeypatch):
+        spec = small_dbi_spec()
+        calls = count_instruction_exps(monkeypatch, spec)
+        run_hybrid(spec, 5, 2, 16)
+        assert len(calls) == 1

@@ -58,6 +58,17 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             partial_trace(np.eye(4), (2, 3), keep=[0])
 
+    @pytest.mark.parametrize("dims, keep", [
+        ((2, 3), [0]), ((2, 3), [1]), ((3, 9), [0]), ((4, 4), [1]), ((2, 2, 3), [0, 2]), ((2, 2, 2), []),
+    ])
+    def test_stack_is_traced_matrix_by_matrix(self, dims, keep):
+        d = int(np.prod(dims))
+        stack = np.stack([random_density(d, seed).matrix for seed in range(5)])
+        out = partial_trace(stack, dims, keep)
+        assert out.shape[0] == 5
+        for m, got in zip(stack, out):
+            np.testing.assert_array_equal(got, partial_trace(m, dims, keep))
+
 
 class TestHermExp:
     def test_zero_time(self):
@@ -128,6 +139,19 @@ class TestTraceDistance:
             proj = np.outer(v, v.conj())
             diff = abs(np.real(np.trace(proj @ (rho - sig))))
             assert trace_distance(rho, sig) >= diff / 2 - 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 16])
+    def test_stack_gives_each_distance_to_the_bit(self, dim):
+        target = random_density(dim, 1).matrix
+        stack = np.stack([random_density(dim, seed).matrix for seed in range(2, 9)])
+        got = trace_distance(stack, target)
+        assert got.shape == (7,)
+        assert [x.hex() for x in got] == [trace_distance(m, target).hex() for m in stack]
+
+    def test_stack_of_one_and_of_none(self):
+        rho, sig = random_density(3, 1).matrix, random_density(3, 2).matrix
+        assert trace_distance(rho[None], sig)[0] == trace_distance(rho, sig)
+        assert trace_distance(np.zeros((0, 3, 3)), sig).shape == (0,)
 
     def test_unitary_invariance(self):
         rho = random_density(4, 5).matrix
@@ -218,11 +242,16 @@ class TestStates:
         (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[2]), "out of range for 2 factors"),
         (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[-1]), "out of range for 2 factors"),
         (lambda: trace_distance(np.eye(2) / 2, np.eye(3) / 3), "shape mismatch"),
+        (lambda: trace_distance(np.ones((2, 3, 3)), np.eye(2)), "shape mismatch"),
+        (lambda: trace_distance(np.ones((2, 2, 3)), np.eye(3)), "expected a square matrix"),
+        (lambda: trace_distance(np.ones((1, 2, 2, 2)), np.eye(2)), "expected a matrix, got ndim=4"),
+        (lambda: partial_trace(np.ones((2, 4, 4)), (2, 3), keep=[0]), "do not multiply to 4"),
         (lambda: random_density(0, 1), "dim must be >= 1"),
         (lambda: random_pure(0, 1), "dim must be >= 1"),
     ],
     ids=["ndim", "not-square", "zero-factor", "no-factors", "trace-keep-high", "trace-keep-low",
-         "distance-shapes", "random-density", "random-pure"],
+         "distance-shapes", "distance-stack-shapes", "distance-stack-not-square",
+         "distance-stack-ndim", "trace-stack-dims", "random-density", "random-pure"],
 )
 def test_argument_checks_raise_dimension_errors(call, match):
     with pytest.raises(DimensionError, match=match):
