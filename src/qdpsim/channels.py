@@ -7,11 +7,12 @@ copies of ``rho`` (``queried_memory_call``).  The engine reads no map.
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
 ``Nhat = sum_jk |k><j| (x) N(|j><k|)`` defines the query unitary
-``exp(-i Nhat t)`` and the error bound (``query_error_bound``).  The
-package's maps name their structure (``Swap``, ``Commutator``,
-``PairCommutator``, ``Lift``), which gives both in closed form, so no CLI run
-builds ``Nhat``.  Only a dense map (``map_from_function``) has its ``Nhat``
-built from the action, symmetrized by ``linalg.hermitize`` (the one
+``exp(-i Nhat t)`` and the error bound (``query_error_bound``), and one
+``QueryGenerator`` gives both.  The package's maps name their structure
+(``Swap``, ``Commutator``, ``PairCommutator``, ``Lift``), a ``QueryGenerator``
+that gives both in closed form, so no CLI run builds ``Nhat``.  Only a dense
+map (``map_from_function``) has its ``Nhat`` built from the action
+(``QueryGenerator.from_map``), symmetrized by ``linalg.hermitize`` (the one
 Hermiticity check) and diagonalized by ``linalg.herm_exp``.
 Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
 the memory register applies the map's exponential to the working state up to
@@ -72,11 +73,11 @@ from .linalg import (
 class HermitianPreservingMap:
     """Linear Hermitian-preserving map, held as its action ``x -> N(x)``.
 
-    ``structure``, when set, names what the map is: ``Swap``, ``Commutator``
-    (whose calls unfold), ``PairCommutator`` or ``Lift`` (whose calls run on
-    the A factor).  Its ``unitary(t, d)`` and ``norm(d)``, ``d = d_out``, are
-    ``exp(-i Nhat t)`` (memory register first) and ``||Nhat||`` in closed
-    form.  A map without one is dense.
+    ``structure``, when set, names what the map is and is its query
+    generator: ``Swap``, ``Commutator`` (whose calls unfold),
+    ``PairCommutator`` or ``Lift`` (whose calls run on the A factor), each
+    giving ``exp(-i Nhat t)`` (memory register first) and ``||Nhat||`` in
+    closed form.  A map without one is dense.
     """
 
     d_in: int
@@ -86,11 +87,9 @@ class HermitianPreservingMap:
 
     @functools.cached_property
     def generator(self) -> "QueryGenerator":
-        """The map's query generator: its structure's, holding no ``Nhat``,
-        or a dense map's ``Nhat`` built from the action (``from_map``)."""
-        if self.structure is None:
-            return QueryGenerator.from_map(self)
-        return QueryGenerator(None, self.d_in, self.d_out, self.structure)
+        """The map's query generator: its structure, holding no ``Nhat``, or
+        a dense map's ``Nhat`` built from the action (``from_map``)."""
+        return QueryGenerator.from_map(self) if self.structure is None else self.structure
 
 
 def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
@@ -121,27 +120,28 @@ def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
 
 
 class QueryGenerator:
-    """Hermitian generator ``Nhat`` of memory-usage queries, its norm
-    ``||Nhat||`` and its query unitary ``exp(-i Nhat t)``.
+    """Hermitian generator ``Nhat`` of memory-usage queries on a ``d_in``
+    memory and a ``d_out`` working register, its norm ``||Nhat||`` and its
+    query unitary ``exp(-i Nhat t)``.
 
-    A dense generator holds ``n_hat``, the generator's matrix, hermitized on
-    creation.  A structured one is given ``structure`` and no ``n_hat``
-    (``None``): its unitary and norm are the structure's closed forms.
+    This class is the dense generator: it holds ``n_hat``, the generator's
+    matrix, hermitized on creation, and exponentiates it by ``herm_exp``.
+    The map structures (``Swap``, ``Commutator``, ``PairCommutator``,
+    ``Lift``) subclass it, hold no ``n_hat`` and give ``d_in``, ``d_out``,
+    ``norm`` and ``make_unitary`` in closed form.
     """
 
-    def __init__(self, n_hat, d_in: int, d_out: int, structure=None):
-        self.d_in, self.d_out, self.structure = d_in, d_out, structure
-        if structure is None:
-            n_hat = hermitize(n_hat)
-            if n_hat.shape[0] != d_in * d_out:
-                raise DimensionError("generator dimension does not match d_in*d_out")
-            n_hat.setflags(write=False)
-        self.n_hat = n_hat
+    def __init__(self, n_hat, d_in: int, d_out: int):
+        n_hat = hermitize(n_hat)
+        if n_hat.shape[0] != d_in * d_out:
+            raise DimensionError("generator dimension does not match d_in*d_out")
+        n_hat.setflags(write=False)
+        self.n_hat, self.d_in, self.d_out = n_hat, d_in, d_out
 
     @classmethod
     def from_map(cls, m: HermitianPreservingMap) -> "QueryGenerator":
         """The dense generator of ``m``: ``Nhat`` built from the action, with
-        ``N(|j><k|)`` in block ``[k, :, j, :]``, and no structure.
+        ``N(|j><k|)`` in block ``[k, :, j, :]``.
         ``hermitize`` rejects a map that is not Hermitian-preserving.
         Hermitizing it again, as ``herm_exp`` does, returns its bits.
         """
@@ -154,44 +154,41 @@ class QueryGenerator:
             unit[j, k] = 0.0
         return cls(n_hat4.reshape(d_in * d_out, d_in * d_out), d_in, d_out)
 
-    @functools.cached_property
-    def norm(self) -> float:
-        """``||Nhat||``: the structure's closed form, else ``op_norm(n_hat)``."""
-        if self.structure is None:
-            return op_norm(self.n_hat)
-        return float(self.structure.norm(self.d_out))
+    norm = functools.cached_property(lambda self: op_norm(self.n_hat))  # ||Nhat||
+
+    def make_unitary(self, t: float) -> np.ndarray:
+        """A fresh ``exp(-i Nhat t)``, ``herm_exp`` of ``n_hat``."""
+        return herm_exp(self.n_hat, t)
 
     def unitary(self, s: float) -> np.ndarray:
-        """Read-only ``exp(-i Nhat s)``: the structure's closed form, else
-        ``herm_exp`` of ``n_hat``.
+        """Read-only ``exp(-i Nhat s)`` (``make_unitary``).
 
         The last duration's unitary is kept, with its pair plan once a
-        superoperator build reads it (``_pairs``), in one slot keyed on the
-        bits of ``s`` (so ``-0.0`` and ``0.0`` stay apart): every step of a run
-        queries its generator at one duration, and a schedule of varying
-        durations then holds one unitary, not one per step.
+        superoperator build reads it (``_pairs``), in one slot (``_kept``):
+        every step of a run queries its generator at one duration, and a
+        schedule of varying durations then holds one unitary, not one per step.
         """
-        return self._slot(s)["unitary"]
+        return _kept(self, "_last", s, self.make_unitary)["value"]
 
     def _pairs(self, s: float):
         """``_pair_plan`` of ``unitary(s)``, made on its first read and kept in
         the unitary's slot, since it depends on the unitary alone."""
-        slot = self._slot(s)
+        slot = _kept(self, "_last", s, self.make_unitary)
         if "pairs" not in slot:
-            slot["pairs"] = _pair_plan(slot["unitary"], self.d_in, self.d_out)
+            slot["pairs"] = _pair_plan(slot["value"], self.d_in, self.d_out)
         return slot["pairs"]
 
-    def _slot(self, s: float) -> dict:
-        key = float(s).hex()
-        slot = self.__dict__.get("_last")
-        if slot is None or slot["key"] != key:
-            if self.structure is None:
-                u = herm_exp(self.n_hat, float(s))
-            else:
-                u = self.structure.unitary(float(s), self.d_out)
-            u.setflags(write=False)
-            slot = self.__dict__["_last"] = {"key": key, "unitary": u}
-        return slot
+
+def _kept(owner, name: str, t: float, make: Callable[[float], np.ndarray]) -> dict:
+    """``owner``'s slot ``name``, holding ``make(t)`` read-only under the key
+    of the bits of ``t`` (so ``-0.0`` and ``0.0`` stay apart), made again
+    when ``t`` changes.  What depends on that value alone may join it."""
+    key, slot = float(t).hex(), owner.__dict__.get(name, {})
+    if slot.get("key") != key:
+        value = make(float(t))
+        value.setflags(write=False)
+        slot = owner.__dict__[name] = {"key": key, "value": value}
+    return slot
 
 
 def _pair_plan(w: np.ndarray, d_in: int, d_out: int):
@@ -254,16 +251,18 @@ class MemoryCallSpec:
 
 
 @dataclass(frozen=True)
-class Swap:
-    """``N(x) = -alpha x``: ``Nhat = -alpha SWAP``, so ``||Nhat|| = |alpha|``
-    and the query unitary is ``cos(alpha t) 1 + i sin(alpha t) SWAP``."""
+class Swap(QueryGenerator):
+    """``N(x) = -alpha x`` on ``dim x dim`` matrices: ``Nhat = -alpha SWAP``,
+    so ``||Nhat|| = |alpha|`` and the query unitary is
+    ``cos(alpha t) 1 + i sin(alpha t) SWAP``."""
 
     alpha: float
+    dim: int
+    d_in = d_out = property(lambda self: self.dim)
+    norm = property(lambda self: abs(float(self.alpha)))
 
-    def norm(self, d: int) -> float:
-        return abs(self.alpha)
-
-    def unitary(self, t: float, d: int) -> np.ndarray:
+    def make_unitary(self, t: float) -> np.ndarray:
+        d = self.dim
         a, b = np.indices((d, d))
         u = np.zeros((d, d, d, d), dtype=complex)
         u[b, a, a, b] = 1j * np.sin(self.alpha * t)  # SWAP |ab> = |ba>
@@ -272,7 +271,7 @@ class Swap:
 
 
 @dataclass(frozen=True)
-class Commutator:
+class Commutator(QueryGenerator):
     """``N(x) = -i s [d, x]`` for Hermitian ``d = v diag(mu) v^dag``, its
     spectrum found once, when the structure is made (``v`` is None for a
     diagonal ``d``).
@@ -288,6 +287,7 @@ class Commutator:
     s: float
     mu: np.ndarray = field(init=False, repr=False)
     v: Optional[np.ndarray] = field(init=False, repr=False)
+    d_in = d_out = property(lambda self: self.mu.size)
 
     def __post_init__(self):
         diagonal = not np.count_nonzero(self.d - np.diag(np.diag(self.d)))
@@ -295,24 +295,17 @@ class Commutator:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "v", v)
 
-    def norm(self, d: int) -> float:
-        # In Python floats, so a norm past the float range reads inf without a warning.
-        return abs(float(self.s)) * (float(self.mu.max()) - float(self.mu.min()))
+    # In Python floats, so a norm past the float range reads inf without a warning.
+    norm = property(lambda self: abs(float(self.s)) * (float(self.mu.max()) - float(self.mu.min())))
 
     def instruction_exp(self, r: float) -> np.ndarray:
         """Read-only ``herm_exp(-d, r)``, the instruction's factor of each group
         commutator of an unfolded call at ``r = sqrt(step)``.  Every unfolded
-        call of a run shares one ``r``, so the last one is kept, in one slot
-        keyed on the bits of ``r`` (as ``QueryGenerator`` keys its unitary)."""
-        key = float(r).hex()
-        slot = self.__dict__.get("_exp")
-        if slot is None or slot[0] != key:
-            e = herm_exp(-self.d, r)
-            e.setflags(write=False)
-            slot = self.__dict__["_exp"] = (key, e)
-        return slot[1]
+        call of a run shares one ``r``, so the last one is kept (``_kept``)."""
+        return _kept(self, "_exp", r, lambda r: herm_exp(-self.d, r))["value"]
 
-    def unitary(self, t: float, d: int) -> np.ndarray:
+    def make_unitary(self, t: float) -> np.ndarray:
+        d = self.d_out
         theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
         a, b = np.indices((d, d))
         w = np.zeros((d, d, d, d), dtype=complex)
@@ -326,27 +319,29 @@ class Commutator:
 
 
 @dataclass(frozen=True)
-class PairCommutator:
-    """The degree-two map ``N(rho (x) chi) = -i s [rho, chi]``
-    (``make_pair_commutator_map``).  Its generator is ``-i s (C - C^2)`` for
-    the cyclic shift ``C|x y z> = |y z x>`` of the three registers, with
-    eigenvalues ``+-sqrt(3) s`` (all 0 at ``d = 1``, where ``C = 1``), and
+class PairCommutator(QueryGenerator):
+    """The degree-two map ``N(rho (x) chi) = -i s [rho, chi]`` on ``dim x dim``
+    states (``make_pair_commutator_map``).  Its generator is ``-i s (C - C^2)``
+    for the cyclic shift ``C|x y z> = |y z x>`` of the three registers, with
+    eigenvalues ``+-sqrt(3) s`` (all 0 at ``dim = 1``, where ``C = 1``), and
     its query unitary is ``c0 1 + c1 C + c2 C^2`` with
     ``c_j = (1 + 2 cos(theta - 2 pi j / 3)) / 3`` and ``theta = -sqrt(3) s t``
     reduced mod ``2 pi``.
     """
 
     s: float
+    dim: int
+    d_in = property(lambda self: self.dim**2)
+    d_out = property(lambda self: self.dim)
+    norm = property(lambda self: math.sqrt(3.0) * abs(float(self.s)) if self.dim > 1 else 0.0)
 
-    def norm(self, d: int) -> float:
-        return math.sqrt(3.0) * abs(float(self.s)) if d > 1 else 0.0
-
-    def unitary(self, t: float, d: int) -> np.ndarray:
+    def make_unitary(self, t: float) -> np.ndarray:
         # theta - 2 pi j / 3 rounds at theta's magnitude, so at a large theta
         # the c_j would stop sharing one angle and u^dag u would miss 1 (by
         # 8e-7 at 1e10); fmod is exact and keeps every |theta| < 2 pi's bits.
         theta = np.fmod(-np.sqrt(3.0) * self.s * t, 2 * np.pi)
         c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3))
+        d = self.dim
         x, y, z = np.indices((d, d, d))
         u = np.zeros((d,) * 6, dtype=complex)
         u[x, y, z, x, y, z] += c0
@@ -356,7 +351,7 @@ class PairCommutator:
 
 
 @dataclass(frozen=True)
-class Lift:
+class Lift(QueryGenerator):
     """``N(x) = inner(Tr_B x) (x) 1_B`` on registers ``A (x) B``,
     ``dim B = d_b``.
 
@@ -368,15 +363,15 @@ class Lift:
 
     inner: HermitianPreservingMap
     d_b: int
+    d_in = property(lambda self: self.inner.d_in * self.d_b)
+    d_out = property(lambda self: self.inner.d_out * self.d_b)
+    norm = property(lambda self: self.inner.generator.norm)
 
-    def norm(self, d: int) -> float:
-        return self.inner.generator.norm
-
-    def unitary(self, t: float, d: int) -> np.ndarray:
+    def make_unitary(self, t: float) -> np.ndarray:
         a_in, a_out, eye_b = self.inner.d_in, self.inner.d_out, np.eye(self.d_b, dtype=complex)
         w_a = self.inner.generator.unitary(t).reshape(a_in, a_out, a_in, a_out)
         u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
-        return u.reshape(a_in * a_out * self.d_b**2, a_in * a_out * self.d_b**2)
+        return u.reshape(self.d_in * self.d_out, self.d_in * self.d_out)
 
 
 def make_identity_map(dim: int) -> HermitianPreservingMap:
@@ -387,7 +382,7 @@ def make_identity_map(dim: int) -> HermitianPreservingMap:
 def make_scaled_identity_map(alpha: float, dim: int) -> HermitianPreservingMap:
     """The map ``rho -> -alpha * rho`` (``Swap``)."""
     alpha, d = float(alpha), int(dim)
-    return HermitianPreservingMap(d, d, lambda x: -alpha * x, Swap(alpha))
+    return HermitianPreservingMap(d, d, lambda x: -alpha * x, Swap(alpha, d))
 
 
 def make_commutator_map(d, s: float) -> HermitianPreservingMap:
@@ -458,7 +453,7 @@ def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
         second_first = np.einsum("apqa->pq", x4)
         return -1j * ss * (first_second - second_first)
 
-    return HermitianPreservingMap(d * d, d, fn, PairCommutator(ss))
+    return HermitianPreservingMap(d * d, d, fn, PairCommutator(ss, d))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +506,7 @@ def queried_memory_call(
     the validated instruction's matrix (``instruction_matrix``), not wrapped again."""
     memory = call.instruction_matrix(instruction)
     if isinstance(call.map.structure, Lift):
-        _check_query_dims(call.map, memory, working)
+        _check_query_dims(call.map.structure, memory, working)
         return _lifted_call(call, memory, _matrix(working), m)
     return repeated_queries(call.map.generator, memory, working, -call.duration, m)
 
@@ -540,10 +535,10 @@ def _lifted_call(call: MemoryCallSpec, memory: np.ndarray, working: np.ndarray,
 
 
 def _check_query_dims(gen, memory, working=None):
-    """``memory`` and ``working`` against ``gen``'s ``d_in`` and ``d_out``
-    (``gen`` a generator or a map).  They are matrices or ``DensityMatrix``
-    states, and ``working`` may be a ``repeated_queries`` batch; without
-    ``working`` only the memory is checked."""
+    """``memory`` and ``working`` against the generator ``gen``'s ``d_in``
+    and ``d_out``.  They are matrices or ``DensityMatrix`` states, and
+    ``working`` may be a ``repeated_queries`` batch; without ``working`` only
+    the memory is checked."""
     d_mem = _matrix(memory).shape[0]
     d_work = gen.d_out if working is None else _matrix(working).shape[0]
     if d_mem != gen.d_in or d_work != gen.d_out:

@@ -223,6 +223,19 @@ def _finite_norm(mu: Optional[list]) -> bool:
     return mu is None or math.isfinite(sum(x * x for x in mu))
 
 
+def _finite_field(p: dict) -> bool:
+    """A random model, or a Heisenberg chain of ``n`` qubits whose ``field``
+    keeps ``2^n n (|field| + 3)``, which bounds the chain's shifted trace,
+    or with a null ``step_size`` ``2^n n (field^2 + 3)``, which bounds its
+    squared Hilbert-Schmidt norm (its Pauli strings are orthogonal; the
+    canonical step reads it), a factor 4 inside the float range (headroom for
+    hermitizing, the ground-energy shift and rounding).  A chain of more than
+    64 qubits is left to the size check."""
+    n, f = p["n_qubits"], abs(p["field"])
+    scale = 4.0 * 2**n * n if p["model"] == "heisenberg_chain" and n <= 64 else 0.0
+    return math.isfinite(scale * (f + 3 if p["step_size"] is not None else f * f + 3))
+
+
 def _cascade_fault(p: dict) -> Optional[str]:
     """The rule field the eps-inflated distance cascade breaks at its first
     failing step, walked lazily: ``params.eps`` at a distance of 1 or more,
@@ -279,10 +292,11 @@ def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None
         )
 
 
-# Largest dense operator a run may build, in bytes.  An exact or unfolding run
-# builds the d_in x d_in instruction matrix (16 d_in^2); a query run builds its
-# map's query unitary, the size of ``Nhat`` (16 d_in^2 d_out^2), which is never
-# smaller than its superoperator (16 d_out^4) because d_in >= d_out.
+# Largest dense operator a run may build, in bytes.  Every run builds the
+# d_in x d_in instruction matrix (16 d_in^2); a query run also builds the query
+# unitary of the register its queries run on, the size of that register's
+# ``Nhat`` (16 d_in^2 d_out^2 there), which is never smaller than its
+# superoperator (16 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
 # Largest set of states a run may keep at once, in bytes: a recursion keeps
 # its trajectory, one state per point, and a channel-error probe keeps three
@@ -308,8 +322,10 @@ def _check_operator_size(entry: _Scenario, p: dict, s: dict) -> None:
     if entry.size is None:
         return
     path, log_d = entry.size(p)
-    queried = entry.queries or s["kind"] in ("qdp", "hybrid")
-    log_bytes = 4 + 2 * (entry.inputs * log_d) + (2 * log_d if queried else 0)
+    log_q = entry.factor(p) if entry.factor else log_d
+    log_bytes = 4 + 2 * (entry.inputs * log_d)
+    if entry.queries or s["kind"] in ("qdp", "hybrid"):
+        log_bytes = max(log_bytes, 4 + 2 * (entry.inputs * log_q) + 2 * log_q)
     if log_bytes > math.log2(MAX_OPERATOR_BYTES):
         raise InfeasibleConfigError(
             f"field '{path}' gives an operator of 2^{log_bytes:.2f} bytes, "
@@ -619,6 +635,8 @@ class _Scenario(NamedTuple):
     ``inputs`` such states, so its input dimension is ``d_in = d^inputs``
     (qite's reads the state and a resource state), and a ``queries``
     scenario builds its map's query unitary whatever its strategy.
+    ``factor(params)`` is ``log2`` of the factor of the state its queries run
+    on (None: the whole state); an osd query runs on the A factor.
 
     ``kept(params)`` is ``(field, what, count)``: the ``count`` of such states
     a run keeps at once, which make up ``what``, set by ``field`` (by default
@@ -637,6 +655,7 @@ class _Scenario(NamedTuple):
     size: Optional[Callable] = None
     inputs: int = 1
     queries: bool = False
+    factor: Optional[Callable] = None
     kept: Callable = lambda p: ("params.n_steps", "a trajectory", p["n_steps"] + 1)
     counts: Optional[Callable] = None
     covariant: bool = False
@@ -697,6 +716,8 @@ _SCENARIOS = {
          lambda p, s: s["kind"] != "unfolding" and s.get("n1", 0) == 0),
         ("params.dim", "be given for params.model random",
          lambda p, s: p["model"] != "random" or p["dim"] is not None),
+        ("params.field", "keep the Hamiltonian's norm below the float range",
+         lambda p, s: _finite_field(p)),
         _HYBRID_SPLIT,
     ), size=_qite_size, inputs=2, counts=lambda p: (1, 2), distance="ground_infidelity"),
     "osd": _Scenario({
@@ -711,7 +732,7 @@ _SCENARIOS = {
          lambda p, s: _finite_norm(p["mu"])),
         ("strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
     ), size=lambda p: ("params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])),
-        counts=lambda p: (1, 2)),
+        factor=lambda p: math.log2(p["dims"][0]), counts=lambda p: (1, 2)),
     "channel-error": _Scenario({
         "dim": _Field("int", _REQUIRED, lo=1),
         "map": _Field("str", "dme", choices=("dme", "scaled", "commutator")),

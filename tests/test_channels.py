@@ -1,3 +1,4 @@
+import inspect
 import warnings
 import weakref
 
@@ -27,6 +28,7 @@ from qdpsim import (
     make_scaled_identity_map,
     map_apply,
     memory_usage_query,
+    op_norm,
     partial_trace,
     query_error_bound,
     random_density,
@@ -194,10 +196,10 @@ class TestQueryGeneratorUnitary:
     def test_closed_form_in_one_slot(self):
         m = make_commutator_map(random_hermitian(3, 23), 0.4)
         u = m.generator.unitary(0.25)
-        assert np.array_equal(u, m.structure.unitary(0.25, 3))
+        assert np.array_equal(u, m.structure.make_unitary(0.25))
         assert not u.flags.writeable
         assert m.generator.unitary(0.25) is u
-        assert m.generator.n_hat is None
+        assert not hasattr(m.generator, "n_hat")
 
     @pytest.mark.parametrize(
         "build, scatters",
@@ -229,6 +231,115 @@ class TestQueryGeneratorUnitary:
             again = gen._pairs(0.25)
             assert again is not pairs
             assert all(np.array_equal(x, y) for x, y in zip(again, pairs))
+
+
+def reference_unitary(st, t):
+    """Reference copies of the four closed-form query unitaries, written out
+    on the structure's fields."""
+    if isinstance(st, channels.Swap):
+        d = st.dim
+        a, b = np.indices((d, d))
+        u = np.zeros((d, d, d, d), dtype=complex)
+        u[b, a, a, b] = 1j * np.sin(st.alpha * t)
+        u[a, b, a, b] += np.cos(st.alpha * t)
+        return u.reshape(d * d, d * d)
+    if isinstance(st, channels.Commutator):
+        d = st.d.shape[0]
+        theta = -t * st.s * (st.mu[:, None] - st.mu[None, :])
+        a, b = np.indices((d, d))
+        w = np.zeros((d, d, d, d), dtype=complex)
+        w[b, a, a, b] = np.sin(theta)
+        w[a, b, a, b] = np.cos(theta)
+        w = w.reshape(d * d, d * d)
+        if st.v is None:
+            return w
+        vv = np.kron(st.v, st.v)
+        return vv @ w @ vv.conj().T
+    if isinstance(st, channels.PairCommutator):
+        d = st.dim
+        theta = np.fmod(-np.sqrt(3.0) * st.s * t, 2 * np.pi)
+        c0, c1, c2 = ((1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3))
+        x, y, z = np.indices((d, d, d))
+        u = np.zeros((d,) * 6, dtype=complex)
+        u[x, y, z, x, y, z] += c0
+        u[y, z, x, x, y, z] += c1
+        u[z, x, y, x, y, z] += c2
+        return u.reshape(d**3, d**3)
+    a_in, a_out, eye_b = st.inner.d_in, st.inner.d_out, np.eye(st.d_b, dtype=complex)
+    w_a = reference_unitary(st.inner.structure, t).reshape(a_in, a_out, a_in, a_out)
+    u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
+    return u.reshape(a_in * a_out * st.d_b**2, a_in * a_out * st.d_b**2)
+
+
+def reference_norm(st):
+    """Reference copies of the four closed-form ``||Nhat||``."""
+    if isinstance(st, channels.Swap):
+        return float(abs(st.alpha))
+    if isinstance(st, channels.Commutator):
+        return abs(float(st.s)) * (float(st.mu.max()) - float(st.mu.min()))
+    if isinstance(st, channels.PairCommutator):
+        return np.sqrt(3.0) * abs(float(st.s)) if st.dim > 1 else 0.0
+    return reference_norm(st.inner.structure)
+
+
+PACKAGE_MAPS = {
+    "identity": lambda: make_identity_map(3),
+    "scaled": lambda: make_scaled_identity_map(-0.7, 4),
+    "scaled-1": lambda: make_scaled_identity_map(2.5, 1),
+    "commutator": lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+    "diagonal-commutator": lambda: make_commutator_map(np.diag(np.arange(5.0)), -0.3),
+    "osd": lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+    "pair-commutator": lambda: make_pair_commutator_map(3, 0.9),
+    "pair-commutator-1": lambda: make_pair_commutator_map(1, 0.9),
+}
+
+
+@pytest.mark.parametrize("build", PACKAGE_MAPS.values(), ids=PACKAGE_MAPS.keys())
+class TestStructureIsTheGenerator:
+    """A package map's structure is its query generator: one object, whose
+    closed forms keep their bits."""
+
+    def test_generator_is_the_structure(self, build):
+        m = build()
+        assert m.generator is m.structure
+        assert isinstance(m.structure, QueryGenerator)
+        assert (m.generator.d_in, m.generator.d_out) == (m.d_in, m.d_out)
+        assert not hasattr(m.generator, "n_hat")
+
+    def test_unitary_and_norm_keep_their_bits(self, build):
+        m = build()
+        for t in (0.0, -0.0, 0.25, -1.3, 1e10):
+            u = m.generator.unitary(t)
+            assert u.tobytes() == reference_unitary(m.structure, t).tobytes(), t
+            assert m.structure.make_unitary(t).tobytes() == u.tobytes()
+        norm = m.generator.norm
+        assert type(norm) is float
+        assert norm == reference_norm(m.structure)
+        assert np.float64(norm).tobytes() == np.float64(reference_norm(m.structure)).tobytes()
+
+    def test_closed_forms_take_no_dimension(self, build):
+        st = build().structure
+        assert list(inspect.signature(st.make_unitary).parameters) == ["t"]
+        assert list(inspect.signature(st.unitary).parameters) == ["s"]
+
+
+def test_dense_generator_exponentiates_by_herm_exp(monkeypatch):
+    # A dense generator's query unitary is herm_exp of its Nhat, one call per duration.
+    calls = []
+    real = channels.herm_exp
+
+    def counting(h, t):
+        calls.append((h, t))
+        return real(h, t)
+
+    monkeypatch.setattr(channels, "herm_exp", counting)
+    gen = QueryGenerator.from_map(make_commutator_map(random_hermitian(3, 21), 0.4))
+    u = gen.unitary(0.3)
+    assert len(calls) == 1 and calls[0][0] is gen.n_hat and calls[0][1] == 0.3
+    assert u.tobytes() == real(gen.n_hat, 0.3).tobytes()
+    assert gen.unitary(0.3) is u and len(calls) == 1
+    assert gen.norm == op_norm(gen.n_hat)
+    assert list(inspect.signature(QueryGenerator).parameters) == ["n_hat", "d_in", "d_out"]
 
 
 class TestMakeCommutatorMap:

@@ -597,7 +597,8 @@ class TestOperatorSize:
              {"dim": 91, "n_steps": 2}),
             ("params.dim", "grover", {"kind": "qdp", "m": 4},
              {"L": 1, "dim": 91, "n_steps": 1, "delta0": 0.6}),
-            ("params.dims", "osd", {"kind": "qdp", "m": 4}, {"dims": [10, 10], "n_steps": 1}),
+            # an osd query runs on the A factor: 16 * 91^4 B > 2^30 B
+            ("params.dims", "osd", {"kind": "qdp", "m": 4}, {"dims": [91, 2], "n_steps": 1}),
             ("params.dim", "channel-error", {"kind": "exact"},
              {"dim": 91, "s": 0.5, "m_values": [1]}),
         ],
@@ -625,9 +626,11 @@ class TestOperatorSize:
             ("qite", {"kind": "qdp", "m": 4}, {"n_qubits": 4, "n_steps": 1}),  # 2^28 B
             ("dbi", {"kind": "qdp", "m": 4}, {"dim": 90, "n_steps": 1}),
             ("osd", {"kind": "qdp", "m": 4}, {"dims": [9, 10], "n_steps": 1}),
+            # a 16 * 8^4 B = 64 KiB A-factor block and a 16 * 128^2 B instruction
+            ("osd", {"kind": "qdp", "m": 4}, {"dims": [8, 16], "n_steps": 1}),
             ("dbi", {"kind": "exact"}, {"dim": 91, "n_steps": 1}),  # builds no Nhat
         ],
-        ids=["qite-4-qubits", "dbi-dim-90", "osd-90", "dbi-exact"],
+        ids=["qite-4-qubits", "dbi-dim-90", "osd-90", "osd-8x16", "dbi-exact"],
     )
     def test_sizes_at_the_limit_are_accepted(self, scenario, strategy, params):
         ExperimentConfig.from_dict(
@@ -955,6 +958,69 @@ def test_huge_qite_step_keeps_the_trace(tmp_path, capsys, strategy):
            "params": {"n_steps": 1, "step_size": 1e305}}
     assert main(["run", write_config(tmp_path, doc)]) == 0
     capsys.readouterr()
+
+
+def qite_field_doc(field, step_size=None, n_qubits=2, strategy=None):
+    return {"schema_version": 1, "scenario": "qite", "seed": 7,
+            "strategy": strategy or {"kind": "exact"},
+            "params": {"n_qubits": n_qubits, "n_steps": 2, "field": field, "step_size": step_size}}
+
+
+def largest_accepted_field(step_size, n_qubits):
+    """The largest field ``ExperimentConfig.from_dict`` accepts, by bisection
+    over the bit patterns of the positive floats (which order as integers)."""
+    lo, hi = 0, int(np.float64(np.finfo(float).max).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            ExperimentConfig.from_dict(qite_field_doc(float(np.int64(mid).view(np.float64)),
+                                                      step_size, n_qubits))
+            lo = mid
+        except ConfigError:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+class TestQiteField:
+    """A Heisenberg-chain field whose Hamiltonian, or with a null step_size
+    whose squared norm (which the canonical step reads), would overflow exits
+    2 naming params.field before any numerics and without a warning; an
+    explicit step runs at fields whose squared norm alone would overflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, step_size", [
+        (1e200, None), (-1e200, None), (1e308, None), (1e308, 0.01), (-1e308, 0.01),
+    ])
+    def test_huge_field_is_2_without_a_warning(self, no_runner, tmp_path, capsys,
+                                               field, step_size):
+        assert main(["run", write_config(tmp_path, qite_field_doc(field, step_size))]) == 2
+        assert "field 'params.field' must keep the Hamiltonian's norm" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("strategy", [{"kind": "exact"}, {"kind": "qdp", "m": 4}])
+    def test_explicit_step_at_a_huge_field_runs(self, tmp_path, capsys, strategy):
+        doc = qite_field_doc(1e200, 0.01, strategy=strategy)
+        doc["output"] = {"path": str(tmp_path / "out.csv")}
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        energies = [row.split(",")[1] for row in (tmp_path / "out.csv").read_text().split()[1:]]
+        assert len(set(energies)) == 3  # the step moves the energy
+        capsys.readouterr()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("step_size", [None, 0.01], ids=["canonical", "explicit"])
+    @pytest.mark.parametrize("n_qubits, strategy", [
+        (1, {"kind": "exact"}), (2, {"kind": "exact"}), (2, {"kind": "qdp", "m": 4}),
+        (3, {"kind": "qdp", "m": 4}), (4, {"kind": "exact"}),
+    ], ids=["1-exact", "2-exact", "2-qdp", "3-qdp", "4-exact"])
+    def test_largest_accepted_field_runs_without_a_warning(self, tmp_path, capsys, step_size,
+                                                           n_qubits, strategy):
+        field = largest_accepted_field(step_size, n_qubits)
+        doc = qite_field_doc(field, step_size, n_qubits, strategy)
+        doc["output"] = {"path": str(tmp_path / "out.csv")}
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        energies = [row.split(",")[1] for row in (tmp_path / "out.csv").read_text().split()[1:]]
+        assert len(set(energies)) == 3  # a canonical step above 0 moves the energy
+        capsys.readouterr()
 
 
 @pytest.mark.xfail(strict=True, reason="the 10^6-fold group-commutator product drifts off "

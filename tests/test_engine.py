@@ -231,9 +231,9 @@ class TestGeneratorReuse:
     @staticmethod
     def recording(durations):
         class Recording(channels.Commutator):
-            def unitary(self, t, d):
+            def make_unitary(self, t):
                 durations.append(t)
-                return super().unitary(t, d)
+                return super().make_unitary(t)
 
         def wrap(m):
             return dataclasses.replace(m, structure=Recording(m.structure.d, m.structure.s))
