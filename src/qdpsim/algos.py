@@ -410,14 +410,13 @@ def heisenberg_chain(n_qubits: int = 3, field: float = 0.5) -> np.ndarray:
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.diag([1.0, -1.0]).astype(complex)
 
-    def site(op, i):
-        out = np.eye(1, dtype=complex)
-        for k in range(n_qubits):
-            out = np.kron(out, op if k == i else np.eye(2, dtype=complex))
-        return out
+    def sites(op, i):
+        """``op`` on the sites from ``i`` on, as one Kronecker chain."""
+        rest = 2**n_qubits // (2**i * op.shape[0])
+        return np.kron(np.kron(np.eye(2**i, dtype=complex), op), np.eye(rest, dtype=complex))
 
-    h = sum(site(op, i) @ site(op, i + 1) for op in (sx, sy, sz) for i in range(n_qubits - 1))
-    return h + field * sum(site(sz, i) for i in range(n_qubits))
+    h = sum(sites(np.kron(op, op), i) for op in (sx, sy, sz) for i in range(n_qubits - 1))
+    return h + field * sum(sites(sz, i) for i in range(n_qubits))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 realizations of a memory-call ``exp(i s N(rho))``: exact
 (``exact_memory_call``), memoryless by group commutators
 (``unfolded_memory_call``, commutator maps only) and by memory-usage queries on
-copies of ``rho`` (``queried_memory_call``).  The engine reads no map.
+copies of ``rho`` (``queried_memory_call``).  The engine reads no map.  Each
+is one dispatch to the map's structure, or to ``QueryGenerator``'s defaults.
 
 A Hermitian-preserving linear map ``N`` is held as its action ``x -> N(x)``,
 which is all an exact memory-call reads.  Its Hermitian *query generator*
@@ -36,9 +37,9 @@ nonzeros or, for a dense map's or a non-diagonal commutator's unitary, by a
 Gram ``zgemm``.
 
 An osd map is a ``Lift`` of the commutator map on A.  Its exact and queried
-calls run on the A factor (``_lifted_call``): a ``d_A x d_A`` unitary, or a
-``d_A^2 x d_A^2`` query block applied to the working matrix as a batch of
-``d_B^2`` columns.
+calls run on the A factor: a ``d_A x d_A`` unitary, or a ``d_A^2 x d_A^2``
+query block applied to the working matrix as a batch of ``d_B^2`` columns.
+A qite map's exact call forms ``-i s [rho, chi]`` from its two factors.
 
 The three realizations and ``repeated_queries`` take the working register as
 a plain matrix (a ``DensityMatrix`` is read as its matrix) and return a plain
@@ -73,8 +74,8 @@ from .linalg import (
 class HermitianPreservingMap:
     """Linear Hermitian-preserving map, held as its action ``x -> N(x)``.
 
-    ``structure``, when set, names what the map is and is its query
-    generator: ``Swap``, ``Commutator`` (whose calls unfold),
+    ``structure``, when set, names what the map is, is its query generator
+    and realizes its calls: ``Swap``, ``Commutator`` (whose calls unfold),
     ``PairCommutator`` or ``Lift`` (whose calls run on the A factor), each
     giving ``exp(-i Nhat t)`` (memory register first) and ``||Nhat||`` in
     closed form.  A map without one is dense.
@@ -99,9 +100,8 @@ def _act(m: HermitianPreservingMap, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def map_from_function(
-    fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int
-) -> HermitianPreservingMap:
+def map_from_function(fn: Callable[[np.ndarray], np.ndarray], d_in: int,
+                      d_out: int) -> HermitianPreservingMap:
     """The dense map with action ``fn`` from ``d_in x d_in`` to ``d_out x d_out``."""
     return HermitianPreservingMap(d_in=d_in, d_out=d_out, action=fn)
 
@@ -129,6 +129,9 @@ class QueryGenerator:
     The map structures (``Swap``, ``Commutator``, ``PairCommutator``,
     ``Lift``) subclass it, hold no ``n_hat`` and give ``d_in``, ``d_out``,
     ``norm`` and ``make_unitary`` in closed form.
+    Its realizations of a call are the defaults a structure overrides, and
+    are static: a dense map's calls run on the class and build no ``Nhat``
+    unless they query.  So are the log2 bytes a call allocates, from log2 d.
     """
 
     def __init__(self, n_hat, d_in: int, d_out: int):
@@ -177,6 +180,27 @@ class QueryGenerator:
         if "pairs" not in slot:
             slot["pairs"] = _pair_plan(slot["value"], self.d_in, self.d_out)
         return slot["pairs"]
+
+    @staticmethod
+    def exact(call: MemoryCallSpec, instruction: DensityMatrix, working: np.ndarray):
+        """``herm_exp`` of the map's action on the instruction matrix."""
+        u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
+        return u @ working @ u.conj().T
+
+    @staticmethod
+    def queried(call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
+        """``m`` queries on the map's generator, of total duration ``-duration``."""
+        return repeated_queries(call.map.generator, call.instruction_matrix(instruction),
+                                working, -call.duration, m)
+
+    @staticmethod
+    def unfold(call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int):
+        raise UnsupportedSpecError(
+            "unfolding a non-covariant recursion needs commutator-form memory-calls")
+
+    # An exact call's d x d matrices; a query call's d^2 x d^2 query unitary.
+    exact_log_bytes = staticmethod(lambda log_d: 4 + 2 * log_d)
+    queried_log_bytes = staticmethod(lambda log_d: 4 + 4 * log_d)
 
 
 def _kept(owner, name: str, t: float, make: Callable[[float], np.ndarray]) -> dict:
@@ -304,6 +328,19 @@ class Commutator(QueryGenerator):
         call of a run shares one ``r``, so the last one is kept (``_kept``)."""
         return _kept(self, "_exp", r, lambda r: herm_exp(-self.d, r))["value"]
 
+    def unfold(self, call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int):
+        """The call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``,
+        applied as one group commutator's ``substeps``-th power (by squaring),
+        with error O(flow^1.5 / sqrt(substeps))."""
+        if call.extra_instruction is not None:
+            return super().unfold(call, instruction, working, substeps)
+        flow = call.duration * self.s
+        if not flow > 0:
+            raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
+        gc = group_commutator(instruction.matrix, -self.d, flow / substeps, self.instruction_exp)
+        u = np.linalg.matrix_power(gc, substeps)
+        return u @ working @ u.conj().T
+
     def make_unitary(self, t: float) -> np.ndarray:
         d = self.d_out
         theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
@@ -349,6 +386,19 @@ class PairCommutator(QueryGenerator):
         u[z, x, y, x, y, z] += c2
         return u.reshape(d**3, d**3)
 
+    def exact(self, call: MemoryCallSpec, instruction: DensityMatrix, working: np.ndarray):
+        """On ``state (x) chi`` of two ``dim x dim`` factors, ``herm_exp`` of
+        ``-i s [rho, chi]``, from the factors; else the default."""
+        chi = call.extra_instruction
+        if chi is None or instruction.dim != self.dim or chi.dim != self.dim:
+            return super().exact(call, instruction, working)
+        rho, chi = instruction.matrix, chi.matrix
+        u = herm_exp(-1j * self.s * (rho @ chi - chi @ rho), -call.duration)
+        return u @ working @ u.conj().T
+
+    # A query call's d^3 x d^3 query unitary; an exact call's is the default.
+    queried_log_bytes = staticmethod(lambda log_d: 4 + 6 * log_d)
+
 
 @dataclass(frozen=True)
 class Lift(QueryGenerator):
@@ -372,6 +422,32 @@ class Lift(QueryGenerator):
         w_a = self.inner.generator.unitary(t).reshape(a_in, a_out, a_in, a_out)
         u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
         return u.reshape(self.d_in * self.d_out, self.d_in * self.d_out)
+
+    def exact(self, call: MemoryCallSpec, instruction: DensityMatrix, working: np.ndarray):
+        """The inner call, instructed by ``Tr_B`` of the instruction matrix:
+        ``u (x) 1_B`` for its ``d_A x d_A`` unitary ``u``."""
+        memory_a = _trace_b(_input(call.map, call.instruction_matrix(instruction)), self.d_b)
+        d_a = self.inner.d_out
+        u = herm_exp(map_apply(self.inner, memory_a), -call.duration)
+        # (u (x) 1) w on the row index, then (.) (u (x) 1)^dag on the column's A index
+        uw = (u @ working.reshape(d_a, -1)).reshape(d_a * self.d_b, d_a, self.d_b)
+        return np.matmul(u.conj(), uw).reshape(working.shape)
+
+    def queried(self, call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
+        """``m`` queries: the inner ``d_A^2 x d_A^2`` query block on the working
+        matrix as a batch of ``d_B^2`` columns, one per ``(b, b')``."""
+        memory = call.instruction_matrix(instruction)
+        _check_query_dims(self, memory, working)
+        d_a, d_b = self.inner.d_out, self.d_b
+        cols = working.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+        out = repeated_queries(self.inner.generator, _trace_b(memory, d_b),
+                               cols.reshape(d_a, d_a, d_b * d_b), -call.duration, m)
+        return out.reshape(d_a, d_a, d_b, d_b).transpose(0, 2, 1, 3).reshape(working.shape)
+
+    # From log2 d_A and log2 d_B: the d_A d_B x d_A d_B matrices, and for a
+    # query call the inner d_A^2 x d_A^2 query unitary.
+    exact_log_bytes = staticmethod(lambda a, b: 4 + 2 * (a + b))
+    queried_log_bytes = staticmethod(lambda a, b: max(4 + 2 * (a + b), 4 + 4 * a))
 
 
 def make_identity_map(dim: int) -> HermitianPreservingMap:
@@ -445,13 +521,10 @@ def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
     d, ss = int(dim), float(s)
 
     def fn(x):
-        # x indexes as x4[v1, v2, w1, w2] over the doubled register.
+        # On x4[v1, v2, w1, w2], |v1><w1| (x) |v2><w2| goes to <w1|v2> |v1><w2|
+        # (first * second) less <w2|v1> |v2><w1| (second * first).
         x4 = x.reshape(d, d, d, d)
-        # |v1><w1| (x) |v2><w2|  ->  <w1|v2> |v1><w2|   (first * second)
-        first_second = np.einsum("paaq->pq", x4)
-        # |v1><w1| (x) |v2><w2|  ->  <w2|v1> |v2><w1|   (second * first)
-        second_first = np.einsum("apqa->pq", x4)
-        return -1j * ss * (first_second - second_first)
+        return -1j * ss * (np.einsum("paaq->pq", x4) - np.einsum("apqa->pq", x4))
 
     return HermitianPreservingMap(d * d, d, fn, PairCommutator(ss, d))
 
@@ -465,80 +538,38 @@ def _matrix(state) -> np.ndarray:
     return state.matrix if isinstance(state, DensityMatrix) else state
 
 
+def _calls(m: HermitianPreservingMap):
+    """What realizes the map's calls: its structure, or ``QueryGenerator``."""
+    return QueryGenerator if m.structure is None else m.structure
+
+
 def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working) -> np.ndarray:
     """Apply ``exp(i * duration * N(instruction))`` to the working matrix."""
     w = _matrix(working)
     if w.shape[0] != call.map.d_out:
         raise DimensionError(f"working dim {w.shape[0]} != map d_out {call.map.d_out}")
-    x = call.instruction_matrix(instruction)
-    if isinstance(call.map.structure, Lift):
-        return _lifted_call(call, _input(call.map, x), w)
-    u = herm_exp(map_apply(call.map, x), -call.duration)
-    return u @ w @ u.conj().T
+    return _calls(call.map).exact(call, instruction, w)
 
 
-def unfolded_memory_call(
-    call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int
-) -> np.ndarray:
-    """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``:
-    the call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``, applied as
-    one group commutator's ``substeps``-th power (by squaring), with error
-    O(flow^1.5 / sqrt(substeps))."""
-    c = call.map.structure
-    if not isinstance(c, Commutator) or call.extra_instruction is not None:
-        raise UnsupportedSpecError(
-            "unfolding a non-covariant recursion needs commutator-form memory-calls"
-        )
-    flow = call.duration * c.s
-    if not flow > 0:
-        raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
-    gc = group_commutator(instruction.matrix, -c.d, flow / substeps, c.instruction_exp)
-    u = np.linalg.matrix_power(gc, substeps)
-    w = _matrix(working)
-    return u @ w @ u.conj().T
+def unfolded_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working,
+                         substeps: int) -> np.ndarray:
+    """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``
+    by group commutators (``Commutator.unfold``)."""
+    return _calls(call.map).unfold(call, instruction, _matrix(working), substeps)
 
 
-def queried_memory_call(
-    call: MemoryCallSpec, instruction: DensityMatrix, working, m: int
-) -> np.ndarray:
+def queried_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working,
+                        m: int) -> np.ndarray:
     """``exp(i * duration * N(instruction))`` by ``m`` queries of total duration
     ``-duration``, each consuming a copy of the instruction register as memory:
     the validated instruction's matrix (``instruction_matrix``), not wrapped again."""
-    memory = call.instruction_matrix(instruction)
-    if isinstance(call.map.structure, Lift):
-        _check_query_dims(call.map.structure, memory, working)
-        return _lifted_call(call, memory, _matrix(working), m)
-    return repeated_queries(call.map.generator, memory, working, -call.duration, m)
-
-
-def _lifted_call(call: MemoryCallSpec, memory: np.ndarray, working: np.ndarray,
-                 m: Optional[int] = None) -> np.ndarray:
-    """A call of a ``Lift`` map: the inner map's call, instructed by ``Tr_B``
-    of the instruction matrix ``memory``, on the A index of the working
-    matrix, both dimensions checked by the caller.  Exact when ``m`` is None:
-    ``u (x) 1_B`` for the inner call's ``d_A x d_A`` unitary ``u``, by two
-    reshaped products.  Else ``m`` queries: the inner ``d_A^2 x d_A^2`` query
-    block on the working matrix as a batch of ``d_B^2`` columns, one per
-    ``(b, b')`` (``repeated_queries``)."""
-    inner, d_b = call.map.structure.inner, call.map.structure.d_b
-    d_a = inner.d_out
-    memory_a = _trace_b(memory, d_b)
-    if m is None:
-        u = herm_exp(map_apply(inner, memory_a), -call.duration)
-        # (u (x) 1) w on the row index, then (.) (u (x) 1)^dag on the column's A index
-        uw = (u @ working.reshape(d_a, -1)).reshape(d_a * d_b, d_a, d_b)
-        return np.matmul(u.conj(), uw).reshape(working.shape)
-    cols = working.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
-    out = repeated_queries(inner.generator, memory_a, cols.reshape(d_a, d_a, d_b * d_b),
-                           -call.duration, m)
-    return out.reshape(d_a, d_a, d_b, d_b).transpose(0, 2, 1, 3).reshape(working.shape)
+    return _calls(call.map).queried(call, instruction, _matrix(working), m)
 
 
 def _check_query_dims(gen, memory, working=None):
-    """``memory`` and ``working`` against the generator ``gen``'s ``d_in``
-    and ``d_out``.  They are matrices or ``DensityMatrix`` states, and
-    ``working`` may be a ``repeated_queries`` batch; without ``working`` only
-    the memory is checked."""
+    """``memory`` and ``working`` (matrices, states or a ``repeated_queries``
+    batch) against ``gen``'s ``d_in`` and ``d_out``; without ``working``,
+    only the memory."""
     d_mem = _matrix(memory).shape[0]
     d_work = gen.d_out if working is None else _matrix(working).shape[0]
     if d_mem != gen.d_in or d_work != gen.d_out:

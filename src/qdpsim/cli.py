@@ -68,6 +68,10 @@ from .algos import (
 )
 from .channels import (
     MIN_DIAGONAL_GAP,
+    Commutator,
+    Lift,
+    PairCommutator,
+    Swap,
     channel_error_probe,
     make_commutator_map,
     make_identity_map,
@@ -125,26 +129,13 @@ class RunReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in [self.columns, *self.rows])
 
     def to_json(self) -> str:
-        doc = {
-            "metadata": self.metadata,
-            "columns": self.columns,
-            "rows": [[_fmt(v) for v in row] for row in self.rows],
-            "bound_checks": [
-                {
-                    "name": c.name,
-                    "measured": _fmt(c.measured),
-                    "bound": _fmt(c.bound),
-                    "passed": c.passed,
-                }
-                for c in self.bound_checks
-            ],
-        }
+        checks = [{"name": c.name, "measured": _fmt(c.measured), "bound": _fmt(c.bound),
+                   "passed": c.passed} for c in self.bound_checks]
+        doc = {"metadata": self.metadata, "columns": self.columns,
+               "rows": [[_fmt(v) for v in row] for row in self.rows], "bound_checks": checks}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -292,10 +283,9 @@ def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None
         )
 
 
-# Largest dense operator a run may build, in bytes.  Every run builds the
-# d_in x d_in instruction matrix (16 d_in^2); a query run also builds the query
-# unitary of the register its queries run on, the size of that register's
-# ``Nhat`` (16 d_in^2 d_out^2 there), which is never smaller than its
+# Largest dense operator a run may build, in bytes, as the scenario's map
+# structure gives it for an exact call (``exact_log_bytes``) and for a query
+# call (``queried_log_bytes``), whose query unitary is never smaller than its
 # superoperator (16 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
 # Largest set of states a run may keep at once, in bytes: a recursion keeps
@@ -321,18 +311,17 @@ def _check_operator_size(entry: _Scenario, p: dict, s: dict) -> None:
     sizes under the operator limit."""
     if entry.size is None:
         return
-    path, log_d = entry.size(p)
-    log_q = entry.factor(p) if entry.factor else log_d
-    log_bytes = 4 + 2 * (entry.inputs * log_d)
+    path, log_dims = entry.size(p)
+    log_bytes = entry.structure.exact_log_bytes(*log_dims)
     if entry.queries or s["kind"] in ("qdp", "hybrid"):
-        log_bytes = max(log_bytes, 4 + 2 * (entry.inputs * log_q) + 2 * log_q)
+        log_bytes = max(log_bytes, entry.structure.queried_log_bytes(*log_dims))
     if log_bytes > math.log2(MAX_OPERATOR_BYTES):
         raise InfeasibleConfigError(
             f"field '{path}' gives an operator of 2^{log_bytes:.2f} bytes, "
             f"more than the {MAX_OPERATOR_BYTES} bytes a run may build"
         )
     path, what, count = entry.kept(p)
-    kept_bytes = count * kept_state_bytes(round(2**log_d))
+    kept_bytes = count * kept_state_bytes(round(2 ** sum(log_dims)))
     if kept_bytes > MAX_TRAJECTORY_BYTES:
         raise InfeasibleConfigError(
             f"field '{path}' gives {what} of 2^{math.log2(kept_bytes):.2f} bytes, "
@@ -433,15 +422,10 @@ class ExperimentConfig:
                 f"field 'output.path' must name a file in an existing directory, got {out!r}"
             )
         params = _section("params", _SCENARIOS[scenario].params, top["params"])
-        return cls(
-            scenario=scenario,
-            seed=top["seed"],
-            strategy=_strategy("strategy", top["strategy"], scenario, params),
-            params=params,
-            output_path=top["output"]["path"],
-            output_format=top["output"]["format"],
-            raw=raw,
-        )
+        return cls(scenario=scenario, seed=top["seed"],
+                   strategy=_strategy("strategy", top["strategy"], scenario, params),
+                   params=params, output_path=top["output"]["path"],
+                   output_format=top["output"]["format"], raw=raw)
 
 
 def load_config(path: str) -> dict:
@@ -630,13 +614,10 @@ class _Scenario(NamedTuple):
     tying its fields together, checked in order, and ``run`` turns a checked
     config into its report.
 
-    ``size(params)`` is ``(field, log2 d)``: the field giving the state
-    dimension ``d`` (None: no operator is built).  The memory-call map reads
-    ``inputs`` such states, so its input dimension is ``d_in = d^inputs``
-    (qite's reads the state and a resource state), and a ``queries``
+    ``size(params)`` is ``(field, log2 dims)``: the field giving the log2
+    dimensions of the memory-call map's ``structure`` class, whose product is
+    the state dimension ``d`` (None: no operator is built).  A ``queries``
     scenario builds its map's query unitary whatever its strategy.
-    ``factor(params)`` is ``log2`` of the factor of the state its queries run
-    on (None: the whole state); an osd query runs on the A factor.
 
     ``kept(params)`` is ``(field, what, count)``: the ``count`` of such states
     a run keeps at once, which make up ``what``, set by ``field`` (by default
@@ -653,9 +634,8 @@ class _Scenario(NamedTuple):
     run: Callable
     rules: tuple = ()
     size: Optional[Callable] = None
-    inputs: int = 1
+    structure: Optional[type] = None
     queries: bool = False
-    factor: Optional[Callable] = None
     kept: Callable = lambda p: ("params.n_steps", "a trajectory", p["n_steps"] + 1)
     counts: Optional[Callable] = None
     covariant: bool = False
@@ -665,14 +645,14 @@ class _Scenario(NamedTuple):
 
 
 def _dim_size(p: dict) -> tuple:
-    return "params.dim", math.log2(p["dim"])
+    return "params.dim", (math.log2(p["dim"]),)
 
 
 def _qite_size(p: dict) -> tuple:
     if p["model"] == "random":
         return _dim_size(p)
     n = p["n_qubits"]  # float(n) overflows from 2^1024 on, far over any limit
-    return "params.n_qubits", float(n) if n < 2**1023 else math.inf
+    return "params.n_qubits", (float(n) if n < 2**1023 else math.inf,)
 
 
 _SCENARIOS = {
@@ -690,8 +670,8 @@ _SCENARIOS = {
          lambda p, s: _cascade_fault(p) != "params.eps"),
         ("params.n_steps", "keep every cascade step's distance above params.eps in floats",
          lambda p, s: _cascade_fault(p) != "params.n_steps"),
-    ), size=_dim_size, counts=lambda p: (p["L"], p["L"] + 1), covariant=True,
-        distance="trace_distance"),
+    ), size=_dim_size, structure=Swap, counts=lambda p: (p["L"], p["L"] + 1),
+        covariant=True, distance="trace_distance"),
     "dbi": _Scenario({
         "dim": _Field("int", _REQUIRED, lo=2),
         "n_steps": _STEPS,
@@ -703,7 +683,8 @@ _SCENARIOS = {
         ("params.mu", "have a squared norm sum mu_i^2 below the float range",
          lambda p, s: _finite_norm(p["mu"])),
         _HYBRID_SPLIT,
-    ), size=_dim_size, counts=lambda p: (1, 2), distance="trace_distance"),
+    ), size=_dim_size, structure=Commutator, counts=lambda p: (1, 2),
+        distance="trace_distance"),
     "qite": _Scenario({
         "n_steps": _STEPS,
         "model": _Field("str", "heisenberg_chain", choices=("heisenberg_chain", "random")),
@@ -719,7 +700,8 @@ _SCENARIOS = {
         ("params.field", "keep the Hamiltonian's norm below the float range",
          lambda p, s: _finite_field(p)),
         _HYBRID_SPLIT,
-    ), size=_qite_size, inputs=2, counts=lambda p: (1, 2), distance="ground_infidelity"),
+    ), size=_qite_size, structure=PairCommutator, counts=lambda p: (1, 2),
+        distance="ground_infidelity"),
     "osd": _Scenario({
         "dims": _Field("int", _REQUIRED, lo=2, many=True, size=2),
         "n_steps": _STEPS,
@@ -731,8 +713,8 @@ _SCENARIOS = {
         ("params.mu", "have a squared norm sum mu_i^2 below the float range",
          lambda p, s: _finite_norm(p["mu"])),
         ("strategy.kind", "be exact or qdp", lambda p, s: s["kind"] in ("exact", "qdp")),
-    ), size=lambda p: ("params.dims", math.log2(p["dims"][0]) + math.log2(p["dims"][1])),
-        factor=lambda p: math.log2(p["dims"][0]), counts=lambda p: (1, 2)),
+    ), size=lambda p: ("params.dims", (math.log2(p["dims"][0]), math.log2(p["dims"][1]))),
+        structure=Lift, counts=lambda p: (1, 2)),
     "channel-error": _Scenario({
         "dim": _Field("int", _REQUIRED, lo=1),
         "map": _Field("str", "dme", choices=("dme", "scaled", "commutator")),
@@ -741,7 +723,7 @@ _SCENARIOS = {
         "n_samples": _Field("int", 5, lo=1),
         "alpha": _Field("real", 1.0),
         "map_s": _Field("real", 1.0),
-    }, _run_channel_error, size=_dim_size, queries=True,
+    }, _run_channel_error, size=_dim_size, structure=Swap, queries=True,  # Commutator's: same
         kept=lambda p: ("params.n_samples", "a probe batch", 3 * p["n_samples"])),
     "cost": _Scenario({
         "L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),

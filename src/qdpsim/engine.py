@@ -225,9 +225,8 @@ def _split_queries(m: int, n_calls: int) -> list[int]:
         return []
     base = m // n_calls
     if base < 1:
-        raise InvariantError(
-            f"{m} queries cannot cover {n_calls} memory-calls; need m >= {n_calls}"
-        )
+        raise InvariantError(f"{m} queries cannot cover {n_calls} memory-calls; "
+                             f"need m >= {n_calls}")
     counts = [base] * n_calls
     counts[-1] += m - base * n_calls
     return counts
@@ -381,9 +380,7 @@ def unfolding_cost(n_calls: int, n_steps: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def run_strategy(
-    spec: RecursionSpec, n_steps: int, strategy: StrategyConfig
-) -> TrajectoryRecord:
+def run_strategy(spec: RecursionSpec, n_steps: int, strategy: StrategyConfig) -> TrajectoryRecord:
     """The step executor of every strategy: step ``n`` is realized by
     ``strategy.rule(n)``, charged from ``strategy``'s closed form and, if the
     rule carries an ``imr``, purified.  The loop keeps each state and ledger
@@ -420,12 +417,8 @@ def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
     return run_strategy(spec, n_steps, ExactStrategy())
 
 
-def run_qdp(
-    spec: RecursionSpec,
-    n_steps: int,
-    m: int,
-    imr: Optional[IMRConfig] = None,
-) -> TrajectoryRecord:
+def run_qdp(spec: RecursionSpec, n_steps: int, m: int,
+            imr: Optional[IMRConfig] = None) -> TrajectoryRecord:
     """Query-based execution: each step consumes ``m`` copies of its own
     input state as instructions, split evenly over the step's memory-calls
     (remainder to the last call).
@@ -433,9 +426,7 @@ def run_qdp(
     return run_strategy(spec, n_steps, QDPStrategy(m, imr))
 
 
-def run_unfolding(
-    spec: RecursionSpec, n_steps: int, gc_substeps: int = 1
-) -> TrajectoryRecord:
+def run_unfolding(spec: RecursionSpec, n_steps: int, gc_substeps: int = 1) -> TrajectoryRecord:
     """Memoryless execution.
 
     Covariant recursions unfold exactly, so the states coincide with the
@@ -447,22 +438,16 @@ def run_unfolding(
     return run_strategy(spec, n_steps, UnfoldingStrategy(gc_substeps))
 
 
-def run_hybrid(
-    spec: RecursionSpec,
-    n1: int,
-    n2: int,
-    m: int,
-    imr: Optional[IMRConfig] = None,
-) -> TrajectoryRecord:
+def run_hybrid(spec: RecursionSpec, n1: int, n2: int, m: int,
+               imr: Optional[IMRConfig] = None) -> TrajectoryRecord:
     """Unfold the first ``n1`` steps, then run ``n2`` query-based steps
     seeded at the unfolded state.  Depth adds exactly; width is the query
     phase's copy count (the unfolding pipelines supply those copies)."""
     return run_strategy(spec, n1 + n2, HybridStrategy(n1, n2, m, imr))
 
 
-def local_accuracy_check(
-    sigma_next: DensityMatrix, step: RecursionStepSpec, sigma_curr: DensityMatrix
-) -> float:
+def local_accuracy_check(sigma_next: DensityMatrix, step: RecursionStepSpec,
+                         sigma_curr: DensityMatrix) -> float:
     """Per-step error: distance from ``sigma_next`` to the exact step applied
     to (and instructed by) ``sigma_curr``."""
     ideal = apply_step_exact(step, sigma_curr)

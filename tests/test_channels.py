@@ -462,6 +462,18 @@ class TestPairCommutatorMap:
         u = make_pair_commutator_map(d, 1.0).generator.unitary(theta / -np.sqrt(3.0))
         assert np.max(np.abs(u.conj().T @ u - np.eye(d**3))) <= 8 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_exact_call_matches_the_dense_default(self, d):
+        """``PairCommutator.exact`` forms ``-i s [rho, chi]`` from the two
+        factors; the dense default applies ``herm_exp`` to the map's action on
+        their kron."""
+        call = MemoryCallSpec(map=make_pair_commutator_map(d, 0.9), duration=0.7,
+                              extra_instruction=random_density(d, 40 + d))
+        rho, w = random_density(d, 50 + d), random_density(d, 60 + d).matrix
+        dense = QueryGenerator.exact(call, rho, w)
+        np.testing.assert_allclose(exact_memory_call(call, rho, w), dense,
+                                   rtol=0, atol=8 * np.finfo(float).eps)
+
 
 class TestExactMemoryCall:
     def test_zero_generator_returns_working(self):

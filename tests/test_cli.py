@@ -729,7 +729,7 @@ class TestCompare:
 def test_scenario_table_describes_its_spec(tmp_path, monkeypatch, capsys, scenario, strategy):
     """What the ledger and size checks read off a scenario's table entry is
     what its runner builds: the spec's covariance, calls and statics per
-    step, and the root's and the call map's input dimensions."""
+    step, the root's dimension and the call map's structure class."""
     specs, real = [], cli.run_strategy
     monkeypatch.setattr(cli, "run_strategy",
                         lambda spec, *args: specs.append(spec) or real(spec, *args))
@@ -743,9 +743,9 @@ def test_scenario_table_describes_its_spec(tmp_path, monkeypatch, capsys, scenar
     assert spec.covariant == entry.covariant
     assert step.n_calls == calls
     assert step.nontrivial_static_count() <= statics
-    _, log_d = entry.size(params)
-    assert np.log2(spec.root.dim) == pytest.approx(log_d, abs=1e-12)
-    assert np.log2(step.memory_calls[0].map.d_in) == pytest.approx(entry.inputs * log_d, abs=1e-12)
+    _, log_dims = entry.size(params)
+    assert np.log2(spec.root.dim) == pytest.approx(sum(log_dims), abs=1e-12)
+    assert type(step.memory_calls[0].map.structure) is entry.structure
 
 
 # Small valid configs, about one per scenario, whose mutants must never crash.
@@ -1034,15 +1034,15 @@ def test_long_unfolded_call_keeps_the_trace(tmp_path, capsys):
 
 
 class TestOperatorSizeOfEveryRun:
-    """Exact and unfolding runs are bounded by their d_in x d_in instruction
-    matrix (16 d_in^2 B; qite reads d_in = d^2).  Only rejected sizes are run."""
+    """Exact and unfolding runs are bounded by their d x d matrices (16 d^2 B;
+    qite's exact call reads its two d x d factors).  Only rejected sizes are run."""
 
     @pytest.mark.parametrize(
         "field, scenario, strategy, params",
         [
             ("params.dim", "dbi", {"kind": "exact"}, {"dim": 10**9, "n_steps": 1}),
             ("params.dims", "osd", {"kind": "exact"}, {"dims": [8192, 8192], "n_steps": 1}),
-            ("params.n_qubits", "qite", {"kind": "exact"}, {"n_qubits": 7, "n_steps": 1}),
+            ("params.n_qubits", "qite", {"kind": "exact"}, {"n_qubits": 14, "n_steps": 1}),
             ("params.dim", "grover", {"kind": "unfolding"},
              {"L": 1, "dim": 100000, "n_steps": 1, "delta0": 0.6}),
         ],
@@ -1061,9 +1061,10 @@ class TestOperatorSizeOfEveryRun:
         "scenario, params",
         [
             ("dbi", {"dim": 8192, "n_steps": 1}),  # 16 * 8192^2 B = 2^30 B
-            ("qite", {"n_qubits": 6, "n_steps": 1}),  # 16 * (2^12)^2 B = 2^28 B
+            ("qite", {"n_qubits": 6, "n_steps": 1}),  # 16 * (2^6)^2 B = 2^16 B
+            ("qite", {"n_qubits": 13, "n_steps": 1}),  # 16 * (2^13)^2 B = 2^30 B
         ],
-        ids=["dbi-dim-8192", "qite-6-qubits"],
+        ids=["dbi-dim-8192", "qite-6-qubits", "qite-13-qubits"],
     )
     def test_exact_sizes_at_the_limit_are_accepted(self, scenario, params):
         ExperimentConfig.from_dict(

@@ -8,6 +8,7 @@ from qdpsim import (
     DBIConfig,
     IMRConfig,
     InvariantError,
+    MemoryCallSpec,
     PureState,
     QITEConfig,
     dbi_canonical_step_size,
@@ -28,6 +29,37 @@ from qdpsim import (
     run_qdp,
 )
 from qdpsim.algos import qite_encode_hamiltonian
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_heisenberg_chain_has_the_bits_of_the_product_form(n_qubits):
+    """Each bond term is one Kronecker chain of ``op (x) op``, with the bits of
+    the product of the two single-site chains."""
+    def site(op, i):
+        out = np.eye(1, dtype=complex)
+        for k in range(n_qubits):
+            out = np.kron(out, op if k == i else np.eye(2, dtype=complex))
+        return out
+
+    paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex))
+    h = sum(site(op, i) @ site(op, i + 1) for op in paulis for i in range(n_qubits - 1))
+    h = h + 0.7 * sum(site(paulis[2], i) for i in range(n_qubits))
+    assert heisenberg_chain(n_qubits, 0.7).tobytes() == h.tobytes()
+
+
+def test_qite_exact_run_forms_no_kron(monkeypatch):
+    """A qite exact call reads ``rho`` and ``chi`` as its two factors: it
+    never forms ``rho (x) chi``."""
+    spec = qite_recursion_spec(QITEConfig(hamiltonian=heisenberg_chain(3, 0.5),
+                                          initial=random_pure(8, 3)))
+
+    def refuse(*args):
+        raise AssertionError("a qite exact call formed a kron")
+
+    monkeypatch.setattr(MemoryCallSpec, "instruction_matrix", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    assert len(run_exact(spec, 3).points) == 4
 
 
 def seeded_operator(dim, seed, spread=1.0):

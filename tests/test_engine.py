@@ -262,6 +262,16 @@ class TestGeneratorReuse:
         capsys.readouterr()
         assert maps == []
 
+    def test_dense_exact_run_and_unfolded_call_build_no_generator(self, monkeypatch):
+        # A dense map's exact and unfolded calls read its action, never Nhat.
+        maps = count_generator_builds(monkeypatch)
+        spec = with_call_map(small_dbi_spec(),
+                             lambda m: channels.map_from_function(m.action, m.d_in, m.d_out))
+        run_exact(spec, 3)
+        with pytest.raises(UnsupportedSpecError, match="commutator-form"):
+            channels.unfolded_memory_call(spec.step.memory_calls[0], spec.root, spec.root, 2)
+        assert maps == []
+
     def test_generator_is_cached_on_the_map(self):
         m = make_identity_map(2)
         assert m.generator is m.generator
