@@ -23,7 +23,7 @@ from qdpsim import (
 
 def main():
     dims = (2, 3)
-    psi0 = PureState(random_pure(6, 9).amplitudes, dims)
+    psi0 = PureState(random_pure(6, 9).amplitudes)
     cfg = OSDConfig(
         dims=dims,
         diagonal=np.diag(np.arange(2, dtype=float)),

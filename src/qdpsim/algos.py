@@ -203,7 +203,7 @@ def grover_step(psi: PureState, cfg: GroverConfig, q: float) -> PureState:
     for a, b in zip(alphas, betas):
         v = partial_reflection(tau_proj, -b) @ v
         v = partial_reflection(psi_proj, a) @ v
-    return PureState(v, psi.factor_dims)
+    return PureState(v)
 
 
 def grover_recursion_spec(cfg: GroverConfig, eps: float = 0.0) -> RecursionSpec:
@@ -438,7 +438,7 @@ def qite_step(psi: PureState, h, s: float) -> PureState:
     hh = hermitize(h)
     proj = psi.projector()
     u = herm_exp(1j * (proj @ hh - hh @ proj), float(s))  # e^{s [psi, H]}
-    return PureState(u @ psi.amplitudes, psi.factor_dims)
+    return PureState(u @ psi.amplitudes)
 
 
 def energy(state, h) -> float:
@@ -560,7 +560,7 @@ def osd_recursion_spec(cfg: OSDConfig) -> RecursionSpec:
     call = MemoryCallSpec(map=m, duration=1.0)
     eye = np.eye(cfg.initial.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
-    root = DensityMatrix(cfg.initial.projector(), tuple(cfg.dims))
+    root = DensityMatrix(cfg.initial.projector())
     return RecursionSpec(step=step, root=root, target=None)
 
 

@@ -543,19 +543,25 @@ def _calls(m: HermitianPreservingMap):
     return QueryGenerator if m.structure is None else m.structure
 
 
-def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working) -> np.ndarray:
-    """Apply ``exp(i * duration * N(instruction))`` to the working matrix."""
+def _working(call: MemoryCallSpec, working) -> np.ndarray:
+    """The working matrix of an exact or unfolded call, checked against the
+    map's ``d_out`` (a queried call checks it with ``_check_query_dims``)."""
     w = _matrix(working)
     if w.shape[0] != call.map.d_out:
         raise DimensionError(f"working dim {w.shape[0]} != map d_out {call.map.d_out}")
-    return _calls(call.map).exact(call, instruction, w)
+    return w
+
+
+def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working) -> np.ndarray:
+    """Apply ``exp(i * duration * N(instruction))`` to the working matrix."""
+    return _calls(call.map).exact(call, instruction, _working(call, working))
 
 
 def unfolded_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working,
                          substeps: int) -> np.ndarray:
     """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``
     by group commutators (``Commutator.unfold``)."""
-    return _calls(call.map).unfold(call, instruction, _matrix(working), substeps)
+    return _calls(call.map).unfold(call, instruction, _working(call, working), substeps)
 
 
 def queried_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working,
@@ -591,7 +597,7 @@ def memory_usage_query(
     joint = w @ kron(memory.matrix, working.matrix) @ w.conj().T
     d_in, d_out = gen.d_in, gen.d_out
     out = np.trace(joint.reshape(d_in, d_out, d_in, d_out), axis1=0, axis2=2)
-    return DensityMatrix(out, working.factor_dims)
+    return DensityMatrix(out)
 
 
 def dme_query(memory: DensityMatrix, working: DensityMatrix, s: float) -> DensityMatrix:
@@ -602,7 +608,7 @@ def dme_query(memory: DensityMatrix, working: DensityMatrix, s: float) -> Densit
     c, sn = np.cos(float(s)), np.sin(float(s))
     rho, sigma = memory.matrix, working.matrix
     out = c * c * sigma - 1j * sn * c * (rho @ sigma - sigma @ rho) + sn * sn * rho
-    return DensityMatrix(out, working.factor_dims)
+    return DensityMatrix(out)
 
 
 def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
@@ -762,8 +768,8 @@ def channel_error_probe(
     approx = repeated_queries(gen, memory, np.stack([w.matrix for w in states], axis=-1), s, m)
     worst = 0.0
     for k, working in enumerate(states):
-        got = DensityMatrix(approx[..., k], working.factor_dims)
-        exact = DensityMatrix(u @ working.matrix @ u.conj().T, working.factor_dims)
+        got = DensityMatrix(approx[..., k])
+        exact = DensityMatrix(u @ working.matrix @ u.conj().T)
         worst = max(worst, trace_distance(got.matrix, exact.matrix))
     return worst
 

@@ -555,7 +555,7 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     da, db = p["dims"]
     diag = _diagonal(p["mu"], da)
-    psi0 = PureState(random_pure(da * db, cfg.seed).amplitudes, (da, db))
+    psi0 = PureState(random_pure(da * db, cfg.seed).amplitudes)
     ocfg = OSDConfig(dims=(da, db), diagonal=diag, initial=psi0, step_size=p["step_size"])
     oracle = schmidt_oracle(psi0, (da, db))
     return _trajectory(

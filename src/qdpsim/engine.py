@@ -62,7 +62,7 @@ from .channels import (
 )
 from .errors import DimensionError, InfeasibleConfigError, InvariantError, UnsupportedSpecError
 from .imr import IMRConfig
-from .linalg import DensityMatrix, trace_distance, unit_trace
+from .linalg import DensityMatrix, _as_matrix, trace_distance, unit_trace
 
 UNITARY_ATOL = 1e-9
 
@@ -117,7 +117,7 @@ class RecursionStepSpec:
     memory_calls: tuple[MemoryCallSpec, ...]
 
     def __post_init__(self):
-        statics = tuple(np.asarray(u, dtype=complex) for u in self.static_unitaries)
+        statics = tuple(_as_matrix(u) for u in self.static_unitaries)
         if len(statics) != len(self.memory_calls) + 1:
             raise InvariantError(
                 f"need {len(self.memory_calls) + 1} static unitaries for "
@@ -212,7 +212,7 @@ def _interleave(step, state, realize, per_call=None) -> DensityMatrix:
     for idx, call in enumerate(step.memory_calls):
         extra = () if per_call is None else (per_call[idx],)
         mat = unit_trace(realize(call, state, _static(step, idx, mat), *extra))
-    return DensityMatrix(_static(step, step.n_calls, mat), state.factor_dims)
+    return DensityMatrix(_static(step, step.n_calls, mat))
 
 
 def apply_step_exact(step: RecursionStepSpec, state: DensityMatrix) -> DensityMatrix:

@@ -72,7 +72,7 @@ def imr_round(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     mat = rho.matrix
     sq = mat @ mat
     purity = float(np.real(np.trace(sq)))
-    return DensityMatrix((mat + sq) / (1.0 + purity), rho.factor_dims), (1.0 + purity) / 2.0
+    return DensityMatrix((mat + sq) / (1.0 + purity)), (1.0 + purity) / 2.0
 
 
 def imr_ratio_bound(x: float) -> float:

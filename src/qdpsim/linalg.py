@@ -2,8 +2,8 @@
 
 Operators are plain complex ndarrays in row-major computational-basis
 ordering.  The tensor-factor structure of a register is never inferred from
-the matrix shape; states carry an explicit tuple of factor dimensions, and
-the partial operations take one as an argument.
+the matrix shape: the partial operations take a tuple of factor dimensions
+as an argument.
 
 Matrix exponentials of Hermitian generators go through the spectral
 decomposition, so the results are unitary to roundoff regardless of the
@@ -150,7 +150,7 @@ def op_norm(a) -> float:
 
 
 class DensityMatrix:
-    """Validated quantum state with explicit tensor-factor structure.
+    """Validated quantum state.
 
     Construction symmetrizes the matrix, requires the trace to be within
     ``TRACE_ATOL`` of one, and clips eigenvalues below ``-EIG_CLIP_ATOL`` to
@@ -162,12 +162,10 @@ class DensityMatrix:
     again.
     """
 
-    __slots__ = ("matrix", "factor_dims", "clip_magnitude", "eigenvalues")
+    __slots__ = ("matrix", "clip_magnitude", "eigenvalues")
 
-    def __init__(self, matrix, factor_dims=None):
+    def __init__(self, matrix):
         a = hermitize(matrix)
-        dim = a.shape[0]
-        dims = _check_factor_dims(factor_dims, dim) if factor_dims is not None else (dim,)
         clip = 0.0
         # Equal to its adjoint after ``hermitize`` and a real trace division.
         out = unit_trace(a)
@@ -186,7 +184,6 @@ class DensityMatrix:
         out.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "matrix", out)
-        object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "clip_magnitude", clip)
         object.__setattr__(self, "eigenvalues", w)
 
@@ -198,26 +195,24 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def __repr__(self):
-        return f"DensityMatrix(dim={self.dim}, factors={self.factor_dims})"
+        return f"DensityMatrix(dim={self.dim})"
 
 
 class PureState:
-    """Normalized state vector with explicit tensor-factor structure."""
+    """Normalized state vector."""
 
-    __slots__ = ("amplitudes", "factor_dims")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, factor_dims=None):
+    def __init__(self, amplitudes):
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if not np.isfinite(v).all():
             raise InvariantError("amplitudes contain non-finite entries")
         n = float(np.linalg.norm(v))
         if abs(n - 1.0) > NORM_ATOL:
             raise InvariantError(f"norm {n!r} is not 1 within {NORM_ATOL}")
-        dims = _check_factor_dims(factor_dims, v.size) if factor_dims is not None else (v.size,)
         v = v / n
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
-        object.__setattr__(self, "factor_dims", dims)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -230,13 +225,13 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector(), self.factor_dims)
+        return DensityMatrix(self.projector())
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self):
-        return f"PureState(dim={self.dim}, factors={self.factor_dims})"
+        return f"PureState(dim={self.dim})"
 
 
 def random_density(dim: int, seed) -> DensityMatrix:

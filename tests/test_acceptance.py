@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import heisenberg_chain
+from helpers import heisenberg_chain
 from qdpsim import (
     DensityMatrix,
     IMRConfig,
@@ -305,7 +305,7 @@ def test_criterion_10_imaginary_time_evolution():
 def test_criterion_11_schmidt_alignment():
     for dims, seed in (((2, 2), 5), ((2, 3), 9)):
         da, db = dims
-        psi = PureState(random_pure(da * db, seed).amplitudes, dims)
+        psi = PureState(random_pure(da * db, seed).amplitudes)
         cfg = OSDConfig(
             dims=dims,
             diagonal=np.diag(np.arange(da, dtype=float)),

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian, squares
+from helpers import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian, squares
 from qdpsim import (
     DensityMatrix,
     DimensionError,
@@ -587,6 +587,13 @@ class TestUnfoldedMemoryCall:
         with pytest.raises(UnsupportedSpecError) as exc:
             unfolded_memory_call(call, random_density(2, 1), random_density(4, 2), 1)
         assert str(exc.value) == self.NOT_COMMUTATOR
+
+    def test_working_dim_checked_against_the_map(self):
+        # The exact call's check and message, not numpy's matmul error.
+        call = MemoryCallSpec(map=make_commutator_map(np.diag([0.0, 1.0, 2.0]), 0.5), duration=1.0)
+        for realize in (exact_memory_call, lambda *args: unfolded_memory_call(*args, 1)):
+            with pytest.raises(DimensionError, match="working dim 2 != map d_out 3"):
+                realize(call, random_density(3, 1), random_density(2, 2))
 
     def test_negative_flow_rejected(self):
         call = MemoryCallSpec(map=make_commutator_map(PAULI_Z, 0.5), duration=-1.0)

@@ -35,7 +35,7 @@ def dbi_spec(seed):
 
 
 def osd_spec():
-    psi = PureState(random_pure(6, 6).amplitudes, (2, 3))
+    psi = PureState(random_pure(6, 6).amplitudes)
     return osd_recursion_spec(OSDConfig(dims=(2, 3), diagonal=np.diag([0.0, 1.0]), initial=psi))
 
 

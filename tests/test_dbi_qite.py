@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import heisenberg_chain, random_hermitian
+from helpers import heisenberg_chain, random_hermitian
 from qdpsim import (
     DBIConfig,
     IMRConfig,

@@ -82,6 +82,16 @@ class TestStepSpecValidation:
         with pytest.raises(DimensionError, match="static unitaries must be square"):
             RecursionStepSpec(static_unitaries=(np.ones((2, 3)),), memory_calls=())
 
+    @pytest.mark.parametrize("static, error, match", [
+        (np.ones(2), DimensionError, "expected a matrix, got ndim=1"),
+        (np.diag([np.nan, 1.0]), InvariantError, "non-finite entries"),
+        (np.diag([np.inf, 1.0]), InvariantError, "non-finite entries"),
+    ], ids=["1-d", "nan", "inf"])
+    def test_static_is_a_finite_matrix(self, static, error, match):
+        # Checked before its product u^dag u is formed, which would warn (an error here).
+        with pytest.raises(error, match=match):
+            RecursionStepSpec(static_unitaries=(static,), memory_calls=())
+
 
 @pytest.mark.parametrize(
     "fields, match",
@@ -655,7 +665,7 @@ def diagnostics_spec(scenario, dim):
         spec = grover_recursion_spec(cfg)
         return dataclasses.replace(spec, step=spec.resolve_step(0))
     dims = (2, dim // 2)
-    psi = PureState(random_pure(dim, 5).amplitudes, dims)
+    psi = PureState(random_pure(dim, 5).amplitudes)
     spec = osd_recursion_spec(OSDConfig(dims=dims, diagonal=np.diag([0.0, 1.0]), initial=psi))
     return dataclasses.replace(spec, target=spec.root)
 

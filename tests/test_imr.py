@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from helpers import random_hermitian
 from qdpsim import (
     DensityMatrix,
     IMRConfig,

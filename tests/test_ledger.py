@@ -52,7 +52,7 @@ def qite_spec():
 
 
 def osd_spec():
-    psi = PureState(random_pure(4, 6).amplitudes, (2, 2))
+    psi = PureState(random_pure(4, 6).amplitudes)
     return osd_recursion_spec(OSDConfig(dims=(2, 2), diagonal=np.diag([0.0, 1.0]), initial=psi))
 
 

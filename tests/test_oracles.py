@@ -45,7 +45,7 @@ m = 1024 (pair commutator).
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from helpers import random_hermitian
 from qdpsim import (
     DensityMatrix,
     MemoryCallSpec,
