@@ -197,8 +197,8 @@ def grover_step(psi: PureState, cfg: GroverConfig, q: float) -> PureState:
     pins this convention, and a unit test enforces it.
     """
     alphas, betas = grover_angles(cfg.alternations, q)
-    tau_proj = cfg.target.projector()
-    psi_proj = psi.projector()
+    tau_proj = cfg.target.matrix
+    psi_proj = psi.matrix
     v = psi.amplitudes.copy()
     for a, b in zip(alphas, betas):
         v = partial_reflection(tau_proj, -b) @ v
@@ -215,7 +215,7 @@ def grover_recursion_spec(cfg: GroverConfig, eps: float = 0.0) -> RecursionSpec:
     """
     dim = cfg.initial.dim
     deltas = grover_delta_sequence(cfg.delta0, cfg.alternations, cfg.n_steps, eps)
-    tau_proj = cfg.target.projector()
+    tau_proj = cfg.target.matrix
     eye = np.eye(dim, dtype=complex)
 
     def step(n: int) -> RecursionStepSpec:
@@ -235,7 +235,7 @@ def grover_recursion_spec(cfg: GroverConfig, eps: float = 0.0) -> RecursionSpec:
         return RecursionStepSpec(static_unitaries=tuple(statics), memory_calls=calls)
 
     return RecursionSpec(
-        step=step, root=cfg.initial.density(), target=cfg.target.density(), covariant=True
+        step=step, root=cfg.initial, target=cfg.target, covariant=True
     )
 
 
@@ -436,7 +436,7 @@ class QITEConfig:
 def qite_step(psi: PureState, h, s: float) -> PureState:
     """``psi -> e^{s [|psi><psi|, H]} psi``; lowers energy for small s."""
     hh = hermitize(h)
-    proj = psi.projector()
+    proj = psi.matrix
     u = herm_exp(1j * (proj @ hh - hh @ proj), float(s))  # e^{s [psi, H]}
     return PureState(u @ psi.amplitudes)
 
@@ -488,7 +488,7 @@ def qite_recursion_spec(cfg: QITEConfig) -> RecursionSpec:
     gs, _ = ground_state(cfg.hamiltonian)
     if abs(cfg.initial.overlap(gs)) <= 1e-12:
         raise InvariantError("initial state has no ground-state overlap")
-    return RecursionSpec(step=step, root=cfg.initial.density(), target=gs.density())
+    return RecursionSpec(step=step, root=cfg.initial, target=gs)
 
 
 def qite_qdp_run(
@@ -531,14 +531,14 @@ class OSDConfig:
     def resolved_step(self) -> float:
         if self.step_size is not None:
             return float(self.step_size)
-        reduced = partial_trace(self.initial.projector(), self.dims, keep=[0])
+        reduced = partial_trace(self.initial.matrix, self.dims, keep=[0])
         return dbi_canonical_step_size(reduced, self.diagonal)
 
 
 def schmidt_oracle(psi: PureState, dims) -> np.ndarray:
     """Schmidt coefficients by brute force: eigenvalues of the reduced state,
     sorted non-increasing."""
-    reduced = partial_trace(psi.projector(), dims, keep=[0])
+    reduced = partial_trace(psi.matrix, dims, keep=[0])
     return np.sort(np.linalg.eigvalsh(reduced))[::-1]
 
 
@@ -560,8 +560,7 @@ def osd_recursion_spec(cfg: OSDConfig) -> RecursionSpec:
     call = MemoryCallSpec(map=m, duration=1.0)
     eye = np.eye(cfg.initial.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
-    root = DensityMatrix(cfg.initial.projector())
-    return RecursionSpec(step=step, root=root, target=None)
+    return RecursionSpec(step=step, root=cfg.initial, target=None)
 
 
 def osd_run(cfg: OSDConfig) -> tuple[TrajectoryRecord, np.ndarray]:

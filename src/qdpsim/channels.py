@@ -45,7 +45,13 @@ The three realizations and ``repeated_queries`` take the working register as
 a plain matrix (a ``DensityMatrix`` is read as its matrix) and return a plain
 matrix: a recursion step carries its working state through its calls
 unvalidated and validates it once, as the step's output (``engine``).  The
-instruction or memory they read is a validated state.
+instruction or memory they read is a validated state.  An exact call also
+takes a state vector as its working register, and returns one: a pure run
+(``engine``) carries its state as a vector.  Instructed by a ``PureState``,
+the swap, pair-commutator and lifted maps apply their call to the vector in
+closed form, with no ``herm_exp`` of a ``d x d`` generator (``_pure``); the
+default forms the instruction's projector and exponentiates the map's action
+on it.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import numpy as np
 from .errors import DimensionError, InvariantError, UnsupportedSpecError
 from .linalg import (
     DensityMatrix,
+    PureState,
     herm_exp,
     hermitize,
     kron,
@@ -182,10 +189,11 @@ class QueryGenerator:
         return slot["pairs"]
 
     @staticmethod
-    def exact(call: MemoryCallSpec, instruction: DensityMatrix, working: np.ndarray):
-        """``herm_exp`` of the map's action on the instruction matrix."""
+    def exact(call: MemoryCallSpec, instruction, working: np.ndarray):
+        """``herm_exp`` of the map's action on the instruction matrix (a pure
+        instruction's projector), applied to the working matrix or vector."""
         u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
-        return u @ working @ u.conj().T
+        return _unitary_on(u, working)
 
     @staticmethod
     def queried(call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
@@ -201,6 +209,21 @@ class QueryGenerator:
     # An exact call's d x d matrices; a query call's d^2 x d^2 query unitary.
     exact_log_bytes = staticmethod(lambda log_d: 4 + 2 * log_d)
     queried_log_bytes = staticmethod(lambda log_d: 4 + 4 * log_d)
+
+
+def _unitary_on(u: np.ndarray, working: np.ndarray) -> np.ndarray:
+    """The unitary ``u`` applied to ``working``: ``u v`` to a state vector,
+    ``u w u^dag`` to a matrix."""
+    return u @ working if working.ndim == 1 else u @ working @ u.conj().T
+
+
+def _pure(call: MemoryCallSpec, instruction, working: np.ndarray) -> bool:
+    """Whether an exact call runs in its structure's closed form on vectors:
+    instructed by a ``PureState`` of the map's input dimension alone, on a
+    state-vector working register.  Otherwise the default runs, and checks
+    the instruction's dimension."""
+    return (isinstance(instruction, PureState) and working.ndim == 1
+            and call.extra_instruction is None and instruction.dim == call.map.d_in)
 
 
 def _kept(owner, name: str, t: float, make: Callable[[float], np.ndarray]) -> dict:
@@ -284,6 +307,15 @@ class Swap(QueryGenerator):
     dim: int
     d_in = d_out = property(lambda self: self.dim)
     norm = property(lambda self: abs(float(self.alpha)))
+
+    def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
+        """On a pure instruction ``psi`` and a state vector, the call
+        ``exp(-i alpha s |psi><psi|) = 1 + (e^{-i alpha s} - 1) |psi><psi|``,
+        in O(d); else the default."""
+        if not _pure(call, instruction, working):
+            return super().exact(call, instruction, working)
+        psi = instruction.amplitudes
+        return working + np.expm1(-1j * self.alpha * call.duration) * np.vdot(psi, working) * psi
 
     def make_unitary(self, t: float) -> np.ndarray:
         d = self.dim
@@ -386,12 +418,31 @@ class PairCommutator(QueryGenerator):
         u[z, x, y, x, y, z] += c2
         return u.reshape(d**3, d**3)
 
-    def exact(self, call: MemoryCallSpec, instruction: DensityMatrix, working: np.ndarray):
-        """On ``state (x) chi`` of two ``dim x dim`` factors, ``herm_exp`` of
-        ``-i s [rho, chi]``, from the factors; else the default."""
+    def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
+        """On ``state (x) chi`` of two ``dim x dim`` factors, the unitary
+        ``exp(t s [rho, chi])``, ``t`` the duration, from the factors; else
+        the default.
+
+        On a pure ``rho = |psi><psi|`` and a state vector it is, in O(d^2), a
+        rotation by ``theta = t s r`` in the plane of ``psi`` and
+        ``e = phi / r``, ``phi = chi psi - <chi> psi``, ``r = ||phi||``:
+        ``[rho, chi] = r (|psi><e| - |e><psi|)``.  Otherwise it is ``herm_exp``
+        of ``-i s [rho, chi]``."""
         chi = call.extra_instruction
         if chi is None or instruction.dim != self.dim or chi.dim != self.dim:
             return super().exact(call, instruction, working)
+        if isinstance(instruction, PureState) and working.ndim == 1:
+            psi = instruction.amplitudes
+            c = chi.matrix @ psi
+            phi = c - np.vdot(psi, c) * psi
+            r = float(np.linalg.norm(phi))
+            if r == 0.0:  # psi is an eigenvector of chi: the commutator vanishes
+                return working
+            e, half = phi / r, call.duration * self.s * r / 2.0
+            a, b = np.vdot(psi, working), np.vdot(e, working)
+            # cos(theta) - 1 = -2 sin^2(theta / 2) keeps a small angle's bits
+            return working - 2.0 * math.sin(half) ** 2 * (a * psi + b * e) \
+                + math.sin(2.0 * half) * (b * psi - a * e)
         rho, chi = instruction.matrix, chi.matrix
         u = herm_exp(-1j * self.s * (rho @ chi - chi @ rho), -call.duration)
         return u @ working @ u.conj().T
@@ -423,11 +474,18 @@ class Lift(QueryGenerator):
         u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
         return u.reshape(self.d_in * self.d_out, self.d_in * self.d_out)
 
-    def exact(self, call: MemoryCallSpec, instruction: DensityMatrix, working: np.ndarray):
+    def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """The inner call, instructed by ``Tr_B`` of the instruction matrix:
-        ``u (x) 1_B`` for its ``d_A x d_A`` unitary ``u``."""
-        memory_a = _trace_b(_input(call.map, call.instruction_matrix(instruction)), self.d_b)
+        ``u (x) 1_B`` for its ``d_A x d_A`` unitary ``u``.  On a pure
+        instruction ``psi`` and a state vector, ``Tr_B = M M^dag`` with
+        ``M = psi`` as a ``d_A x d_B`` matrix, and the vector ``v`` goes to
+        ``u V``, ``V`` being ``v`` as such a matrix."""
         d_a = self.inner.d_out
+        if _pure(call, instruction, working):
+            m = instruction.amplitudes.reshape(d_a, self.d_b)
+            u = herm_exp(map_apply(self.inner, m @ m.conj().T), -call.duration)
+            return (u @ working.reshape(d_a, self.d_b)).ravel()
+        memory_a = _trace_b(_input(call.map, call.instruction_matrix(instruction)), self.d_b)
         u = herm_exp(map_apply(self.inner, memory_a), -call.duration)
         # (u (x) 1) w on the row index, then (.) (u (x) 1)^dag on the column's A index
         uw = (u @ working.reshape(d_a, -1)).reshape(d_a * self.d_b, d_a, self.d_b)
@@ -552,8 +610,10 @@ def _working(call: MemoryCallSpec, working) -> np.ndarray:
     return w
 
 
-def exact_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working) -> np.ndarray:
-    """Apply ``exp(i * duration * N(instruction))`` to the working matrix."""
+def exact_memory_call(call: MemoryCallSpec, instruction, working) -> np.ndarray:
+    """Apply ``exp(i * duration * N(instruction))`` to the working matrix, or
+    to the working state vector; the instruction is a ``DensityMatrix`` or a
+    ``PureState``."""
     return _calls(call.map).exact(call, instruction, _working(call, working))
 
 

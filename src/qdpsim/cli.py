@@ -472,7 +472,7 @@ def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, cells,
     record = run_strategy(spec, n_steps, cfg.strategy)
     points = record.points
     rows = []
-    for start, stack in stacked_chunks([pt.state.matrix for pt in points]):
+    for start, stack in stacked_chunks([pt.state for pt in points]):
         chunk = cells(stack, points[start:start + len(stack)])
         rows += [(start + i, *row) for i, row in enumerate(chunk)]
     return RunReport(["step", *columns], rows,

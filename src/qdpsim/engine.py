@@ -30,11 +30,23 @@ plain matrix, skips identity statics (the flags ``nontrivial_static_count``
 charges), checks and renormalizes the trace after each call, and wraps the
 step's output in one ``DensityMatrix``.
 
+A pure run carries a state vector instead.  The spec's root decides it, with
+no setting: from a ``PureState`` root, the exact steps (``ExactStrategy``,
+and ``UnfoldingStrategy`` on a covariant spec) apply each static as ``u v``,
+have each call realized on the vector (``exact_memory_call``), check and
+renormalize its norm after each call (``unit_norm``) and wrap the output in
+a ``PureState``: no step conjugates a ``d x d`` matrix or decomposes a
+state's spectrum for a state that stays pure, and the calls of the swap,
+pair-commutator and lifted maps need no ``d x d`` exponential either.  A
+query step, or an unfolded step of a non-covariant spec, reads a pure input
+as ``DensityMatrix(state.matrix)`` and runs as on a mixed root.
+
 The step loop keeps each step's state and ledger and does nothing else.  The
 per-point diagnostics, which no later step depends on, run after it: the
-distances to the spec's target by one stacked ``trace_distance`` per chunk
-of states (``stacked_chunks``, bounded in bytes), and the mixedness per point
-from the spectrum each state keeps.
+distances to the spec's target, by ``||psi - <tau|psi> tau||`` between a pure
+point and a pure target and otherwise by one stacked ``trace_distance`` per
+chunk of states (``stacked_chunks``, bounded in bytes), and the mixedness per
+point from the spectrum each state keeps (exactly 0 for a pure point).
 
 Each descriptor's ``ledger`` is its cost in closed form, and ``run_strategy``
 charges a step with that form's growth.  One depth unit is charged per
@@ -62,7 +74,17 @@ from .channels import (
 )
 from .errors import DimensionError, InfeasibleConfigError, InvariantError, UnsupportedSpecError
 from .imr import IMRConfig
-from .linalg import DensityMatrix, _as_matrix, trace_distance, unit_trace
+from .linalg import (
+    DensityMatrix,
+    PureState,
+    _as_matrix,
+    pure_distance,
+    trace_distance,
+    unit_norm,
+    unit_trace,
+)
+
+State = Union[DensityMatrix, PureState]
 
 UNITARY_ATOL = 1e-9
 
@@ -87,7 +109,7 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    state: DensityMatrix
+    state: State
     distance_to_target: Optional[float]
     mixedness: float
     ledger: CostLedger
@@ -98,7 +120,7 @@ class TrajectoryRecord:
     points: tuple[TrajectoryPoint, ...]
 
     @property
-    def final_state(self) -> DensityMatrix:
+    def final_state(self) -> State:
         return self.points[-1].state
 
     @property
@@ -150,6 +172,8 @@ StepProvider = Union[RecursionStepSpec, Callable[[int], RecursionStepSpec]]
 class RecursionSpec:
     """A recursion: step description, root state, optional known fixed point.
 
+    A ``PureState`` root makes the run's exact steps carry a state vector
+    (see the module docstring); a ``DensityMatrix`` root, a matrix.
     ``step`` is either a fixed step spec or a callable mapping the step index
     (0-based) to one, for recursions whose angles follow a schedule.
     ``covariant`` declares that memory-calls commute through the recursion
@@ -157,8 +181,8 @@ class RecursionSpec:
     """
 
     step: StepProvider
-    root: DensityMatrix
-    target: Optional[DensityMatrix] = None
+    root: State
+    target: Optional[State] = None
     covariant: bool = False
 
     def resolve_step(self, n: int) -> RecursionStepSpec:
@@ -179,44 +203,57 @@ def chunk_length(dim: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * dim * dim))
 
 
-def stacked_chunks(matrices):
-    """``(start, stack)`` for consecutive chunks of the equally sized square
-    ``matrices``, ``stack`` holding ``chunk_length`` of them from ``start`` on
-    (fewer in the last chunk) as one ``(k, d, d)`` array."""
-    if not len(matrices):
+def stacked_chunks(states):
+    """``(start, stack)`` for consecutive chunks of the equally sized
+    ``states``, ``stack`` holding the matrices of ``chunk_length`` of them from
+    ``start`` on (fewer in the last chunk) as one ``(k, d, d)`` array.  A pure
+    state's projector is formed for its chunk alone."""
+    if not len(states):
         return
-    step = chunk_length(len(matrices[0]))
-    for start in range(0, len(matrices), step):
-        yield start, np.stack(matrices[start:start + step])
+    step = chunk_length(states[0].dim)
+    for start in range(0, len(states), step):
+        yield start, np.stack([s.matrix for s in states[start:start + step]])
 
 
-def _static(step: RecursionStepSpec, idx: int, mat: np.ndarray) -> np.ndarray:
-    """``mat`` conjugated by static unitary ``idx``, unless its flag in
-    ``step.nontrivial_statics`` marks it as the identity."""
+def _static(step: RecursionStepSpec, idx: int, work: np.ndarray) -> np.ndarray:
+    """Static unitary ``idx`` applied to the working vector, or conjugating
+    the working matrix, unless its flag in ``step.nontrivial_statics`` marks
+    it as the identity."""
     if not step.nontrivial_statics[idx]:
-        return mat
+        return work
     u = step.static_unitaries[idx]
-    return u @ mat @ u.conj().T
+    return u @ work if work.ndim == 1 else u @ work @ u.conj().T
 
 
-def _interleave(step, state, realize, per_call=None) -> DensityMatrix:
-    """Conjugate ``state``'s matrix by the static unitaries, applying
-    memory-call ``idx`` between them as ``realize(call, state, matrix)``, with
+def _interleave(step, state, realize, per_call=None) -> State:
+    """Carry ``state`` through the static unitaries, applying memory-call
+    ``idx`` between them as ``realize(call, state, work)``, with
     ``per_call[idx]`` as a fourth argument when given, and validate the result
     once, as the step's output state.
 
-    Each call's output is trace-checked and renormalized (``unit_trace``), so
-    a query block's trace drift is held to ``TRACE_ATOL`` per call, not summed
-    over the step's calls."""
-    mat = state.matrix
+    A ``PureState`` is carried as its amplitude vector, each call's output
+    norm-checked and renormalized (``unit_norm``), and its output is a
+    ``PureState``.  A ``DensityMatrix`` is carried as its matrix, each call's
+    output trace-checked and renormalized (``unit_trace``), so a query block's
+    trace drift is held to ``TRACE_ATOL`` per call, not summed over the
+    step's calls."""
+    pure = isinstance(state, PureState)
+    work, unit, out = (state.amplitudes, unit_norm, PureState) if pure else \
+        (state.matrix, unit_trace, DensityMatrix)
     for idx, call in enumerate(step.memory_calls):
         extra = () if per_call is None else (per_call[idx],)
-        mat = unit_trace(realize(call, state, _static(step, idx, mat), *extra))
-    return DensityMatrix(_static(step, step.n_calls, mat))
+        work = unit(realize(call, state, _static(step, idx, work), *extra))
+    return out(_static(step, step.n_calls, work))
 
 
-def apply_step_exact(step: RecursionStepSpec, state: DensityMatrix) -> DensityMatrix:
-    """One exact recursion step on ``state``, its calls instructed by ``state``."""
+def _mixed(state: State) -> DensityMatrix:
+    """``state`` as a ``DensityMatrix``: a pure state's projector, validated."""
+    return state if isinstance(state, DensityMatrix) else DensityMatrix(state.matrix)
+
+
+def apply_step_exact(step: RecursionStepSpec, state: State) -> State:
+    """One exact recursion step on ``state``, its calls instructed by
+    ``state``: a ``PureState`` for a ``PureState``, else a ``DensityMatrix``."""
     return _interleave(step, state, exact_memory_call)
 
 
@@ -312,7 +349,8 @@ class UnfoldingStrategy(_ClosedForm):
     def realize(self, spec, step, state):
         if spec.covariant:
             return apply_step_exact(step, state)
-        return _interleave(step, state, unfolded_memory_call, [self.gc_substeps] * step.n_calls)
+        return _interleave(step, _mixed(state), unfolded_memory_call,
+                           [self.gc_substeps] * step.n_calls)
 
 
 @dataclass(frozen=True)
@@ -334,7 +372,8 @@ class QDPStrategy(_ClosedForm):
         return n_steps * (m + statics), (m + 1) ** n_steps
 
     def realize(self, spec, step, state):
-        return _interleave(step, state, queried_memory_call, _split_queries(self.m, step.n_calls))
+        return _interleave(step, _mixed(state), queried_memory_call,
+                           _split_queries(self.m, step.n_calls))
 
 
 @dataclass(frozen=True)
@@ -385,9 +424,9 @@ def run_strategy(spec: RecursionSpec, n_steps: int, strategy: StrategyConfig) ->
     ``strategy.rule(n)``, charged from ``strategy``'s closed form and, if the
     rule carries an ``imr``, purified.  The loop keeps each state and ledger
     and does nothing else; the per-point diagnostics run after it, on states
-    no later step depends on: the distances to ``spec.target`` by one stacked
-    ``trace_distance`` per chunk (``stacked_chunks``), the mixedness per point
-    from the spectrum each state keeps."""
+    no later step depends on: the distances to ``spec.target``
+    (``_distances``), the mixedness per point from the spectrum each state
+    keeps."""
     if not isinstance(strategy, get_args(StrategyConfig)):
         raise UnsupportedSpecError(f"unknown strategy {strategy!r}")
     if isinstance(strategy, HybridStrategy) and strategy.n1 + strategy.n2 != n_steps:
@@ -403,13 +442,27 @@ def run_strategy(spec: RecursionSpec, n_steps: int, strategy: StrategyConfig) ->
         state, ledger = _purify(state, _charge(strategy, spec, step, n, ledgers[-1]), rule.imr, n)
         states.append(state)
         ledgers.append(ledger)
-    distances = [None] * len(states)
-    if spec.target is not None:
-        distances = [float(x) for _, stack in stacked_chunks([s.matrix for s in states])
-                     for x in trace_distance(stack, spec.target.matrix)]
+    distances = [None] * len(states) if spec.target is None else _distances(states, spec.target)
     return TrajectoryRecord(points=tuple(
         TrajectoryPoint(state, dist, imr_mod.mixedness(state), ledger)
         for state, dist, ledger in zip(states, distances, ledgers)))
+
+
+def _distances(states, target) -> list[float]:
+    """Trace distance of each state to ``target``: ``pure_distance`` between
+    pure states, and one stacked ``trace_distance`` per chunk of the other
+    states' matrices (``stacked_chunks``)."""
+    out = [None] * len(states)
+    rest = []
+    for i, state in enumerate(states):
+        if isinstance(state, PureState) and isinstance(target, PureState):
+            out[i] = pure_distance(state, target)
+        else:
+            rest.append(i)
+    for start, stack in stacked_chunks([states[i] for i in rest]):
+        for i, x in zip(rest[start:], trace_distance(stack, target.matrix)):
+            out[i] = float(x)
+    return out
 
 
 def run_exact(spec: RecursionSpec, n_steps: int) -> TrajectoryRecord:
@@ -446,8 +499,8 @@ def run_hybrid(spec: RecursionSpec, n1: int, n2: int, m: int,
     return run_strategy(spec, n1 + n2, HybridStrategy(n1, n2, m, imr))
 
 
-def local_accuracy_check(sigma_next: DensityMatrix, step: RecursionStepSpec,
-                         sigma_curr: DensityMatrix) -> float:
+def local_accuracy_check(sigma_next: State, step: RecursionStepSpec,
+                         sigma_curr: State) -> float:
     """Per-step error: distance from ``sigma_next`` to the exact step applied
     to (and instructed by) ``sigma_curr``."""
     ideal = apply_step_exact(step, sigma_curr)

@@ -24,9 +24,12 @@ from .linalg import DensityMatrix
 
 MIXEDNESS_PRECONDITION = 1.0 / 3.0
 # A mixedness at or below this times the dimension is roundoff on a pure
-# state: purifying it is not needed, and the per-round bounds no longer
-# describe it.  Pure states conjugated 400 times, validated after each, read
-# at most 8.0 / 11.5 / 10.5 eps at d = 2 / 16 / 32 (20 chains each).
+# state held as a ``DensityMatrix`` (a query step's output, or a root given
+# as one): purifying it is not needed, and the per-round bounds no longer
+# describe it.  Pure states conjugated 400 times as matrices, validated
+# after each, read at most 8.0 / 11.5 / 10.5 eps at d = 2 / 16 / 32 (20
+# chains each).  A ``PureState`` reads exactly 0, so the points of a pure
+# run (``engine``) never lean on this floor.
 PURE_MIXEDNESS_PER_DIM = 8 * sys.float_info.epsilon
 MAX_ROUNDS = 10_000  # more rounds than this means purification is not contracting
 

@@ -128,12 +128,27 @@ def trace_distance(a, b):
     return dist if aa.ndim == 3 else float(dist)
 
 
+def pure_distance(psi: "PureState", tau: "PureState") -> float:
+    """Trace distance between two pure states, ``sqrt(1 - |<tau|psi>|^2)``,
+    as the stable ``||psi - <tau|psi> tau||``."""
+    v, t = psi.amplitudes, tau.amplitudes
+    return float(np.linalg.norm(v - np.vdot(t, v) * t))
+
+
 def unit_trace(a: np.ndarray) -> np.ndarray:
     """``a`` divided by its real trace, which must be within ``TRACE_ATOL`` of one."""
     tr = float(np.real(np.trace(a)))
     if abs(tr - 1.0) > TRACE_ATOL:
         raise InvariantError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
     return a / tr
+
+
+def unit_norm(v: np.ndarray) -> np.ndarray:
+    """``v`` divided by its norm, which must be within ``NORM_ATOL`` of one."""
+    n = float(np.linalg.norm(v))
+    if abs(n - 1.0) > NORM_ATOL:
+        raise InvariantError(f"norm {n!r} is not 1 within {NORM_ATOL}")
+    return v / n
 
 
 def hs_norm(a) -> float:
@@ -199,7 +214,12 @@ class DensityMatrix:
 
 
 class PureState:
-    """Normalized state vector."""
+    """Normalized state vector.
+
+    It reads as a state where diagnostics read a ``DensityMatrix``: its
+    ``matrix`` is the projector ``|psi><psi|``, formed on each read and not
+    kept, and its ``eigenvalues`` are ``dim - 1`` zeros and a one, ascending.
+    """
 
     __slots__ = ("amplitudes",)
 
@@ -207,10 +227,7 @@ class PureState:
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if not np.isfinite(v).all():
             raise InvariantError("amplitudes contain non-finite entries")
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > NORM_ATOL:
-            raise InvariantError(f"norm {n!r} is not 1 within {NORM_ATOL}")
-        v = v / n
+        v = unit_norm(v)
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 
@@ -221,11 +238,19 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def projector(self) -> np.ndarray:
+    @property
+    def matrix(self) -> np.ndarray:
+        """The projector ``|psi><psi|``, a fresh ``dim x dim`` array."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        w = np.zeros(self.dim)
+        w[-1] = 1.0
+        return w
+
     def density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector())
+        return DensityMatrix(self.matrix)
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -14,13 +15,14 @@ import pytest
 from qdpsim import (
     DBIConfig,
     PureState,
+    RecursionStepSpec,
     channel_error_probe,
     cli,
     dbi_cost,
     dbi_recursion_spec,
-    energy,
     engine,
     ground_state,
+    hermitize,
     make_identity_map,
     offdiag_hs_norm,
     partial_trace,
@@ -238,8 +240,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "realization, scenario, strategy, params",
         [
-            ("exact_memory_call", "grover", {"kind": "exact"},
-             {"L": 2, "n_steps": 2, "delta0": 0.6}),
+            ("exact_memory_call", "dbi", {"kind": "exact"}, {"dim": 3, "n_steps": 2}),
             ("queried_memory_call", "grover", {"kind": "qdp", "m": 16},
              {"L": 2, "n_steps": 2, "delta0": 0.6}),
             ("unfolded_memory_call", "dbi", {"kind": "unfolding"}, {"dim": 3, "n_steps": 2}),
@@ -268,6 +269,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         monkeypatch.setattr(engine, realization, real)
         assert main(["run", write_config(tmp_path, doc)]) == 0
+
+    def test_norm_drift_is_4(self, tmp_path, monkeypatch, capsys):
+        """A pure run's vector is norm-checked after each call.  Statics that
+        are unitary only to 4e-10 pass ``UNITARY_ATOL`` (1e-9, read on
+        ``u^dag u`` as 8e-10) but move the norm past ``NORM_ATOL`` (1e-10),
+        and the run exits 4 naming the norm."""
+        real = cli.grover_recursion_spec
+
+        def drifting(*args, **kwargs):
+            spec = real(*args, **kwargs)
+
+            def step(n):
+                exact = spec.resolve_step(n)
+                return RecursionStepSpec(tuple((1 + 4e-10) * u for u in exact.static_unitaries),
+                                         exact.memory_calls)
+
+            return dataclasses.replace(spec, step=step)
+
+        monkeypatch.setattr(cli, "grover_recursion_spec", drifting)
+        doc = grover_doc(tmp_path, strategy={"kind": "exact"})
+        assert main(["run", write_config(tmp_path, doc)]) == 4
+        assert "numerical invariant violated: norm 1.0000000004" in capsys.readouterr().err
 
     def test_output_unwritable_at_write_is_2_and_named(self, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "out"
@@ -358,6 +381,28 @@ class TestDeterminism:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert main(["run", path2, "--output", str(tmp_path / "file.csv")]) == 0
         assert (tmp_path / "file.csv").read_bytes() != (tmp_path / "want.csv").read_bytes()
+
+
+class TestPureMixedness:
+    """The points of an exact grover, qite or osd run are pure states, and
+    their mixedness reads exactly 0: never below it, as a pure state's
+    ``DensityMatrix`` could (-4.4e-16 in row 1 of the first case)."""
+
+    @pytest.mark.parametrize("scenario, strategy, params", [
+        ("grover", "exact", {"L": 1, "dim": 2, "n_steps": 2, "delta0": 0.6}),
+        ("grover", "exact", {"L": 3, "dim": 32, "n_steps": 3, "delta0": 0.6}),
+        ("grover", "unfolding", {"L": 2, "dim": 16, "n_steps": 4, "delta0": 0.6}),
+        ("qite", "exact", {"n_qubits": 3, "n_steps": 100}),
+        ("qite", "exact", {"model": "random", "dim": 6, "n_steps": 100}),
+        ("osd", "exact", {"dims": [4, 4], "n_steps": 100}),
+    ], ids=["grover-L1", "grover-L3", "grover-unfolding", "qite", "qite-random", "osd"])
+    def test_no_row_reads_below_zero(self, tmp_path, scenario, strategy, params):
+        doc = grover_doc(tmp_path, scenario=scenario, strategy={"kind": strategy}, params=params)
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()]
+        col = rows[0].index("mixedness")
+        assert len(rows) == params["n_steps"] + 2
+        assert {row[col] for row in rows[1:]} == {"0"}
 
 
 class TestSchemas:
@@ -1307,7 +1352,8 @@ class TestChunkedColumns:
         if scenario == "qite":
             h = cli._qite_hamiltonian(p, seed)
             gs, _ = ground_state(h)
-            return (energy(pt.state, h),
+            # ``energy``'s trace form, which the cells read of a pure point too
+            return (float(np.real(np.trace(hermitize(h) @ m))),
                     1.0 - float(np.real(np.vdot(gs.amplitudes, m @ gs.amplitudes))),
                     pt.mixedness, ledger.depth, ledger.width)
         if scenario == "osd":

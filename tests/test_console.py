@@ -97,6 +97,20 @@ def test_unfolding_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "rerun_a.csv").read_bytes() == (tmp_path / "rerun_b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("scenario, params", [
+    ("osd", {"dims": [4, 4], "n_steps": 300}),
+    ("qite", {"n_qubits": 3, "n_steps": 300}),
+], ids=["osd", "qite"])
+def test_pure_exact_rerun_is_byte_identical(tmp_path, scenario, params):
+    # A pure run carries its state as a vector; a rerun gives the same bytes.
+    doc = {"schema_version": 1, "scenario": scenario, "seed": 7,
+           "strategy": {"kind": "exact"}, "params": params}
+    for name in ("rerun_a.csv", "rerun_b.csv"):
+        proc = console_run(tmp_path, doc, "--output", name)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rerun_a.csv").read_bytes() == (tmp_path / "rerun_b.csv").read_bytes()
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
     proc = python(["-W", "error::RuntimeWarning", str(demo)], tmp_path)

@@ -255,7 +255,7 @@ class TestQiteStep:
         # ||psi - (-H)||_2^2 = 1 + Tr H^2 + 2 <H>
         h = seeded_operator(4, 31)
         psi = random_pure(4, 32)
-        cost = dbi_cost(psi.projector(), -h)
+        cost = dbi_cost(psi.matrix, -h)
         expected = 1.0 + np.real(np.trace(h @ h)) + 2.0 * energy(psi, h)
         assert cost == pytest.approx(expected, rel=1e-12)
 
@@ -288,7 +288,7 @@ class TestQiteEncoding:
     def test_large_hamiltonian_builds_a_spec(self):
         h = self.large_hamiltonian()
         spec = qite_recursion_spec(QITEConfig(hamiltonian=h, initial=random_pure(4, 0)))
-        np.testing.assert_array_equal(spec.target.matrix, ground_state(h)[0].density().matrix)
+        np.testing.assert_array_equal(spec.target.amplitudes, ground_state(h)[0].amplitudes)
 
     def test_zero_ground_overlap_rejected(self):
         h = np.diag([0.0, 1.0, 2.0])
@@ -306,7 +306,7 @@ class TestQiteQdp:
         psi = psi0
         for _ in range(4):
             psi = qite_step(psi, h, 0.1)
-        np.testing.assert_allclose(rec.final_state.matrix, psi.projector(), atol=1e-10)
+        np.testing.assert_allclose(rec.final_state.matrix, psi.matrix, atol=1e-10)
 
     def test_ground_state_is_stationary(self):
         h = heisenberg_chain()

@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
+from helpers import heisenberg_chain
 from qdpsim import channels, engine
 from qdpsim import imr as imr_mod
-from qdpsim.algos import OSDConfig, osd_recursion_spec
+from qdpsim.algos import OSDConfig, QITEConfig, osd_recursion_spec, qite_recursion_spec
 from qdpsim.cli import main
 from qdpsim.engine import apply_step_exact
-from qdpsim.linalg import TRACE_ATOL
+from qdpsim.linalg import TRACE_ATOL, pure_distance
 from qdpsim import (
     CostLedger,
     DBIConfig,
@@ -672,7 +674,9 @@ def diagnostics_spec(scenario, dim):
 
 class TestDiagnosticsAfterTheLoop:
     """``run_strategy`` computes the distances in stacked chunks after its step
-    loop; each point still reads what the per-point formulas read."""
+    loop; each point still reads what the per-point formulas read: a pure
+    point's distance to a pure target is ``pure_distance``, within 1e-12 of
+    the dense ``trace_distance``."""
 
     @pytest.mark.parametrize("scenario, strategy", [
         ("dbi", UnfoldingStrategy(2)), ("grover", ExactStrategy()), ("osd", ExactStrategy()),
@@ -684,7 +688,11 @@ class TestDiagnosticsAfterTheLoop:
             record = run_strategy(spec, n_steps, strategy)
             assert len(record) == n_steps + 1
             for pt in record.points:
-                want = trace_distance(pt.state.matrix, spec.target.matrix)
+                dense = trace_distance(pt.state.matrix, spec.target.matrix)
+                want = dense
+                if isinstance(pt.state, PureState) and isinstance(spec.target, PureState):
+                    want = pure_distance(pt.state, spec.target)
+                    assert abs(want - dense) <= 1e-12
                 assert pt.distance_to_target.hex() == want.hex()
                 assert pt.mixedness.hex() == imr_mod.mixedness(pt.state).hex()
 
@@ -698,7 +706,8 @@ class TestDiagnosticsAfterTheLoop:
         assert engine.chunk_length(dim) == length
         matrices = [np.full((dim, dim), k, dtype=complex) for k in range(2 * length + 1)]
         starts, covered = [], []
-        for start, stack in engine.stacked_chunks(matrices):
+        states = [types.SimpleNamespace(matrix=m, dim=dim) for m in matrices]
+        for start, stack in engine.stacked_chunks(states):
             assert stack.shape[1:] == (dim, dim)
             assert stack.nbytes <= budget or len(stack) == 1
             if start + len(stack) < len(matrices):  # a full chunk holds no room for one more
@@ -743,3 +752,69 @@ class TestOneInstructionExponential:
         calls = count_instruction_exps(monkeypatch, spec)
         run_hybrid(spec, 5, 2, 16)
         assert len(calls) == 1
+
+
+def pure_specs():
+    """Builders of the package's pure-root specs from a seed."""
+    return {
+        "grover": lambda seed: grover_recursion_spec(
+            grover_config_from_distance(delta0=0.6, alternations=2, n_steps=3, dim=8, seed=seed)),
+        "qite": lambda seed: qite_recursion_spec(
+            QITEConfig(heisenberg_chain(3, 0.5), random_pure(8, seed))),
+        "osd": lambda seed: osd_recursion_spec(
+            OSDConfig(dims=(2, 4), diagonal=np.diag([0.0, 1.0]), initial=random_pure(8, seed))),
+    }
+
+
+class TestPureRuns:
+    """A ``PureState`` root runs its exact steps on a state vector; the same
+    spec from the root's ``DensityMatrix`` runs them on matrices.  Both give
+    the same points within 1e-12 and the same ledgers, and a pure point's
+    mixedness reads exactly 0."""
+
+    @pytest.mark.parametrize("scenario, strategy, n_steps", [
+        ("grover", ExactStrategy(), 3), ("grover", UnfoldingStrategy(), 3),
+        ("qite", ExactStrategy(), 40), ("osd", ExactStrategy(), 40),
+    ], ids=["grover-exact", "grover-unfolding", "qite-exact", "osd-exact"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vector_run_matches_the_dense_root_run(self, scenario, strategy, n_steps, seed):
+        spec = pure_specs()[scenario](seed)
+        vector = run_strategy(spec, n_steps, strategy)
+        dense = run_strategy(dataclasses.replace(spec, root=spec.root.density()), n_steps, strategy)
+        for a, b in zip(vector.points, dense.points, strict=True):
+            assert isinstance(a.state, PureState) and isinstance(b.state, DensityMatrix)
+            assert np.max(np.abs(a.state.matrix - b.state.matrix)) <= 1e-12
+            assert a.ledger == b.ledger
+            if spec.target is None:
+                assert a.distance_to_target is b.distance_to_target is None
+            else:
+                assert abs(a.distance_to_target - b.distance_to_target) <= 1e-12
+            assert a.mixedness == 0.0 and abs(b.mixedness) <= 1e-12
+
+    @pytest.mark.parametrize("scenario, strategy", [
+        ("grover", QDPStrategy(16)), ("qite", QDPStrategy(16, IMRConfig(2.0, copies_out=64))),
+        ("osd", QDPStrategy(8)),
+    ], ids=["grover-qdp", "qite-qdp-imr", "osd-qdp"])
+    def test_query_steps_keep_their_bits(self, scenario, strategy):
+        """A query step reads a pure input as ``DensityMatrix(state.matrix)``,
+        the dense root itself, so every point after the root has its bits."""
+        spec = pure_specs()[scenario](3)
+        vector = run_strategy(spec, 3, strategy)
+        dense = run_strategy(dataclasses.replace(spec, root=spec.root.density()), 3, strategy)
+        assert isinstance(vector.points[0].state, PureState)
+        for a, b in zip(vector.points[1:], dense.points[1:], strict=True):
+            np.testing.assert_array_equal(a.state.matrix, b.state.matrix)
+            assert (a.ledger, a.mixedness) == (b.ledger, b.mixedness)
+
+    def test_hybrid_run_turns_dense_at_its_query_phase(self):
+        spec = pure_specs()["grover"](1)
+        record = run_hybrid(spec, 1, 2, 16)
+        assert [type(pt.state) for pt in record.points] == [PureState] * 2 + [DensityMatrix] * 2
+
+    def test_non_covariant_unfolded_steps_run_dense(self):
+        spec = small_dbi_spec()
+        pure = dataclasses.replace(spec, root=random_pure(spec.root.dim, 4))
+        vector = run_unfolding(pure, 2, gc_substeps=2)
+        dense = run_unfolding(dataclasses.replace(pure, root=pure.root.density()), 2, gc_substeps=2)
+        for a, b in zip(vector.points[1:], dense.points[1:], strict=True):
+            np.testing.assert_array_equal(a.state.matrix, b.state.matrix)

@@ -12,7 +12,9 @@ from qdpsim import (
     hs_norm,
     kron,
     op_norm,
+    mixedness,
     partial_trace,
+    pure_distance,
     random_density,
     random_pure,
     trace_distance,
@@ -120,7 +122,21 @@ class TestTraceDistance:
         phi = random_pure(4, 2)
         ov = abs(np.vdot(psi.amplitudes, phi.amplitudes))
         expected = np.sqrt(1 - ov * ov)
-        assert abs(trace_distance(psi.projector(), phi.projector()) - expected) < 1e-12
+        assert abs(trace_distance(psi.matrix, phi.matrix) - expected) < 1e-12
+
+    def test_pure_distance_keeps_small_distances(self):
+        # sqrt(1 - |<tau|psi>|^2) keeps 6 digits at 1e-5 and reads 0 from
+        # 1e-8 on; ||psi - <tau|psi> tau|| keeps the distance's digits.
+        tau = random_pure(4, 3).amplitudes
+        raw = random_pure(4, 4).amplitudes
+        perp = raw - np.vdot(tau, raw) * tau
+        perp /= np.linalg.norm(perp)
+        for x in (0.3, 1e-5, 1e-9, 1e-14):
+            psi = PureState(np.sqrt(1.0 - x * x) * tau + x * perp)
+            assert pure_distance(psi, PureState(tau)) == pytest.approx(x, rel=1e-6)
+        psi = PureState(0.8 * tau + 0.6 * perp)
+        assert abs(pure_distance(psi, PureState(tau)) - trace_distance(psi.matrix, np.outer(
+            tau, tau.conj()))) <= 1e-15
 
     def test_metric_on_sampled_triples(self):
         for seed in range(5):
@@ -254,6 +270,14 @@ def test_argument_checks_raise_dimension_errors(call, match):
         call()
 
 
+def test_pure_state_reads_as_a_state():
+    psi = random_pure(5, 0)
+    np.testing.assert_array_equal(psi.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    assert psi.matrix is not psi.matrix  # formed on each read, not kept
+    np.testing.assert_array_equal(psi.eigenvalues, [0.0, 0.0, 0.0, 0.0, 1.0])
+    assert mixedness(psi) == 0.0
+
+
 def test_pure_state_is_immutable():
     psi = random_pure(2, 0)
     with pytest.raises(AttributeError, match="PureState is immutable"):
@@ -308,7 +332,7 @@ class TestDensityMatrixBits:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_clipped_states(self, dim):
         for seed in range(3):
-            psi = random_pure(dim, seed).projector()
+            psi = random_pure(dim, seed).matrix
             rho = (1 + 5e-10 * (dim - 1)) * psi - 5e-10 * (np.eye(dim) - psi)
             dm = DensityMatrix(rho)
             assert dm.clip_magnitude > 0
@@ -320,7 +344,7 @@ class TestDensityMatrixBits:
         """``eigvalsh`` decides the clip; a clipped state keeps the bits and the
         magnitude of the full ``eigh`` formula."""
         for seed in range(3):
-            psi = random_pure(dim, seed).projector()
+            psi = random_pure(dim, seed).matrix
             rho = (1 + depth * (dim - 1)) * psi - depth * (np.eye(dim) - psi)
             dm = DensityMatrix(rho)
             w = np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
@@ -337,7 +361,7 @@ class TestDensityMatrixSpectrum:
             assert not dm.eigenvalues.flags.writeable
 
     def test_clipped_state_keeps_the_spectrum_after_the_clip(self):
-        psi = random_pure(4, 0).projector()
+        psi = random_pure(4, 0).matrix
         dm = DensityMatrix((1 + 1.5e-9) * psi - 5e-10 * (np.eye(4) - psi))
         assert dm.clip_magnitude > 0
         assert dm.eigenvalues.tobytes() == np.linalg.eigvalsh(dm.matrix).tobytes()

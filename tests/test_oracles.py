@@ -42,14 +42,21 @@ m = 16 and 0.603 m eps at m = 64 (pair commutator), and 0.488 m eps at
 m = 1024 (pair commutator).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import random_hermitian
+from helpers import heisenberg_chain, random_hermitian
 from qdpsim import (
     DensityMatrix,
     MemoryCallSpec,
+    OSDConfig,
+    PureState,
+    QITEConfig,
     QueryGenerator,
+    grover_config_from_distance,
+    grover_recursion_spec,
     herm_exp,
     make_commutator_map,
     make_identity_map,
@@ -58,11 +65,14 @@ from qdpsim import (
     make_scaled_identity_map,
     memory_usage_query,
     op_norm,
+    osd_recursion_spec,
+    qite_recursion_spec,
     random_density,
     random_pure,
     repeated_queries,
+    run_exact,
 )
-from qdpsim.channels import queried_memory_call, unfolded_memory_call
+from qdpsim.channels import Lift, PairCommutator, Swap, queried_memory_call, unfolded_memory_call
 from qdpsim.cli import main
 
 EPS = np.finfo(float).eps
@@ -407,6 +417,139 @@ def test_unfolded_calls_match_the_long_double_power(instruction, dim, seed):
         exact = u @ sigma.matrix.astype(np.clongdouble) @ u.conj().T
         err = float(np.max(np.abs(unfolded_memory_call(call, rho, sigma, n) - exact)))
         assert err <= UNFOLD_BUDGET * n * EPS, (n, err / (n * EPS))
+
+
+# Extended-precision exact trajectory ---------------------------------------
+#
+# The exact steps of a spec run in ``np.clongdouble`` on density matrices from
+# its root's projector: each memory-call's unitary is ``ld_expm`` of the map's
+# generator, formed from the structure's parameters (no float64 action or
+# exponential), and each static is the spec's own unitary.  Each point of a
+# run reads its trace distance to the reference point, its worst over the
+# run.  A pure run (vector path, ``PureState`` root) is held against the same
+# spec run from the root's ``DensityMatrix`` (dense path).  Over seeds 0-3 the
+# worst point read, in eps:
+#
+# * qite (Heisenberg 2 and 3 qubits, random d = 5 and 16; 30 steps): vector
+#   0.81-1.46, dense 2.89-12.89;
+# * grover (d, L) = (4, 1), (8, 2), (16, 3) over the 5, 4 and 3 steps the
+#   cascade allows: vector 1.22-8.86, dense 2.14-12.98;
+# * osd [2, 4] and [4, 4] (30 steps): vector 2.69-21.91, dense 2.89-16.00.
+#
+# qite and grover runs never read worse as vectors.  osd runs are at parity:
+# both paths apply one ``herm_exp``-made ``d_A x d_A`` unitary per step, whose
+# error dominates both (the dense call is that unitary's conjugation of the
+# projector of the vector it maps), so which path reads worse after 30 steps
+# of accumulated roundoff is the seed's: the vector path read 0.56-1.40 of
+# the dense path's worst.  Both paths stay within ``8 n eps`` over n steps.
+
+TRAJECTORY_BUDGET = 8
+
+
+def ld_expm(x, r):
+    """``exp(-i r x)`` in ``np.clongdouble``: ``ld_exp`` of ``x`` scaled by
+    ``2^-k`` to a norm of at most 1/2, squared ``k`` times."""
+    norm = float(abs(LD(r)) * np.max(np.sum(np.abs(x.astype(np.clongdouble)), axis=1)))
+    k = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
+    return ld_power(ld_exp(x, LD(r) / LD(2) ** k), 2**k)
+
+
+def ld_call(call, rho):
+    """The memory-call's unitary ``exp(i t N(rho))``, ``t`` its duration, for
+    the long-double instruction ``rho``, from the map's structure."""
+    st, t = call.map.structure, LD(call.duration)
+    if isinstance(st, Swap):  # N(rho) = -alpha rho
+        return ld_expm(rho, LD(st.alpha) * t)
+    if isinstance(st, PairCommutator):  # N(rho (x) chi) = -i s [rho, chi]
+        chi = call.extra_instruction.matrix.astype(np.clongdouble)
+        return ld_expm(-1j * LD(st.s) * (rho @ chi - chi @ rho), -t)
+    assert isinstance(st, Lift)  # inner(Tr_B rho) (x) 1_B, inner = -i s [D, .]
+    inner, d_b = st.inner.structure, st.d_b
+    d = inner.d.astype(np.clongdouble)
+    d_a = d.shape[0]
+    reduced = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    u = ld_expm(-1j * LD(inner.s) * (d @ reduced - reduced @ d), -t)
+    return np.kron(u, np.eye(d_b, dtype=np.clongdouble))
+
+
+def ld_step(step, rho):
+    """One exact step on the long-double density matrix ``rho``."""
+    def conjugate(u, x):
+        return u @ x @ u.conj().T
+
+    work = rho
+    for u, call in zip(step.static_unitaries, step.memory_calls):
+        work = conjugate(ld_call(call, rho), conjugate(u.astype(np.clongdouble), work))
+    return conjugate(step.static_unitaries[-1].astype(np.clongdouble), work)
+
+
+def ld_state(state):
+    """A point's state as a long-double density matrix."""
+    if isinstance(state, PureState):
+        v = state.amplitudes.astype(np.clongdouble)
+        return np.outer(v, v.conj())
+    return state.matrix.astype(np.clongdouble)
+
+
+def worst_trajectory_distance(spec, n_steps, refs):
+    """The largest trace distance, in eps, of a point of ``run_exact(spec)``
+    to its reference point: the long-double difference, rounded to double
+    (its entries are a few eps), hermitized and diagonalized."""
+    worst = 0.0
+    for pt, ref in zip(run_exact(spec, n_steps).points, refs):
+        diff = (ld_state(pt.state) - ref).astype(complex)
+        worst = max(worst, float(np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)))) / 2)
+    return worst / EPS
+
+
+def qite_case(hamiltonian):
+    def build(seed):
+        h = hamiltonian(seed)
+        return qite_recursion_spec(QITEConfig(h, random_pure(h.shape[0], seed)))
+    return build
+
+
+def osd_trajectory_case(d_a, d_b):
+    return lambda seed: osd_recursion_spec(OSDConfig(
+        (d_a, d_b), np.diag(np.arange(d_a, dtype=float)), random_pure(d_a * d_b, seed)))
+
+
+def grover_case(dim, alternations, n_steps):
+    return lambda seed: grover_recursion_spec(
+        grover_config_from_distance(0.6, alternations, n_steps, dim=dim, seed=seed))
+
+
+# name: (spec builder from a seed, steps, whether the vector path must read
+# no worse than the dense path)
+TRAJECTORIES = {
+    "qite-heisenberg-2": (qite_case(lambda seed: heisenberg_chain(2, 0.5)), 30, True),
+    "qite-heisenberg-3": (qite_case(lambda seed: heisenberg_chain(3, 0.5)), 30, True),
+    "qite-random-5": (qite_case(lambda seed: random_hermitian(5, seed)), 30, True),
+    "qite-random-16": (qite_case(lambda seed: random_hermitian(16, seed)), 30, True),
+    "osd-2x4": (osd_trajectory_case(2, 4), 30, False),
+    "osd-4x4": (osd_trajectory_case(4, 4), 30, False),
+    "grover-4-L1": (grover_case(4, 1, 5), 5, True),
+    "grover-8-L2": (grover_case(8, 2, 4), 4, True),
+    "grover-16-L3": (grover_case(16, 3, 3), 3, True),
+}
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize("case", list(TRAJECTORIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_trajectories_match_the_long_double_steps(case, seed):
+    build, n_steps, no_worse = TRAJECTORIES[case]
+    spec = build(seed)
+    assert isinstance(spec.root, PureState)
+    refs = [ld_state(spec.root)]
+    for n in range(n_steps):
+        refs.append(ld_step(spec.resolve_step(n), refs[-1]))
+    vector = worst_trajectory_distance(spec, n_steps, refs)
+    dense = worst_trajectory_distance(dataclasses.replace(spec, root=spec.root.density()),
+                                      n_steps, refs)
+    assert max(vector, dense) <= TRAJECTORY_BUDGET * n_steps, (vector, dense)
+    if no_worse:
+        assert vector <= dense, (vector, dense)
 
 
 @pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's trace "

@@ -67,7 +67,7 @@ class TestConfigValidation:
     def test_canonical_step(self):
         psi = PureState(random_pure(4, 2).amplitudes)
         cfg = OSDConfig(dims=(2, 2), diagonal=np.diag([0.0, 1.0]), initial=psi)
-        reduced = partial_trace(psi.projector(), (2, 2), keep=[0])
+        reduced = partial_trace(psi.matrix, (2, 2), keep=[0])
         assert cfg.resolved_step() == 1.0 / (4.0 * np.linalg.norm(reduced) * 1.0)
 
     def test_zero_diagonal_has_no_canonical_step(self):
@@ -81,7 +81,7 @@ class TestSchmidtEstimate:
     @pytest.mark.parametrize("mu, expected", [([0.0, 1.0], [0.1, 0.9]), ([1.0, 0.0], [0.9, 0.1])])
     def test_reads_the_reduced_diagonal_in_descending_mu_order(self, mu, expected):
         psi = bipartite_pure([np.sqrt(0.9), 0, 0, np.sqrt(0.1)])
-        estimate = schmidt_estimate(psi.projector(), (2, 2), np.diag(mu))
+        estimate = schmidt_estimate(psi.matrix, (2, 2), np.diag(mu))
         np.testing.assert_allclose(estimate, expected, atol=1e-14)
 
 
@@ -100,7 +100,7 @@ class TestOsdRun:
         np.testing.assert_allclose(np.sort(estimate)[::-1], [0.7, 0.3], atol=1e-8)
         exact = run_exact(osd_recursion_spec(cfg), 5)
         np.testing.assert_allclose(
-            exact.final_state.matrix, psi.projector(), atol=1e-10
+            exact.final_state.matrix, psi.matrix, atol=1e-10
         )
 
     @pytest.mark.parametrize("dims,seed", [((2, 2), 5), ((2, 3), 9)])
