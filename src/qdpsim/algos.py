@@ -77,8 +77,8 @@ def _fold_angle(a: float) -> float:
     """Reduce a reflection angle to (-pi, pi].
 
     ``exp(-i a P)`` is 2-pi-periodic in ``a`` for a projector P, so folding
-    leaves the exact reflector unchanged while minimizing the query durations
-    that implement it.
+    leaves the exact reflector unchanged while minimizing the scale, and so
+    the query generator's norm, of the call that implements it.
     """
     folded = math.remainder(float(a), 2.0 * math.pi)
     return math.pi if folded <= -math.pi else folded
@@ -225,13 +225,11 @@ def grover_recursion_spec(cfg: GroverConfig, eps: float = 0.0) -> RecursionSpec:
         alphas, betas = grover_angles(cfg.alternations, q)
         # Target reflectors take -beta: that family rotates in the opposite
         # phase sense, which the exact distance recurrence requires.  Angles
-        # are folded to (-pi, pi]; the reflectors are unchanged and query
-        # blocks implementing the calls get the shortest total duration.
+        # are folded to (-pi, pi]; the reflectors are unchanged and the maps
+        # of the calls, whose scale the angles are, get the least norm.
         statics = [partial_reflection(tau_proj, -b) for b in betas] + [eye]
-        calls = tuple(
-            MemoryCallSpec(map=make_scaled_identity_map(_fold_angle(a), dim), duration=1.0)
-            for a in alphas
-        )
+        calls = tuple(MemoryCallSpec(map=make_scaled_identity_map(_fold_angle(a), dim))
+                      for a in alphas)
         return RecursionStepSpec(static_unitaries=tuple(statics), memory_calls=calls)
 
     return RecursionSpec(
@@ -372,7 +370,7 @@ def dbi_encode(p) -> tuple[DensityMatrix, float]:
     """Shift and normalize a Hermitian operator into a full-rank state.
 
     Returns the encoded state and the normalization ``Tr[P + lam]`` needed to
-    rescale flow durations.
+    rescale the flow's step into the map's scale.
     """
     pp = hermitize(p)
     eigs = np.linalg.eigvalsh(pp)
@@ -384,10 +382,11 @@ def dbi_encode(p) -> tuple[DensityMatrix, float]:
 
 def dbi_recursion_spec(cfg: DBIConfig) -> RecursionSpec:
     """Engine form: single commutator memory-call per step on the encoded
-    state, with the flow duration rescaled by the encoding normalization."""
+    state, whose map's scale is the flow's step rescaled by the encoding
+    normalization."""
     root, scale = dbi_encode(cfg.initial)
     s_eff = cfg.resolved_step() * scale
-    call = MemoryCallSpec(map=make_commutator_map(cfg.diagonal, s_eff), duration=1.0)
+    call = MemoryCallSpec(map=make_commutator_map(cfg.diagonal, s_eff))
     eye = np.eye(root.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
     target = DensityMatrix(dbi_sorted_fixed_point(root.matrix, cfg.diagonal))
@@ -478,11 +477,7 @@ def qite_recursion_spec(cfg: QITEConfig) -> RecursionSpec:
     dim = cfg.initial.dim
     _, chi, tr = qite_encode_hamiltonian(cfg.hamiltonian)
     s_eff = cfg.resolved_step() * tr
-    call = MemoryCallSpec(
-        map=make_pair_commutator_map(dim, s_eff),
-        duration=1.0,
-        extra_instruction=chi,
-    )
+    call = MemoryCallSpec(map=make_pair_commutator_map(dim, s_eff), extra_instruction=chi)
     eye = np.eye(dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
     gs, _ = ground_state(cfg.hamiltonian)
@@ -557,7 +552,7 @@ def schmidt_estimate(state: np.ndarray, dims, diagonal) -> np.ndarray:
 def osd_recursion_spec(cfg: OSDConfig) -> RecursionSpec:
     """Single memory-call recursion rotating only the first subsystem."""
     m = make_osd_map(cfg.diagonal, cfg.resolved_step(), cfg.dims)
-    call = MemoryCallSpec(map=m, duration=1.0)
+    call = MemoryCallSpec(map=m)
     eye = np.eye(cfg.initial.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
     return RecursionSpec(step=step, root=cfg.initial, target=None)

@@ -1,5 +1,5 @@
 """State-instructed channels of Hermitian-preserving maps, and the three
-realizations of a memory-call ``exp(i s N(rho))``: exact
+realizations of a memory-call ``exp(i N(rho))``: exact
 (``exact_memory_call``), memoryless by group commutators
 (``unfolded_memory_call``, commutator maps only) and by memory-usage queries on
 copies of ``rho`` (``queried_memory_call``).  The engine reads no map.  Each
@@ -19,17 +19,21 @@ Conjugating a memory (x) working pair by ``exp(-i Nhat s)`` and tracing out
 the memory register applies the map's exponential to the working state up to
 O(s^2).
 
+A memory-call has one scale, and the map holds it (``Swap.alpha``,
+``Commutator.s``, ``PairCommutator.s``, a ``Lift``'s inner map, a dense map's
+action): the call of ``N`` is ``exp(i N(rho))``, and its duration is 1.  A
+query has a duration.
+
 Sign conventions, fixed here once and relied on everywhere else:
 
-* ``exact_memory_call`` with map ``N`` and duration ``s`` applies the unitary
-  ``exp(+i s N(rho))``.
+* ``exact_memory_call`` with map ``N`` applies the unitary ``exp(+i N(rho))``.
 * ``memory_usage_query`` with duration ``s`` applies
   ``Tr_1[exp(-i Nhat s) (rho (x) sigma) exp(+i Nhat s)]``, whose first order
   is ``sigma - i s [N(rho), sigma]`` and whose many-query limit is therefore
   the unitary channel of ``exp(-i s N(rho))``.
 
-The two directions are adjoint, so ``queried_memory_call`` realizes a call of
-duration ``s`` by queries of total duration ``-s``.
+The two directions are adjoint, so ``queried_memory_call`` realizes a call by
+queries of total duration ``-1``.
 
 A block of queries applies one query's superoperator (``query_superoperator``)
 again and again, built from the query unitary by a scatter over pairs of its
@@ -73,6 +77,7 @@ from .linalg import (
     op_norm,
     random_pure,
     trace_distance,
+    unitary_on,
     _as_square,
 )
 
@@ -192,14 +197,14 @@ class QueryGenerator:
     def exact(call: MemoryCallSpec, instruction, working: np.ndarray):
         """``herm_exp`` of the map's action on the instruction matrix (a pure
         instruction's projector), applied to the working matrix or vector."""
-        u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -call.duration)
-        return _unitary_on(u, working)
+        u = herm_exp(map_apply(call.map, call.instruction_matrix(instruction)), -1.0)
+        return unitary_on(u, working)
 
     @staticmethod
     def queried(call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
-        """``m`` queries on the map's generator, of total duration ``-duration``."""
+        """``m`` queries on the map's generator, of total duration ``-1``."""
         return repeated_queries(call.map.generator, call.instruction_matrix(instruction),
-                                working, -call.duration, m)
+                                working, -1.0, m)
 
     @staticmethod
     def unfold(call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int):
@@ -209,12 +214,6 @@ class QueryGenerator:
     # An exact call's d x d matrices; a query call's d^2 x d^2 query unitary.
     exact_log_bytes = staticmethod(lambda log_d: 4 + 2 * log_d)
     queried_log_bytes = staticmethod(lambda log_d: 4 + 4 * log_d)
-
-
-def _unitary_on(u: np.ndarray, working: np.ndarray) -> np.ndarray:
-    """The unitary ``u`` applied to ``working``: ``u v`` to a state vector,
-    ``u w u^dag`` to a matrix."""
-    return u @ working if working.ndim == 1 else u @ working @ u.conj().T
 
 
 def _pure(call: MemoryCallSpec, instruction, working: np.ndarray) -> bool:
@@ -270,7 +269,8 @@ def _pair_plan(w: np.ndarray, d_in: int, d_out: int):
 
 @dataclass(frozen=True)
 class MemoryCallSpec:
-    """One state-instructed unitary ``exp(i * duration * N(instruction))``.
+    """One state-instructed unitary ``exp(i N(instruction))``, its whole scale
+    in the map.
 
     ``extra_instruction`` extends the instruction register: the map is fed
     ``state (x) extra_instruction`` instead of the bare recursion state, which
@@ -279,12 +279,7 @@ class MemoryCallSpec:
     """
 
     map: HermitianPreservingMap
-    duration: float = 1.0
     extra_instruction: Optional[DensityMatrix] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.duration):
-            raise InvariantError("duration must be finite")
 
     def instruction_matrix(self, state: DensityMatrix) -> np.ndarray:
         """``state``'s matrix (x) ``extra_instruction``; its consumer checks the dim."""
@@ -310,12 +305,12 @@ class Swap(QueryGenerator):
 
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """On a pure instruction ``psi`` and a state vector, the call
-        ``exp(-i alpha s |psi><psi|) = 1 + (e^{-i alpha s} - 1) |psi><psi|``,
+        ``exp(-i alpha |psi><psi|) = 1 + (e^{-i alpha} - 1) |psi><psi|``,
         in O(d); else the default."""
         if not _pure(call, instruction, working):
             return super().exact(call, instruction, working)
         psi = instruction.amplitudes
-        return working + np.expm1(-1j * self.alpha * call.duration) * np.vdot(psi, working) * psi
+        return working + np.expm1(-1j * self.alpha) * np.vdot(psi, working) * psi
 
     def make_unitary(self, t: float) -> np.ndarray:
         d = self.dim
@@ -361,17 +356,15 @@ class Commutator(QueryGenerator):
         return _kept(self, "_exp", r, lambda r: herm_exp(-self.d, r))["value"]
 
     def unfold(self, call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int):
-        """The call is ``exp(flow [d, rho])``, ``flow = duration * s > 0``,
-        applied as one group commutator's ``substeps``-th power (by squaring),
-        with error O(flow^1.5 / sqrt(substeps))."""
+        """The call is ``exp(s [d, rho])``, ``s > 0``, applied as one group
+        commutator's ``substeps``-th power (by squaring), with error
+        O(s^1.5 / sqrt(substeps))."""
         if call.extra_instruction is not None:
             return super().unfold(call, instruction, working, substeps)
-        flow = call.duration * self.s
-        if not flow > 0:
+        if not self.s > 0:
             raise UnsupportedSpecError("group-commutator unfolding needs positive flow")
-        gc = group_commutator(instruction.matrix, -self.d, flow / substeps, self.instruction_exp)
-        u = np.linalg.matrix_power(gc, substeps)
-        return u @ working @ u.conj().T
+        gc = group_commutator(instruction.matrix, -self.d, self.s / substeps, self.instruction_exp)
+        return unitary_on(np.linalg.matrix_power(gc, substeps), working)
 
     def make_unitary(self, t: float) -> np.ndarray:
         d = self.d_out
@@ -420,11 +413,10 @@ class PairCommutator(QueryGenerator):
 
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """On ``state (x) chi`` of two ``dim x dim`` factors, the unitary
-        ``exp(t s [rho, chi])``, ``t`` the duration, from the factors; else
-        the default.
+        ``exp(s [rho, chi])`` from the factors; else the default.
 
         On a pure ``rho = |psi><psi|`` and a state vector it is, in O(d^2), a
-        rotation by ``theta = t s r`` in the plane of ``psi`` and
+        rotation by ``theta = s r`` in the plane of ``psi`` and
         ``e = phi / r``, ``phi = chi psi - <chi> psi``, ``r = ||phi||``:
         ``[rho, chi] = r (|psi><e| - |e><psi|)``.  Otherwise it is ``herm_exp``
         of ``-i s [rho, chi]``."""
@@ -438,14 +430,13 @@ class PairCommutator(QueryGenerator):
             r = float(np.linalg.norm(phi))
             if r == 0.0:  # psi is an eigenvector of chi: the commutator vanishes
                 return working
-            e, half = phi / r, call.duration * self.s * r / 2.0
+            e, half = phi / r, self.s * r / 2.0
             a, b = np.vdot(psi, working), np.vdot(e, working)
             # cos(theta) - 1 = -2 sin^2(theta / 2) keeps a small angle's bits
             return working - 2.0 * math.sin(half) ** 2 * (a * psi + b * e) \
                 + math.sin(2.0 * half) * (b * psi - a * e)
         rho, chi = instruction.matrix, chi.matrix
-        u = herm_exp(-1j * self.s * (rho @ chi - chi @ rho), -call.duration)
-        return u @ working @ u.conj().T
+        return unitary_on(herm_exp(-1j * self.s * (rho @ chi - chi @ rho), -1.0), working)
 
     # A query call's d^3 x d^3 query unitary; an exact call's is the default.
     queried_log_bytes = staticmethod(lambda log_d: 4 + 6 * log_d)
@@ -483,10 +474,10 @@ class Lift(QueryGenerator):
         d_a = self.inner.d_out
         if _pure(call, instruction, working):
             m = instruction.amplitudes.reshape(d_a, self.d_b)
-            u = herm_exp(map_apply(self.inner, m @ m.conj().T), -call.duration)
+            u = herm_exp(map_apply(self.inner, m @ m.conj().T), -1.0)
             return (u @ working.reshape(d_a, self.d_b)).ravel()
         memory_a = _trace_b(_input(call.map, call.instruction_matrix(instruction)), self.d_b)
-        u = herm_exp(map_apply(self.inner, memory_a), -call.duration)
+        u = herm_exp(map_apply(self.inner, memory_a), -1.0)
         # (u (x) 1) w on the row index, then (.) (u (x) 1)^dag on the column's A index
         uw = (u @ working.reshape(d_a, -1)).reshape(d_a * self.d_b, d_a, self.d_b)
         return np.matmul(u.conj(), uw).reshape(working.shape)
@@ -499,7 +490,7 @@ class Lift(QueryGenerator):
         d_a, d_b = self.inner.d_out, self.d_b
         cols = working.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
         out = repeated_queries(self.inner.generator, _trace_b(memory, d_b),
-                               cols.reshape(d_a, d_a, d_b * d_b), -call.duration, m)
+                               cols.reshape(d_a, d_a, d_b * d_b), -1.0, m)
         return out.reshape(d_a, d_a, d_b, d_b).transpose(0, 2, 1, 3).reshape(working.shape)
 
     # From log2 d_A and log2 d_B: the d_A d_B x d_A d_B matrices, and for a
@@ -611,7 +602,7 @@ def _working(call: MemoryCallSpec, working) -> np.ndarray:
 
 
 def exact_memory_call(call: MemoryCallSpec, instruction, working) -> np.ndarray:
-    """Apply ``exp(i * duration * N(instruction))`` to the working matrix, or
+    """Apply ``exp(i N(instruction))`` to the working matrix, or
     to the working state vector; the instruction is a ``DensityMatrix`` or a
     ``PureState``."""
     return _calls(call.map).exact(call, instruction, _working(call, working))
@@ -619,15 +610,15 @@ def exact_memory_call(call: MemoryCallSpec, instruction, working) -> np.ndarray:
 
 def unfolded_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working,
                          substeps: int) -> np.ndarray:
-    """Memoryless ``exp(i * duration * N(instruction))`` for ``N = -i s [d, .]``
+    """Memoryless ``exp(i N(instruction))`` for ``N = -i s [d, .]``
     by group commutators (``Commutator.unfold``)."""
     return _calls(call.map).unfold(call, instruction, _working(call, working), substeps)
 
 
 def queried_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, working,
                         m: int) -> np.ndarray:
-    """``exp(i * duration * N(instruction))`` by ``m`` queries of total duration
-    ``-duration``, each consuming a copy of the instruction register as memory:
+    """``exp(i N(instruction))`` by ``m`` queries of total duration ``-1``,
+    each consuming a copy of the instruction register as memory:
     the validated instruction's matrix (``instruction_matrix``), not wrapped again."""
     return _calls(call.map).queried(call, instruction, _matrix(working), m)
 
@@ -829,7 +820,7 @@ def channel_error_probe(
     worst = 0.0
     for k, working in enumerate(states):
         got = DensityMatrix(approx[..., k])
-        exact = DensityMatrix(u @ working.matrix @ u.conj().T)
+        exact = DensityMatrix(unitary_on(u, working.matrix))
         worst = max(worst, trace_distance(got.matrix, exact.matrix))
     return worst
 

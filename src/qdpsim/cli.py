@@ -53,12 +53,12 @@ from .algos import (
     OSDConfig,
     QITEConfig,
     dbi_recursion_spec,
+    energy,
     grover_config_from_distance,
     grover_delta_cascade,
     grover_delta_sequence,
     grover_recursion_spec,
     grover_step_counts,
-    ground_state,
     heisenberg_chain,
     offdiag_hs_norm,
     osd_recursion_spec,
@@ -95,7 +95,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .imr import MAX_ROUNDS, IMRConfig
-from .linalg import PureState, hermitize, hs_norm, partial_trace, random_density, random_pure
+from .linalg import PureState, hs_norm, partial_trace, random_density, random_pure
 
 SCHEMA_VERSION = 1
 
@@ -462,13 +462,13 @@ def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, cells,
     and a ``BoundCheck`` per ``(name, measure(record), bound)`` of ``checks``.
     ``cells(stack, points)`` gives the cells of one chunk of points
     (``stacked_chunks``), one tuple per point, ``stack`` holding their state
-    matrices.  ``flow`` names the fields that set the memory-call's duration,
-    checked first if a step reads the map's action or unitary."""
+    matrices.  ``flow`` names the fields that set the memory-call's scale,
+    checked first if a step reads the map's action or unitary: the call has
+    duration 1, so its ``||Nhat||`` must be finite."""
     # An unfolded call reads neither; a hybrid run unfolds all but its n2 steps.
     unfolded = isinstance(cfg.strategy, UnfoldingStrategy)
     if flow and not unfolded and getattr(cfg.strategy, "n2", n_steps):
-        call = spec.resolve_step(0).memory_calls[0]
-        _check_duration(call.map.generator, call.duration, flow)
+        _check_duration(spec.resolve_step(0).memory_calls[0].map.generator, 1.0, flow)
     record = run_strategy(spec, n_steps, cfg.strategy)
     points = record.points
     rows = []
@@ -536,17 +536,15 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
     fields = "params.dim" if p["model"] == "random" else "params.n_qubits and params.field"
     try:
         spec = qite_recursion_spec(qcfg)
-        gs, _ = ground_state(h)
     except InvariantError as exc:
         raise InfeasibleConfigError(f"{fields} give QITE no unique ground state: {exc}") from exc
-    hh = hermitize(h)  # ``energy``'s operator, formed once
+    gs = spec.target.amplitudes
     return _trajectory(
         cfg, spec, p["n_steps"],
         ["energy", "ground_infidelity", "mixedness", "depth", "width"],
-        lambda stack, pts: [(float(np.real(e)), 1.0 - float(np.real(np.vdot(gs.amplitudes, v))),
+        lambda stack, pts: [(energy(pt.state, h), 1.0 - float(np.real(np.vdot(gs, v))),
                              pt.mixedness, pt.ledger.depth, pt.ledger.width)
-                            for e, v, pt in zip(np.trace(hh @ stack, axis1=1, axis2=2),
-                                                stack @ gs.amplitudes, pts)],
+                            for v, pt in zip(stack @ gs, pts)],
         flow=f"params.step_size and {fields}",
     )
 

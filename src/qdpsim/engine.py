@@ -22,7 +22,7 @@ hybrid's unfolding or query phase by step index), has the rule ``realize``
 the step's calls between the static unitaries, charges the step from the
 strategy's closed form and, if the rule carries an ``imr``, purifies the
 output and charges that.  The engine reads no map and applies no sign
-convention.
+convention; a call's whole scale is in its map (``channels``).
 
 A state is validated once per step, at the step's boundary: ``_interleave``
 carries the working state through the step's static unitaries and calls as a
@@ -82,6 +82,7 @@ from .linalg import (
     trace_distance,
     unit_norm,
     unit_trace,
+    unitary_on,
 )
 
 State = Union[DensityMatrix, PureState]
@@ -145,17 +146,21 @@ class RecursionStepSpec:
                 f"need {len(self.memory_calls) + 1} static unitaries for "
                 f"{len(self.memory_calls)} memory-calls, got {len(statics)}"
             )
+        # One flag per static: applied by ``_interleave`` and charged by the
+        # ledger exactly when the static is more than 1e-12 off the identity.
+        # A static that close to it is unitary to about 2e-12, so only the
+        # others form ``u^dag u``.
+        nontrivial = []
         for u in statics:
             if u.shape[0] != u.shape[1]:
                 raise DimensionError("static unitaries must be square")
-            dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-            if dev > UNITARY_ATOL:
-                raise InvariantError(f"static operator is not unitary ({dev:.3e})")
+            nontrivial.append(bool(np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-12))
+            if nontrivial[-1]:
+                dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+                if dev > UNITARY_ATOL:
+                    raise InvariantError(f"static operator is not unitary ({dev:.3e})")
         object.__setattr__(self, "static_unitaries", statics)
-        # One flag per static: applied by ``_interleave`` and charged by the
-        # ledger exactly when the static is more than 1e-12 off the identity.
-        nontrivial = tuple(bool(np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-12) for u in statics)
-        object.__setattr__(self, "nontrivial_statics", nontrivial)
+        object.__setattr__(self, "nontrivial_statics", tuple(nontrivial))
 
     @property
     def n_calls(self) -> int:
@@ -221,8 +226,7 @@ def _static(step: RecursionStepSpec, idx: int, work: np.ndarray) -> np.ndarray:
     it as the identity."""
     if not step.nontrivial_statics[idx]:
         return work
-    u = step.static_unitaries[idx]
-    return u @ work if work.ndim == 1 else u @ work @ u.conj().T
+    return unitary_on(step.static_unitaries[idx], work)
 
 
 def _interleave(step, state, realize, per_call=None) -> State:

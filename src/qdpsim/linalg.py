@@ -135,6 +135,12 @@ def pure_distance(psi: "PureState", tau: "PureState") -> float:
     return float(np.linalg.norm(v - np.vdot(t, v) * t))
 
 
+def unitary_on(u: np.ndarray, working: np.ndarray) -> np.ndarray:
+    """The unitary ``u`` applied to a register: ``u v`` to a state vector,
+    ``u w u^dag`` to a matrix."""
+    return u @ working if working.ndim == 1 else u @ working @ u.conj().T
+
+
 def unit_trace(a: np.ndarray) -> np.ndarray:
     """``a`` divided by its real trace, which must be within ``TRACE_ATOL`` of one."""
     tr = float(np.real(np.trace(a)))

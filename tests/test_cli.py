@@ -16,13 +16,14 @@ from qdpsim import (
     DBIConfig,
     PureState,
     RecursionStepSpec,
+    algos,
     channel_error_probe,
     cli,
     dbi_cost,
     dbi_recursion_spec,
+    energy,
     engine,
     ground_state,
-    hermitize,
     make_identity_map,
     offdiag_hs_norm,
     partial_trace,
@@ -1068,6 +1069,23 @@ class TestQiteField:
         capsys.readouterr()
 
 
+def test_qite_run_finds_its_ground_state_once(monkeypatch):
+    """The runner reads the ground state off the spec's target, which the spec
+    builder found: one ``eigh`` of the Hamiltonian per run, not two."""
+    calls = []
+
+    def counting(h):
+        calls.append(np.shape(h))
+        return ground_state(h)
+
+    monkeypatch.setattr(algos, "ground_state", counting)
+    monkeypatch.setattr(cli, "ground_state", counting, raising=False)
+    run_scenario(ExperimentConfig.from_dict({
+        "scenario": "qite", "seed": 3, "strategy": {"kind": "exact"},
+        "params": {"n_qubits": 3, "n_steps": 2}}))
+    assert calls == [(8, 8)]
+
+
 @pytest.mark.xfail(strict=True, reason="the 10^6-fold group-commutator product drifts off "
                    "unitarity, so the step's trace leaves TRACE_ATOL and a valid config exits 4")
 def test_long_unfolded_call_keeps_the_trace(tmp_path, capsys):
@@ -1352,8 +1370,7 @@ class TestChunkedColumns:
         if scenario == "qite":
             h = cli._qite_hamiltonian(p, seed)
             gs, _ = ground_state(h)
-            # ``energy``'s trace form, which the cells read of a pure point too
-            return (float(np.real(np.trace(hermitize(h) @ m))),
+            return (energy(pt.state, h),
                     1.0 - float(np.real(np.vdot(gs.amplitudes, m @ gs.amplitudes))),
                     pt.mixedness, ledger.depth, ledger.width)
         if scenario == "osd":

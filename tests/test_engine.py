@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -52,7 +53,7 @@ from qdpsim import (
 def commuting_spec(dim=3):
     """Memory-calls that annihilate every diagonal state: a constant recursion."""
     d = np.diag(np.arange(dim, dtype=float))
-    call = MemoryCallSpec(map=make_commutator_map(d, 0.7), duration=1.0)
+    call = MemoryCallSpec(map=make_commutator_map(d, 0.7))
     eye = np.eye(dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
     root = DensityMatrix(np.diag(np.arange(1, dim + 1, dtype=float) / (dim * (dim + 1) / 2)))
@@ -373,7 +374,7 @@ class TestRunUnfolding:
         assert 1.4 <= ratio <= 2.6  # ~2 from the inverse-sqrt substep scaling
 
     def test_non_commutator_map_rejected(self):
-        call = MemoryCallSpec(map=make_scaled_identity_map(0.5, 2), duration=1.0)
+        call = MemoryCallSpec(map=make_scaled_identity_map(0.5, 2))
         eye = np.eye(2, dtype=complex)
         step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
         spec = RecursionSpec(step=step, root=random_density(2, 3), covariant=False)
@@ -561,7 +562,7 @@ class TestIdentityStatics:
     """A static unitary is conjugated through, and charged, exactly when its
     flag in ``nontrivial_statics`` is set: more than 1e-12 off the identity."""
 
-    CALL = MemoryCallSpec(map=make_commutator_map(np.diag([0.0, 1.0, 2.0]), 0.7), duration=1.0)
+    CALL = MemoryCallSpec(map=make_commutator_map(np.diag([0.0, 1.0, 2.0]), 0.7))
 
     def step(self, static):
         return RecursionStepSpec(static_unitaries=(static, static), memory_calls=(self.CALL,))
@@ -591,6 +592,22 @@ class TestIdentityStatics:
         assert np.max(np.abs(got - self.explicit(static, rho))) <= 4 * np.finfo(float).eps
         assert np.max(np.abs(got - self.explicit(np.eye(3), rho))) > 1e-13
         assert self.depth(step, rho) == 3
+
+    def test_identity_statics_form_no_product(self):
+        """An identity static is not checked for unitarity by ``u^dag u``: at
+        d = 512 its flag holds ``u - 1`` and its magnitudes, 1.5 matrices of
+        ``16 d^2`` bytes, where the product would hold itself and ``u``'s
+        conjugate, 2 of them."""
+        d = 512
+        eye, call = np.eye(d, dtype=complex), MemoryCallSpec(map=make_identity_map(d))
+        tracemalloc.start()
+        try:
+            step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step.nontrivial_statics == (False, False)
+        assert peak < 1.75 * 16 * d * d, peak / (16 * d * d)
 
     def test_one_flag_decides_both(self):
         rho = random_density(3, 1)

@@ -112,39 +112,40 @@ def test_closed_form_is_one_query_at_m_1():
     np.testing.assert_allclose(swap_closed_form(rho, sigma, 0.7, 1), direct, rtol=0, atol=1e-15)
 
 
-def query_block(mapping, rho, sigma, total, m):
-    """``m`` queries of total duration ``total`` as a recursion step runs them
-    (``queried_memory_call``, which realizes an osd block on the A factor),
-    validated as a ``DensityMatrix``."""
-    call = MemoryCallSpec(map=mapping, duration=-total)
-    return DensityMatrix(queried_memory_call(call, rho, sigma, m)).matrix
+def query_block(mapping, rho, sigma, m):
+    """A call's ``m`` queries, of total duration ``-1`` on ``mapping``, as a
+    recursion step runs them (``queried_memory_call``, which realizes an osd
+    block on the A factor), validated as a ``DensityMatrix``.  On the map
+    scaled by ``-S`` they are ``m`` queries of total duration ``S`` on the
+    unscaled map."""
+    return DensityMatrix(queried_memory_call(MemoryCallSpec(map=mapping), rho, sigma, m)).matrix
 
 
 @pytest.mark.parametrize(
     "build, longer",
     [
         # d_out = 2 squares from m = 49, so there 64 and 1024 run by squaring.
-        (lambda seed: make_commutator_map(random_hermitian(2, 30 + seed), 0.8), [1024]),
-        (lambda seed: make_commutator_map(random_hermitian(3, 30 + seed), 0.8), []),
-        (lambda seed: make_osd_map(np.diag([0.0, 1.0]), 0.7, (2, 2)), []),
-        (lambda seed: make_osd_map(np.diag([0.0, 1.0]), 0.7, (2, 3)), []),
-        (lambda seed: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.7, (3, 2)), []),
-        (lambda seed: make_pair_commutator_map(2, 0.9), [1024]),
+        (lambda seed, c: make_commutator_map(random_hermitian(2, 30 + seed), 0.8 * c), [1024]),
+        (lambda seed, c: make_commutator_map(random_hermitian(3, 30 + seed), 0.8 * c), []),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 2)), []),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 3)), []),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.7 * c, (3, 2)), []),
+        (lambda seed, c: make_pair_commutator_map(2, 0.9 * c), [1024]),
     ],
     ids=["commutator-2", "commutator-3", "osd-2x2", "osd-2x3", "osd-3x2", "pair-commutator-2"],
 )
 @pytest.mark.parametrize("total", [0.6, -1.3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_query_blocks_match_the_dense_query(build, longer, seed, total):
-    mapping = build(seed)
+    mapping = build(seed, -total)
     gen = mapping.generator
     rho = random_density(gen.d_in, seed)
     sigma = random_pure(gen.d_out, 100 + seed).density()
     for m in [1, 2, 3, 16, 64] + longer:
-        got = query_block(mapping, rho, sigma, total, m)
+        got = query_block(mapping, rho, sigma, m)
         dense = sigma
         for _ in range(m):
-            dense = memory_usage_query(gen, rho, dense, total / m)
+            dense = memory_usage_query(gen, rho, dense, -1.0 / m)
         err = np.max(np.abs(got - dense.matrix))
         assert err <= (8 + m) * EPS, (m, err / EPS)
 
@@ -316,29 +317,33 @@ def ld_block(w, rho, sigma, m):
     return out
 
 
+# Each case builds a seeded map of scale ``c`` times a random one, with its
+# long-double query unitary at duration ``t``.
+
+
 def swap_case(dim):
-    def build(seed):
-        _, alpha = seeded(seed)
+    def build(seed, c):
+        alpha = c * seeded(seed)[1]
         return make_scaled_identity_map(alpha, dim), lambda t: ld_swap(alpha, dim, t)
     return build
 
 
-def commutator_case(seed):
+def commutator_case(seed, c):
     rng, s = seeded(seed)
-    mu = np.sort(rng.standard_normal(4))
+    mu, s = np.sort(rng.standard_normal(4)), c * s
     return make_commutator_map(np.diag(mu), s), lambda t: ld_commutator(mu, s, t)
 
 
 def osd_case(d_a, d_b):
-    def build(seed):
+    def build(seed, c):
         rng, s = seeded(seed)
-        mu = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 2.0, d_a - 1))])
+        mu, s = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 2.0, d_a - 1))]), c * s
         return make_osd_map(np.diag(mu), s, (d_a, d_b)), lambda t: ld_osd(mu, s, d_b, t)
     return build
 
 
-def pair_commutator_case(seed):
-    _, s = seeded(seed)
+def pair_commutator_case(seed, c):
+    s = c * seeded(seed)[1]
     return make_pair_commutator_map(2, s), lambda t: ld_pair_commutator(2, s, t)
 
 
@@ -353,13 +358,13 @@ def pair_commutator_case(seed):
 @pytest.mark.parametrize("total", [0.6, -1.3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_query_blocks_match_the_long_double_block(build, seed, total):
-    mapping, ld_unitary = build(seed)
+    mapping, ld_unitary = build(seed, -total)
     gen = mapping.generator
     rho = random_density(gen.d_in, seed)
     sigma = random_pure(gen.d_out, 100 + seed).density()
     for m in [1, 3, 16, 64]:
-        got = query_block(mapping, rho, sigma, total, m)
-        exact = ld_block(ld_unitary(total / m), rho.matrix, sigma.matrix, m)
+        got = query_block(mapping, rho, sigma, m)
+        exact = ld_block(ld_unitary(-1.0 / m), rho.matrix, sigma.matrix, m)
         err = float(np.max(np.abs(got - exact)))
         assert err <= (8 + m) * EPS, (m, err / EPS)
 
@@ -407,8 +412,8 @@ def ld_power(g, n):
 @pytest.mark.parametrize("dim", [4, 8])
 @pytest.mark.parametrize("seed", range(5))
 def test_unfolded_calls_match_the_long_double_power(instruction, dim, seed):
-    mapping = make_commutator_map(instruction(dim, seed), 1.0)
-    call = MemoryCallSpec(map=mapping, duration=0.3)
+    mapping = make_commutator_map(instruction(dim, seed), 0.3)
+    call = MemoryCallSpec(map=mapping)
     rho, sigma = random_density(dim, seed), random_pure(dim, 100 + seed).density()
     for n in [1, 2, 3, 16, 64, 256, 1000]:
         r = np.sqrt(LD(0.3) / n)
@@ -455,20 +460,20 @@ def ld_expm(x, r):
 
 
 def ld_call(call, rho):
-    """The memory-call's unitary ``exp(i t N(rho))``, ``t`` its duration, for
-    the long-double instruction ``rho``, from the map's structure."""
-    st, t = call.map.structure, LD(call.duration)
+    """The memory-call's unitary ``exp(i N(rho))`` for the long-double
+    instruction ``rho``, from the map's structure, which holds its scale."""
+    st = call.map.structure
     if isinstance(st, Swap):  # N(rho) = -alpha rho
-        return ld_expm(rho, LD(st.alpha) * t)
+        return ld_expm(rho, st.alpha)
     if isinstance(st, PairCommutator):  # N(rho (x) chi) = -i s [rho, chi]
         chi = call.extra_instruction.matrix.astype(np.clongdouble)
-        return ld_expm(-1j * LD(st.s) * (rho @ chi - chi @ rho), -t)
+        return ld_expm(-1j * LD(st.s) * (rho @ chi - chi @ rho), -1)
     assert isinstance(st, Lift)  # inner(Tr_B rho) (x) 1_B, inner = -i s [D, .]
     inner, d_b = st.inner.structure, st.d_b
     d = inner.d.astype(np.clongdouble)
     d_a = d.shape[0]
     reduced = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
-    u = ld_expm(-1j * LD(inner.s) * (d @ reduced - reduced @ d), -t)
+    u = ld_expm(-1j * LD(inner.s) * (d @ reduced - reduced @ d), -1)
     return np.kron(u, np.eye(d_b, dtype=np.clongdouble))
 
 
