@@ -42,6 +42,7 @@ from .linalg import (
     hermitize,
     hs_norm,
     partial_trace,
+    pure_distance,
     trace_distance,
 )
 
@@ -151,8 +152,9 @@ class GroverConfig:
 
     @property
     def delta0(self) -> float:
-        ov = abs(self.initial.overlap(self.target))
-        return math.sqrt(max(1.0 - ov * ov, 0.0))
+        """The initial distance to the target, by the stable ``pure_distance``:
+        ``sqrt(1 - |<tau|psi>|^2)`` cancels to 0 below about 1e-8."""
+        return pure_distance(self.initial, self.target)
 
 
 def grover_config_from_distance(
@@ -441,10 +443,8 @@ def qite_step(psi: PureState, h, s: float) -> PureState:
 
 
 def energy(state, h) -> float:
-    hh = hermitize(h)
-    if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.amplitudes, hh @ state.amplitudes)))
-    return float(np.real(np.trace(hh @ state.matrix)))
+    """``state``'s expectation of the hermitized ``h``."""
+    return state.expectation(hermitize(h))
 
 
 def ground_state(h) -> tuple[PureState, float]:

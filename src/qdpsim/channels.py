@@ -53,9 +53,10 @@ instruction or memory they read is a validated state.  An exact call also
 takes a state vector as its working register, and returns one: a pure run
 (``engine``) carries its state as a vector.  Instructed by a ``PureState``,
 the swap, pair-commutator and lifted maps apply their call to the vector in
-closed form, with no ``herm_exp`` of a ``d x d`` generator (``_pure``); the
-default forms the instruction's projector and exponentiates the map's action
-on it.
+closed form, with no ``herm_exp`` of a ``d x d`` generator; the lifted map
+reads the instruction's ``Tr_B`` from its vector (``reduced``), as it reads
+a mixed one's.  The default forms the instruction's projector and
+exponentiates the map's action on it.
 """
 
 from __future__ import annotations
@@ -118,17 +119,12 @@ def map_from_function(fn: Callable[[np.ndarray], np.ndarray], d_in: int,
     return HermitianPreservingMap(d_in=d_in, d_out=d_out, action=fn)
 
 
-def _input(m: HermitianPreservingMap, x) -> np.ndarray:
-    """``x`` as a square matrix of the map's input dimension."""
+def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
+    """Apply the map to a square operator of its input dimension."""
     a = _as_square(x)
     if a.shape[0] != m.d_in:
         raise DimensionError(f"input dim {a.shape[0]} != map d_in {m.d_in}")
-    return a
-
-
-def map_apply(m: HermitianPreservingMap, x) -> np.ndarray:
-    """Apply the map to an operator."""
-    return _act(m, _input(m, x))
+    return _act(m, a)
 
 
 class QueryGenerator:
@@ -466,18 +462,17 @@ class Lift(QueryGenerator):
         return u.reshape(self.d_in * self.d_out, self.d_in * self.d_out)
 
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
-        """The inner call, instructed by ``Tr_B`` of the instruction matrix:
-        ``u (x) 1_B`` for its ``d_A x d_A`` unitary ``u``.  On a pure
-        instruction ``psi`` and a state vector, ``Tr_B = M M^dag`` with
-        ``M = psi`` as a ``d_A x d_B`` matrix, and the vector ``v`` goes to
-        ``u V``, ``V`` being ``v`` as such a matrix."""
+        """The inner call, instructed by the instruction's ``Tr_B``
+        (``reduced``): ``u (x) 1_B`` for its ``d_A x d_A`` unitary ``u``.  A
+        state vector ``v`` goes to ``u V``, ``V`` being ``v`` as a
+        ``d_A x d_B`` matrix.  An extended or wrongly sized instruction takes
+        the default, which checks its dimension."""
+        if call.extra_instruction is not None or instruction.dim != self.d_in:
+            return super().exact(call, instruction, working)
         d_a = self.inner.d_out
-        if _pure(call, instruction, working):
-            m = instruction.amplitudes.reshape(d_a, self.d_b)
-            u = herm_exp(map_apply(self.inner, m @ m.conj().T), -1.0)
+        u = herm_exp(map_apply(self.inner, instruction.reduced((d_a, self.d_b))), -1.0)
+        if working.ndim == 1:
             return (u @ working.reshape(d_a, self.d_b)).ravel()
-        memory_a = _trace_b(_input(call.map, call.instruction_matrix(instruction)), self.d_b)
-        u = herm_exp(map_apply(self.inner, memory_a), -1.0)
         # (u (x) 1) w on the row index, then (.) (u (x) 1)^dag on the column's A index
         uw = (u @ working.reshape(d_a, -1)).reshape(d_a * self.d_b, d_a, self.d_b)
         return np.matmul(u.conj(), uw).reshape(working.shape)

@@ -53,7 +53,6 @@ from .algos import (
     OSDConfig,
     QITEConfig,
     dbi_recursion_spec,
-    energy,
     grover_config_from_distance,
     grover_delta_cascade,
     grover_delta_sequence,
@@ -84,7 +83,6 @@ from .engine import (
     QDPStrategy,
     UnfoldingStrategy,
     run_strategy,
-    stacked_chunks,
     unfolding_cost,
 )
 from .errors import (
@@ -95,7 +93,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .imr import MAX_ROUNDS, IMRConfig
-from .linalg import PureState, hs_norm, partial_trace, random_density, random_pure
+from .linalg import PureState, hermitize, hs_norm, random_density, random_pure
 
 SCHEMA_VERSION = 1
 
@@ -458,11 +456,11 @@ def _check_duration(gen, duration: float, fields: str) -> None:
 def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, cells,
                 flow: Optional[str] = None, checks=()) -> RunReport:
     """Run ``spec`` for ``n_steps`` under the config's strategy: one row
-    ``(step, *cells)`` per trajectory point under ``step`` and ``columns``,
-    and a ``BoundCheck`` per ``(name, measure(record), bound)`` of ``checks``.
-    ``cells(stack, points)`` gives the cells of one chunk of points
-    (``stacked_chunks``), one tuple per point, ``stack`` holding their state
-    matrices.  ``flow`` names the fields that set the memory-call's scale,
+    ``(step, *cells(point))`` per trajectory point under ``step`` and
+    ``columns``, and a ``BoundCheck`` per ``(name, measure(record), bound)``
+    of ``checks``.  A cell reads its point's state through the state's own
+    reads (``expectation``, ``fidelity``, ``reduced``), so a pure point forms
+    no projector.  ``flow`` names the fields that set the memory-call's scale,
     checked first if a step reads the map's action or unitary: the call has
     duration 1, so its ``||Nhat||`` must be finite."""
     # An unfolded call reads neither; a hybrid run unfolds all but its n2 steps.
@@ -470,11 +468,7 @@ def _trajectory(cfg: ExperimentConfig, spec, n_steps: int, columns: list, cells,
     if flow and not unfolded and getattr(cfg.strategy, "n2", n_steps):
         _check_duration(spec.resolve_step(0).memory_calls[0].map.generator, 1.0, flow)
     record = run_strategy(spec, n_steps, cfg.strategy)
-    points = record.points
-    rows = []
-    for start, stack in stacked_chunks([pt.state for pt in points]):
-        chunk = cells(stack, points[start:start + len(stack)])
-        rows += [(start + i, *row) for i, row in enumerate(chunk)]
+    rows = [(n, *cells(pt)) for n, pt in enumerate(record.points)]
     return RunReport(["step", *columns], rows,
                      [BoundCheck(name, measure(record), bound) for name, measure, bound in checks])
 
@@ -491,8 +485,8 @@ def _run_grover(cfg: ExperimentConfig) -> RunReport:
     return _trajectory(
         cfg, grover_recursion_spec(gcfg, eps=eps), gcfg.n_steps,
         ["trace_distance", "mixedness", "depth", "width", "p_success"],
-        lambda stack, pts: [(pt.distance_to_target, pt.mixedness, pt.ledger.depth,
-                             pt.ledger.width, pt.ledger.success_probability) for pt in pts],
+        lambda pt: (pt.distance_to_target, pt.mixedness, pt.ledger.depth, pt.ledger.width,
+                    pt.ledger.success_probability),
         checks=checks,
     )
 
@@ -512,9 +506,8 @@ def _run_dbi(cfg: ExperimentConfig) -> RunReport:
         ["cost", "offdiag_hs", "trace_distance", "depth", "width"],
         # ``dbi_cost`` without its ``hermitize``: the validated states and the
         # real diagonal are Hermitian to the bit, so it returns them unchanged.
-        lambda stack, pts: [(hs_norm(x) ** 2, offdiag_hs_norm(m), pt.distance_to_target,
-                             pt.ledger.depth, pt.ledger.width)
-                            for x, m, pt in zip(stack - diag, stack, pts)],
+        lambda pt: (hs_norm(pt.state.matrix - diag) ** 2, offdiag_hs_norm(pt.state.matrix),
+                    pt.distance_to_target, pt.ledger.depth, pt.ledger.width),
         flow="params.step_size and params.mu",
     )
 
@@ -538,13 +531,12 @@ def _run_qite(cfg: ExperimentConfig) -> RunReport:
         spec = qite_recursion_spec(qcfg)
     except InvariantError as exc:
         raise InfeasibleConfigError(f"{fields} give QITE no unique ground state: {exc}") from exc
-    gs = spec.target.amplitudes
+    hh = hermitize(h)
     return _trajectory(
         cfg, spec, p["n_steps"],
         ["energy", "ground_infidelity", "mixedness", "depth", "width"],
-        lambda stack, pts: [(energy(pt.state, h), 1.0 - float(np.real(np.vdot(gs, v))),
-                             pt.mixedness, pt.ledger.depth, pt.ledger.width)
-                            for v, pt in zip(stack @ gs, pts)],
+        lambda pt: (pt.state.expectation(hh), 1.0 - pt.state.fidelity(spec.target),
+                    pt.mixedness, pt.ledger.depth, pt.ledger.width),
         flow=f"params.step_size and {fields}",
     )
 
@@ -559,8 +551,8 @@ def _run_osd(cfg: ExperimentConfig) -> RunReport:
     return _trajectory(
         cfg, osd_recursion_spec(ocfg), p["n_steps"],
         ["offdiag_hs", "mixedness", "depth", "width"],
-        lambda stack, pts: [(offdiag_hs_norm(r), pt.mixedness, pt.ledger.depth, pt.ledger.width)
-                            for r, pt in zip(partial_trace(stack, (da, db), keep=[0]), pts)],
+        lambda pt: (offdiag_hs_norm(pt.state.reduced((da, db))), pt.mixedness,
+                    pt.ledger.depth, pt.ledger.width),
         flow="params.step_size and params.mu",
         checks=[("schmidt_estimate_max_error", lambda record: float(np.max(np.abs(
             schmidt_estimate(record.final_state.matrix, (da, db), diag) - oracle))), 1e-2)],

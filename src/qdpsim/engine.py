@@ -39,14 +39,16 @@ a ``PureState``: no step conjugates a ``d x d`` matrix or decomposes a
 state's spectrum for a state that stays pure, and the calls of the swap,
 pair-commutator and lifted maps need no ``d x d`` exponential either.  A
 query step, or an unfolded step of a non-covariant spec, reads a pure input
-as ``DensityMatrix(state.matrix)`` and runs as on a mixed root.
+as ``state.density()``, its projector validated, and runs as on a mixed root.
 
 The step loop keeps each step's state and ledger and does nothing else.  The
 per-point diagnostics, which no later step depends on, run after it: the
 distances to the spec's target, by ``||psi - <tau|psi> tau||`` between a pure
 point and a pure target and otherwise by one stacked ``trace_distance`` per
 chunk of states (``stacked_chunks``, bounded in bytes), and the mixedness per
-point from the spectrum each state keeps (exactly 0 for a pure point).
+point from the spectrum each state keeps (exactly 0 for a pure point).  Any
+other read of a point goes to its state (``expectation``, ``fidelity``,
+``reduced``), which answers from the representation it holds.
 
 Each descriptor's ``ledger`` is its cost in closed form, and ``run_strategy``
 charges a step with that form's growth.  One depth unit is charged per
@@ -211,8 +213,9 @@ def chunk_length(dim: int) -> int:
 def stacked_chunks(states):
     """``(start, stack)`` for consecutive chunks of the equally sized
     ``states``, ``stack`` holding the matrices of ``chunk_length`` of them from
-    ``start`` on (fewer in the last chunk) as one ``(k, d, d)`` array.  A pure
-    state's projector is formed for its chunk alone."""
+    ``start`` on (fewer in the last chunk) as one ``(k, d, d)`` array, for
+    ``_distances``' batched ``trace_distance``.  A pure state's projector is
+    formed for its chunk alone."""
     if not len(states):
         return
     step = chunk_length(states[0].dim)
@@ -248,11 +251,6 @@ def _interleave(step, state, realize, per_call=None) -> State:
         extra = () if per_call is None else (per_call[idx],)
         work = unit(realize(call, state, _static(step, idx, work), *extra))
     return out(_static(step, step.n_calls, work))
-
-
-def _mixed(state: State) -> DensityMatrix:
-    """``state`` as a ``DensityMatrix``: a pure state's projector, validated."""
-    return state if isinstance(state, DensityMatrix) else DensityMatrix(state.matrix)
 
 
 def apply_step_exact(step: RecursionStepSpec, state: State) -> State:
@@ -353,7 +351,7 @@ class UnfoldingStrategy(_ClosedForm):
     def realize(self, spec, step, state):
         if spec.covariant:
             return apply_step_exact(step, state)
-        return _interleave(step, _mixed(state), unfolded_memory_call,
+        return _interleave(step, state.density(), unfolded_memory_call,
                            [self.gc_substeps] * step.n_calls)
 
 
@@ -376,7 +374,7 @@ class QDPStrategy(_ClosedForm):
         return n_steps * (m + statics), (m + 1) ** n_steps
 
     def realize(self, spec, step, state):
-        return _interleave(step, _mixed(state), queried_memory_call,
+        return _interleave(step, state.density(), queried_memory_call,
                            _split_queries(self.m, step.n_calls))
 
 

@@ -215,6 +215,22 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def density(self) -> "DensityMatrix":
+        return self
+
+    def expectation(self, h: np.ndarray) -> float:
+        """``Re Tr(h rho)`` for a Hermitian ``h``."""
+        return float(np.real(np.trace(h @ self.matrix)))
+
+    def fidelity(self, tau: "PureState") -> float:
+        """``Re <tau|rho|tau>``."""
+        t = tau.amplitudes
+        return float(np.real(np.vdot(t, self.matrix @ t)))
+
+    def reduced(self, dims) -> np.ndarray:
+        """``Tr_B rho`` for ``dims = (d_A, d_B)`` (``partial_trace``)."""
+        return partial_trace(self.matrix, dims, keep=[0])
+
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 
@@ -225,6 +241,8 @@ class PureState:
     It reads as a state where diagnostics read a ``DensityMatrix``: its
     ``matrix`` is the projector ``|psi><psi|``, formed on each read and not
     kept, and its ``eigenvalues`` are ``dim - 1`` zeros and a one, ascending.
+    Both state types answer ``density``, ``expectation``, ``fidelity`` and
+    ``reduced``, a pure state from its vector, with no projector formed.
     """
 
     __slots__ = ("amplitudes",)
@@ -257,6 +275,27 @@ class PureState:
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(self.matrix)
+
+    def expectation(self, h: np.ndarray) -> float:
+        """``Re <psi|h|psi>`` for a Hermitian ``h``."""
+        v = self.amplitudes
+        return float(np.real(np.vdot(v, h @ v)))
+
+    def fidelity(self, tau: "PureState") -> float:
+        """``|<tau|psi>|^2``."""
+        return float(abs(np.vdot(tau.amplitudes, self.amplitudes))) ** 2
+
+    def reduced(self, dims) -> np.ndarray:
+        """``Tr_B |psi><psi|`` for ``dims = (d_A, d_B)``: ``M M^dag`` for
+        ``psi`` as a ``d_A x d_B`` matrix ``M``, made exactly Hermitian as
+        ``(r + r^dag) / 2``, so a commutator scaling it by a large step does
+        not scale a roundoff asymmetry past ``hermitize``'s tolerance."""
+        d_a, d_b = dims
+        if d_a * d_b != self.dim:
+            raise DimensionError(f"factor dims {tuple(dims)} do not multiply to {self.dim}")
+        m = self.amplitudes.reshape(d_a, d_b)
+        r = m @ m.conj().T
+        return (r + r.conj().T) / 2.0
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -18,12 +18,14 @@ from qdpsim import (
     RecursionStepSpec,
     algos,
     channel_error_probe,
+    channels,
     cli,
     dbi_cost,
     dbi_recursion_spec,
     energy,
     engine,
     ground_state,
+    linalg,
     make_identity_map,
     offdiag_hs_norm,
     partial_trace,
@@ -1006,6 +1008,77 @@ def test_huge_qite_step_keeps_the_trace(tmp_path, capsys, strategy):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("strategy", [{"kind": "exact"}, {"kind": "qdp", "m": 4},
+                                      {"kind": "hybrid", "n1": 1, "n2": 1, "m": 4}],
+                         ids=["exact", "qdp", "hybrid"])
+@pytest.mark.parametrize("delta0", [1e-9, 1e-15])
+def test_tiny_grover_distance_runs(tmp_path, capsys, strategy, delta0):
+    """A valid ``delta0`` far below 1e-8, where ``sqrt(1 - |<tau|psi>|^2)``
+    cancels to 0, runs: the initial distance is read by ``pure_distance``,
+    and row 0 reports the configured ``delta0``."""
+    doc = {"schema_version": 1, "scenario": "grover", "seed": 7, "strategy": strategy,
+           "params": {"L": 1, "n_steps": 2, "delta0": delta0, "dim": 4}}
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    row0 = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row0[1]) == pytest.approx(delta0, rel=1e-6)
+
+
+@pytest.mark.parametrize("step_size", [1e7, 1e10])
+def test_large_osd_step_runs(tmp_path, capsys, step_size):
+    """A pure osd state's ``Tr_B`` is exactly Hermitian (``PureState.reduced``),
+    so the commutator a large step scales holds no roundoff asymmetry for
+    ``hermitize`` to warn about or reject."""
+    doc = {"schema_version": 1, "scenario": "osd", "seed": 7, "strategy": {"kind": "exact"},
+           "params": {"dims": [2, 2], "n_steps": 2, "step_size": step_size}}
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+
+
+class TestPureReadsPerRun:
+    """A pure run's report cells read each point's vector, so how often a run
+    forms a projector or hermitizes its Hamiltonian does not grow with its
+    step count."""
+
+    @staticmethod
+    def per_run(log, scenario, strategy, params):
+        """How many entries ``log`` gains in a run of 2 steps and of 5."""
+        sizes = []
+        for n_steps in (2, 5):
+            log.clear()
+            run_scenario(ExperimentConfig.from_dict({
+                "scenario": scenario, "seed": 7, "strategy": strategy,
+                "params": dict(params, n_steps=n_steps)}))
+            sizes.append(len(log))
+        return sizes
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("qite", {"n_qubits": 3}),
+        ("osd", {"dims": [2, 3]}),
+        ("grover", {"L": 1, "dim": 8, "delta0": 0.6}),
+    ])
+    def test_projector_reads(self, monkeypatch, scenario, params):
+        reads, projector = [], PureState.matrix.fget
+        monkeypatch.setattr(PureState, "matrix",
+                            property(lambda state: reads.append(1) or projector(state)))
+        short, long = self.per_run(reads, scenario, {"kind": "exact"}, params)
+        assert short == long
+
+    @pytest.mark.parametrize("strategy", [{"kind": "exact"}, {"kind": "qdp", "m": 4}],
+                             ids=["exact", "qdp"])
+    def test_hamiltonian_hermitized(self, monkeypatch, strategy):
+        h, real, calls = algos.heisenberg_chain(3, 0.5), linalg.hermitize, []
+
+        def spy(m):
+            if np.array_equal(np.asarray(m), h):
+                calls.append(1)
+            return real(m)
+
+        for module in (linalg, algos, channels, cli):
+            monkeypatch.setattr(module, "hermitize", spy)
+        short, long = self.per_run(calls, "qite", strategy, {"n_qubits": 3, "field": 0.5})
+        assert 0 < short == long
+
+
 def qite_field_doc(field, step_size=None, n_qubits=2, strategy=None):
     return {"schema_version": 1, "scenario": "qite", "seed": 7,
             "strategy": strategy or {"kind": "exact"},
@@ -1355,13 +1428,15 @@ def _bits(row):
     return [v.hex() if isinstance(v, float) else v for v in row]
 
 
-class TestChunkedColumns:
-    """Each runner computes its columns over stacked chunks of points; every
-    cell keeps the bits of the per-point formula it replaced."""
+class TestPointCells:
+    """Each runner's cells read one point's state through the state's own
+    reads.  A mixed point's cells keep the bits of the formula on its matrix;
+    a pure point's, read from its vector, are within 8 eps of the formula on
+    its projector."""
 
     @staticmethod
     def old_row(scenario, p, seed, pt):
-        """The row a runner built from one point before its columns were chunked."""
+        """The row of one point by the formula on its state's matrix."""
         m, ledger = pt.state.matrix, pt.ledger
         if scenario == "dbi":
             diag = cli._diagonal(p["mu"], p["dim"])
@@ -1386,14 +1461,15 @@ class TestChunkedColumns:
         ("dbi", {"kind": "exact"}, {"dim": 3, "n_steps": 0, "mu": [-1.5, 0.25, 2.0]}),
         ("osd", {"kind": "exact"}, {"dims": [2, 4], "n_steps": 65}),
         ("osd", {"kind": "exact"}, {"dims": [3, 4], "n_steps": 28, "mu": [0, 0.5, 3]}),
+        ("osd", {"kind": "qdp", "m": 8}, {"dims": [2, 3], "n_steps": 6}),
         ("qite", {"kind": "exact"}, {"n_qubits": 3, "n_steps": 64}),
         ("qite", {"kind": "qdp", "m": 16}, {"model": "random", "dim": 5, "n_steps": 4}),
         ("grover", {"kind": "exact"}, {"L": 2, "dim": 8, "n_steps": 3, "delta0": 0.6}),
         ("grover", {"kind": "qdp", "m": 32, "imr": {"reduction_factor": 2.0, "copies_out": 64}},
          {"L": 1, "dim": 4, "n_steps": 3, "delta0": 0.6}),
     ], ids=["dbi-exact", "dbi-unfolding", "dbi-qdp", "dbi-no-steps", "osd-2x4", "osd-3x4",
-            "qite-exact", "qite-random-qdp", "grover-exact", "grover-qdp-imr"])
-    def test_cells_keep_the_per_point_bits(self, monkeypatch, scenario, strategy, params):
+            "osd-qdp", "qite-exact", "qite-random-qdp", "grover-exact", "grover-qdp-imr"])
+    def test_cells_match_the_matrix_formula(self, monkeypatch, scenario, strategy, params):
         records = []
 
         def keep(spec, n_steps, strategy):
@@ -1407,4 +1483,8 @@ class TestChunkedColumns:
         (record,) = records
         assert len(report.rows) == len(record) == params["n_steps"] + 1
         for n, (row, pt) in enumerate(zip(report.rows, record.points)):
-            assert _bits(row) == _bits((n, *self.old_row(scenario, cfg.params, 7, pt)))
+            want = (n, *self.old_row(scenario, cfg.params, 7, pt))
+            if isinstance(pt.state, PureState):
+                np.testing.assert_allclose(row, want, rtol=0, atol=8 * np.finfo(float).eps)
+            else:
+                assert _bits(row) == _bits(want)

@@ -278,6 +278,53 @@ def test_pure_state_reads_as_a_state():
     assert mixedness(psi) == 0.0
 
 
+class TestStateReads:
+    """Both state types answer ``density``, ``expectation``, ``fidelity`` and
+    ``reduced``: a mixed state by the formula on its matrix, bit for bit, and
+    a pure state from its vector, within a few eps of the formula on its
+    projector."""
+
+    DIMS = (3, 4)
+
+    def reads(self, state, h, tau):
+        return state.expectation(h), state.fidelity(tau), state.reduced(self.DIMS)
+
+    def formulas(self, m, h, tau):
+        t = tau.amplitudes
+        return (float(np.real(np.trace(h @ m))), float(np.real(np.vdot(t, m @ t))),
+                partial_trace(m, self.DIMS, keep=[0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_state_reads_its_matrix(self, seed):
+        rho, h, tau = random_density(12, seed), random_hermitian(12, seed), random_pure(12, 50 + seed)
+        assert rho.density() is rho
+        got, want = self.reads(rho, h, tau), self.formulas(rho.matrix, h, tau)
+        assert got[:2] == want[:2]
+        np.testing.assert_array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pure_state_reads_its_vector(self, seed):
+        psi, h, tau = random_pure(12, seed), random_hermitian(12, seed), random_pure(12, 50 + seed)
+        np.testing.assert_array_equal(psi.density().matrix, DensityMatrix(psi.matrix).matrix)
+        got, want = self.reads(psi, h, tau), self.formulas(psi.matrix, h, tau)
+        eps = np.finfo(float).eps
+        assert got[0] == pytest.approx(want[0], rel=0, abs=8 * eps * op_norm(h))
+        assert got[1] == pytest.approx(want[1], rel=0, abs=8 * eps)
+        assert np.max(np.abs(got[2] - want[2])) <= 8 * eps
+
+    def test_pure_reduced_is_exactly_hermitian(self):
+        for seed in range(20):
+            r = random_pure(12, seed).reduced(self.DIMS)
+            np.testing.assert_array_equal(r, r.conj().T)
+            assert r.shape == (3, 3)
+
+    def test_reduced_checks_the_factor_dims(self):
+        with pytest.raises(DimensionError, match="do not multiply to 12"):
+            random_pure(12, 0).reduced((5, 2))
+        with pytest.raises(DimensionError, match="do not multiply to 12"):
+            random_density(12, 0).reduced((5, 2))
+
+
 def test_pure_state_is_immutable():
     psi = random_pure(2, 0)
     with pytest.raises(AttributeError, match="PureState is immutable"):
