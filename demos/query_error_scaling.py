@@ -27,8 +27,8 @@ def main():
     memory = random_density(3, 1)
     s = 0.4
     print(f"{'m':>5} {'measured':>12} {'ceiling':>12}")
-    for m in (4, 8, 16, 32, 64, 128):
-        err = channel_error_probe(gen, mmap, memory, s, m, 5, 42)
+    m_values = (4, 8, 16, 32, 64, 128)
+    for m, err in zip(m_values, channel_error_probe(gen, mmap, memory, s, m_values, 5, 42)):
         bound, within = query_error_bound(gen, s, m)
         tag = "" if within else "  (outside asserted window)"
         print(f"{m:>5} {err:>12.3e} {bound:>12.3e}{tag}")
@@ -38,8 +38,8 @@ def main():
     mmap = make_commutator_map(mu, 1.0)
     gen = QueryGenerator.from_map(mmap)
     memory = random_density(3, 2)
-    for m in (4, 16, 64):
-        err = channel_error_probe(gen, mmap, memory, s, m, 5, 43)
+    m_values = (4, 16, 64)
+    for m, err in zip(m_values, channel_error_probe(gen, mmap, memory, s, m_values, 5, 43)):
         bound, _ = query_error_bound(gen, s, m)
         print(f"m={m:>3}: measured {err:.3e} <= ceiling {bound:.3e}")
     print("\ndoubling m halves the measured error: first-order exactness, second-order leakage.")

@@ -35,10 +35,13 @@ Sign conventions, fixed here once and relied on everywhere else:
 The two directions are adjoint, so ``queried_memory_call`` realizes a call by
 queries of total duration ``-1``.
 
-A block of queries applies one query's superoperator (``query_superoperator``)
-again and again, built from the query unitary by a scatter over pairs of its
-nonzeros or, for a dense map's or a non-diagonal commutator's unitary, by a
-Gram ``zgemm``.
+A block of ``m`` queries is its generator's (``block``).  A swap block
+(density-matrix exponentiation) is in closed form in the memory's
+eigenbasis: one ``eigh`` and four ``d x d`` products at any ``m``, and
+trace-preserving by construction.  Any other block applies one query's
+superoperator (``query_superoperator``) again and again, built from the query
+unitary by a scatter over pairs of its nonzeros or, for a dense map's or a
+non-diagonal commutator's unitary, by a Gram ``zgemm``.
 
 An osd map is a ``Lift`` of the commutator map on A.  Its exact and queried
 calls run on the A factor: a ``d_A x d_A`` unitary, or a ``d_A^2 x d_A^2``
@@ -136,7 +139,7 @@ class QueryGenerator:
     matrix, hermitized on creation, and exponentiates it by ``herm_exp``.
     The map structures (``Swap``, ``Commutator``, ``PairCommutator``,
     ``Lift``) subclass it, hold no ``n_hat`` and give ``d_in``, ``d_out``,
-    ``norm`` and ``make_unitary`` in closed form.
+    ``norm`` and ``make_unitary`` in closed form, and ``Swap`` its ``block``.
     Its realizations of a call are the defaults a structure overrides, and
     are static: a dense map's calls run on the class and build no ``Nhat``
     unless they query.  So are the log2 bytes a call allocates, from log2 d.
@@ -188,6 +191,45 @@ class QueryGenerator:
         if "pairs" not in slot:
             slot["pairs"] = _pair_plan(slot["value"], self.d_in, self.d_out)
         return slot["pairs"]
+
+    def block(self, memory: np.ndarray, working: np.ndarray, s: float, m: int) -> np.ndarray:
+        """``m`` queries of duration ``s/m`` on a working matrix or a
+        ``(d, d, k)`` batch (``repeated_queries``, which checks the arguments).
+
+        The block is ``sup^m`` on the vectorized working state, ``sup`` being
+        one query's ``(d^2, d^2)`` superoperator (``d = d_out``), applied to a
+        batch as its ``(d^2, k)`` matrix of columns and realized as either
+
+        * ``m`` products ``sup.dot(vec)``: for one working matrix the same BLAS
+          ``zgemv`` as ``sup @ vec``, with the same bits, without the matmul
+          ufunc dispatch, which costs more than the product itself at small
+          ``d``; or
+        * binary exponentiation, when ``2 log2(m) d^2 < m k`` (``k = 1`` for one
+          working matrix): ``m.bit_length() - 1`` squarings (``d^6`` each against
+          a product's ``d^4 k``) plus one product per set bit of ``m``, lowest
+          first.  Each square is set to its mean with its mirror, as in
+          ``query_superoperator``, so every power preserves Hermiticity exactly.
+
+        With BLAS at one thread the two cost the same near ``m = 2 log2(m) d^2``
+        at ``d = 2, 3`` and near half that at ``d = 4 .. 16``.  Both are as close
+        to the exact block, and both amplify ``sup``'s own trace defect ``m``-fold,
+        which is the trace drift of long blocks.
+        """
+        d = self.d_out
+        sup = query_superoperator(self, memory, s / m)
+        vec = working.reshape(d * d, *working.shape[2:])
+        if 2 * m.bit_length() * d * d < m * (vec.size // (d * d)):
+            while True:
+                if m & 1:
+                    vec = sup.dot(vec)
+                m >>= 1
+                if not m:
+                    break
+                sup = _mirror_mean(sup @ sup, d)
+        else:
+            for _ in range(m):
+                vec = sup.dot(vec)
+        return vec.reshape(working.shape)
 
     @staticmethod
     def exact(call: MemoryCallSpec, instruction, working: np.ndarray):
@@ -308,6 +350,36 @@ class Swap(QueryGenerator):
         psi = instruction.amplitudes
         return working + np.expm1(-1j * self.alpha) * np.vdot(psi, working) * psi
 
+    def block(self, memory: np.ndarray, working: np.ndarray, s: float, m: int) -> np.ndarray:
+        """``m`` queries of duration ``s/m`` in closed form (density-matrix
+        exponentiation), with no superoperator: one ``eigh`` of the memory
+        and four ``d x d`` products per working matrix, at any ``m``.
+
+        One query maps ``sigma`` to ``c^2 sigma + i c sn [rho, sigma] +
+        sn^2 tr(sigma) rho``, ``c, sn = cos, sin(alpha s/m)``.  In the memory's
+        eigenbasis ``rho = V diag(p) V^dag``, ``x = V^dag sigma V``, the ``m``
+        queries are ``x_ij -> mu_ij^m x_ij`` with ``mu_ij = c^2 + i c sn
+        (p_i - p_j)`` off the diagonal and ``x_ii -> c^(2m) x_ii +
+        (1 - c^(2m)) p_i tr(sigma)`` on it, reading ``tr rho`` as 1.  The
+        trace is kept by construction, to the memory's own ``sum p - 1``.
+        A batch runs matrix by matrix, with no ``(d, d, k)`` temporary.
+        """
+        p, v = np.linalg.eigh(memory)
+        f, gain = _swap_block_factors(p, self.alpha * (s / m), m)
+        v_dag = v.conj().T
+
+        def one(sigma):
+            y = (v_dag @ sigma @ v) * f
+            y.flat[::y.shape[0] + 1] += gain * np.trace(sigma)
+            return v @ y @ v_dag
+
+        if working.ndim == 2:
+            return one(working)
+        out = np.empty(working.shape, dtype=complex)
+        for k in range(working.shape[2]):  # a contiguous copy, so BLAS takes its products
+            out[..., k] = one(working[..., k].copy())
+        return out
+
     def make_unitary(self, t: float) -> np.ndarray:
         d = self.dim
         a, b = np.indices((d, d))
@@ -315,6 +387,31 @@ class Swap(QueryGenerator):
         u[b, a, a, b] = 1j * np.sin(self.alpha * t)  # SWAP |ab> = |ba>
         u[a, b, a, b] += np.cos(self.alpha * t)
         return u.reshape(d * d, d * d)
+
+
+def _swap_block_factors(p: np.ndarray, theta: float, m: int):
+    """The entrywise factor ``f`` of ``Swap.block`` (``mu_ij^m``, and
+    ``c^(2m)`` on the diagonal) and its diagonal gain ``(1 - c^(2m)) p``,
+    for memory eigenvalues ``p`` and the query angle ``theta``.
+
+    ``|mu|^m`` and ``c^(2m)`` are ``exp(m log(.))`` of logs taken as
+    ``log1p(-sn^2 ...)`` while ``sn^2 < 1/2``, else of ``c`` itself, and
+    ``1 - c^(2m)`` is ``-expm1``: each stays accurate to a few eps at any
+    ``m``.  The phase of ``mu = c (c + i sn dp)`` is ``atan2(c sn dp, c^2)``,
+    which holds for ``c < 0`` too.
+    """
+    c, sn = math.cos(theta), math.sin(theta)
+    s2, dp = sn * sn, p[:, None] - p[None, :]
+    if s2 < 0.5:
+        log_c2 = math.log1p(-s2)
+        # |mu|^2 = c^2 (1 - sn^2 (1 - dp^2))
+        log_mu2 = log_c2 + np.log1p(-s2 * ((1.0 - dp) * (1.0 + dp)))
+    else:
+        log_c2 = 2.0 * math.log(abs(c))
+        log_mu2 = log_c2 + np.log(c * c + s2 * dp * dp)
+    f = np.exp(0.5 * m * log_mu2 + 1j * (m * np.arctan2(c * sn * dp, c * c)))
+    np.fill_diagonal(f, math.exp(m * log_c2))
+    return f, -math.expm1(m * log_c2) * p
 
 
 @dataclass(frozen=True)
@@ -729,45 +826,15 @@ def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> 
     last axis, shape ``(d, d, k)``; each gets the same block, and the result
     has the batch's shape.
 
-    The block is ``sup^m`` on the vectorized working state, ``sup`` being one
-    query's ``(d^2, d^2)`` superoperator (``d = d_out``), applied to a batch as
-    its ``(d^2, k)`` matrix of columns and realized as either
-
-    * ``m`` products ``sup.dot(vec)``: for one working matrix the same BLAS
-      ``zgemv`` as ``sup @ vec``, with the same bits, without the matmul
-      ufunc dispatch, which costs more than the product itself at small
-      ``d``; or
-    * binary exponentiation, when ``2 log2(m) d^2 < m k`` (``k = 1`` for one
-      working matrix): ``m.bit_length() - 1`` squarings (``d^6`` each against
-      a product's ``d^4 k``) plus one product per set bit of ``m``, lowest
-      first.  Each square is set to its mean with its mirror, as in
-      ``query_superoperator``, so every power preserves Hermiticity exactly.
-
-    With BLAS at one thread the two cost the same near ``m = 2 log2(m) d^2``
-    at ``d = 2, 3`` and near half that at ``d = 4 .. 16``.  Both are as close
-    to the exact block, and both amplify ``sup``'s own trace defect ``m``-fold,
-    which is the trace drift of long blocks.
+    The block is the generator's (``block``): a ``Swap`` block in closed form
+    in the memory's eigenbasis, any other one as one query's superoperator
+    raised to the ``m``-th power.
     """
     m = int(m)
     if m < 1:
         raise InvariantError("query count must be >= 1")
     _check_query_dims(gen, memory, working)
-    d = gen.d_out
-    sup = query_superoperator(gen, memory, float(s) / m)
-    w = _matrix(working)
-    vec = w.reshape(d * d, *w.shape[2:])
-    if 2 * m.bit_length() * d * d < m * (vec.size // (d * d)):
-        while True:
-            if m & 1:
-                vec = sup.dot(vec)
-            m >>= 1
-            if not m:
-                break
-            sup = _mirror_mean(sup @ sup, d)
-    else:
-        for _ in range(m):
-            vec = sup.dot(vec)
-    return vec.reshape(w.shape)
+    return gen.block(_matrix(memory), _matrix(working), float(s), m)
 
 
 def group_commutator(a, b, s: float, exp_b: Optional[Callable] = None) -> np.ndarray:
@@ -793,31 +860,35 @@ def channel_error_probe(
     map_spec: HermitianPreservingMap,
     memory: DensityMatrix,
     s: float,
-    m: int,
+    m_values,
     n_samples: int,
     seed,
-) -> float:
+) -> list[float]:
     """Sampled lower bound on the trace-norm distance between ``m`` repeated
     queries of total duration ``s`` and the unitary channel they converge to,
-    conjugation by ``exp(-i s N(memory))``, formed once per probe.
+    conjugation by ``exp(-i s N(memory))``, one per ``m`` in ``m_values``.
 
     Maximizes the output distance over seeded random pure working states, so
-    the value reported never exceeds the true channel distance.  The states
-    go through one block of queries together, as a batch (``repeated_queries``),
-    so the probe builds one superoperator.
+    each value never exceeds the true channel distance.  What no ``m`` reads
+    is made once: the states, the exponential and the validated exact
+    outputs.  Then the states go through one block of queries per ``m``
+    together, as a batch (``repeated_queries``), and each output is validated.
     """
     if n_samples < 1:
         raise InvariantError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     u = herm_exp(map_apply(map_spec, memory.matrix), s)
-    states = [random_pure(gen.d_out, rng.integers(2**63)).density() for _ in range(int(n_samples))]
-    approx = repeated_queries(gen, memory, np.stack([w.matrix for w in states], axis=-1), s, m)
-    worst = 0.0
-    for k, working in enumerate(states):
-        got = DensityMatrix(approx[..., k])
-        exact = DensityMatrix(unitary_on(u, working.matrix))
-        worst = max(worst, trace_distance(got.matrix, exact.matrix))
-    return worst
+    states = [random_pure(gen.d_out, rng.integers(2**63)).density().matrix
+              for _ in range(int(n_samples))]
+    exact = [DensityMatrix(unitary_on(u, w)).matrix for w in states]
+    batch = np.stack(states, axis=-1)
+    del states  # the batch holds them: a probe keeps three states per sample
+
+    def worst(approx):
+        return max(trace_distance(DensityMatrix(approx[..., k]).matrix, e)
+                   for k, e in enumerate(exact))
+
+    return [worst(repeated_queries(gen, memory, batch, s, m)) for m in m_values]
 
 
 def query_error_bound(gen: QueryGenerator, s: float, m: int) -> tuple[float, bool]:

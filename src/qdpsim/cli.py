@@ -288,8 +288,8 @@ def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None
 MAX_OPERATOR_BYTES = 2**30
 # Largest set of states a run may keep at once, in bytes: a recursion keeps
 # its trajectory, one state per point, and a channel-error probe keeps three
-# states per sample (the sampled states, their stacked batch and the block's
-# output).  Each is charged ``kept_state_bytes(d)``.  Four operators' worth, so
+# states per sample (the sampled states' stacked batch, their exact outputs
+# and a block's output).  Each is charged ``kept_state_bytes(d)``.  Four operators' worth, so
 # a run at the largest operator may still take a few steps.
 MAX_TRAJECTORY_BYTES = 4 * MAX_OPERATOR_BYTES
 
@@ -573,8 +573,8 @@ def _run_channel_error(cfg: ExperimentConfig) -> RunReport:
     _check_duration(gen, s, f"params.s and {scale}")
     memory = random_density(dim, cfg.seed)
     rows, checks = [], []
-    for m in p["m_values"]:
-        err = channel_error_probe(gen, mmap, memory, s, m, p["n_samples"], cfg.seed)
+    errors = channel_error_probe(gen, mmap, memory, s, p["m_values"], p["n_samples"], cfg.seed)
+    for m, err in zip(p["m_values"], errors):
         bound, within = query_error_bound(gen, s, m)
         passed = (err <= bound) if within else True
         rows.append((m, s, err, bound, within, passed))

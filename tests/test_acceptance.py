@@ -97,7 +97,7 @@ def test_criterion_02_repeated_query_error_bound():
         bound, within = query_error_bound(gen, s, m)
         if not within:
             continue
-        err = channel_error_probe(gen, mmap, memory, s, m, 3, int(rng.integers(2**31)))
+        [err] = channel_error_probe(gen, mmap, memory, s, [m], 3, int(rng.integers(2**31)))
         assert err <= bound
         checked += 1
     # halving check in the asymptotic regime, same probe states for both sizes
@@ -107,8 +107,7 @@ def test_criterion_02_repeated_query_error_bound():
         gen = QueryGenerator.from_map(mmap)
         memory = random_density(dim, 900 + trial)
         s = 0.2 + 0.02 * trial
-        e1 = channel_error_probe(gen, mmap, memory, s, 16, 5, 7000 + trial)
-        e2 = channel_error_probe(gen, mmap, memory, s, 32, 5, 7000 + trial)
+        e1, e2 = channel_error_probe(gen, mmap, memory, s, [16, 32], 5, 7000 + trial)
         assert 1.4 <= e1 / e2 <= 2.6
     _report(2, "repeated-query error within 4|N|^2 s^2/M on 50 tuples; halving ratio in [1.4, 2.6]")
 

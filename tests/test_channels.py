@@ -148,7 +148,8 @@ class TestQuerySuperoperatorDecomposesOnce:
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
         # Below the squaring crossover a block is the loop, bit for bit; past it
-        # (pair-commutator, d_out = 2, m = 64) it keeps the oracle's (8 + m) eps.
+        # (pair-commutator, d_out = 2, m = 64), and for a swap block in closed
+        # form (identity, scaled), it keeps the oracle's (8 + m) eps.
         gen = build().generator
         memory = random_density(gen.d_in, 72)
         working = random_density(gen.d_out, 73)
@@ -158,7 +159,7 @@ class TestQuerySuperoperatorDecomposesOnce:
             vec = sup @ vec
         expected = vec.reshape(gen.d_out, gen.d_out)
         got = repeated_queries(gen, memory, working, 0.6, m)
-        if squares(m, gen.d_out):
+        if squares(m, gen.d_out) or isinstance(gen, channels.Swap):
             assert np.max(np.abs(got - expected)) <= (8 + m) * np.finfo(float).eps
         else:
             assert np.array_equal(got, expected)
@@ -876,7 +877,7 @@ class TestRepeatedQueries:
             mm = int(rng.choice([4, 8, 16]))
             bound, within = query_error_bound(gen, s, mm)
             assert within
-            err = channel_error_probe(gen, mp, rho, s, mm, 3, trial)
+            [err] = channel_error_probe(gen, mp, rho, s, [mm], 3, trial)
             assert err <= bound
 
     def test_superoperator_is_trace_preserving(self):
@@ -932,8 +933,11 @@ def record_powers(monkeypatch):
 
 
 class TestRepeatedSquaring:
+    """Blocks that square a superoperator: every map but the swap maps, whose
+    blocks are in closed form, so the identity map here is the dense one."""
+
     MAPS = {
-        "identity": lambda: make_identity_map(2),
+        "identity": lambda: map_from_function(lambda x: x, 2, 2),
         "commutator": lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
         "osd": lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
         "pair-commutator": lambda: make_pair_commutator_map(2, 0.9),
@@ -941,7 +945,7 @@ class TestRepeatedSquaring:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_squares_past_the_crossover_in_log2_m_products(self, monkeypatch, d):
-        gen = make_identity_map(d).generator
+        gen = map_from_function(lambda x: x, d, d).generator
         rho, sigma = random_density(d, 1), random_density(d, 2)
         last_loop = max(m for m in range(1, 400) if not squares(m, d))
         powers = record_powers(monkeypatch)
@@ -1049,22 +1053,36 @@ class TestChannelErrorProbe:
         gen = QueryGenerator.from_map(m)
         rho = random_density(2, 71)
         # huge m drives the probe to the exact channel's own scale
-        err = channel_error_probe(gen, m, rho, 1e-9, 1, 3, 0)
+        [err] = channel_error_probe(gen, m, rho, 1e-9, [1], 3, 0)
         assert err < 1e-12
 
     def test_large_m_small_error(self):
         m = make_identity_map(3)
         gen = QueryGenerator.from_map(m)
         rho = random_density(3, 72)
-        assert channel_error_probe(gen, m, rho, 0.1, 512, 3, 1) <= 1e-3
+        assert channel_error_probe(gen, m, rho, 0.1, [512], 3, 1)[0] <= 1e-3
 
-    def test_one_superoperator_per_probe(self, monkeypatch):
+    def test_one_superoperator_per_m(self, monkeypatch):
+        m = make_commutator_map(np.diag(np.arange(4.0)) / 3, 1.0)
+        rho, m_values = random_density(4, 74), [1, 4, 64, 4096]
+        sizes = spy_dims(monkeypatch, "query_superoperator")
+        assert len(channel_error_probe(m.generator, m, rho, 0.5, m_values, 8, 3)) == len(m_values)
+        assert sizes == [4] * len(m_values)
+
+    def test_a_swap_probe_builds_no_superoperator(self, monkeypatch):
         m, rho = make_identity_map(4), random_density(4, 74)
         sizes = spy_dims(monkeypatch, "query_superoperator")
-        for mm in (1, 4, 64, 4096):
-            sizes.clear()
-            channel_error_probe(m.generator, m, rho, 0.5, mm, 8, 3)
-            assert sizes == [4], mm
+        channel_error_probe(m.generator, m, rho, 0.5, [1, 4, 64, 4096], 8, 3)
+        assert sizes == []
+
+    def test_samples_once_for_every_m(self, monkeypatch):
+        # One probe over several m reads what a probe per m reads, bit for bit.
+        m, rho, m_values = make_identity_map(3), random_density(3, 76), [1, 16, 4096]
+        singles = [channel_error_probe(m.generator, m, rho, 0.5, [mm], 5, 9)[0] for mm in m_values]
+        draws, real = [], channels.random_pure
+        monkeypatch.setattr(channels, "random_pure", lambda *a: draws.append(a) or real(*a))
+        assert channel_error_probe(m.generator, m, rho, 0.5, m_values, 5, 9) == singles
+        assert len(draws) == 5
 
     @pytest.mark.parametrize("mm", [1, 16, 4096])
     def test_the_sample_by_sample_maximum(self, mm):
@@ -1078,14 +1096,14 @@ class TestChannelErrorProbe:
             working = random_pure(3, rng.integers(2**63)).density().matrix
             approx = repeated_queries(m.generator, rho, working, 0.4, mm)
             worst = max(worst, trace_distance(approx, u @ working @ u.conj().T))
-        got = channel_error_probe(m.generator, m, rho, 0.4, mm, 6, 5)
+        [got] = channel_error_probe(m.generator, m, rho, 0.4, [mm], 6, 5)
         assert abs(got - worst) <= (8 + mm) * np.finfo(float).eps
 
     def test_monotone_in_m_on_average(self):
         m = make_scaled_identity_map(0.8, 2)
         gen = QueryGenerator.from_map(m)
         rho = random_density(2, 73)
-        vals = [channel_error_probe(gen, m, rho, 0.4, mm, 4, 99) for mm in (4, 8, 16, 32)]
+        vals = channel_error_probe(gen, m, rho, 0.4, [4, 8, 16, 32], 4, 99)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
@@ -1189,7 +1207,7 @@ class TestGeneratorFromAction:
         (lambda: group_commutator(PAULI_X, np.eye(3), 0.1),
          DimensionError, "shape mismatch"),
         (lambda: channel_error_probe(make_identity_map(2).generator, make_identity_map(2),
-                                     random_density(2, 0), 0.3, 4, 0, seed=1),
+                                     random_density(2, 0), 0.3, [4], 0, seed=1),
          InvariantError, "n_samples must be >= 1"),
     ],
     ids=["map-output", "generator-dims", "osd-not-diagonal",

@@ -932,11 +932,12 @@ def test_overflowing_imr_copy_count_is_3(tmp_path, capsys):
 
 def test_unreachable_imr_reduction_factor_is_3(tmp_path, capsys):
     """Purified to roundoff, the state's mixedness reads below 0 before a
-    1e300 reduction is guaranteed: the target is infeasible, not a breakdown."""
-    doc = grover_doc(tmp_path, strategy={
+    1e300 reduction is guaranteed (at seed 3; at seed 7 it reads exactly 0
+    and the copy count overflows): the target is infeasible, not a breakdown."""
+    doc = grover_doc(tmp_path, seed=3, strategy={
         "kind": "qdp", "m": 16, "imr": {"reduction_factor": 1e300, "copies_out": 64}})
     assert main(["run", write_config(tmp_path, doc)]) == 3
-    assert "reduction_factor" in capsys.readouterr().err
+    assert "reduction_factor 1e+300 is out of reach" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params, scale", [
@@ -1260,7 +1261,7 @@ class TestKeptStateCharge:
     """``kept_state_bytes(d)`` is at least what tracemalloc reads a run keeping
     per state: per step of an exact dbi run, read as what its record frees,
     and per state of a probe's peak (three per sample), read as the growth
-    between two batch sizes so the probe's one superoperator cancels."""
+    between two batch sizes so what the probe holds once cancels."""
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_covers_a_trajectory_point(self, d):
@@ -1277,17 +1278,18 @@ class TestKeptStateCharge:
             tracemalloc.stop()
         assert kept / 30 <= cli.kept_state_bytes(d)
 
-    # d = 64 is left out: its one superoperator alone is 2^28 B.
+    # d = 64 is left out: it reads 2.93 of the three states charged (README),
+    # too near the charge to pin across numpy builds.
     @pytest.mark.parametrize("d", [2, 8, 16])
     def test_covers_a_probe_sample(self, d):
         mmap = make_identity_map(d)
         memory = random_density(d, 7)
-        channel_error_probe(mmap.generator, mmap, memory, 0.5, 4, 1, 7)
+        channel_error_probe(mmap.generator, mmap, memory, 0.5, [4], 1, 7)
         peaks = []
         for n_samples in (50, 100):
             tracemalloc.start()
             try:
-                channel_error_probe(mmap.generator, mmap, memory, 0.5, 4, n_samples, 7)
+                channel_error_probe(mmap.generator, mmap, memory, 0.5, [4], n_samples, 7)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

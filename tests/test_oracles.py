@@ -6,27 +6,27 @@ Swap closed form: with memory ``rho = V diag(p) V^dag``, ``m`` identity-map
 * ``x_ij -> (c^2 - i s c (p_i - p_j))^m x_ij`` off the diagonal,
 * ``x_ii -> c^(2m) x_ii + p_i (1 - c^(2m))`` on it,
 
-with ``c, s = cos t, sin t``.  ``repeated_queries`` builds one query to a few
-eps and then applies it ``m`` times, by ``m`` matvecs or, past the crossover
-``2 log2(m) d^2 < m``, by repeated squaring; either way its distance to the
-closed form is budgeted as ``(8 + m) eps`` (largest entry), once validated as
-a ``DensityMatrix``, as a recursion step validates its output: the raw block
-reads up to 1.11 m eps (2.19 with ``herm_exp``), since the trace normalization
-removes its drift.  ``M_VALUES`` squares from m = 49 at d = 2 and from
-m = 289 at d = 4.  With the query unitary in closed form and the
-superoperator built by the pair scatter, a survey over seeds 0-4 measured at
-most 6.0 eps for m < 16, at most 0.531 m eps for 16 <= m <= 2^16 and
-0.404 m eps at m = 2^16 (0.500 and 0.384 m eps with the Gram product, 0.713
-and 0.536 m eps when the unitary came from ``herm_exp``).
+with ``c, s = cos t, sin t``.  A swap map's ``repeated_queries`` block
+(``Swap.block``) is this closed form, evaluated so its accuracy does not
+depend on m.  Its distance to the naive power here is budgeted as
+``(8 + m) eps`` (largest entry), once validated as a ``DensityMatrix``, as a
+recursion step validates its output: the naive power reads the float64
+memory's trace, 1 + 1.1e-16, m times (over seeds 0-4, at most 0.55 of the
+budget).  The same map's dense twin (``QueryGenerator.from_map``) keeps
+the superoperator power: one query built to a few eps and applied ``m``
+times, by ``m`` matvecs or, past the crossover ``2 log2(m) d^2 < m``, by
+repeated squaring (from m = 49 at d = 2 and m = 289 at d = 4 in
+``M_VALUES``).  The two blocks are budgeted
+``(8 + m) eps`` apart.  Over seeds 0-3, d = 2-4 and angles up to 14.5, the
+validated blocks were at most 0.51 of that apart.
 
-The blocks stop at m = 2^16.  One query's superoperator misses trace
-preservation by a few eps, and a block of ``m`` queries amplifies that
-defect to about ``m`` times it, by matvecs and by squaring alike, so for
-large enough m the trace passes ``TRACE_ATOL`` (1e-10) and the output
-``DensityMatrix`` is rejected.  Of the survey's 20 inputs, worst drift
-1.99e5 eps at m = 2^18, where none fails, and 1.49e6 eps at m = 2^20, where
-13 fail.  The channel-error run on d = 4 seed 9 at m = 2^20 is pinned below
-as an expected failure.
+One query's superoperator misses trace preservation by a few eps, and a
+squared or looped block amplifies that defect to about ``m`` times it, so
+for large enough m the trace passes ``TRACE_ATOL`` (1e-10) and the output
+``DensityMatrix`` is rejected (over 20 inputs, 1.49e6 eps at m = 2^20, where
+13 fail).  The closed form keeps the trace by construction: within a few
+eps up to m = 2^30, pinned below, and the channel-error run at m = 2^20
+and the grover run at m = 2^22, which a squared block fails, pass.
 
 Dense query: a block of ``m`` queries of duration ``S/m`` is ``m`` successive
 ``memory_usage_query`` calls, each handed the same memory copy and each
@@ -76,6 +76,7 @@ from qdpsim.channels import Lift, PairCommutator, Swap, queried_memory_call, unf
 from qdpsim.cli import main
 
 EPS = np.finfo(float).eps
+LD = np.longdouble
 # Up to 2^16, with the last looped and the first squared block at d = 2 (48, 49)
 # and at d = 4 (288, 289).
 M_VALUES = [1, 2, 3, 16, 48, 49, 64, 256, 288, 289] + [4**k for k in range(5, 9)]
@@ -110,6 +111,90 @@ def test_closed_form_is_one_query_at_m_1():
     c, s = np.cos(0.7), np.sin(0.7)
     direct = c * c * sigma - 1j * s * c * (rho @ sigma - sigma @ rho) + s * s * rho
     np.testing.assert_allclose(swap_closed_form(rho, sigma, 0.7, 1), direct, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("total", [0.6, -1.3])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_swap_block_matches_the_dense_twin(dim, seed, total):
+    mapping = make_scaled_identity_map(-0.9, dim)
+    closed, twin = mapping.generator, QueryGenerator.from_map(mapping)
+    assert isinstance(closed, Swap)
+    rho = random_density(dim, seed)
+    sigma = random_pure(dim, 100 + seed).density()
+    for m in M_VALUES:
+        got = DensityMatrix(repeated_queries(closed, rho, sigma, total, m)).matrix
+        power = DensityMatrix(repeated_queries(twin, rho, sigma, total, m)).matrix
+        err = np.max(np.abs(got - power))
+        assert err <= (8 + m) * EPS, (m, err / EPS)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_swap_block_keeps_the_trace_at_any_m(dim, seed):
+    # The raw block, not validated: its trace is the input's, to the memory's own.
+    gen = make_identity_map(dim).generator
+    rho = random_density(dim, seed)
+    sigma = random_pure(dim, 100 + seed).density()
+    for m in [1, 2**10, 2**16, 2**20, 2**26, 2**30]:
+        for total in (0.6, -1.3):
+            out = repeated_queries(gen, rho, sigma, total, m)
+            assert abs(np.trace(out) - 1.0) <= 8 * EPS, (m, total)
+
+
+def ld_swap_block(rho, sigma, alpha, total, m):
+    """The swap closed form in ``np.clongdouble`` on float64 ``eigh`` of
+    ``rho``: ``|mu|^m`` and ``c^(2m)`` from ``log1p``, the phase from
+    ``atan2``, so each keeps its accuracy at any m."""
+    p, v = np.linalg.eigh(rho)
+    p, v = p.astype(LD), v.astype(np.clongdouble)
+    x = v.conj().T @ sigma.astype(np.clongdouble) @ v
+    theta = LD(alpha) * LD(total) / LD(m)
+    c, s = np.cos(theta), np.sin(theta)
+    dp = p[:, None] - p[None, :]
+    log_c2 = np.log1p(-s * s)
+    modulus = np.exp(m / LD(2) * (log_c2 + np.log1p(-s * s * (1 - dp * dp))))
+    out = modulus * np.exp(1j * m * np.arctan2(c * s * dp, c * c)) * x
+    np.fill_diagonal(out, np.exp(m * log_c2) * np.diag(x) - np.expm1(m * log_c2) * p * np.trace(x))
+    return v @ out @ v.conj().T
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize("alpha, total", [(-1.0, 0.6), (-1.0, -1.3), (0.8, 3.0), (2.0, 7.0)])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_swap_block_accuracy_does_not_depend_on_m(dim, seed, alpha, total):
+    # The raw block against the same formula in long double: over seeds 0-3
+    # at most 3.4 eps, at m = 2^20.  A naive mu^m and c^(2m) lose about m eps.
+    gen = make_scaled_identity_map(alpha, dim).generator
+    rho = random_density(dim, seed)
+    sigma = random_pure(dim, 100 + seed).density()
+    for m in [1, 3, 16, 4096, 2**16, 2**20, 2**30]:
+        got = repeated_queries(gen, rho, sigma, total, m)
+        exact = ld_swap_block(rho.matrix, sigma.matrix, alpha, total, m)
+        err = float(np.max(np.abs(got - exact)))
+        assert err <= 8 * EPS, (m, err / EPS)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_quarter_period_swap_queries_return_the_memory(m):
+    # Each query's angle is pi/2, where sn^2 reads exactly 1 and log1p(-sn^2)
+    # has no value: each query swaps the memory copy in.
+    gen = make_identity_map(3).generator
+    rho, sigma = random_density(3, 5), random_pure(3, 6).density()
+    got = repeated_queries(gen, rho, sigma, -m * np.pi / 2, m)
+    assert np.max(np.abs(got - rho.matrix)) <= 8 * EPS
+
+
+@pytest.mark.parametrize("m", [1, 3, 4096])
+def test_swap_batch_is_its_matrices_one_by_one(m):
+    gen = make_scaled_identity_map(0.8, 3).generator
+    memory = random_density(3, 1)
+    states = [random_pure(3, 30 + k).density().matrix for k in range(5)]
+    got = repeated_queries(gen, memory, np.stack(states, axis=-1), 0.6, m)
+    assert got.shape == (3, 3, 5)
+    for k, working in enumerate(states):
+        assert np.array_equal(got[..., k], repeated_queries(gen, memory, working, 0.6, m)), k
 
 
 def query_block(mapping, rho, sigma, m):
@@ -159,7 +244,6 @@ def test_query_blocks_match_the_dense_query(build, longer, seed, total):
 # commutator, d = 4) and at most 2.5 eps from the long-double form, against
 # 6.0 eps for ``herm_exp``.
 
-LD = np.longdouble
 DURATIONS = [1 / 64, -1 / 256, 0.05]
 CLOSED_FORM_BUDGET = 32 * EPS
 
@@ -369,6 +453,24 @@ def test_query_blocks_match_the_long_double_block(build, seed, total):
         assert err <= (8 + m) * EPS, (m, err / EPS)
 
 
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize("angle", [2.2, -2.9, 4.0])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_swap_blocks_with_negative_cosine_match_the_long_double_block(dim, seed, angle):
+    # Each query's angle alpha S / m has cos < 0, where the phase of
+    # mu = c^2 + i c s dp is not atan2(s dp, c).
+    for m in [1, 3]:
+        alpha = angle * m
+        mapping = make_scaled_identity_map(alpha, dim)
+        rho = random_density(dim, seed)
+        sigma = random_pure(dim, 100 + seed).density()
+        got = query_block(mapping, rho, sigma, m)
+        exact = ld_block(ld_swap(alpha, dim, -1.0 / m), rho.matrix, sigma.matrix, m)
+        err = float(np.max(np.abs(got - exact)))
+        assert err <= (8 + m) * EPS, (m, err / EPS)
+
+
 # Extended-precision unfolded call -----------------------------------------
 #
 # ``unfolded_memory_call`` applies the group commutator
@@ -557,13 +659,24 @@ def test_exact_trajectories_match_the_long_double_steps(case, seed):
         assert vector <= dense, (vector, dense)
 
 
-@pytest.mark.xfail(strict=True, reason="a block of m queries amplifies one query's trace "
-                   "defect m-fold, past TRACE_ATOL at m = 2^20, so a valid config exits 4")
 def test_long_swap_block_keeps_the_trace(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(
         '{"schema_version": 1, "scenario": "channel-error", "seed": 9, "params": '
         '{"dim": 4, "map": "dme", "s": 0.6, "m_values": [1048576], "n_samples": 2}}'
+    )
+    code = main(["run", str(path)])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_long_grover_query_run_keeps_the_trace(tmp_path, capsys):
+    # 2^22 swap queries per call: a squared block drifted past TRACE_ATOL here.
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"schema_version": 1, "scenario": "grover", "seed": 7, '
+        '"strategy": {"kind": "qdp", "m": 4194304}, '
+        '"params": {"L": 1, "dim": 4, "n_steps": 2, "delta0": 0.6}}'
     )
     code = main(["run", str(path)])
     capsys.readouterr()
