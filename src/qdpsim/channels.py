@@ -38,14 +38,26 @@ queries of total duration ``-1``.
 A block of ``m`` queries is its generator's (``block``).  A swap block
 (density-matrix exponentiation) is in closed form in the memory's
 eigenbasis: one ``eigh`` and four ``d x d`` products at any ``m``, and
-trace-preserving by construction.  Any other block applies one query's
-superoperator (``query_superoperator``) again and again, built from the query
-unitary by a scatter over pairs of its nonzeros or, for a dense map's or a
-non-diagonal commutator's unitary, by a Gram ``zgemm``.
+trace-preserving by construction.  Any other block maps Hermitian matrices
+in real arithmetic: one query is a real ``d^2 x d^2`` transfer matrix ``R``
+(``QueryGenerator.transfer``) on a Hermitian matrix's real coordinates (the
+diagonal, ``Re X_kl`` above it and ``Im X_kl`` at ``(l, k)``), the Pauli
+transfer matrix of gate-set tomography in that basis.  The block applies
+``R`` ``m`` times (``dgemv``) or squares it, whichever the crossover rule
+picks from ``d``, the batch size and ``m``, and rebuilds its output from
+its coordinates, so the output is Hermitian by construction.  ``R`` is one
+gather from the memory's coordinates and one real ``np.bincount``, by a plan
+(``_transfer_plan``) made once per duration from the nonzeros each structure
+lists in closed form (``nonzeros``); a qite memory's coordinates are read
+off its two factors.  Only a dense map's or a non-diagonal commutator's
+unitary has no plan: its ``R`` is read off the Gram ``zgemm`` of its
+complex superoperator (``query_superoperator``, which is ``R``'s complex
+view for every generator).
 
 An osd map is a ``Lift`` of the commutator map on A.  Its exact and queried
 calls run on the A factor: a ``d_A x d_A`` unitary, or a ``d_A^2 x d_A^2``
-query block applied to the working matrix as a batch of ``d_B^2`` columns.
+query block applied to the working matrix as a batch of ``d_B^2`` Hermitian
+columns (the Hermitian and anti-Hermitian parts of its off-diagonal blocks).
 A qite map's exact call forms ``-i s [rho, chi]`` from its two factors.
 
 The three realizations and ``repeated_queries`` take the working register as
@@ -65,9 +77,10 @@ exponentiates the map's action on it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,6 +88,7 @@ from .errors import DimensionError, InvariantError, UnsupportedSpecError
 from .linalg import (
     DensityMatrix,
     PureState,
+    check_hermitian,
     herm_exp,
     hermitize,
     kron,
@@ -139,7 +153,8 @@ class QueryGenerator:
     matrix, hermitized on creation, and exponentiates it by ``herm_exp``.
     The map structures (``Swap``, ``Commutator``, ``PairCommutator``,
     ``Lift``) subclass it, hold no ``n_hat`` and give ``d_in``, ``d_out``,
-    ``norm`` and ``make_unitary`` in closed form, and ``Swap`` its ``block``.
+    ``norm``, ``make_unitary`` and ``nonzeros`` in closed form, and ``Swap``
+    its ``block``.
     Its realizations of a call are the defaults a structure overrides, and
     are static: a dense map's calls run on the class and build no ``Nhat``
     unless they query.  So are the log2 bytes a call allocates, from log2 d.
@@ -174,62 +189,82 @@ class QueryGenerator:
         """A fresh ``exp(-i Nhat t)``, ``herm_exp`` of ``n_hat``."""
         return herm_exp(self.n_hat, t)
 
+    def nonzeros(self, t: float):
+        """The nonzeros of ``exp(-i Nhat t)`` as ``W[a,k,m,i]`` (memory ``a, m``,
+        working ``k, i``): arrays ``(a, k, m, i, value)``, an entry listed
+        as several terms where that is simpler; ``None`` for a dense unitary.
+        A structure gives them in closed form, without the unitary."""
+        return None
+
     def unitary(self, s: float) -> np.ndarray:
         """Read-only ``exp(-i Nhat s)`` (``make_unitary``).
 
-        The last duration's unitary is kept, with its pair plan once a
-        superoperator build reads it (``_pairs``), in one slot (``_kept``):
-        every step of a run queries its generator at one duration, and a
-        schedule of varying durations then holds one unitary, not one per step.
+        The last duration's unitary is kept, with the transfer plan once a
+        block reads it (``_plan``), in one slot (``_kept``): every step of a
+        run queries its generator at one duration, and a schedule of varying
+        durations then holds one unitary, not one per step.
         """
-        return _kept(self, "_last", s, self.make_unitary)["value"]
+        return _kept(self, "_last", s, "unitary", self.make_unitary)
 
-    def _pairs(self, s: float):
-        """``_pair_plan`` of ``unitary(s)``, made on its first read and kept in
-        the unitary's slot, since it depends on the unitary alone."""
-        slot = _kept(self, "_last", s, self.make_unitary)
-        if "pairs" not in slot:
-            slot["pairs"] = _pair_plan(slot["value"], self.d_in, self.d_out)
-        return slot["pairs"]
+    def _plan(self, s: float):
+        """``_transfer_plan`` of ``nonzeros(s)``, made on its first read and
+        kept in the duration's slot; ``None`` for a dense unitary."""
+        return _kept(self, "_last", s, "plan",
+                     lambda t: _transfer_plan(self.nonzeros(t), self.d_in, self.d_out))
 
-    def block(self, memory: np.ndarray, working: np.ndarray, s: float, m: int) -> np.ndarray:
-        """``m`` queries of duration ``s/m`` on a working matrix or a
-        ``(d, d, k)`` batch (``repeated_queries``, which checks the arguments).
+    def transfer(self, memory, s: float) -> np.ndarray:
+        """One query's real ``(d^2, d^2)`` transfer matrix ``R`` (``d = d_out``)
+        on the real coordinates of a Hermitian working matrix (``_coords``),
+        for a memory matrix or, for a PairCommutator, its two factors.
 
-        The block is ``sup^m`` on the vectorized working state, ``sup`` being
-        one query's ``(d^2, d^2)`` superoperator (``d = d_out``), applied to a
-        batch as its ``(d^2, k)`` matrix of columns and realized as either
+        A plan's ``R`` is one gather from the memory's coordinates and one real
+        ``np.bincount`` (``_transfer_plan``).  A dense unitary's is read off
+        its complex superoperator (``query_superoperator``), a Gram product.
+        """
+        plan = self._plan(s)
+        if plan is None:
+            return _real_view(query_superoperator(self, memory, s))
+        return plan.transfer(memory, self.d_out)
 
-        * ``m`` products ``sup.dot(vec)``: for one working matrix the same BLAS
-          ``zgemv`` as ``sup @ vec``, with the same bits, without the matmul
-          ufunc dispatch, which costs more than the product itself at small
-          ``d``; or
-        * binary exponentiation, when ``2 log2(m) d^2 < m k`` (``k = 1`` for one
-          working matrix): ``m.bit_length() - 1`` squarings (``d^6`` each against
-          a product's ``d^4 k``) plus one product per set bit of ``m``, lowest
-          first.  Each square is set to its mean with its mirror, as in
-          ``query_superoperator``, so every power preserves Hermiticity exactly.
+    def block(self, memory, working: np.ndarray, s: float, m: int) -> np.ndarray:
+        """``m`` queries of duration ``s/m`` on a Hermitian working matrix or a
+        ``(d, d, k)`` batch of them (``repeated_queries``, which checks the
+        arguments).
 
-        With BLAS at one thread the two cost the same near ``m = 2 log2(m) d^2``
-        at ``d = 2, 3`` and near half that at ``d = 4 .. 16``.  Both are as close
-        to the exact block, and both amplify ``sup``'s own trace defect ``m``-fold,
-        which is the trace drift of long blocks.
+        The block is ``R^m`` (``transfer``) on the working state's real
+        coordinates, a batch's as a ``(d^2, k)`` matrix of columns, realized as
+        either
+
+        * ``m`` products ``R.dot(y)``, a BLAS ``dgemv`` for one working matrix;
+          or
+        * binary exponentiation, when ``log2(m) d^2 < 6 m k`` (``k = 1`` for
+          one working matrix): ``m.bit_length() - 1`` real squarings (``d^6``
+          each against a product's ``d^4 k``) plus one product per set bit of
+          ``m``, lowest first.
+
+        With BLAS at one thread the two cost the same for one working matrix
+        near ``log2(m) d^2 = 5 m`` to ``10 m`` at ``d = 4 .. 24``; batches
+        of 4 to 36 columns cross between that and ``log2(m) d^2 = m k``.  The
+        output is rebuilt from its coordinates (``_hermitian``), so it is
+        Hermitian bit for bit at any ``m``.  Both amplify ``R``'s own trace
+        defect ``m``-fold, which is the trace drift of long blocks.
         """
         d = self.d_out
-        sup = query_superoperator(self, memory, s / m)
-        vec = working.reshape(d * d, *working.shape[2:])
-        if 2 * m.bit_length() * d * d < m * (vec.size // (d * d)):
+        check_hermitian(working, working.conj().swapaxes(0, 1))
+        r = self.transfer(memory, s / m)
+        y = _coords(working).reshape(d * d, *working.shape[2:])
+        if m.bit_length() * d * d < 6 * m * (y.size // (d * d)):
             while True:
                 if m & 1:
-                    vec = sup.dot(vec)
+                    y = r.dot(y)
                 m >>= 1
                 if not m:
                     break
-                sup = _mirror_mean(sup @ sup, d)
+                r = r @ r
         else:
             for _ in range(m):
-                vec = sup.dot(vec)
-        return vec.reshape(working.shape)
+                y = r.dot(y)
+        return _hermitian(y.reshape(working.shape))
 
     @staticmethod
     def exact(call: MemoryCallSpec, instruction, working: np.ndarray):
@@ -249,7 +284,8 @@ class QueryGenerator:
         raise UnsupportedSpecError(
             "unfolding a non-covariant recursion needs commutator-form memory-calls")
 
-    # An exact call's d x d matrices; a query call's d^2 x d^2 query unitary.
+    # An exact call's d x d matrices; a query call's d^2 x d^2 query unitary,
+    # or its real transfer matrix and that matrix's square: 16 d^4 bytes.
     exact_log_bytes = staticmethod(lambda log_d: 4 + 2 * log_d)
     queried_log_bytes = staticmethod(lambda log_d: 4 + 4 * log_d)
 
@@ -263,46 +299,169 @@ def _pure(call: MemoryCallSpec, instruction, working: np.ndarray) -> bool:
             and call.extra_instruction is None and instruction.dim == call.map.d_in)
 
 
-def _kept(owner, name: str, t: float, make: Callable[[float], np.ndarray]) -> dict:
-    """``owner``'s slot ``name``, holding ``make(t)`` read-only under the key
-    of the bits of ``t`` (so ``-0.0`` and ``0.0`` stay apart), made again
-    when ``t`` changes.  What depends on that value alone may join it."""
-    key, slot = float(t).hex(), owner.__dict__.get(name, {})
-    if slot.get("key") != key:
+def _kept(owner, name: str, t: float, what: str, make: Callable[[float], object]):
+    """``make(t)`` under ``what`` in ``owner``'s slot ``name``, made on its
+    first read and kept while ``t`` keeps its bits (so ``-0.0`` and ``0.0``
+    stay apart); a new ``t`` empties the slot.  An array is kept read-only."""
+    key, slot = float(t).hex(), owner.__dict__.get(name)
+    if slot is None or slot["key"] != key:
+        slot = owner.__dict__[name] = {"key": key}
+    if what not in slot:
         value = make(float(t))
-        value.setflags(write=False)
-        slot = owner.__dict__[name] = {"key": key, "value": value}
-    return slot
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        slot[what] = value
+    return slot[what]
 
 
-def _pair_plan(w: np.ndarray, d_in: int, d_out: int):
-    """Index plan of the pair scatter that builds a query superoperator from
-    the nonzeros of its unitary ``w``, or ``None`` where the Gram product of
-    ``query_superoperator`` takes fewer multiplies.
+# Real coordinates of a Hermitian d x d matrix X, in a d x d real array y:
+# y[k,k] = X[k,k], and for k < l, y[k,l] = Re X[k,l] and y[l,k] = Im X[k,l].
+# Entry (p, q) of X reads one or two of them, X[p,q] = y[min, max] + i g y[max, min],
+# with g = 1 above the diagonal (p < q), -1 below it and 0 on it.
 
-    The superoperator entry ``S4[k,l,i,j]`` sums
-    ``W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])`` over pairs of nonzeros
-    of ``W`` that share the memory-output index ``a``.  The plan lists, per
-    pair, its flat ``(k,l,i,j)`` output index, its flat ``(m,m')`` index into
-    the memory matrix and its weight ``W[(a,k),(m,i)] conj(W[(a,l),(m',j)])``.
-    A unitary with ``r`` nonzeros per row has ``r^2 d_in d_out^2`` pairs
-    against the Gram's ``d_in^2 d_out^4`` multiplies.
+
+@functools.lru_cache(maxsize=None)
+def _entry_terms(n: int, output: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The two coordinate terms of each entry ``(p, q)`` of an ``n x n``
+    matrix, at flat index ``p n + q``: flat coordinate indices ``idx`` and
+    real weights ``g``, each ``(2, n^2)`` and read-only, the second term
+    weighing ``i g y[idx]``.  With ``output`` they are the weights that read
+    the Hermitian part's coordinates off entry ``(p, q)`` of an output:
+    conjugated and halved off the diagonal."""
+    p, q = (x.ravel() for x in np.indices((n, n)))
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    idx = np.stack([lo * n + hi, hi * n + lo])
+    g = np.stack([np.ones(n * n), np.sign(q - p).astype(float)])
+    if output:
+        g[1] = -g[1]
+        g[:, p != q] *= 0.5
+    idx.setflags(write=False)
+    g.setflags(write=False)
+    return idx, g
+
+
+class _Plan(NamedTuple):
+    """A query's transfer matrix ``R`` as ``R.flat[out] += weights *
+    coords.flat[gather]`` over the memory's real coordinates, with a buffer
+    of the terms' size that each build fills in place."""
+
+    out: np.ndarray
+    gather: np.ndarray
+    weights: np.ndarray
+    buffer: np.ndarray
+
+    def transfer(self, memory, d: int) -> np.ndarray:
+        """``R`` for a memory matrix, or for the pair of factors of a memory
+        ``rho (x) chi``, whose coordinates are read off the factors
+        (``_pair_coords``)."""
+        coords = _pair_coords(*memory) if isinstance(memory, tuple) else _coords(memory)
+        np.take(coords.reshape(-1), self.gather, out=self.buffer)
+        np.multiply(self.buffer, self.weights, out=self.buffer)
+        return np.bincount(self.out, self.buffer, d**4).reshape(d * d, d * d)
+
+
+def _transfer_plan(nonzeros, d_in: int, d_out: int) -> Optional[_Plan]:
+    """The plan that builds a query's real transfer matrix ``R`` from the
+    nonzeros of its unitary ``W`` (``QueryGenerator.nonzeros``), or ``None``
+    for a dense ``W``.
+
+    The superoperator entry ``S4[k,l,i,j]`` sums ``W[a,k,m,i] rho[m,m']
+    conj(W[a,l,m',j])`` over pairs ``(p, q)`` of nonzeros sharing the
+    memory-output index ``a``.  ``R`` reads each such term through three
+    coordinate maps (``_entry_terms``): the output coordinates read off entry
+    ``(k, l)``, the input coordinates whose basis matrix has entry ``(i, j)``
+    and the memory coordinates of ``rho[m, m']``.  Each map gives a pair one
+    or two real terms, so the pair gives ``Re(b i^j) prod g`` for every
+    choice of one term per map, ``b`` being the pair's weight and ``j`` the
+    number of second terms chosen.  The mirror pair ``(q, p)`` gives the
+    same real terms, so only ``p <= q`` is listed, off the diagonal twice.
+    Terms that vanish (on a diagonal, or for a real or imaginary ``b``) are
+    dropped.  The pairs are expanded a chunk at a time, which bounds what
+    the plan holds while it is made to about its own size.
     """
-    w4 = w.reshape(d_in, d_out, d_in, d_out)
-    a, k, m, i = np.nonzero(w4)  # in row-major order, so grouped by a
-    counts = np.bincount(a, minlength=d_in)
-    n_pairs = int(counts @ counts)
-    if n_pairs > d_in**2 * d_out**4:
+    if nonzeros is None:
         return None
-    # Pair each nonzero p with every nonzero q of its a, q running from the
-    # first nonzero of that a.
-    per = counts[a]
-    p = np.repeat(np.arange(a.size), per)
-    first = (np.cumsum(counts) - counts)[a]
-    q = np.repeat(first - (np.cumsum(per) - per), per) + np.arange(n_pairs)
-    vals = w4[a, k, m, i]
-    out = ((k[p] * d_out + k[q]) * d_out + i[p]) * d_out + i[q]
-    return out, m[p] * d_in + m[q], vals[p] * vals[q].conj()
+    order = np.argsort(nonzeros[0], kind="stable")
+    a, k, m, i, v = (np.asarray(x)[order] for x in nonzeros)
+    # Each nonzero p pairs with itself and every later nonzero of its a.
+    per = np.cumsum(np.bincount(a))[a] - np.arange(a.size)
+    ends = np.cumsum(per)
+    cuts = np.searchsorted(ends, np.arange(_PLAN_CHUNK, ends[-1], _PLAN_CHUNK), side="right")
+    indices = [(k, d_out), (i, d_out), (m, d_in)]
+    chunks = [_plan_chunk(np.repeat(np.arange(lo, hi), per[lo:hi]), per[lo:hi], v, indices)
+              for lo, hi in zip([0, *cuts], [*cuts, a.size])]
+    parts = []
+    for j in range(3):  # one array at a time: no second copy of the pieces
+        parts.append(np.concatenate([x for c in chunks for x in c[j]]))
+        for c in chunks:
+            c[j] = None
+    return _Plan(*parts, np.empty(parts[-1].size))
+
+
+# Pairs of nonzeros a transfer plan expands at a time.
+_PLAN_CHUNK = 4096
+
+
+def _plan_chunk(p: np.ndarray, per: np.ndarray, v: np.ndarray, indices: list):
+    """``_transfer_plan``'s terms of the pairs ``(p, q)``, ``q`` running over
+    the ``per`` nonzeros from each ``p`` on: ``[out, gather, weights]``, each
+    a list of pieces.  ``indices`` are the output, input and memory maps'
+    ``(index, n)``: each nonzero's index into an ``n x n`` matrix."""
+    q = p + np.arange(p.size) - np.repeat(np.cumsum(per) - per, per)
+    b = v[p] * np.conj(v[q])
+    b[p != q] *= 2
+    maps = []  # each pair's two terms of each map
+    for x, n in indices:
+        key = x[p] * n + x[q]
+        maps.append([[row.take(key) for row in t] for t in _entry_terms(n, output=not maps)])
+    # Choosing the second term of j maps multiplies by i^j, and
+    # Re(b i^j) = b.real, -b.imag, -b.real, b.imag for j = 0, 1, 2, 3 mod 4.
+    signed = [b.real, -b.imag, -b.real, b.imag]
+    d_out = indices[0][1]
+    terms = [[], [], []]
+    for choice in itertools.product((0, 1), repeat=3):
+        w = signed[sum(choice) % 4]
+        if not w.any():
+            continue
+        for (_, g), c in zip(maps, choice):
+            w = w * g[c]
+        keep = np.flatnonzero(w)
+        out, inp, mem = (x[c].take(keep) for (x, _), c in zip(maps, choice))
+        for t, x in zip(terms, (out * (d_out * d_out) + inp, mem, w.take(keep))):
+            t.append(x)
+    return terms
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_terms(d: int):
+    """For each real coordinate of a ``d^2 x d^2`` memory ``rho (x) chi``, at
+    its flat index, its two terms ``sign rho_c[g1] chi_c[g2]`` in the
+    factors' coordinates: ``[(g1, g2, sign)]`` for the first and the second
+    term (``sign = 0`` where there is one), read-only.  With ``rho[x,x'] =
+    A + i a B`` and ``chi[y,y'] = C + i c D`` (``_entry_terms``), an upper or
+    diagonal coordinate is ``Re = AC - ac BD`` and a lower one
+    ``-Im = -a BC - c AD``."""
+    x, y, x2, y2 = (u.ravel() for u in np.indices((d, d, d, d)))
+    (idx, g), upper = _entry_terms(d), x * d + y <= x2 * d + y2
+    rho, chi = x * d + x2, y * d + y2
+    a, c = g[1].take(rho), g[1].take(chi)
+    terms = ((np.where(upper, idx[0].take(rho), idx[1].take(rho)), idx[0].take(chi),
+              np.where(upper, 1.0, -a)),
+             (np.where(upper, idx[1].take(rho), idx[0].take(rho)), idx[1].take(chi),
+              np.where(upper, -a * c, -c)))
+    for t in terms:
+        for u in t:
+            u.setflags(write=False)
+    return terms
+
+
+def _pair_coords(rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """The real coordinates of ``rho (x) chi`` for two Hermitian ``d x d``
+    factors, each gathered from the factors' coordinates as one or two
+    products (``_factor_terms``), with no ``d^2 x d^2`` matrix formed."""
+    r, c = _coords(rho).reshape(-1), _coords(chi).reshape(-1)
+    (g1, g2, s1), (h1, h2, s2) = _factor_terms(rho.shape[0])
+    return r.take(g1) * c.take(g2) * s1 + r.take(h1) * c.take(h2) * s2
 
 
 @dataclass(frozen=True)
@@ -362,13 +521,15 @@ class Swap(QueryGenerator):
         (p_i - p_j)`` off the diagonal and ``x_ii -> c^(2m) x_ii +
         (1 - c^(2m)) p_i tr(sigma)`` on it, reading ``tr rho`` as 1.  The
         trace is kept by construction, to the memory's own ``sum p - 1``.
-        A batch runs matrix by matrix, with no ``(d, d, k)`` temporary.
+        A batch runs matrix by matrix, with no ``(d, d, k)`` temporary, each
+        matrix checked Hermitian first (``check_hermitian``).
         """
         p, v = np.linalg.eigh(memory)
         f, gain = _swap_block_factors(p, self.alpha * (s / m), m)
         v_dag = v.conj().T
 
         def one(sigma):
+            check_hermitian(sigma, sigma.conj().T)
             y = (v_dag @ sigma @ v) * f
             y.flat[::y.shape[0] + 1] += gain * np.trace(sigma)
             return v @ y @ v_dag
@@ -387,6 +548,18 @@ class Swap(QueryGenerator):
         u[b, a, a, b] = 1j * np.sin(self.alpha * t)  # SWAP |ab> = |ba>
         u[a, b, a, b] += np.cos(self.alpha * t)
         return u.reshape(d * d, d * d)
+
+    def nonzeros(self, t: float):
+        """``cos`` at ``(a,b,a,b)`` and ``i sin`` at ``(b,a,a,b)``, two terms
+        on the diagonal ``a == b``."""
+        a, b = (x.ravel() for x in np.indices((self.dim, self.dim)))
+        v = np.full(a.size, np.cos(self.alpha * t), dtype=complex)
+        return (np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([a, a]),
+                np.concatenate([b, b]),
+                np.concatenate([v, np.full(a.size, 1j * np.sin(self.alpha * t))]))
+
+    # A query call's block is a few d x d matrices, as an exact call's.
+    queried_log_bytes = staticmethod(lambda log_d: 4 + 2 * log_d)
 
 
 def _swap_block_factors(p: np.ndarray, theta: float, m: int):
@@ -446,7 +619,7 @@ class Commutator(QueryGenerator):
         """Read-only ``herm_exp(-d, r)``, the instruction's factor of each group
         commutator of an unfolded call at ``r = sqrt(step)``.  Every unfolded
         call of a run shares one ``r``, so the last one is kept (``_kept``)."""
-        return _kept(self, "_exp", r, lambda r: herm_exp(-self.d, r))["value"]
+        return _kept(self, "_exp", r, "value", lambda r: herm_exp(-self.d, r))
 
     def unfold(self, call: MemoryCallSpec, instruction: DensityMatrix, working, substeps: int):
         """The call is ``exp(s [d, rho])``, ``s > 0``, applied as one group
@@ -471,6 +644,18 @@ class Commutator(QueryGenerator):
             return w
         vv = np.kron(self.v, self.v)
         return vv @ w @ vv.conj().T
+
+    def nonzeros(self, t: float):
+        """For a diagonal ``d``: ``cos(theta_ab)`` at ``(a,b,a,b)`` and
+        ``sin(theta_ab)`` at ``(b,a,a,b)``, ``a != b``; else ``None``."""
+        if self.v is not None:
+            return None
+        theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
+        a, b = np.indices(theta.shape)
+        off = a != b
+        return (np.concatenate([a.ravel(), b[off]]), np.concatenate([b.ravel(), a[off]]),
+                np.concatenate([a.ravel(), a[off]]), np.concatenate([b.ravel(), b[off]]),
+                np.concatenate([np.cos(theta).ravel(), np.sin(theta[off])]))
 
 
 @dataclass(frozen=True)
@@ -504,6 +689,16 @@ class PairCommutator(QueryGenerator):
         u[z, x, y, x, y, z] += c2
         return u.reshape(d**3, d**3)
 
+    def nonzeros(self, t: float):
+        """The three terms ``c_j C^j``: ``C^j |x y z>`` has memory index
+        ``(x, y)``, ``(y, z)``, ``(z, x)`` and working index ``z, x, y``."""
+        theta = np.fmod(-np.sqrt(3.0) * self.s * t, 2 * np.pi)
+        c = [(1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3)]
+        d = self.dim
+        x, y, z = (r.ravel() for r in np.indices((d, d, d)))
+        return (np.concatenate([x * d + y, y * d + z, z * d + x]), np.concatenate([z, x, y]),
+                np.tile(x * d + y, 3), np.tile(z, 3), np.repeat(c, x.size))
+
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """On ``state (x) chi`` of two ``dim x dim`` factors, the unitary
         ``exp(s [rho, chi])`` from the factors; else the default.
@@ -531,7 +726,18 @@ class PairCommutator(QueryGenerator):
         rho, chi = instruction.matrix, chi.matrix
         return unitary_on(herm_exp(-1j * self.s * (rho @ chi - chi @ rho), -1.0), working)
 
-    # A query call's d^3 x d^3 query unitary; an exact call's is the default.
+    def queried(self, call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
+        """On ``state (x) chi`` of two ``dim x dim`` factors, ``m`` queries
+        whose transfer plan reads the memory's coordinates off the two factors
+        (``_pair_coords``), with no ``kron``; else the default."""
+        chi = call.extra_instruction
+        if chi is None or instruction.dim != self.dim or chi.dim != self.dim:
+            return super().queried(call, instruction, working, m)
+        return repeated_queries(self, (instruction.matrix, chi.matrix), working, -1.0, m)
+
+    # A query call is charged the d^3 x d^3 query unitary it no longer builds
+    # (16 d^6 bytes), which from d = 6 on bounds its transfer plan of about
+    # 14 d^4 terms (32 bytes each); an exact call's is the default.
     queried_log_bytes = staticmethod(lambda log_d: 4 + 6 * log_d)
 
 
@@ -542,8 +748,8 @@ class Lift(QueryGenerator):
 
     Its generator is ``inner``'s times ``1_B``, so its norm is the inner one
     and its query unitary is ``W_A (x) 1_B`` over registers (memory A, memory
-    B, working A, working B).  Only ``memory_usage_query`` and blocks on the
-    map's own generator read that dense unitary.
+    B, working A, working B).  Only ``memory_usage_query`` reads that dense
+    unitary; a block on the map's own generator reads its nonzeros.
     """
 
     inner: HermitianPreservingMap
@@ -557,6 +763,18 @@ class Lift(QueryGenerator):
         w_a = self.inner.generator.unitary(t).reshape(a_in, a_out, a_in, a_out)
         u = np.einsum("ACXY,BZ,DW->ABCDXZYW", w_a, eye_b, eye_b)
         return u.reshape(self.d_in * self.d_out, self.d_in * self.d_out)
+
+    def nonzeros(self, t: float):
+        """The inner map's, each at every memory ``B`` and working ``B``
+        index ``b, b'`` (``W_A (x) 1_B (x) 1_B``)."""
+        inner = self.inner.generator.nonzeros(t)
+        if inner is None:
+            return None
+        n = self.d_b
+        a, k, m, i, v = (x[:, None, None] for x in inner)
+        b, b2 = np.indices((n, n))
+        return (*((x * n + y).ravel() for x, y in ((a, b), (k, b2), (m, b), (i, b2))),
+                np.broadcast_to(v, (v.shape[0], n, n)).ravel())
 
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """The inner call, instructed by the instruction's ``Tr_B``
@@ -576,17 +794,30 @@ class Lift(QueryGenerator):
 
     def queried(self, call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
         """``m`` queries: the inner ``d_A^2 x d_A^2`` query block on the working
-        matrix as a batch of ``d_B^2`` columns, one per ``(b, b')``."""
+        matrix as a batch of ``d_B^2`` Hermitian ``d_A x d_A`` columns.
+
+        Block ``X_bb'`` of the working matrix passes as it is for ``b = b'``.
+        For ``b < b'`` its Hermitian part ``H`` passes as column ``(b, b')``
+        and its anti-Hermitian part ``i K`` as ``K`` in column ``(b', b)``;
+        the block maps to ``N(H) + i N(K)`` and its adjoint ``X_b'b`` to
+        ``N(H) - i N(K)``, so the output is Hermitian bit for bit."""
         memory = call.instruction_matrix(instruction)
         _check_query_dims(self, memory, working)
+        check_hermitian(working, working.conj().T)  # the columns below read half its blocks
         d_a, d_b = self.inner.d_out, self.d_b
-        cols = working.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
-        out = repeated_queries(self.inner.generator, _trace_b(memory, d_b),
-                               cols.reshape(d_a, d_a, d_b * d_b), -1.0, m)
-        return out.reshape(d_a, d_a, d_b, d_b).transpose(0, 2, 1, 3).reshape(working.shape)
+        x = working.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)  # [., ., b, b']
+        # X_b'b = X_bb'^dag, so at (b', b) K = (X_bb' - X_bb'^dag) / 2i = i (X_b'b - X_bb') / 2
+        x_t, lower = x.transpose(0, 1, 3, 2), _tri(d_b)
+        cols = np.where(lower, 0.5j * (x - x_t), 0.5 * (x + x_t))
+        y = repeated_queries(self.inner.generator, _trace_b(memory, d_b),
+                             cols.reshape(d_a, d_a, d_b * d_b), -1.0, m).reshape(x.shape)
+        iy = 1j * y
+        out = np.where(lower, y.transpose(0, 1, 3, 2) - iy,
+                       np.where(lower.T, y + iy.transpose(0, 1, 3, 2), y))
+        return out.transpose(0, 2, 1, 3).reshape(working.shape)
 
     # From log2 d_A and log2 d_B: the d_A d_B x d_A d_B matrices, and for a
-    # query call the inner d_A^2 x d_A^2 query unitary.
+    # query call the inner map's 16 d_A^4 bytes.
     exact_log_bytes = staticmethod(lambda a, b: 4 + 2 * (a + b))
     queried_log_bytes = staticmethod(lambda a, b: max(4 + 2 * (a + b), 4 + 4 * a))
 
@@ -716,10 +947,11 @@ def queried_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, workin
 
 
 def _check_query_dims(gen, memory, working=None):
-    """``memory`` and ``working`` (matrices, states or a ``repeated_queries``
-    batch) against ``gen``'s ``d_in`` and ``d_out``; without ``working``,
-    only the memory."""
-    d_mem = _matrix(memory).shape[0]
+    """``memory`` and ``working`` (matrices, states, a memory's factors or a
+    ``repeated_queries`` batch) against ``gen``'s ``d_in`` and ``d_out``;
+    without ``working``, only the memory."""
+    d_mem = (math.prod(_matrix(f).shape[0] for f in memory) if isinstance(memory, tuple)
+             else _matrix(memory).shape[0])
     d_work = gen.d_out if working is None else _matrix(working).shape[0]
     if d_mem != gen.d_in or d_work != gen.d_out:
         raise DimensionError(
@@ -759,76 +991,116 @@ def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
     ``memory`` state given as a ``DensityMatrix`` or its matrix.
 
     Row-major vectorization; the returned matrix has shape
-    ``(d_out^2, d_out^2)``.  Building it once and applying it repeatedly is
-    how large query counts stay cheap.
+    ``(d_out^2, d_out^2)``.  It is the complex view of the query's real
+    transfer matrix ``R`` (``QueryGenerator.transfer``), which is what a
+    block applies: the complex-linear map ``A R F`` (``_coordinate_basis``)
+    that agrees with ``R`` on Hermitian matrices.  So it preserves
+    Hermiticity by construction: ``sup4[k,l,i,j] == conj(sup4[l,k,j,i])``
+    bit for bit.
 
     With ``W = exp(-i Nhat s)`` indexed ``W[(a,k),(m,i)]`` (memory ``a, m``,
     working ``k, i``), the entry for output ``(k,l)`` and input ``(i,j)`` is
-    ``sum W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])``.  It is built one of
-    two ways, whichever takes fewer multiplies for this ``W``:
-
-    * a pair scatter (``_pair_plan``): one product per pair of nonzeros of
-      ``W`` sharing ``a``, that is one gather from ``rho``, one multiply by the
-      pairs' weights and one ``np.bincount`` per real and imaginary part.
-      The swap, diagonal commutator, osd and pair-commutator unitaries have
-      at most 3 nonzeros per row and are built this way;
-    * a Gram product ``G = A (1 (x) rho) A^dag`` with
-      ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, entry ``G[(k,i),(l,j)]``: one
-      ``A @ rho`` and one ``zgemm`` against ``A^dag``, for a dense ``W``
-      (``herm_exp`` of a dense map's ``Nhat``, a non-diagonal commutator).
-
-    The plan and the choice are made once per unitary, in its cache slot.
-    The superoperator is then set to its mean with its mirror
-    (``_mirror_mean``), so it preserves Hermiticity by construction:
-    ``sup4[k,l,i,j] == conj(sup4[l,k,j,i])`` bit for bit.  A matvec with it
-    leaves only its own summation-order roundoff off the adjoint.
+    ``sum W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])``.  A structure's
+    ``R`` is built from its closed-form nonzeros (``_transfer_plan``).  A
+    dense ``W`` (``herm_exp`` of a dense map's ``Nhat``, a non-diagonal
+    commutator's) has no plan: its superoperator is the Gram product
+    ``G = A (1 (x) rho) A^dag`` with ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, entry
+    ``G[(k,i),(l,j)]``, one ``A @ rho`` and one ``zgemm`` against ``A^dag``,
+    and ``R`` is read off it once.
     """
     _check_query_dims(gen, memory)
     d_in, d_out = gen.d_in, gen.d_out
     rho = _matrix(memory)
-    pairs = gen._pairs(s)
-    if pairs is not None:
-        out, gather, weights = pairs
-        terms = weights * rho.reshape(-1)[gather]
-        sup = np.empty(d_out**4, dtype=complex)
-        sup.real = np.bincount(out, terms.real, d_out**4)
-        sup.imag = np.bincount(out, terms.imag, d_out**4)
-    else:
-        a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
-        a = a.reshape(d_out * d_out, d_in * d_in)
-        # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is
-        # held; rebinding g frees A rho once the zgemm returns.
-        g = (a.reshape(-1, d_in) @ rho).reshape(a.shape)
-        g = np.conjugate(g, out=g) @ a.T
-        np.conjugate(g, out=g)
-        sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
-    return _mirror_mean(sup.reshape(d_out * d_out, d_out * d_out), d_out)
+    if gen._plan(s) is not None:
+        return _complex_view(gen.transfer(rho, s))
+    a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    a = a.reshape(d_out * d_out, d_in * d_in)
+    # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is
+    # held; rebinding g frees A rho once the zgemm returns.
+    g = (a.reshape(-1, d_in) @ rho).reshape(a.shape)
+    g = np.conjugate(g, out=g) @ a.T
+    np.conjugate(g, out=g)
+    sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
+    return _complex_view(_real_view(sup.reshape(d_out * d_out, d_out * d_out)))
 
 
-def _mirror_mean(p: np.ndarray, d: int) -> np.ndarray:
-    """Set the ``(d^2, d^2)`` superoperator ``p`` to ``(P + mirror(P)) / 2`` in
-    place, with ``mirror(P)[k,l,i,j] = conj(P[l,k,j,i])``, and return it.
+def _lower(x: np.ndarray) -> np.ndarray:
+    """The strictly lower triangle of ``x``'s first two axes, as a mask that
+    broadcasts against ``x``."""
+    d = x.shape[0]
+    return _tri(d).reshape((d, d) + (1,) * (x.ndim - 2))
 
-    The mirror is the map ``x -> N(x^dag)^dag``; IEEE addition commutes and
-    halving is exact, so the result equals its own mirror bit for bit: it takes
-    Hermitian matrices to Hermitian matrices up to a matvec's own roundoff.
-    """
-    p4 = p.reshape(d, d, d, d)
-    p4 += p4.transpose(1, 0, 3, 2).conj()
-    p4 *= 0.5  # exact halving, without a complex division
-    return p
+
+@functools.lru_cache(maxsize=None)
+def _tri(d: int) -> np.ndarray:
+    """The read-only strictly lower triangle of a ``d x d`` matrix, a mask
+    each block reads twice (``np.tri`` costs more than a small block's
+    products)."""
+    mask = np.tri(d, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _coords(x: np.ndarray) -> np.ndarray:
+    """The real coordinates of a Hermitian matrix ``x``, or ``(d, d, k)``
+    batch, in an array of its shape: its upper triangle's real parts and its
+    lower triangle's negated imaginary parts."""
+    return np.where(_lower(x), -x.imag, x.real)
+
+
+def _hermitian(y: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix, or ``(d, d, k)`` batch, with real coordinates
+    ``y``: each entry below the diagonal the exact conjugate of its mirror."""
+    iy, d = 1j * y, y.shape[0]
+    x = np.where(_lower(y), y.swapaxes(0, 1) - iy, y + iy.swapaxes(0, 1))
+    x.imag.reshape(d * d, -1)[::d + 1] = 0.0  # y + i y on the diagonal
+    return x
+
+
+def _coordinate_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, F)``: the complex ``(d^2, d^2)`` matrices from real coordinates to
+    the vectorized matrix (``A``, whose columns are the basis matrices) and
+    back (``F``, the inverse, reading the coordinates of the Hermitian part
+    and its anti-Hermitian part's as ``i`` times them)."""
+    a, f = np.zeros((d * d, d * d), dtype=complex), np.zeros((d * d, d * d), dtype=complex)
+    for out, m in ((False, a), (True, f)):
+        idx, g = _entry_terms(d, out)
+        w = g * np.array([[1.0], [1j]])
+        for j in (1, 0):  # on the diagonal the second term repeats the first with g = 0
+            if out:
+                m[idx[j], np.arange(d * d)] += w[j]
+            else:
+                m[np.arange(d * d), idx[j]] = w[j]
+    return a, f
+
+
+def _real_view(sup: np.ndarray) -> np.ndarray:
+    """The real transfer matrix of a superoperator on Hermitian matrices:
+    ``Re(F S A)``, the coordinates of its outputs' Hermitian parts."""
+    a, f = _coordinate_basis(math.isqrt(sup.shape[0]))
+    return (f @ sup @ a).real
+
+
+def _complex_view(r: np.ndarray) -> np.ndarray:
+    """The complex superoperator ``A R F`` of a real transfer matrix."""
+    a, f = _coordinate_basis(math.isqrt(r.shape[0]))
+    return a @ r @ f
 
 
 def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> np.ndarray:
     """Apply ``m`` queries of duration ``s/m`` with fresh identical memory to the
-    working matrix; ``memory`` is a state's matrix or its ``DensityMatrix``.
+    Hermitian working matrix; ``memory`` is a state's matrix or its
+    ``DensityMatrix``, or for a pair-commutator generator the pair
+    ``(rho, chi)`` of matrices its memory ``rho (x) chi`` is made of.
     ``working`` may also be a batch of ``k`` working matrices stacked on a
     last axis, shape ``(d, d, k)``; each gets the same block, and the result
-    has the batch's shape.
+    has the batch's shape.  Each block refuses a working matrix that is not
+    Hermitian by ``hermitize``'s rule (``check_hermitian``) before it reads
+    it, a batch column by column for a swap block.
 
     The block is the generator's (``block``): a ``Swap`` block in closed form
-    in the memory's eigenbasis, any other one as one query's superoperator
-    raised to the ``m``-th power.
+    in the memory's eigenbasis, any other one as one query's real transfer
+    matrix raised to the ``m``-th power.
     """
     m = int(m)
     if m < 1:

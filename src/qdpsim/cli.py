@@ -283,8 +283,9 @@ def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None
 
 # Largest dense operator a run may build, in bytes, as the scenario's map
 # structure gives it for an exact call (``exact_log_bytes``) and for a query
-# call (``queried_log_bytes``), whose query unitary is never smaller than its
-# superoperator (16 d_out^4) because d_in >= d_out.
+# call (``queried_log_bytes``): a swap block's d x d matrices, or else the
+# query unitary, never smaller than the real transfer matrix a block squares
+# (8 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
 # Largest set of states a run may keep at once, in bytes: a recursion keeps
 # its trajectory, one state per point, and a channel-error probe keeps three
@@ -713,7 +714,8 @@ _SCENARIOS = {
         "n_samples": _Field("int", 5, lo=1),
         "alpha": _Field("real", 1.0),
         "map_s": _Field("real", 1.0),
-    }, _run_channel_error, size=_dim_size, structure=Swap, queries=True,  # Commutator's: same
+    }, _run_channel_error, size=_dim_size, queries=True,
+        structure=Commutator,  # map: commutator's block, the largest of the three maps
         kept=lambda p: ("params.n_samples", "a probe batch", 3 * p["n_samples"])),
     "cost": _Scenario({
         "L": _COUNT, "N": _COUNT, "m": _Field("int", None, lo=1),

@@ -67,16 +67,23 @@ def hermitize(m) -> np.ndarray:
     """
     a = _as_square(m)
     a_dag = a.conj().T
-    dev = float(np.max(np.abs(a - a_dag))) if a.size else 0.0
+    check_hermitian(a, a_dag)
+    return (a + a_dag) / 2.0
+
+
+def check_hermitian(a: np.ndarray, a_dag: np.ndarray) -> None:
+    """``hermitize``'s rule on ``a`` (a matrix, or a stack of them) against its
+    adjoint ``a_dag``: a deviation past HERM_ATOL is rejected, one past
+    HERM_WARN_ATOL is warned about."""
+    dev = float(abs(a - a_dag).max()) if a.size else 0.0
     if dev > HERM_ATOL:
         raise InvariantError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     if dev > HERM_WARN_ATOL:
         warnings.warn(
             f"symmetrizing matrix with Hermiticity deviation {dev:.3e}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return (a + a_dag) / 2.0
 
 
 def kron(a, b) -> np.ndarray:

@@ -50,9 +50,8 @@ def plus_state():
 
 def dense_partial_trace():
     """A 6 -> 3 map, a fixed unitary conjugation then the trace over a qubit,
-    whose ``herm_exp`` query unitary has no zero entry: its superoperator
-    keeps the Gram product.  A bare partial trace's unitary has exact zeros
-    and is scattered."""
+    whose ``herm_exp`` query unitary has no zero entry: a dense map, whose
+    transfer matrix is read off the Gram product."""
     v = herm_exp(random_hermitian(6, 25), 1.0)
     return map_from_function(lambda x: partial_trace(v @ x @ v.conj().T, (3, 2), keep=[0]), 6, 3)
 
@@ -147,22 +146,41 @@ class TestQuerySuperoperatorDecomposesOnce:
 
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
-        # Below the squaring crossover a block is the loop, bit for bit; past it
-        # (pair-commutator, d_out = 2, m = 64), and for a swap block in closed
-        # form (identity, scaled), it keeps the oracle's (8 + m) eps.
+        # Below the squaring crossover a block is the loop of its real transfer
+        # matrix on the working state's coordinates, bit for bit.  Past it, and
+        # for a swap block in closed form (identity, scaled), it keeps the
+        # oracle's (8 + m) eps to the loop of the complex superoperator.
         gen = build().generator
+        d = gen.d_out
         memory = random_density(gen.d_in, 72)
-        working = random_density(gen.d_out, 73)
-        sup = query_superoperator(gen, memory, 0.6 / m)
-        vec = working.matrix.reshape(-1)
-        for _ in range(m):
-            vec = sup @ vec
-        expected = vec.reshape(gen.d_out, gen.d_out)
+        working = random_density(d, 73)
         got = repeated_queries(gen, memory, working, 0.6, m)
-        if squares(m, gen.d_out) or isinstance(gen, channels.Swap):
-            assert np.max(np.abs(got - expected)) <= (8 + m) * np.finfo(float).eps
+        if squares(m, d) or isinstance(gen, channels.Swap):
+            sup = query_superoperator(gen, memory, 0.6 / m)
+            vec = working.matrix.reshape(-1)
+            for _ in range(m):
+                vec = sup @ vec
+            assert np.max(np.abs(got - vec.reshape(d, d))) <= (8 + m) * np.finfo(float).eps
         else:
-            assert np.array_equal(got, expected)
+            r = gen.transfer(memory.matrix, 0.6 / m)
+            y = channels._coords(working.matrix).reshape(-1)
+            for _ in range(m):
+                y = r.dot(y)
+            assert np.array_equal(got, channels._hermitian(y.reshape(d, d)))
+
+    def test_superoperator_is_the_complex_view_of_the_transfer_matrix(self, build):
+        # R maps a Hermitian matrix's real coordinates as the superoperator maps
+        # the matrix, and R read back off the superoperator is R to roundoff.
+        gen = build().generator
+        d = gen.d_out
+        memory = random_density(gen.d_in, 71)
+        working = random_density(d, 74).matrix
+        r = gen.transfer(memory.matrix, 0.25)
+        assert r.dtype == np.float64 and r.shape == (d * d, d * d)
+        sup = query_superoperator(gen, memory, 0.25)
+        via_r = channels._hermitian((r @ channels._coords(working).reshape(-1)).reshape(d, d))
+        assert np.max(np.abs(via_r - (sup @ working.reshape(-1)).reshape(d, d))) <= 8 * np.finfo(float).eps
+        assert np.max(np.abs(channels._real_view(sup) - r)) <= 8 * np.finfo(float).eps
 
 
 class TestQueryGeneratorUnitary:
@@ -203,7 +221,7 @@ class TestQueryGeneratorUnitary:
         assert not hasattr(m.generator, "n_hat")
 
     @pytest.mark.parametrize(
-        "build, scatters",
+        "build, planned",
         [
             (lambda: make_identity_map(3), True),
             (lambda: make_commutator_map(np.diag(np.arange(16.0)), 0.1), True),
@@ -215,23 +233,28 @@ class TestQueryGeneratorUnitary:
         ids=["swap", "diagonal-commutator-16", "osd-2x6", "pair-commutator-8",
              "commutator", "partial-trace"],
     )
-    def test_pair_plan_shares_the_unitary_slot(self, build, scatters):
+    def test_transfer_plan_shares_the_unitary_slot(self, monkeypatch, build, planned):
         # The closed forms have at most 3 nonzeros per row, so at most
-        # 9 d_in d_out^2 pairs; a dense unitary keeps the Gram product.
+        # 9 d_in d_out^2 pairs of 8 real terms each, and build no unitary; a
+        # dense unitary keeps the Gram product.
         gen = build().generator
-        query_superoperator(gen, random_density(gen.d_in, 71), 0.25)
-        pairs = gen._pairs(0.25)
-        assert (pairs is not None) == scatters
-        if scatters:
-            assert pairs[0].size <= 9 * gen.d_in * gen.d_out**2
-        assert gen._pairs(0.25) is pairs
+        built, make = [], type(gen).make_unitary
+        monkeypatch.setattr(type(gen), "make_unitary",
+                            lambda self, t: built.append(t) or make(self, t))
+        gen.transfer(random_density(gen.d_in, 71).matrix, 0.25)
+        plan = gen._plan(0.25)
+        assert (plan is not None) == planned
+        assert built == ([] if planned else [0.25])
+        if planned:
+            assert plan.out.size <= 72 * gen.d_in * gen.d_out**2
+        assert gen._plan(0.25) is plan
         u = gen.unitary(0.25)
         gen.unitary(-1.3)
         assert gen.unitary(0.25) is not u
-        if scatters:
-            again = gen._pairs(0.25)
-            assert again is not pairs
-            assert all(np.array_equal(x, y) for x, y in zip(again, pairs))
+        if planned:
+            again = gen._plan(0.25)
+            assert again is not plan
+            assert all(np.array_equal(x, y) for x, y in zip(again[:3], plan[:3]))
 
 
 def reference_unitary(st, t):
@@ -665,15 +688,26 @@ class TestLiftedCall:
     @pytest.mark.parametrize("dims", DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
     @pytest.mark.parametrize("seed", range(3))
     def test_query_block_matches_the_dense_block(self, monkeypatch, dims, seed):
-        # Measured at most 0.174 (8 + m) eps.
+        # Against the lifted generator's own block on the whole working matrix.
+        # The A factor's block takes d_B^2 Hermitian columns, not twice as many,
+        # and its output is Hermitian bit for bit.
         m, rho, sigma = osd_case(dims, seed, 0.9)
         counts = (1, 3, 16, 64)
         dense = [repeated_queries(m.generator, rho, sigma, -1.0, n) for n in counts]
-        sizes = spy_dims(monkeypatch, "query_superoperator")
+        seen, real = [], channels.repeated_queries
+
+        def spy(gen, memory, working, s, n):
+            assert np.array_equal(working, working.conj().swapaxes(0, 1))
+            seen.append((gen.d_out, working.shape))
+            return real(gen, memory, working, s, n)
+
+        monkeypatch.setattr(channels, "repeated_queries", spy)
         for n, want in zip(counts, dense):
             got = queried_memory_call(MemoryCallSpec(map=m), rho, sigma, n)
             assert np.max(np.abs(got - want)) <= (8 + n) * np.finfo(float).eps, n
-        assert sizes == [dims[0]] * len(counts)
+            assert np.array_equal(got, got.conj().T)
+        cols = (dims[0], (dims[0], dims[0], dims[1] ** 2))
+        assert seen == [cols] * len(counts)
 
     EXACT = staticmethod(lambda call, rho, sigma: exact_memory_call(call, rho, sigma))
     QUERY = staticmethod(lambda call, rho, sigma: queried_memory_call(call, rho, sigma, 4))
@@ -920,20 +954,30 @@ class TestRepeatedQueries:
 
 
 def record_powers(monkeypatch):
-    """Spy on ``channels._mirror_mean``: the list of every superoperator it
-    returns, one query's first, then each square of a squared block."""
-    powers, real = [], channels._mirror_mean
+    """Spy on the blocks' transfer matrices: the list of one query's ``R``
+    and then of each square of a squared block, recorded as its ``@`` makes
+    it."""
+    powers = []
 
-    def recording(p, d):
-        powers.append(real(p, d).copy())
-        return powers[-1]
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            out = np.ndarray.__matmul__(self, other)
+            powers.append(out.view(np.ndarray).copy())
+            return out
 
-    monkeypatch.setattr(channels, "_mirror_mean", recording)
+    transfer = QueryGenerator.transfer
+
+    def recording(self, memory, s):
+        r = transfer(self, memory, s)
+        powers.append(r.copy())
+        return r.view(Recorded)
+
+    monkeypatch.setattr(QueryGenerator, "transfer", recording)
     return powers
 
 
 class TestRepeatedSquaring:
-    """Blocks that square a superoperator: every map but the swap maps, whose
+    """Blocks that square a transfer matrix: every map but the swap maps, whose
     blocks are in closed form, so the identity map here is the dense one."""
 
     MAPS = {
@@ -947,7 +991,7 @@ class TestRepeatedSquaring:
     def test_squares_past_the_crossover_in_log2_m_products(self, monkeypatch, d):
         gen = map_from_function(lambda x: x, d, d).generator
         rho, sigma = random_density(d, 1), random_density(d, 2)
-        last_loop = max(m for m in range(1, 400) if not squares(m, d))
+        last_loop = max([m for m in range(1, 400) if not squares(m, d)], default=1)
         powers = record_powers(monkeypatch)
         for m in [1, 2, last_loop, last_loop + 1, 2 * last_loop, 2**16 + 1]:
             powers.clear()
@@ -967,19 +1011,24 @@ class TestRepeatedSquaring:
             assert len(powers) == 1 + squarings, m
 
     @pytest.mark.parametrize("name", list(MAPS))
-    def test_every_power_preserves_hermiticity_exactly(self, monkeypatch, name):
+    def test_every_power_gives_an_exactly_hermitian_output(self, monkeypatch, name):
+        # Each power is a real matrix on real coordinates, and the block's
+        # output is rebuilt from them, so it is Hermitian bit for bit.
         gen = self.MAPS[name]().generator
         d, m = gen.d_out, 2**12 + 5
         powers = record_powers(monkeypatch)
-        repeated_queries(gen, random_density(gen.d_in, 3), random_density(d, 4), -1.3, m)
+        memory, working = random_density(gen.d_in, 3), random_density(d, 4)
+        got = repeated_queries(gen, memory, working, -1.3, m)
+        assert np.array_equal(got, got.conj().T)
         assert len(powers) == m.bit_length()
-        for p in powers:
-            p4 = p.reshape((d,) * 4)
-            assert np.array_equal(p4, p4.transpose(1, 0, 3, 2).conj())
-        # the k-th square is sup^(2^k), up to roundoff
+        assert all(p.dtype == np.float64 and p.shape == (d * d, d * d) for p in powers)
+        # the k-th square is R^(2^k), up to roundoff
         for k in (1, 2, 3):
             want = np.linalg.matrix_power(powers[0], 2**k)
             assert np.max(np.abs(powers[k] - want)) <= 64 * np.finfo(float).eps
+        for n in (1, 3, 64):
+            out = repeated_queries(gen, memory, working, -1.3, n)
+            assert np.array_equal(out, out.conj().T), n
 
     @pytest.mark.parametrize("name", list(MAPS))
     @pytest.mark.parametrize("s", [0.6, -1.3])
@@ -991,6 +1040,43 @@ class TestRepeatedSquaring:
             with warnings.catch_warnings():
                 warnings.filterwarnings("error", message="symmetrizing matrix")
                 DensityMatrix(repeated_queries(gen, memory, working, s, 2**16))
+
+
+class TestNonHermitianWorking:
+    """Every block maps Hermitian matrices: a working matrix, or a batch
+    column, further from Hermitian than HERM_ATOL is refused by hermitize's
+    rule, and one in the warning window is warned about."""
+
+    MAPS = {
+        "commutator": lambda: make_commutator_map(np.diag([0.0, 1.0, 2.5]), 0.4),
+        "swap": lambda: make_identity_map(3),
+        "osd": lambda: make_osd_map(np.diag([0.0, 1.0]), 0.3, (2, 3)),
+        "pair-commutator": lambda: make_pair_commutator_map(3, 0.9),
+        "dense": lambda: map_from_function(lambda x: x, 3, 3),
+    }
+
+    @staticmethod
+    def off(d, by, seed=2):
+        w = random_density(d, seed).matrix.copy()
+        w[0, 1] += by
+        return w
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_a_call_refuses_or_warns(self, name):
+        mapping = self.MAPS[name]()
+        call, memory = MemoryCallSpec(map=mapping), random_density(mapping.d_in, 1)
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            queried_memory_call(call, memory, self.off(mapping.d_out, 1e-6), 4)
+        with pytest.warns(RuntimeWarning, match="symmetrizing matrix"):
+            queried_memory_call(call, memory, self.off(mapping.d_out, 1e-11), 4)
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_a_batch_column_is_refused(self, name):
+        gen = self.MAPS[name]().generator
+        d = gen.d_out
+        batch = np.stack([random_density(d, 3).matrix, self.off(d, 1e-6)], axis=-1)
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            repeated_queries(gen, random_density(gen.d_in, 1), batch, 0.5, 4)
 
 
 class TestGroupCommutator:
@@ -1062,12 +1148,15 @@ class TestChannelErrorProbe:
         rho = random_density(3, 72)
         assert channel_error_probe(gen, m, rho, 0.1, [512], 3, 1)[0] <= 1e-3
 
-    def test_one_superoperator_per_m(self, monkeypatch):
+    def test_one_transfer_matrix_per_m(self, monkeypatch):
         m = make_commutator_map(np.diag(np.arange(4.0)) / 3, 1.0)
         rho, m_values = random_density(4, 74), [1, 4, 64, 4096]
-        sizes = spy_dims(monkeypatch, "query_superoperator")
+        powers = record_powers(monkeypatch)
         assert len(channel_error_probe(m.generator, m, rho, 0.5, m_values, 8, 3)) == len(m_values)
-        assert sizes == [4] * len(m_values)
+        # one R per m, then the squares of the blocks that square
+        squarings = sum(n.bit_length() - 1 for n in m_values if squares(n, 4, 8))
+        assert len(powers) == len(m_values) + squarings
+        assert all(p.shape == (16, 16) for p in powers)
 
     def test_a_swap_probe_builds_no_superoperator(self, monkeypatch):
         m, rho = make_identity_map(4), random_density(4, 74)

@@ -627,7 +627,8 @@ def load_workloads():
 
 
 class TestOperatorSize:
-    """A query run whose query generator or superoperator would pass
+    """A query run whose largest operator, as its map's structure charges it
+    (a query unitary or the d x d matrices of a swap block), would pass
     ``MAX_OPERATOR_BYTES`` exits 3 naming the size field, before any scenario
     runner starts.  Only rejected sizes are run here."""
 
@@ -643,8 +644,9 @@ class TestOperatorSize:
             ("params.dim", "dbi", {"kind": "qdp", "m": 4}, {"dim": 91, "n_steps": 1}),
             ("params.dim", "dbi", {"kind": "hybrid", "n1": 1, "n2": 1, "m": 4},
              {"dim": 91, "n_steps": 2}),
+            # a swap block holds d x d matrices: 16 * 8193^2 B > 2^30 B
             ("params.dim", "grover", {"kind": "qdp", "m": 4},
-             {"L": 1, "dim": 91, "n_steps": 1, "delta0": 0.6}),
+             {"L": 1, "dim": 8193, "n_steps": 1, "delta0": 0.6}),
             # an osd query runs on the A factor: 16 * 91^4 B > 2^30 B
             ("params.dims", "osd", {"kind": "qdp", "m": 4}, {"dims": [91, 2], "n_steps": 1}),
             ("params.dim", "channel-error", {"kind": "exact"},
@@ -677,8 +679,15 @@ class TestOperatorSize:
             # a 16 * 8^4 B = 64 KiB A-factor block and a 16 * 128^2 B instruction
             ("osd", {"kind": "qdp", "m": 4}, {"dims": [8, 16], "n_steps": 1}),
             ("dbi", {"kind": "exact"}, {"dim": 91, "n_steps": 1}),  # builds no Nhat
+            # a swap block builds no d^2 x d^2 operator
+            ("grover", {"kind": "qdp", "m": 4}, {"L": 1, "dim": 91, "n_steps": 1, "delta0": 0.6}),
+            ("grover", {"kind": "qdp", "m": 64},
+             {"L": 1, "dim": 128, "n_steps": 2, "delta0": 0.6}),
+            ("grover", {"kind": "qdp", "m": 4},
+             {"L": 1, "dim": 8192, "n_steps": 1, "delta0": 0.6}),  # 2^30 B
         ],
-        ids=["qite-4-qubits", "dbi-dim-90", "osd-90", "osd-8x16", "dbi-exact"],
+        ids=["qite-4-qubits", "dbi-dim-90", "osd-90", "osd-8x16", "dbi-exact", "grover-qdp-91",
+             "grover-qdp-128", "grover-qdp-8192"],
     )
     def test_sizes_at_the_limit_are_accepted(self, scenario, strategy, params):
         ExperimentConfig.from_dict(
@@ -1158,6 +1167,18 @@ def test_qite_run_finds_its_ground_state_once(monkeypatch):
         "scenario": "qite", "seed": 3, "strategy": {"kind": "exact"},
         "params": {"n_qubits": 3, "n_steps": 2}}))
     assert calls == [(8, 8)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11, the commutator half: one query's "
+                   "transfer matrix misses trace preservation by a few eps and a block of "
+                   "2^20 queries multiplies that, so a valid config exits 4 until the trace "
+                   "row of R is set exactly")
+def test_long_commutator_block_keeps_the_trace(tmp_path, capsys):
+    # "trace 1.0000000002230824 is not 1 within 1e-10"; m = 262144 passes.
+    doc = dbi_doc({"kind": "qdp", "m": 1_048_576}, 1, seed=0)
+    code = main(["run", write_config(tmp_path, doc)])
+    capsys.readouterr()
+    assert code == 0
 
 
 @pytest.mark.xfail(strict=True, reason="the 10^6-fold group-commutator product drifts off "

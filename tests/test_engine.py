@@ -238,15 +238,18 @@ def channel_error_config(tmp_path, params):
 
 
 class TestGeneratorReuse:
-    """A run evaluates its map's closed-form query unitary once per query
-    duration, and never builds ``Nhat``."""
+    """A run evaluates its map's closed-form query nonzeros once per query
+    duration, and never builds ``Nhat`` or the query unitary."""
 
     @staticmethod
     def recording(durations):
         class Recording(channels.Commutator):
-            def make_unitary(self, t):
+            def nonzeros(self, t):
                 durations.append(t)
-                return super().make_unitary(t)
+                return super().nonzeros(t)
+
+            def make_unitary(self, t):
+                raise AssertionError("a query run builds no query unitary")
 
         def wrap(m):
             return dataclasses.replace(m, structure=Recording(m.structure.d, m.structure.s))

@@ -72,6 +72,7 @@ from qdpsim import (
     repeated_queries,
     run_exact,
 )
+from qdpsim import channels
 from qdpsim.channels import Lift, PairCommutator, Swap, queried_memory_call, unfolded_memory_call
 from qdpsim.cli import main
 
@@ -206,27 +207,39 @@ def query_block(mapping, rho, sigma, m):
     return DensityMatrix(queried_memory_call(MemoryCallSpec(map=mapping), rho, sigma, m)).matrix
 
 
+COUNTS = [1, 2, 3, 16, 64]
+
+
 @pytest.mark.parametrize(
-    "build, longer",
+    "build, counts",
     [
-        # d_out = 2 squares from m = 49, so there 64 and 1024 run by squaring.
-        (lambda seed, c: make_commutator_map(random_hermitian(2, 30 + seed), 0.8 * c), [1024]),
-        (lambda seed, c: make_commutator_map(random_hermitian(3, 30 + seed), 0.8 * c), []),
-        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 2)), []),
-        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 3)), []),
-        (lambda seed, c: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.7 * c, (3, 2)), []),
-        (lambda seed, c: make_pair_commutator_map(2, 0.9 * c), [1024]),
+        # d_out = 2 and 3 square from m = 1, so every m there runs by squaring.
+        (lambda seed, c: make_commutator_map(random_hermitian(2, 30 + seed), 0.8 * c),
+         COUNTS + [1024]),
+        (lambda seed, c: make_commutator_map(random_hermitian(3, 30 + seed), 0.8 * c), COUNTS),
+        # The benchmark's sizes: a diagonal commutator at d = 12 loops its
+        # transfer matrix (dbi hybrid), osd [2, 6] passes 36 columns of its
+        # off-diagonal blocks' Hermitian and anti-Hermitian parts (osd qdp),
+        # and a pair commutator reads its memory off two factors (qite qdp).
+        (lambda seed, c: make_commutator_map(np.diag(np.arange(12.0) / 11), 0.8 * c), COUNTS),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 2)), COUNTS),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 3)), COUNTS),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.7 * c, (3, 2)), COUNTS),
+        (lambda seed, c: make_osd_map(np.diag([0.0, 1.0]), 0.7 * c, (2, 6)), [1, 2, 3, 16, 32]),
+        (lambda seed, c: make_pair_commutator_map(2, 0.9 * c), COUNTS + [1024]),
+        (lambda seed, c: make_pair_commutator_map(3, 0.9 * c), COUNTS),
     ],
-    ids=["commutator-2", "commutator-3", "osd-2x2", "osd-2x3", "osd-3x2", "pair-commutator-2"],
+    ids=["commutator-2", "commutator-3", "commutator-12", "osd-2x2", "osd-2x3", "osd-3x2",
+         "osd-2x6", "pair-commutator-2", "pair-commutator-3"],
 )
 @pytest.mark.parametrize("total", [0.6, -1.3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_query_blocks_match_the_dense_query(build, longer, seed, total):
+def test_query_blocks_match_the_dense_query(build, counts, seed, total):
     mapping = build(seed, -total)
     gen = mapping.generator
     rho = random_density(gen.d_in, seed)
     sigma = random_pure(gen.d_out, 100 + seed).density()
-    for m in [1, 2, 3, 16, 64] + longer:
+    for m in counts:
         got = query_block(mapping, rho, sigma, m)
         dense = sigma
         for _ in range(m):
@@ -449,6 +462,25 @@ def test_query_blocks_match_the_long_double_block(build, seed, total):
     for m in [1, 3, 16, 64]:
         got = query_block(mapping, rho, sigma, m)
         exact = ld_block(ld_unitary(-1.0 / m), rho.matrix, sigma.matrix, m)
+        err = float(np.max(np.abs(got - exact)))
+        assert err <= (8 + m) * EPS, (m, err / EPS)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_block_on_two_factors_matches_the_long_double_block(monkeypatch, dim, seed):
+    # A qite call's memory is state (x) chi: its block reads the memory's
+    # coordinates off the two factors, and no kron is formed.
+    s = 0.9 * seeded(seed)[1]
+    rho, chi = random_density(dim, seed), random_density(dim, 50 + seed)
+    sigma = random_pure(dim, 100 + seed).density()
+    call = MemoryCallSpec(map=make_pair_commutator_map(dim, s), extra_instruction=chi)
+    memory = np.kron(rho.matrix, chi.matrix)
+    monkeypatch.setattr(channels, "kron", lambda *a: pytest.fail("formed a kron"))
+    for m in [1, 3, 16, 64]:
+        got = DensityMatrix(queried_memory_call(call, rho, sigma, m)).matrix
+        exact = ld_block(ld_pair_commutator(dim, s, -1.0 / m), memory, sigma.matrix, m)
         err = float(np.max(np.abs(got - exact)))
         assert err <= (8 + m) * EPS, (m, err / EPS)
 
