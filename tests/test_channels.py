@@ -179,7 +179,8 @@ class TestQuerySuperoperatorDecomposesOnce:
         assert r.dtype == np.float64 and r.shape == (d * d, d * d)
         sup = query_superoperator(gen, memory, 0.25)
         via_r = channels._hermitian((r @ channels._coords(working).reshape(-1)).reshape(d, d))
-        assert np.max(np.abs(via_r - (sup @ working.reshape(-1)).reshape(d, d))) <= 8 * np.finfo(float).eps
+        via_sup = (sup @ working.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(via_r - via_sup)) <= 8 * np.finfo(float).eps
         assert np.max(np.abs(channels._real_view(sup) - r)) <= 8 * np.finfo(float).eps
 
 
