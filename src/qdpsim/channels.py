@@ -40,19 +40,25 @@ A block of ``m`` queries is its generator's (``block``).  A swap block
 eigenbasis: one ``eigh`` and four ``d x d`` products at any ``m``, and
 trace-preserving by construction.  Any other block maps Hermitian matrices
 in real arithmetic: one query is a real ``d^2 x d^2`` transfer matrix ``R``
-(``QueryGenerator.transfer``) on a Hermitian matrix's real coordinates (the
-diagonal, ``Re X_kl`` above it and ``Im X_kl`` at ``(l, k)``), the Pauli
-transfer matrix of gate-set tomography in that basis.  The block applies
-``R`` ``m`` times (``dgemv``) or squares it, whichever the crossover rule
-picks from ``d``, the batch size and ``m``, and rebuilds its output from
-its coordinates, so the output is Hermitian by construction.  ``R`` is one
-gather from the memory's coordinates and one real ``np.bincount``, by a plan
-(``_transfer_plan``) made once per duration from the nonzeros each structure
-lists in closed form (``nonzeros``); a qite memory's coordinates are read
-off its two factors.  Only a dense map's or a non-diagonal commutator's
-unitary has no plan: its ``R`` is read off the Gram ``zgemm`` of its
-complex superoperator (``query_superoperator``, which is ``R``'s complex
-view for every generator).
+on a Hermitian matrix's real coordinates (the diagonal, ``Re X_kl`` above
+it and ``Im X_kl`` at ``(l, k)``), the Pauli transfer matrix of gate-set
+tomography in that basis, held as its deviation ``D = R - 1`` from the
+identity (``QueryGenerator.transfer``).  The block applies ``y -> y + D y``
+``m`` times (``dgemv``) or squares ``1 + D`` as ``1 + D (D + 2)``,
+whichever the crossover rule picks from ``d``, the batch size and ``m``,
+and rebuilds its output from its coordinates, so the output is Hermitian
+by construction.  ``D`` is small, so a block piles up ``m`` roundings of
+``D``, not of the identity's unit entries, and it reads the memory at unit
+trace, so ``D`` annihilates the trace up to its own roundoff: a block keeps
+the trace and the exact block's entries to a few eps at any ``m``.  ``D``
+is one gather from the memory's coordinates and one real ``np.bincount``,
+by a plan (``_transfer_plan``) made once per duration from the nonzeros
+each structure lists in closed form, split off their values at ``t = 0``
+(``nonzeros``); a qite memory's coordinates are read off its two factors.
+Only a dense map's or a non-diagonal commutator's unitary has no plan: its
+``R`` is read off the Gram ``zgemm`` of its complex superoperator
+(``query_superoperator``, which is ``R``'s complex view for every
+generator).
 
 An osd map is a ``Lift`` of the commutator map on A.  Its exact and queried
 calls run on the A factor: a ``d_A x d_A`` unitary, or a ``d_A^2 x d_A^2``
@@ -153,8 +159,8 @@ class QueryGenerator:
     matrix, hermitized on creation, and exponentiates it by ``herm_exp``.
     The map structures (``Swap``, ``Commutator``, ``PairCommutator``,
     ``Lift``) subclass it, hold no ``n_hat`` and give ``d_in``, ``d_out``,
-    ``norm``, ``make_unitary`` and ``nonzeros`` in closed form, and ``Swap``
-    its ``block``.
+    ``norm`` and ``make_unitary`` in closed form, and ``nonzeros`` too but
+    for ``Swap``, which gives its ``block``.
     Its realizations of a call are the defaults a structure overrides, and
     are static: a dense map's calls run on the class and build no ``Nhat``
     unless they query.  So are the log2 bytes a call allocates, from log2 d.
@@ -191,9 +197,13 @@ class QueryGenerator:
 
     def nonzeros(self, t: float):
         """The nonzeros of ``exp(-i Nhat t)`` as ``W[a,k,m,i]`` (memory ``a, m``,
-        working ``k, i``): arrays ``(a, k, m, i, value)``, an entry listed
-        as several terms where that is simpler; ``None`` for a dense unitary.
-        A structure gives them in closed form, without the unitary."""
+        working ``k, i``), each split off its value at ``t = 0``: arrays
+        ``(a, k, m, i, one, dev)``, a term being ``one + dev`` for a bool
+        ``one`` and a complex ``dev`` formed without cancellation (``cos - 1``
+        as ``-2 sin^2``).  An entry may be listed as several terms where that
+        is simpler; the terms with ``one`` set are the identity's entries, each
+        once.  ``None`` for a dense unitary.  A structure gives them in closed
+        form, without the unitary."""
         return None
 
     def unitary(self, s: float) -> np.ndarray:
@@ -215,15 +225,23 @@ class QueryGenerator:
     def transfer(self, memory, s: float) -> np.ndarray:
         """One query's real ``(d^2, d^2)`` transfer matrix ``R`` (``d = d_out``)
         on the real coordinates of a Hermitian working matrix (``_coords``),
-        for a memory matrix or, for a PairCommutator, its two factors.
+        for a memory matrix or, for a PairCommutator, its two factors, held
+        as its deviation ``R - 1`` from the identity.
 
-        A plan's ``R`` is one gather from the memory's coordinates and one real
-        ``np.bincount`` (``_transfer_plan``).  A dense unitary's is read off
-        its complex superoperator (``query_superoperator``), a Gram product.
+        A query of duration ``s`` moves ``R`` from ``tr(rho) 1`` by ``O(s)``,
+        so ``R - 1`` is small, and held on its own it carries no rounding of
+        the identity's unit entries: a block of ``m`` queries then piles up
+        ``m`` roundings of a small matrix, not of 1.  A plan's ``R - 1`` is
+        one gather from the memory's coordinates, read at unit trace, and
+        one real ``np.bincount`` over the nonzeros' deviations
+        (``_transfer_plan``).  A dense unitary's is read off its complex
+        superoperator (``query_superoperator``), a Gram product.
         """
         plan = self._plan(s)
         if plan is None:
-            return _real_view(query_superoperator(self, memory, s))
+            r = _real_view(query_superoperator(self, memory, s))
+            r.flat[::r.shape[0] + 1] -= 1.0
+            return r
         return plan.transfer(memory, self.d_out)
 
     def block(self, memory, working: np.ndarray, s: float, m: int) -> np.ndarray:
@@ -231,39 +249,45 @@ class QueryGenerator:
         ``(d, d, k)`` batch of them (``repeated_queries``, which checks the
         arguments).
 
-        The block is ``R^m`` (``transfer``) on the working state's real
-        coordinates, a batch's as a ``(d^2, k)`` matrix of columns, realized as
-        either
+        The block is ``R^m`` on the working state's real coordinates ``y``, a
+        batch's as a ``(d^2, k)`` matrix of columns, with ``R = 1 + D`` held as
+        its deviation ``D`` (``transfer``), realized as either
 
-        * ``m`` products ``R.dot(y)``, a BLAS ``dgemv`` for one working matrix;
-          or
+        * ``m`` steps ``y + D.dot(y)``, a BLAS ``dgemv`` for one working
+          matrix; or
         * binary exponentiation, when ``log2(m) d^2 < 6 m k`` (``k = 1`` for
-          one working matrix): ``m.bit_length() - 1`` real squarings (``d^6``
-          each against a product's ``d^4 k``) plus one product per set bit of
-          ``m``, lowest first.
+          one working matrix): ``m.bit_length() - 1`` real squarings
+          ``(1 + D)^2 = 1 + D (D + 2)`` (``d^6`` each against a step's
+          ``d^4 k``) plus one step per set bit of ``m``, lowest first.
 
         With BLAS at one thread the two cost the same for one working matrix
         near ``log2(m) d^2 = 5 m`` to ``10 m`` at ``d = 4 .. 24``; batches
         of 4 to 36 columns cross between that and ``log2(m) d^2 = m k``.  The
         output is rebuilt from its coordinates (``_hermitian``), so it is
-        Hermitian bit for bit at any ``m``.  Both amplify ``R``'s own trace
-        defect ``m``-fold, which is the trace drift of long blocks.
+        Hermitian bit for bit at any ``m``.  ``D``'s roundoff is a few eps of
+        ``D`` itself, so neither path piles up ``m`` roundings of 1: on the
+        oracles' maps a validated block is within 1.5 eps of the exact block
+        read at unit trace up to ``m = 256``, and a block's trace within 1 eps
+        of its input's up to ``m = 2^30``.  The squaring is the closer of the
+        two past ``m = 16``, the loop's roundings growing about as
+        ``sqrt(m)``.
         """
         d = self.d_out
         check_hermitian(working, working.conj().swapaxes(0, 1))
-        r = self.transfer(memory, s / m)
+        dev = self.transfer(memory, s / m)
         y = _coords(working).reshape(d * d, *working.shape[2:])
         if m.bit_length() * d * d < 6 * m * (y.size // (d * d)):
+            two = _twice_identity(d * d)
             while True:
                 if m & 1:
-                    y = r.dot(y)
+                    y += dev.dot(y)
                 m >>= 1
                 if not m:
                     break
-                r = r @ r
+                dev = dev @ (dev + two)
         else:
             for _ in range(m):
-                y = r.dot(y)
+                y += dev.dot(y)
         return _hermitian(y.reshape(working.shape))
 
     @staticmethod
@@ -297,6 +321,14 @@ def _pure(call: MemoryCallSpec, instruction, working: np.ndarray) -> bool:
     the instruction's dimension."""
     return (isinstance(instruction, PureState) and working.ndim == 1
             and call.extra_instruction is None and instruction.dim == call.map.d_in)
+
+
+@functools.lru_cache(maxsize=None)
+def _twice_identity(n: int) -> np.ndarray:
+    """Read-only ``2 1`` of size ``n``, which each squaring of a block adds."""
+    two = 2.0 * np.eye(n)
+    two.setflags(write=False)
+    return two
 
 
 def _kept(owner, name: str, t: float, what: str, make: Callable[[float], object]):
@@ -341,7 +373,7 @@ def _entry_terms(n: int, output: bool = False) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Plan(NamedTuple):
-    """A query's transfer matrix ``R`` as ``R.flat[out] += weights *
+    """A query's transfer matrix as ``(R - 1).flat[out] += weights *
     coords.flat[gather]`` over the memory's real coordinates, with a buffer
     of the terms' size that each build fills in place."""
 
@@ -351,19 +383,25 @@ class _Plan(NamedTuple):
     buffer: np.ndarray
 
     def transfer(self, memory, d: int) -> np.ndarray:
-        """``R`` for a memory matrix, or for the pair of factors of a memory
-        ``rho (x) chi``, whose coordinates are read off the factors
-        (``_pair_coords``)."""
+        """``R - 1`` for a memory matrix, or for the pair of factors of a
+        memory ``rho (x) chi``, whose coordinates are read off the factors
+        (``_pair_coords``).  The memory is read at unit trace, divided by the
+        sum of its populations: the terms of the nonzeros' values at ``t = 0``
+        then sum to ``R = 1`` exactly, and are left out, and the deviations'
+        terms annihilate the trace."""
         coords = _pair_coords(*memory) if isinstance(memory, tuple) else _coords(memory)
-        np.take(coords.reshape(-1), self.gather, out=self.buffer)
+        coords = coords.reshape(-1)
+        coords /= coords[::math.isqrt(coords.size) + 1].sum()
+        np.take(coords, self.gather, out=self.buffer)
         np.multiply(self.buffer, self.weights, out=self.buffer)
-        return np.bincount(self.out, self.buffer, d**4).reshape(d * d, d * d)
+        dev = np.bincount(self.out, self.buffer, d**4).reshape(d * d, d * d)
+        return dev.astype(float, copy=False)  # an empty plan (t = 0) counts in ints
 
 
 def _transfer_plan(nonzeros, d_in: int, d_out: int) -> Optional[_Plan]:
-    """The plan that builds a query's real transfer matrix ``R`` from the
-    nonzeros of its unitary ``W`` (``QueryGenerator.nonzeros``), or ``None``
-    for a dense ``W``.
+    """The plan that builds a query's real transfer matrix ``R``, as
+    ``R - 1``, from the nonzeros of its unitary ``W``
+    (``QueryGenerator.nonzeros``), or ``None`` for a dense ``W``.
 
     The superoperator entry ``S4[k,l,i,j]`` sums ``W[a,k,m,i] rho[m,m']
     conj(W[a,l,m',j])`` over pairs ``(p, q)`` of nonzeros sharing the
@@ -372,9 +410,10 @@ def _transfer_plan(nonzeros, d_in: int, d_out: int) -> Optional[_Plan]:
     ``(k, l)``, the input coordinates whose basis matrix has entry ``(i, j)``
     and the memory coordinates of ``rho[m, m']``.  Each map gives a pair one
     or two real terms, so the pair gives ``Re(b i^j) prod g`` for every
-    choice of one term per map, ``b`` being the pair's weight and ``j`` the
-    number of second terms chosen.  The mirror pair ``(q, p)`` gives the
-    same real terms, so only ``p <= q`` is listed, off the diagonal twice.
+    choice of one term per map, ``b`` being the pair's weight less its value
+    at ``t = 0`` and ``j`` the number of second terms chosen.  The mirror
+    pair ``(q, p)`` gives the same real terms, so only ``p <= q`` is listed,
+    off the diagonal twice.
     Terms that vanish (on a diagonal, or for a real or imaginary ``b``) are
     dropped.  The pairs are expanded a chunk at a time, which bounds what
     the plan holds while it is made to about its own size.
@@ -382,13 +421,14 @@ def _transfer_plan(nonzeros, d_in: int, d_out: int) -> Optional[_Plan]:
     if nonzeros is None:
         return None
     order = np.argsort(nonzeros[0], kind="stable")
-    a, k, m, i, v = (np.asarray(x)[order] for x in nonzeros)
+    a, k, m, i, one, dev = (np.asarray(x)[order] for x in nonzeros)
     # Each nonzero p pairs with itself and every later nonzero of its a.
     per = np.cumsum(np.bincount(a))[a] - np.arange(a.size)
     ends = np.cumsum(per)
     cuts = np.searchsorted(ends, np.arange(_PLAN_CHUNK, ends[-1], _PLAN_CHUNK), side="right")
     indices = [(k, d_out), (i, d_out), (m, d_in)]
-    chunks = [_plan_chunk(np.repeat(np.arange(lo, hi), per[lo:hi]), per[lo:hi], v, indices)
+    chunks = [_plan_chunk(np.repeat(np.arange(lo, hi), per[lo:hi]), per[lo:hi], one, dev,
+                          indices)
               for lo, hi in zip([0, *cuts], [*cuts, a.size])]
     parts = []
     for j in range(3):  # one array at a time: no second copy of the pieces
@@ -402,13 +442,17 @@ def _transfer_plan(nonzeros, d_in: int, d_out: int) -> Optional[_Plan]:
 _PLAN_CHUNK = 4096
 
 
-def _plan_chunk(p: np.ndarray, per: np.ndarray, v: np.ndarray, indices: list):
+def _plan_chunk(p: np.ndarray, per: np.ndarray, one: np.ndarray, dev: np.ndarray,
+                indices: list):
     """``_transfer_plan``'s terms of the pairs ``(p, q)``, ``q`` running over
     the ``per`` nonzeros from each ``p`` on: ``[out, gather, weights]``, each
     a list of pieces.  ``indices`` are the output, input and memory maps'
     ``(index, n)``: each nonzero's index into an ``n x n`` matrix."""
     q = p + np.arange(p.size) - np.repeat(np.cumsum(per) - per, per)
-    b = v[p] * np.conj(v[q])
+    # The pair's weight W_p conj(W_q) less its value at t = 0, one_p one_q:
+    # those values' terms, the identity's entries each once, sum to R = 1 on
+    # a memory of unit trace.
+    b = one[p] * np.conj(dev[q]) + dev[p] * one[q] + dev[p] * np.conj(dev[q])
     b[p != q] *= 2
     maps = []  # each pair's two terms of each map
     for x, n in indices:
@@ -418,7 +462,7 @@ def _plan_chunk(p: np.ndarray, per: np.ndarray, v: np.ndarray, indices: list):
     # Re(b i^j) = b.real, -b.imag, -b.real, b.imag for j = 0, 1, 2, 3 mod 4.
     signed = [b.real, -b.imag, -b.real, b.imag]
     d_out = indices[0][1]
-    terms = [[], [], []]
+    terms = [[np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]]  # none may survive
     for choice in itertools.product((0, 1), repeat=3):
         w = signed[sum(choice) % 4]
         if not w.any():
@@ -549,15 +593,6 @@ class Swap(QueryGenerator):
         u[a, b, a, b] += np.cos(self.alpha * t)
         return u.reshape(d * d, d * d)
 
-    def nonzeros(self, t: float):
-        """``cos`` at ``(a,b,a,b)`` and ``i sin`` at ``(b,a,a,b)``, two terms
-        on the diagonal ``a == b``."""
-        a, b = (x.ravel() for x in np.indices((self.dim, self.dim)))
-        v = np.full(a.size, np.cos(self.alpha * t), dtype=complex)
-        return (np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([a, a]),
-                np.concatenate([b, b]),
-                np.concatenate([v, np.full(a.size, 1j * np.sin(self.alpha * t))]))
-
     # A query call's block is a few d x d matrices, as an exact call's.
     queried_log_bytes = staticmethod(lambda log_d: 4 + 2 * log_d)
 
@@ -646,16 +681,18 @@ class Commutator(QueryGenerator):
         return vv @ w @ vv.conj().T
 
     def nonzeros(self, t: float):
-        """For a diagonal ``d``: ``cos(theta_ab)`` at ``(a,b,a,b)`` and
-        ``sin(theta_ab)`` at ``(b,a,a,b)``, ``a != b``; else ``None``."""
+        """For a diagonal ``d``: ``cos(theta_ab)`` at ``(a,b,a,b)``, one plus
+        ``-2 sin^2(theta_ab / 2)``, and ``sin(theta_ab)`` at ``(b,a,a,b)``,
+        ``a != b``; else ``None``."""
         if self.v is not None:
             return None
         theta = -t * self.s * (self.mu[:, None] - self.mu[None, :])
         a, b = np.indices(theta.shape)
         off = a != b
+        dev = np.concatenate([-2.0 * np.sin(0.5 * theta).ravel() ** 2, np.sin(theta[off])])
         return (np.concatenate([a.ravel(), b[off]]), np.concatenate([b.ravel(), a[off]]),
                 np.concatenate([a.ravel(), a[off]]), np.concatenate([b.ravel(), b[off]]),
-                np.concatenate([np.cos(theta).ravel(), np.sin(theta[off])]))
+                np.arange(dev.size) < theta.size, dev.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -691,13 +728,17 @@ class PairCommutator(QueryGenerator):
 
     def nonzeros(self, t: float):
         """The three terms ``c_j C^j``: ``C^j |x y z>`` has memory index
-        ``(x, y)``, ``(y, z)``, ``(z, x)`` and working index ``z, x, y``."""
-        theta = np.fmod(-np.sqrt(3.0) * self.s * t, 2 * np.pi)
-        c = [(1 + 2 * np.cos(theta - 2 * np.pi * j / 3)) / 3 for j in range(3)]
+        ``(x, y)``, ``(y, z)``, ``(z, x)`` and working index ``z, x, y``.
+        With ``h = 1 - cos(theta) = 2 sin^2(theta / 2)`` and
+        ``r = sqrt(3) sin(theta)``, ``c_0 = 1 - 2 h / 3`` and
+        ``c_1, c_2 = (h +- r) / 3``."""
+        theta = float(np.fmod(-np.sqrt(3.0) * self.s * t, 2 * np.pi))
+        h, r = 2.0 * math.sin(0.5 * theta) ** 2, math.sqrt(3.0) * math.sin(theta)
         d = self.dim
-        x, y, z = (r.ravel() for r in np.indices((d, d, d)))
+        x, y, z = (u.ravel() for u in np.indices((d, d, d)))
         return (np.concatenate([x * d + y, y * d + z, z * d + x]), np.concatenate([z, x, y]),
-                np.tile(x * d + y, 3), np.tile(z, 3), np.repeat(c, x.size))
+                np.tile(x * d + y, 3), np.tile(z, 3), np.arange(3 * x.size) < x.size,
+                np.repeat(np.array([-2.0 * h, h + r, h - r], dtype=complex) / 3.0, x.size))
 
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """On ``state (x) chi`` of two ``dim x dim`` factors, the unitary
@@ -771,10 +812,10 @@ class Lift(QueryGenerator):
         if inner is None:
             return None
         n = self.d_b
-        a, k, m, i, v = (x[:, None, None] for x in inner)
+        a, k, m, i, one, dev = (x[:, None, None] for x in inner)
         b, b2 = np.indices((n, n))
         return (*((x * n + y).ravel() for x, y in ((a, b), (k, b2), (m, b), (i, b2))),
-                np.broadcast_to(v, (v.shape[0], n, n)).ravel())
+                *(np.broadcast_to(x, (x.shape[0], n, n)).ravel() for x in (one, dev)))
 
     def exact(self, call: MemoryCallSpec, instruction, working: np.ndarray):
         """The inner call, instructed by the instruction's ``Tr_B``
@@ -1012,7 +1053,9 @@ def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
     d_in, d_out = gen.d_in, gen.d_out
     rho = _matrix(memory)
     if gen._plan(s) is not None:
-        return _complex_view(gen.transfer(rho, s))
+        r = gen.transfer(rho, s)
+        r.flat[::d_out * d_out + 1] += 1.0
+        return _complex_view(r)
     a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
     a = a.reshape(d_out * d_out, d_in * d_in)
     # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is

@@ -146,8 +146,9 @@ class TestQuerySuperoperatorDecomposesOnce:
 
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
-        # Below the squaring crossover a block is the loop of its real transfer
-        # matrix on the working state's coordinates, bit for bit.  Past it, and
+        # Below the squaring crossover a block is the loop y + D y of its real
+        # transfer matrix's deviation D = R - 1 on the working state's
+        # coordinates, bit for bit.  Past it, and
         # for a swap block in closed form (identity, scaled), it keeps the
         # oracle's (8 + m) eps to the loop of the complex superoperator.
         gen = build().generator
@@ -162,10 +163,10 @@ class TestQuerySuperoperatorDecomposesOnce:
                 vec = sup @ vec
             assert np.max(np.abs(got - vec.reshape(d, d))) <= (8 + m) * np.finfo(float).eps
         else:
-            r = gen.transfer(memory.matrix, 0.6 / m)
+            dev = gen.transfer(memory.matrix, 0.6 / m)
             y = channels._coords(working.matrix).reshape(-1)
             for _ in range(m):
-                y = r.dot(y)
+                y = y + dev.dot(y)
             assert np.array_equal(got, channels._hermitian(y.reshape(d, d)))
 
     def test_superoperator_is_the_complex_view_of_the_transfer_matrix(self, build):
@@ -175,8 +176,9 @@ class TestQuerySuperoperatorDecomposesOnce:
         d = gen.d_out
         memory = random_density(gen.d_in, 71)
         working = random_density(d, 74).matrix
-        r = gen.transfer(memory.matrix, 0.25)
-        assert r.dtype == np.float64 and r.shape == (d * d, d * d)
+        dev = gen.transfer(memory.matrix, 0.25)
+        assert dev.dtype == np.float64 and dev.shape == (d * d, d * d)
+        r = dev + np.eye(d * d)
         sup = query_superoperator(gen, memory, 0.25)
         via_r = channels._hermitian((r @ channels._coords(working).reshape(-1)).reshape(d, d))
         via_sup = (sup @ working.reshape(-1)).reshape(d, d)
@@ -224,7 +226,7 @@ class TestQueryGeneratorUnitary:
     @pytest.mark.parametrize(
         "build, planned",
         [
-            (lambda: make_identity_map(3), True),
+            (lambda: make_identity_map(3), False),
             (lambda: make_commutator_map(np.diag(np.arange(16.0)), 0.1), True),
             (lambda: make_osd_map(np.diag([0.0, 1.0]), 0.3, (2, 6)), True),
             (lambda: make_pair_commutator_map(8, 0.2), True),
@@ -237,7 +239,8 @@ class TestQueryGeneratorUnitary:
     def test_transfer_plan_shares_the_unitary_slot(self, monkeypatch, build, planned):
         # The closed forms have at most 3 nonzeros per row, so at most
         # 9 d_in d_out^2 pairs of 8 real terms each, and build no unitary; a
-        # dense unitary keeps the Gram product.
+        # dense unitary keeps the Gram product, and so does a swap unitary,
+        # whose blocks are in closed form and read no transfer matrix.
         gen = build().generator
         built, make = [], type(gen).make_unitary
         monkeypatch.setattr(type(gen), "make_unitary",
@@ -955,9 +958,9 @@ class TestRepeatedQueries:
 
 
 def record_powers(monkeypatch):
-    """Spy on the blocks' transfer matrices: the list of one query's ``R``
-    and then of each square of a squared block, recorded as its ``@`` makes
-    it."""
+    """Spy on the blocks' transfer matrices: the list of one query's
+    deviation ``D = R - 1`` and then of each squaring's, ``D (D + 2)``, of a
+    squared block, recorded as its ``@`` makes it."""
     powers = []
 
     class Recorded(np.ndarray):
@@ -1014,7 +1017,8 @@ class TestRepeatedSquaring:
     @pytest.mark.parametrize("name", list(MAPS))
     def test_every_power_gives_an_exactly_hermitian_output(self, monkeypatch, name):
         # Each power is a real matrix on real coordinates, and the block's
-        # output is rebuilt from them, so it is Hermitian bit for bit.
+        # output is rebuilt from them, so it is Hermitian bit for bit.  The
+        # k-th squaring holds (1 + D)^(2^k) as its deviation from 1.
         gen = self.MAPS[name]().generator
         d, m = gen.d_out, 2**12 + 5
         powers = record_powers(monkeypatch)
@@ -1023,10 +1027,10 @@ class TestRepeatedSquaring:
         assert np.array_equal(got, got.conj().T)
         assert len(powers) == m.bit_length()
         assert all(p.dtype == np.float64 and p.shape == (d * d, d * d) for p in powers)
-        # the k-th square is R^(2^k), up to roundoff
+        one = np.eye(d * d)
         for k in (1, 2, 3):
-            want = np.linalg.matrix_power(powers[0], 2**k)
-            assert np.max(np.abs(powers[k] - want)) <= 64 * np.finfo(float).eps
+            want = np.linalg.matrix_power(one + powers[0], 2**k)
+            assert np.max(np.abs(one + powers[k] - want)) <= 64 * np.finfo(float).eps
         for n in (1, 3, 64):
             out = repeated_queries(gen, memory, working, -1.3, n)
             assert np.array_equal(out, out.conj().T), n

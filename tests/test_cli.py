@@ -1169,12 +1169,9 @@ def test_qite_run_finds_its_ground_state_once(monkeypatch):
     assert calls == [(8, 8)]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11, the commutator half: one query's "
-                   "transfer matrix misses trace preservation by a few eps and a block of "
-                   "2^20 queries multiplies that, so a valid config exits 4 until the trace "
-                   "row of R is set exactly")
 def test_long_commutator_block_keeps_the_trace(tmp_path, capsys):
-    # "trace 1.0000000002230824 is not 1 within 1e-10"; m = 262144 passes.
+    # Held as R - 1, a block keeps the trace to a few eps at 2^20 queries,
+    # where a drift past TRACE_ATOL = 1e-10 would exit 4.
     doc = dbi_doc({"kind": "qdp", "m": 1_048_576}, 1, seed=0)
     code = main(["run", write_config(tmp_path, doc)])
     capsys.readouterr()

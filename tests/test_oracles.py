@@ -467,6 +467,52 @@ def test_query_blocks_match_the_long_double_block(build, seed, total):
 
 
 @pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize(
+    "build",
+    [commutator_case, osd_case(2, 2), osd_case(2, 3), osd_case(3, 2), pair_commutator_case],
+    ids=["diagonal-commutator-4", "osd-2x2", "osd-2x3", "osd-3x2", "pair-commutator-2"],
+)
+@pytest.mark.parametrize("total", [0.6, -1.3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_query_blocks_match_the_unit_trace_long_double_block(build, seed, total):
+    # The validated block against the long-double block read at unit trace,
+    # as a validated state reads it.  The raw long-double block's trace is
+    # tr(rho)^m, m times the memory's own few-eps trace defect, which the
+    # (8 + m) eps budget above absorbs.  Over seeds 0-9 (0-49 for m <= 16) the
+    # worst was 1.3 eps at m = 1 and 1.4 eps at m = 64; holding R
+    # itself, as complex or real matrices, a block was 10-34 eps off at m = 64.
+    mapping, ld_unitary = build(seed, -total)
+    gen = mapping.generator
+    rho = random_density(gen.d_in, seed)
+    sigma = random_pure(gen.d_out, 100 + seed).density()
+    for m in [1, 3, 16, 64]:
+        got = query_block(mapping, rho, sigma, m)
+        exact = ld_block(ld_unitary(-1.0 / m), rho.matrix, sigma.matrix, m)
+        err = float(np.max(np.abs(got - exact / np.trace(exact).real)))
+        assert err <= 8 * EPS, (m, err / EPS)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [commutator_case, osd_case(2, 2), osd_case(3, 2), pair_commutator_case],
+    ids=["diagonal-commutator-4", "osd-2x2", "osd-3x2", "pair-commutator-2"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_query_blocks_keep_the_trace_at_any_m(build, seed):
+    # The raw block, not validated: R - 1 annihilates the trace up to its own
+    # roundoff, so the trace stays the input's to within 1 eps (measured over
+    # seeds 0-4) up to m = 2^30.
+    for total in (0.6, -1.3):
+        mapping, _ = build(seed, -total)
+        call = MemoryCallSpec(map=mapping)
+        rho = random_density(mapping.d_in, seed)
+        sigma = random_pure(mapping.d_out, 100 + seed).density()
+        for m in [1, 2**10, 2**16, 2**20, 2**26, 2**30]:
+            out = queried_memory_call(call, rho, sigma, m)
+            assert abs(np.trace(out).real - 1.0) <= 8 * EPS, (m, total)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pair_block_on_two_factors_matches_the_long_double_block(monkeypatch, dim, seed):
