@@ -388,7 +388,8 @@ def dbi_recursion_spec(cfg: DBIConfig) -> RecursionSpec:
     normalization."""
     root, scale = dbi_encode(cfg.initial)
     s_eff = cfg.resolved_step() * scale
-    call = MemoryCallSpec(map=make_commutator_map(cfg.diagonal, s_eff))
+    dd, _ = _validated_diagonal(cfg.diagonal)
+    call = MemoryCallSpec(map=make_commutator_map(dd, s_eff))
     eye = np.eye(root.dim, dtype=complex)
     step = RecursionStepSpec(static_unitaries=(eye, eye), memory_calls=(call,))
     target = DensityMatrix(dbi_sorted_fixed_point(root.matrix, cfg.diagonal))

@@ -54,11 +54,12 @@ the trace and the exact block's entries to a few eps at any ``m``.  ``D``
 is one gather from the memory's coordinates and one real ``np.bincount``,
 by a plan (``_transfer_plan``) made once per duration from the nonzeros
 each structure lists in closed form, split off their values at ``t = 0``
-(``nonzeros``); a qite memory's coordinates are read off its two factors.
-Only a dense map's or a non-diagonal commutator's unitary has no plan: its
-``R`` is read off the Gram ``zgemm`` of its complex superoperator
-(``query_superoperator``, which is ``R``'s complex view for every
-generator).
+(``nonzeros``).  A memory is one matrix, a qite call's being
+``state (x) chi`` (``MemoryCallSpec.instruction_matrix``).  Only a dense
+map's or a non-diagonal commutator's unitary has no plan: its ``R`` is read
+once off its complex superoperator (``query_superoperator``), the Gram
+``zgemm`` of its unitary, which is the reference for every generator and
+which no structure's block calls.
 
 An osd map is a ``Lift`` of the commutator map on A.  Its exact and queried
 calls run on the A factor: a ``d_A x d_A`` unitary, or a ``d_A^2 x d_A^2``
@@ -99,6 +100,7 @@ from .linalg import (
     hermitize,
     kron,
     op_norm,
+    partial_trace,
     random_pure,
     trace_distance,
     unitary_on,
@@ -222,11 +224,11 @@ class QueryGenerator:
         return _kept(self, "_last", s, "plan",
                      lambda t: _transfer_plan(self.nonzeros(t), self.d_in, self.d_out))
 
-    def transfer(self, memory, s: float) -> np.ndarray:
+    def transfer(self, memory: np.ndarray, s: float) -> np.ndarray:
         """One query's real ``(d^2, d^2)`` transfer matrix ``R`` (``d = d_out``)
         on the real coordinates of a Hermitian working matrix (``_coords``),
-        for a memory matrix or, for a PairCommutator, its two factors, held
-        as its deviation ``R - 1`` from the identity.
+        for a memory matrix, held as its deviation ``R - 1`` from the
+        identity.
 
         A query of duration ``s`` moves ``R`` from ``tr(rho) 1`` by ``O(s)``,
         so ``R - 1`` is small, and held on its own it carries no rounding of
@@ -234,8 +236,9 @@ class QueryGenerator:
         ``m`` roundings of a small matrix, not of 1.  A plan's ``R - 1`` is
         one gather from the memory's coordinates, read at unit trace, and
         one real ``np.bincount`` over the nonzeros' deviations
-        (``_transfer_plan``).  A dense unitary's is read off its complex
-        superoperator (``query_superoperator``), a Gram product.
+        (``_transfer_plan``).  A dense unitary has no plan: its ``R`` is read
+        once (``_real_view``) off its Gram superoperator
+        (``query_superoperator``).
         """
         plan = self._plan(s)
         if plan is None:
@@ -382,15 +385,13 @@ class _Plan(NamedTuple):
     weights: np.ndarray
     buffer: np.ndarray
 
-    def transfer(self, memory, d: int) -> np.ndarray:
-        """``R - 1`` for a memory matrix, or for the pair of factors of a
-        memory ``rho (x) chi``, whose coordinates are read off the factors
-        (``_pair_coords``).  The memory is read at unit trace, divided by the
-        sum of its populations: the terms of the nonzeros' values at ``t = 0``
-        then sum to ``R = 1`` exactly, and are left out, and the deviations'
-        terms annihilate the trace."""
-        coords = _pair_coords(*memory) if isinstance(memory, tuple) else _coords(memory)
-        coords = coords.reshape(-1)
+    def transfer(self, memory: np.ndarray, d: int) -> np.ndarray:
+        """``R - 1`` for a memory matrix, read through its real coordinates
+        (``_coords``) at unit trace, divided by the sum of its populations:
+        the terms of the nonzeros' values at ``t = 0`` then sum to ``R = 1``
+        exactly, and are left out, and the deviations' terms annihilate the
+        trace."""
+        coords = _coords(memory).reshape(-1)
         coords /= coords[::math.isqrt(coords.size) + 1].sum()
         np.take(coords, self.gather, out=self.buffer)
         np.multiply(self.buffer, self.weights, out=self.buffer)
@@ -474,38 +475,6 @@ def _plan_chunk(p: np.ndarray, per: np.ndarray, one: np.ndarray, dev: np.ndarray
         for t, x in zip(terms, (out * (d_out * d_out) + inp, mem, w.take(keep))):
             t.append(x)
     return terms
-
-
-@functools.lru_cache(maxsize=None)
-def _factor_terms(d: int):
-    """For each real coordinate of a ``d^2 x d^2`` memory ``rho (x) chi``, at
-    its flat index, its two terms ``sign rho_c[g1] chi_c[g2]`` in the
-    factors' coordinates: ``[(g1, g2, sign)]`` for the first and the second
-    term (``sign = 0`` where there is one), read-only.  With ``rho[x,x'] =
-    A + i a B`` and ``chi[y,y'] = C + i c D`` (``_entry_terms``), an upper or
-    diagonal coordinate is ``Re = AC - ac BD`` and a lower one
-    ``-Im = -a BC - c AD``."""
-    x, y, x2, y2 = (u.ravel() for u in np.indices((d, d, d, d)))
-    (idx, g), upper = _entry_terms(d), x * d + y <= x2 * d + y2
-    rho, chi = x * d + x2, y * d + y2
-    a, c = g[1].take(rho), g[1].take(chi)
-    terms = ((np.where(upper, idx[0].take(rho), idx[1].take(rho)), idx[0].take(chi),
-              np.where(upper, 1.0, -a)),
-             (np.where(upper, idx[1].take(rho), idx[0].take(rho)), idx[1].take(chi),
-              np.where(upper, -a * c, -c)))
-    for t in terms:
-        for u in t:
-            u.setflags(write=False)
-    return terms
-
-
-def _pair_coords(rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """The real coordinates of ``rho (x) chi`` for two Hermitian ``d x d``
-    factors, each gathered from the factors' coordinates as one or two
-    products (``_factor_terms``), with no ``d^2 x d^2`` matrix formed."""
-    r, c = _coords(rho).reshape(-1), _coords(chi).reshape(-1)
-    (g1, g2, s1), (h1, h2, s2) = _factor_terms(rho.shape[0])
-    return r.take(g1) * c.take(g2) * s1 + r.take(h1) * c.take(h2) * s2
 
 
 @dataclass(frozen=True)
@@ -767,18 +736,10 @@ class PairCommutator(QueryGenerator):
         rho, chi = instruction.matrix, chi.matrix
         return unitary_on(herm_exp(-1j * self.s * (rho @ chi - chi @ rho), -1.0), working)
 
-    def queried(self, call: MemoryCallSpec, instruction: DensityMatrix, working, m: int):
-        """On ``state (x) chi`` of two ``dim x dim`` factors, ``m`` queries
-        whose transfer plan reads the memory's coordinates off the two factors
-        (``_pair_coords``), with no ``kron``; else the default."""
-        chi = call.extra_instruction
-        if chi is None or instruction.dim != self.dim or chi.dim != self.dim:
-            return super().queried(call, instruction, working, m)
-        return repeated_queries(self, (instruction.matrix, chi.matrix), working, -1.0, m)
-
     # A query call is charged the d^3 x d^3 query unitary it no longer builds
     # (16 d^6 bytes), which from d = 6 on bounds its transfer plan of about
-    # 14 d^4 terms (32 bytes each); an exact call's is the default.
+    # 14 d^4 terms (32 bytes each) and its d^2 x d^2 memory state (x) chi;
+    # an exact call's is the default.
     queried_log_bytes = staticmethod(lambda log_d: 4 + 6 * log_d)
 
 
@@ -850,7 +811,8 @@ class Lift(QueryGenerator):
         # X_b'b = X_bb'^dag, so at (b', b) K = (X_bb' - X_bb'^dag) / 2i = i (X_b'b - X_bb') / 2
         x_t, lower = x.transpose(0, 1, 3, 2), _tri(d_b)
         cols = np.where(lower, 0.5j * (x - x_t), 0.5 * (x + x_t))
-        y = repeated_queries(self.inner.generator, _trace_b(memory, d_b),
+        y = repeated_queries(self.inner.generator,
+                             partial_trace(memory, (self.inner.d_in, d_b), keep=[0]),
                              cols.reshape(d_a, d_a, d_b * d_b), -1.0, m).reshape(x.shape)
         iy = 1j * y
         out = np.where(lower, y.transpose(0, 1, 3, 2) - iy,
@@ -887,22 +849,18 @@ MIN_DIAGONAL_GAP = 1e-12
 
 
 def _validated_diagonal(d) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitized ``d`` and its real diagonal; ``d`` must be diagonal with
-    entries more than ``MIN_DIAGONAL_GAP`` apart (its sorted entries' adjacent
-    gaps are the smallest)."""
+    """``diag(mu)`` and ``mu``, the real diagonal of hermitized ``d``; ``d``
+    must be diagonal to 1e-12, which ``diag(mu)`` then is exactly (so a map
+    made from it is a diagonal ``Commutator``), with entries more than
+    ``MIN_DIAGONAL_GAP`` apart (its sorted entries' adjacent gaps are the
+    smallest)."""
     dd = hermitize(d)
     if np.max(np.abs(dd - np.diag(np.diag(dd)))) > 1e-12:
         raise InvariantError("instruction operator must be diagonal")
     mu = np.real(np.diag(dd)).copy()
     if np.any(np.diff(np.sort(mu)) <= MIN_DIAGONAL_GAP):
         raise InvariantError("diagonal instruction operator must be non-degenerate")
-    return dd, mu
-
-
-def _trace_b(x: np.ndarray, d_b: int) -> np.ndarray:
-    """``Tr_B`` of the matrix ``x`` on registers ``A (x) B``, ``dim B = d_b``."""
-    d_a = x.shape[0] // d_b
-    return np.trace(x.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    return np.diag(mu), mu
 
 
 def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap:
@@ -917,9 +875,9 @@ def make_osd_map(d_a, s: float, dims: tuple[int, int]) -> HermitianPreservingMap
     if dd.shape[0] != da:
         raise DimensionError(f"diagonal operator dim {dd.shape[0]} != {da}")
     inner, eye_b = make_commutator_map(dd, s), np.eye(db, dtype=complex)
-    return HermitianPreservingMap(da * db, da * db,
-                                  lambda x: kron(_act(inner, _trace_b(x, db)), eye_b),
-                                  Lift(inner, db))
+    return HermitianPreservingMap(
+        da * db, da * db,
+        lambda x: kron(_act(inner, partial_trace(x, (da, db), keep=[0])), eye_b), Lift(inner, db))
 
 
 def make_pair_commutator_map(dim: int, s: float) -> HermitianPreservingMap:
@@ -988,11 +946,10 @@ def queried_memory_call(call: MemoryCallSpec, instruction: DensityMatrix, workin
 
 
 def _check_query_dims(gen, memory, working=None):
-    """``memory`` and ``working`` (matrices, states, a memory's factors or a
-    ``repeated_queries`` batch) against ``gen``'s ``d_in`` and ``d_out``;
-    without ``working``, only the memory."""
-    d_mem = (math.prod(_matrix(f).shape[0] for f in memory) if isinstance(memory, tuple)
-             else _matrix(memory).shape[0])
+    """``memory`` and ``working`` (matrices, states or a ``repeated_queries``
+    batch) against ``gen``'s ``d_in`` and ``d_out``; without ``working``,
+    only the memory."""
+    d_mem = _matrix(memory).shape[0]
     d_work = gen.d_out if working is None else _matrix(working).shape[0]
     if d_mem != gen.d_in or d_work != gen.d_out:
         raise DimensionError(
@@ -1029,33 +986,25 @@ def dme_query(memory: DensityMatrix, working: DensityMatrix, s: float) -> Densit
 
 def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
     """Matrix of one query as a linear map on vectorized working states, for a
-    ``memory`` state given as a ``DensityMatrix`` or its matrix.
+    ``memory`` state given as a ``DensityMatrix`` or its matrix: the Gram
+    reference for every generator, which only a dense block reads
+    (``QueryGenerator.transfer``); a structure's block builds its real
+    transfer matrix from its nonzeros (``_transfer_plan``) instead.
 
     Row-major vectorization; the returned matrix has shape
-    ``(d_out^2, d_out^2)``.  It is the complex view of the query's real
-    transfer matrix ``R`` (``QueryGenerator.transfer``), which is what a
-    block applies: the complex-linear map ``A R F`` (``_coordinate_basis``)
-    that agrees with ``R`` on Hermitian matrices.  So it preserves
-    Hermiticity by construction: ``sup4[k,l,i,j] == conj(sup4[l,k,j,i])``
-    bit for bit.
-
-    With ``W = exp(-i Nhat s)`` indexed ``W[(a,k),(m,i)]`` (memory ``a, m``,
-    working ``k, i``), the entry for output ``(k,l)`` and input ``(i,j)`` is
-    ``sum W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])``.  A structure's
-    ``R`` is built from its closed-form nonzeros (``_transfer_plan``).  A
-    dense ``W`` (``herm_exp`` of a dense map's ``Nhat``, a non-diagonal
-    commutator's) has no plan: its superoperator is the Gram product
-    ``G = A (1 (x) rho) A^dag`` with ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, entry
-    ``G[(k,i),(l,j)]``, one ``A @ rho`` and one ``zgemm`` against ``A^dag``,
-    and ``R`` is read off it once.
+    ``(d_out^2, d_out^2)``.  With ``W = exp(-i Nhat s)`` indexed
+    ``W[(a,k),(m,i)]`` (memory ``a, m``, working ``k, i``), the entry for
+    output ``(k,l)`` and input ``(i,j)`` is
+    ``S[k,l,i,j] = sum W[(a,k),(m,i)] rho[m,m'] conj(W[(a,l),(m',j)])``, the
+    Gram product ``G = A (1 (x) rho) A^dag`` with
+    ``A[(k,i),(a,m)] = W[(a,k),(m,i)]``, entry ``G[(k,i),(l,j)]``: one
+    ``A @ rho`` and one ``zgemm`` against ``A^dag``.  The exact ``S`` has
+    ``S[k,l,i,j] = conj S[l,k,j,i]``; each entry is replaced by its mean with
+    that mirror, so the result preserves Hermiticity bit for bit.
     """
     _check_query_dims(gen, memory)
     d_in, d_out = gen.d_in, gen.d_out
     rho = _matrix(memory)
-    if gen._plan(s) is not None:
-        r = gen.transfer(rho, s)
-        r.flat[::d_out * d_out + 1] += 1.0
-        return _complex_view(r)
     a = gen.unitary(s).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
     a = a.reshape(d_out * d_out, d_in * d_in)
     # A rho A^dag = conj(conj(A rho) A^T), so no conjugated copy of A is
@@ -1064,7 +1013,20 @@ def query_superoperator(gen: QueryGenerator, memory, s: float) -> np.ndarray:
     g = np.conjugate(g, out=g) @ a.T
     np.conjugate(g, out=g)
     sup = g.reshape(d_out, d_out, d_out, d_out).transpose(0, 2, 1, 3)
-    return _complex_view(_real_view(sup.reshape(d_out * d_out, d_out * d_out)))
+    sup = 0.5 * (sup + sup.transpose(1, 0, 3, 2).conj())
+    return sup.reshape(d_out * d_out, d_out * d_out)
+
+
+def _real_view(sup: np.ndarray) -> np.ndarray:
+    """The real transfer matrix of a superoperator on Hermitian matrices: its
+    column ``c`` is the coordinates (``_coords``) of the Hermitian part of the
+    output on the basis matrix whose only nonzero coordinate is a unit one at
+    ``c`` (``_hermitian``)."""
+    n = sup.shape[0]
+    d = math.isqrt(n)
+    basis = _hermitian(np.eye(n).reshape(d, d, n)).reshape(n, n)
+    out = (sup @ basis).reshape(d, d, n)
+    return _coords(0.5 * (out + out.conj().swapaxes(0, 1))).reshape(n, n)
 
 
 def _lower(x: np.ndarray) -> np.ndarray:
@@ -1100,41 +1062,11 @@ def _hermitian(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _coordinate_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, F)``: the complex ``(d^2, d^2)`` matrices from real coordinates to
-    the vectorized matrix (``A``, whose columns are the basis matrices) and
-    back (``F``, the inverse, reading the coordinates of the Hermitian part
-    and its anti-Hermitian part's as ``i`` times them)."""
-    a, f = np.zeros((d * d, d * d), dtype=complex), np.zeros((d * d, d * d), dtype=complex)
-    for out, m in ((False, a), (True, f)):
-        idx, g = _entry_terms(d, out)
-        w = g * np.array([[1.0], [1j]])
-        for j in (1, 0):  # on the diagonal the second term repeats the first with g = 0
-            if out:
-                m[idx[j], np.arange(d * d)] += w[j]
-            else:
-                m[np.arange(d * d), idx[j]] = w[j]
-    return a, f
-
-
-def _real_view(sup: np.ndarray) -> np.ndarray:
-    """The real transfer matrix of a superoperator on Hermitian matrices:
-    ``Re(F S A)``, the coordinates of its outputs' Hermitian parts."""
-    a, f = _coordinate_basis(math.isqrt(sup.shape[0]))
-    return (f @ sup @ a).real
-
-
-def _complex_view(r: np.ndarray) -> np.ndarray:
-    """The complex superoperator ``A R F`` of a real transfer matrix."""
-    a, f = _coordinate_basis(math.isqrt(r.shape[0]))
-    return a @ r @ f
-
-
 def repeated_queries(gen: QueryGenerator, memory, working, s: float, m: int) -> np.ndarray:
     """Apply ``m`` queries of duration ``s/m`` with fresh identical memory to the
     Hermitian working matrix; ``memory`` is a state's matrix or its
-    ``DensityMatrix``, or for a pair-commutator generator the pair
-    ``(rho, chi)`` of matrices its memory ``rho (x) chi`` is made of.
+    ``DensityMatrix`` (a qite call's is ``state (x) chi``,
+    ``MemoryCallSpec.instruction_matrix``).
     ``working`` may also be a batch of ``k`` working matrices stacked on a
     last axis, shape ``(d, d, k)``; each gets the same block, and the result
     has the batch's shape.  Each block refuses a working matrix that is not

@@ -95,25 +95,23 @@ def partial_trace(m, factor_dims, keep) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 
     ``keep`` is a sequence of 0-based factor indices; kept factors stay in
-    their original order. The full trace is preserved.  ``m`` may also be a
-    ``(k, d, d)`` stack of matrices, each traced as it would be alone.
+    their original order. The full trace is preserved.
     """
-    a = _as_square(m, np.ndim(m) == 3)
-    lead = a.shape[:-2]
-    dims = _check_factor_dims(factor_dims, a.shape[-1])
+    a = _as_square(m)
+    dims = _check_factor_dims(factor_dims, a.shape[0])
     k = len(dims)
     keep = sorted(set(int(i) for i in (keep if np.iterable(keep) else [keep])))
     if any(i < 0 or i >= k for i in keep):
         raise DimensionError(f"keep indices {keep} out of range for {k} factors")
-    t = a.reshape(lead + dims + dims)
+    t = a.reshape(dims + dims)
     # Trace out dropped factors from the back so axis numbers stay valid.
     n_left = k
     for i in reversed(range(k)):
         if i not in keep:
-            t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + n_left)
+            t = np.trace(t, axis1=i, axis2=i + n_left)
             n_left -= 1
     d_keep = math.prod(dims[i] for i in keep) if keep else 1
-    return t.reshape(lead + (d_keep, d_keep))
+    return t.reshape(d_keep, d_keep)
 
 
 def herm_exp(h, t: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian, squares
 from qdpsim import (
+    DBIConfig,
     DensityMatrix,
     DimensionError,
     InvariantError,
@@ -15,6 +16,7 @@ from qdpsim import (
     QueryGenerator,
     channel_error_probe,
     channels,
+    dbi_recursion_spec,
     dme_query,
     exact_memory_call,
     group_commutator,
@@ -184,6 +186,59 @@ class TestQuerySuperoperatorDecomposesOnce:
         via_sup = (sup @ working.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(via_r - via_sup)) <= 8 * np.finfo(float).eps
         assert np.max(np.abs(channels._real_view(sup) - r)) <= 8 * np.finfo(float).eps
+
+
+PLANNED = {
+    "diagonal-commutator": lambda: make_commutator_map(np.diag([0.0, 0.4, 1.5]), 0.7),
+    "osd-3x2": lambda: make_osd_map(np.diag([0.0, 0.5, 1.5]), 0.6, (3, 2)),
+    "pair-commutator": lambda: make_pair_commutator_map(3, 0.9),
+}
+
+
+@pytest.mark.parametrize("build", PLANNED.values(), ids=PLANNED)
+def test_superoperator_is_the_gram_product_with_no_plan(monkeypatch, build):
+    # The reference reads the structure's unitary, never its nonzeros, and
+    # agrees with the plan's R to 8 eps per entry.
+    gen = build().generator
+    memory = random_density(gen.d_in, 71)
+    monkeypatch.setattr(channels, "_transfer_plan",
+                        lambda *a: pytest.fail("query_superoperator read a plan"))
+    sup = query_superoperator(gen, memory, 0.25)
+    monkeypatch.undo()
+    r = gen.transfer(memory.matrix, 0.25) + np.eye(gen.d_out**2)
+    assert gen._plan(0.25) is not None
+    assert np.max(np.abs(channels._real_view(sup) - r)) <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("build", [lambda: make_commutator_map(random_hermitian(3, 21), 0.4),
+                                   dense_partial_trace], ids=["commutator", "partial-trace"])
+def test_dense_transfer_reads_its_superoperator_once(monkeypatch, build):
+    gen = build().generator
+    views, real_view = [], channels._real_view
+    monkeypatch.setattr(channels, "_real_view", lambda sup: views.append(sup) or real_view(sup))
+    dev = gen.transfer(random_density(gen.d_in, 71).matrix, 0.25)
+    assert gen._plan(0.25) is None and len(views) == 1
+    assert np.array_equal(dev + np.eye(gen.d_out**2), real_view(views[0]))
+
+
+def test_a_near_diagonal_instruction_gives_a_planned_commutator():
+    # Off-diagonals up to 1e-12 pass the diagonal check; the dbi and osd maps
+    # are built from the exact diag(mu), so their blocks take the plan.
+    near = np.diag([0.0, 1.0, 2.0])
+    near[0, 1] = near[1, 0] = 1e-13
+    initial = random_hermitian(3, 5)
+
+    def structures(d):
+        dbi = dbi_recursion_spec(DBIConfig(d, initial)).step.memory_calls[0].map
+        return dbi.structure, make_osd_map(d, 0.3, (3, 2)).structure.inner.structure
+
+    for c in structures(near):
+        assert c.v is None and c._plan(0.1) is not None
+        assert np.array_equal(c.d, np.diag([0.0, 1.0, 2.0]))
+    # An exact diagonal gives the bits of the hermitized diagonal as before.
+    exact = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    for c in structures(exact):
+        assert c.d.dtype == complex and np.array_equal(c.d, hermitize(hermitize(exact)))
 
 
 class TestQueryGeneratorUnitary:

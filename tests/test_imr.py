@@ -202,6 +202,28 @@ class TestSubroutine:
         with pytest.raises(InfeasibleConfigError):
             imr_subroutine(rho, IMRConfig(2.0, copies_out=1, failure_threshold=1e-9))
 
+    def test_target_past_a_mixedness_below_zero_is_out_of_reach(self):
+        # In a random eigenbasis the purified state's top eigenvalue reads
+        # 1 + eps once its mixedness is below roundoff; exact math keeps the
+        # mixedness positive ((x + sum of the other eigenvalues^2) / (1 + p)
+        # each round), so a diagonal state reads exactly 0 instead.
+        rho = seeded_state_with_mixedness(2, 0.2, 0)
+        with pytest.raises(InfeasibleConfigError, match="1e\\+300 is out of reach in double "
+                           "precision: mixedness reads -"):
+            imr_subroutine(rho, IMRConfig(1e300, copies_out=64))
+
+    def test_target_whose_copy_count_overflows_a_float_is_infeasible(self):
+        # Diagonal rounds purify to a mixedness of exactly 0, where each
+        # round's ratio bound is 1/2: 1e300 takes 998 rounds, and
+        # 64 (2 / c)^998 copies are past the float range.
+        rho = DensityMatrix(np.diag([0.9, 0.1]))
+        with pytest.raises(InfeasibleConfigError,
+                           match="needs 998 rounds, whose copy count overflows a float"):
+            imr_subroutine(rho, IMRConfig(1e300, copies_out=64))
+        # a target within the float range of copies runs the same rounds
+        out = imr_subroutine(rho, IMRConfig(1e100, copies_out=64))
+        assert mixedness(out.state) == 0.0
+
     def test_round_limit_stops_a_run_that_does_not_converge(self, monkeypatch):
         # the guard stops a loop whose rounds keep running; lower it to reach it
         monkeypatch.setattr("qdpsim.imr.MAX_ROUNDS", 1)

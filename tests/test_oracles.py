@@ -515,15 +515,14 @@ def test_query_blocks_keep_the_trace_at_any_m(build, seed):
 @pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pair_block_on_two_factors_matches_the_long_double_block(monkeypatch, dim, seed):
-    # A qite call's memory is state (x) chi: its block reads the memory's
-    # coordinates off the two factors, and no kron is formed.
+def test_pair_block_on_two_factors_matches_the_long_double_block(dim, seed):
+    # A qite call's memory is state (x) chi, the instruction matrix of the
+    # state and its extra instruction, read by the block like any memory.
     s = 0.9 * seeded(seed)[1]
     rho, chi = random_density(dim, seed), random_density(dim, 50 + seed)
     sigma = random_pure(dim, 100 + seed).density()
     call = MemoryCallSpec(map=make_pair_commutator_map(dim, s), extra_instruction=chi)
     memory = np.kron(rho.matrix, chi.matrix)
-    monkeypatch.setattr(channels, "kron", lambda *a: pytest.fail("formed a kron"))
     for m in [1, 3, 16, 64]:
         got = DensityMatrix(queried_memory_call(call, rho, sigma, m)).matrix
         exact = ld_block(ld_pair_commutator(dim, s, -1.0 / m), memory, sigma.matrix, m)
