@@ -284,7 +284,7 @@ def _check_ledger_digits(path: str, entry: _Scenario, p: dict, strategy) -> None
 # Largest dense operator a run may build, in bytes, as the scenario's map
 # structure gives it for an exact call (``exact_log_bytes``) and for a query
 # call (``queried_log_bytes``): a swap block's d x d matrices, or else the
-# query unitary, never smaller than the real transfer matrix a block squares
+# query unitary, never smaller than the real transfer matrix a block applies
 # (8 d_out^4) because d_in >= d_out.
 MAX_OPERATOR_BYTES = 2**30
 # Largest set of states a run may keep at once, in bytes: a recursion keeps

@@ -16,10 +16,3 @@ def random_hermitian(dim, seed, scale=1.0):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (g + g.conj().T) / 2.0
 
-
-def squares(m, d_out, k=1):
-    """Whether ``repeated_queries`` runs a block of ``m`` queries on a batch of
-    ``k`` ``d_out``-dimensional working states by repeated squaring (else by
-    ``m`` products): its rule ``log2(m) d_out^2 < 6 m k``, pinned against the
-    code by ``test_channels.TestRepeatedSquaring``."""
-    return m.bit_length() * d_out**2 < 6 * m * k

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian, squares
+from helpers import PAULI_X, PAULI_Z, SWAP_2Q, random_hermitian
 from qdpsim import (
     DBIConfig,
     DensityMatrix,
@@ -148,28 +148,27 @@ class TestQuerySuperoperatorDecomposesOnce:
 
     @pytest.mark.parametrize("m", [1, 7, 64])
     def test_repeated_queries_match_an_explicit_matmul_loop(self, build, m):
-        # Below the squaring crossover a block is the loop y + D y of its real
+        # A block keeps the oracle's (8 + m) eps to the loop of the complex
+        # superoperator, and a non-swap block to the loop y + D y of its real
         # transfer matrix's deviation D = R - 1 on the working state's
-        # coordinates, bit for bit.  Past it, and
-        # for a swap block in closed form (identity, scaled), it keeps the
-        # oracle's (8 + m) eps to the loop of the complex superoperator.
+        # coordinates, whose power it sums as a series.
         gen = build().generator
         d = gen.d_out
         memory = random_density(gen.d_in, 72)
         working = random_density(d, 73)
         got = repeated_queries(gen, memory, working, 0.6, m)
-        if squares(m, d) or isinstance(gen, channels.Swap):
-            sup = query_superoperator(gen, memory, 0.6 / m)
-            vec = working.matrix.reshape(-1)
-            for _ in range(m):
-                vec = sup @ vec
-            assert np.max(np.abs(got - vec.reshape(d, d))) <= (8 + m) * np.finfo(float).eps
-        else:
+        sup = query_superoperator(gen, memory, 0.6 / m)
+        vec = working.matrix.reshape(-1)
+        for _ in range(m):
+            vec = sup @ vec
+        assert np.max(np.abs(got - vec.reshape(d, d))) <= (8 + m) * np.finfo(float).eps
+        if not isinstance(gen, channels.Swap):
             dev = gen.transfer(memory.matrix, 0.6 / m)
             y = channels._coords(working.matrix).reshape(-1)
             for _ in range(m):
                 y = y + dev.dot(y)
-            assert np.array_equal(got, channels._hermitian(y.reshape(d, d)))
+            loop = channels._hermitian(y.reshape(d, d))
+            assert np.max(np.abs(got - loop)) <= (8 + m) * np.finfo(float).eps
 
     def test_superoperator_is_the_complex_view_of_the_transfer_matrix(self, build):
         # R maps a Hermitian matrix's real coordinates as the superoperator maps
@@ -219,6 +218,21 @@ def test_dense_transfer_reads_its_superoperator_once(monkeypatch, build):
     dev = gen.transfer(random_density(gen.d_in, 71).matrix, 0.25)
     assert gen._plan(0.25) is None and len(views) == 1
     assert np.array_equal(dev + np.eye(gen.d_out**2), real_view(views[0]))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_real_view_is_the_product_with_the_coordinate_basis(d):
+    # Each basis matrix's output is gathered from one or two superoperator
+    # columns, with the bits of the dense product with the basis.
+    v = herm_exp(random_hermitian(2 * d, 25 + d), 1.0)
+    dense = map_from_function(lambda x: partial_trace(v @ x @ v.conj().T, (d, 2), keep=[0]),
+                              2 * d, d)
+    sup = query_superoperator(dense.generator, random_density(2 * d, 71), 0.25)
+    n = d * d
+    basis = channels._hermitian(np.eye(n).reshape(d, d, n)).reshape(n, n)
+    out = (sup @ basis).reshape(d, d, n)
+    want = channels._coords(0.5 * (out + out.conj().swapaxes(0, 1))).reshape(n, n)
+    assert np.array_equal(channels._real_view(sup), want)
 
 
 def test_a_near_diagonal_instruction_gives_a_planned_commutator():
@@ -1000,8 +1014,8 @@ class TestRepeatedQueries:
 
     @pytest.mark.parametrize("m", [1, 7, 64, 1000])
     def test_batch_matches_column_by_column(self, m):
-        # m = 64 squares the batch of 5 and loops each column (d = 3), within
-        # the oracle's (8 + m) eps; the other m take one path for both.
+        # The batch and each column sum one series, in another product
+        # order, within the oracle's (8 + m) eps.
         gen = make_commutator_map(random_hermitian(3, 21), 0.4).generator
         memory = random_density(3, 1)
         states = [random_pure(3, 30 + k).density().matrix for k in range(5)]
@@ -1012,32 +1026,25 @@ class TestRepeatedQueries:
             assert np.max(np.abs(got[..., k] - one)) <= (8 + m) * np.finfo(float).eps, k
 
 
-def record_powers(monkeypatch):
+def record_transfers(monkeypatch):
     """Spy on the blocks' transfer matrices: the list of one query's
-    deviation ``D = R - 1`` and then of each squaring's, ``D (D + 2)``, of a
-    squared block, recorded as its ``@`` makes it."""
-    powers = []
-
-    class Recorded(np.ndarray):
-        def __matmul__(self, other):
-            out = np.ndarray.__matmul__(self, other)
-            powers.append(out.view(np.ndarray).copy())
-            return out
-
+    deviation ``D = R - 1`` that each block reads (``transfer``)."""
+    transfers = []
     transfer = QueryGenerator.transfer
 
     def recording(self, memory, s):
         r = transfer(self, memory, s)
-        powers.append(r.copy())
-        return r.view(Recorded)
+        transfers.append(r.copy())
+        return r
 
     monkeypatch.setattr(QueryGenerator, "transfer", recording)
-    return powers
+    return transfers
 
 
-class TestRepeatedSquaring:
-    """Blocks that square a transfer matrix: every map but the swap maps, whose
-    blocks are in closed form, so the identity map here is the dense one."""
+class TestQueryBlockSeries:
+    """Blocks that sum a transfer matrix's series: every map but the swap
+    maps, whose blocks are in closed form, so the identity map here is the
+    dense one."""
 
     MAPS = {
         "identity": lambda: map_from_function(lambda x: x, 2, 2),
@@ -1047,48 +1054,37 @@ class TestRepeatedSquaring:
     }
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_squares_past_the_crossover_in_log2_m_products(self, monkeypatch, d):
+    def test_one_transfer_matrix_per_block(self, monkeypatch, d):
         gen = map_from_function(lambda x: x, d, d).generator
         rho, sigma = random_density(d, 1), random_density(d, 2)
-        last_loop = max([m for m in range(1, 400) if not squares(m, d)], default=1)
-        powers = record_powers(monkeypatch)
-        for m in [1, 2, last_loop, last_loop + 1, 2 * last_loop, 2**16 + 1]:
-            powers.clear()
+        transfers = record_transfers(monkeypatch)
+        for m in [1, 2, 3, 64, 4096, 2**16 + 1]:
+            transfers.clear()
             repeated_queries(gen, rho, sigma, 0.6, m)
-            squarings = m.bit_length() - 1 if squares(m, d) else 0
-            assert len(powers) == 1 + squarings, m
+            assert len(transfers) == 1, m
+            assert transfers[0].dtype == np.float64 and transfers[0].shape == (d * d, d * d)
 
     @pytest.mark.parametrize("k", [1, 4, 36])
-    def test_a_batch_squares_by_its_column_count(self, monkeypatch, k):
+    def test_a_batch_reads_one_transfer_matrix(self, monkeypatch, k):
         gen = make_commutator_map(random_hermitian(2, 21), 0.4).generator
         batch = np.stack([random_pure(2, 30 + j).density().matrix for j in range(k)], axis=-1)
-        powers = record_powers(monkeypatch)
+        transfers = record_transfers(monkeypatch)
         for m in [1, 2, 3, 8, 16, 32, 49]:
-            powers.clear()
+            transfers.clear()
             repeated_queries(gen, random_density(2, 1), batch, 0.6, m)
-            squarings = m.bit_length() - 1 if squares(m, 2, k) else 0
-            assert len(powers) == 1 + squarings, m
+            assert len(transfers) == 1, m
 
     @pytest.mark.parametrize("name", list(MAPS))
-    def test_every_power_gives_an_exactly_hermitian_output(self, monkeypatch, name):
-        # Each power is a real matrix on real coordinates, and the block's
-        # output is rebuilt from them, so it is Hermitian bit for bit.  The
-        # k-th squaring holds (1 + D)^(2^k) as its deviation from 1.
+    def test_every_block_gives_an_exactly_hermitian_output(self, monkeypatch, name):
+        # The series runs on real coordinates, and the block's output is
+        # rebuilt from them, so it is Hermitian bit for bit at any m.
         gen = self.MAPS[name]().generator
-        d, m = gen.d_out, 2**12 + 5
-        powers = record_powers(monkeypatch)
-        memory, working = random_density(gen.d_in, 3), random_density(d, 4)
-        got = repeated_queries(gen, memory, working, -1.3, m)
-        assert np.array_equal(got, got.conj().T)
-        assert len(powers) == m.bit_length()
-        assert all(p.dtype == np.float64 and p.shape == (d * d, d * d) for p in powers)
-        one = np.eye(d * d)
-        for k in (1, 2, 3):
-            want = np.linalg.matrix_power(one + powers[0], 2**k)
-            assert np.max(np.abs(one + powers[k] - want)) <= 64 * np.finfo(float).eps
-        for n in (1, 3, 64):
-            out = repeated_queries(gen, memory, working, -1.3, n)
-            assert np.array_equal(out, out.conj().T), n
+        memory, working = random_density(gen.d_in, 3), random_density(gen.d_out, 4)
+        transfers = record_transfers(monkeypatch)
+        for m in (1, 3, 64, 2**12 + 5):
+            out = repeated_queries(gen, memory, working, -1.3, m)
+            assert np.array_equal(out, out.conj().T), m
+        assert len(transfers) == 4
 
     @pytest.mark.parametrize("name", list(MAPS))
     @pytest.mark.parametrize("s", [0.6, -1.3])
@@ -1211,12 +1207,10 @@ class TestChannelErrorProbe:
     def test_one_transfer_matrix_per_m(self, monkeypatch):
         m = make_commutator_map(np.diag(np.arange(4.0)) / 3, 1.0)
         rho, m_values = random_density(4, 74), [1, 4, 64, 4096]
-        powers = record_powers(monkeypatch)
+        transfers = record_transfers(monkeypatch)
         assert len(channel_error_probe(m.generator, m, rho, 0.5, m_values, 8, 3)) == len(m_values)
-        # one R per m, then the squares of the blocks that square
-        squarings = sum(n.bit_length() - 1 for n in m_values if squares(n, 4, 8))
-        assert len(powers) == len(m_values) + squarings
-        assert all(p.shape == (16, 16) for p in powers)
+        assert len(transfers) == len(m_values)
+        assert all(r.shape == (16, 16) for r in transfers)
 
     def test_a_swap_probe_builds_no_superoperator(self, monkeypatch):
         m, rho = make_identity_map(4), random_density(4, 74)

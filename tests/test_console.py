@@ -55,7 +55,7 @@ def test_roundoff_pure_states_run_every_step(tmp_path):
 
 
 def test_a_block_of_2_18_queries_runs(tmp_path):
-    # A block of 2^18 queries runs by repeated squaring.
+    # A grover block of 2^18 swap queries runs in closed form.
     doc = {"schema_version": 1, "scenario": "grover", "seed": 7,
            "strategy": {"kind": "qdp", "m": 262144},
            "params": {"L": 1, "dim": 4, "n_steps": 1, "delta0": 0.6},

@@ -13,12 +13,10 @@ depend on m.  Its distance to the naive power here is budgeted as
 recursion step validates its output: the naive power reads the float64
 memory's trace, 1 + 1.1e-16, m times (over seeds 0-4, at most 0.55 of the
 budget).  The same map's dense twin (``QueryGenerator.from_map``) keeps
-the superoperator power: one query built to a few eps and applied ``m``
-times, by ``m`` matvecs or, past the crossover ``2 log2(m) d^2 < m``, by
-repeated squaring (from m = 49 at d = 2 and m = 289 at d = 4 in
-``M_VALUES``).  The two blocks are budgeted
-``(8 + m) eps`` apart.  Over seeds 0-3, d = 2-4 and angles up to 14.5, the
-validated blocks were at most 0.51 of that apart.
+the power of one query's real transfer matrix, read to a few eps off its
+superoperator and summed as a binomial series (``QueryGenerator.block``).
+The two blocks are budgeted ``(8 + m) eps`` apart.  Over seeds 0-3, d = 2-4
+and angles up to 14.5, the validated blocks were at most 0.39 of that apart.
 
 One query's superoperator misses trace preservation by a few eps, and a
 squared or looped block amplifies that defect to about ``m`` times it, so
@@ -32,13 +30,12 @@ Dense query: a block of ``m`` queries of duration ``S/m`` is ``m`` successive
 ``memory_usage_query`` calls, each handed the same memory copy and each
 applying the generator's query unitary and validating its output on its own.
 It shares that unitary with the block (the closed forms have their own
-oracle below) but not the superoperator, the loop or the squaring.  The
-blocks run as a recursion step runs them (``queried_memory_call``), so an
-osd block is its A factor's block applied to ``d_B^2`` columns, which
-squares from m = 7 at osd (2, 2), m = 2 at (2, 3) and m = 23 at (3, 2).
-The validated block is budgeted ``(8 + m) eps`` against it; over seeds 0-19
-the worst was 1.03 eps at m = 1 (commutator map, d = 2), 0.639 m eps at
-m = 16 and 0.603 m eps at m = 64 (pair commutator), and 0.488 m eps at
+oracle below) but not the transfer matrix or its series.  The blocks run
+as a recursion step runs them (``queried_memory_call``), so an osd block
+is its A factor's block applied to ``d_B^2`` columns.  The validated block
+is budgeted ``(8 + m) eps`` against it; over seeds 0-19 the worst was 1.0
+eps at m = 1 (pair commutator, d = 3), 0.614 m eps at m = 16 (pair
+commutator), 0.445 m eps at m = 64 (commutator map, d = 3) and 0.777 m eps at
 m = 1024 (pair commutator).
 """
 
@@ -78,8 +75,7 @@ from qdpsim.cli import main
 
 EPS = np.finfo(float).eps
 LD = np.longdouble
-# Up to 2^16, with the last looped and the first squared block at d = 2 (48, 49)
-# and at d = 4 (288, 289).
+# Up to 2^16.
 M_VALUES = [1, 2, 3, 16, 48, 49, 64, 256, 288, 289] + [4**k for k in range(5, 9)]
 
 
@@ -213,12 +209,11 @@ COUNTS = [1, 2, 3, 16, 64]
 @pytest.mark.parametrize(
     "build, counts",
     [
-        # d_out = 2 and 3 square from m = 1, so every m there runs by squaring.
         (lambda seed, c: make_commutator_map(random_hermitian(2, 30 + seed), 0.8 * c),
          COUNTS + [1024]),
         (lambda seed, c: make_commutator_map(random_hermitian(3, 30 + seed), 0.8 * c), COUNTS),
-        # The benchmark's sizes: a diagonal commutator at d = 12 loops its
-        # transfer matrix (dbi hybrid), osd [2, 6] passes 36 columns of its
+        # The benchmark's sizes: a diagonal commutator at d = 12 (dbi
+        # hybrid), osd [2, 6] passes 36 columns of its
         # off-diagonal blocks' Hermitian and anti-Hermitian parts (osd qdp),
         # and a pair commutator reads its memory off two factors (qite qdp).
         (lambda seed, c: make_commutator_map(np.diag(np.arange(12.0) / 11), 0.8 * c), COUNTS),
@@ -466,30 +461,81 @@ def test_query_blocks_match_the_long_double_block(build, seed, total):
         assert err <= (8 + m) * EPS, (m, err / EPS)
 
 
+# The non-swap cases, whose blocks sum one query's transfer matrix as a series.
+SERIES_CASES = {"diagonal-commutator-4": commutator_case, "osd-2x2": osd_case(2, 2),
+                "osd-2x3": osd_case(2, 3), "osd-3x2": osd_case(3, 2),
+                "pair-commutator-2": pair_commutator_case}
+# The cases run at larger scales: one of each family.  The osd cases on six
+# dimensions take ten times as long (a 36 x 36 long-double block per query).
+SCALED = [(name, scale) for scale in (5, 20, 60)
+          for name in ("diagonal-commutator-4", "osd-2x2", "pair-commutator-2")]
+
+
 @pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
 @pytest.mark.parametrize(
-    "build",
-    [commutator_case, osd_case(2, 2), osd_case(2, 3), osd_case(3, 2), pair_commutator_case],
-    ids=["diagonal-commutator-4", "osd-2x2", "osd-2x3", "osd-3x2", "pair-commutator-2"],
+    "name, scale", [(name, 1) for name in SERIES_CASES] + SCALED,
+    ids=list(SERIES_CASES) + [f"{name}-x{scale}" for name, scale in SCALED],
 )
 @pytest.mark.parametrize("total", [0.6, -1.3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_query_blocks_match_the_unit_trace_long_double_block(build, seed, total):
+def test_query_blocks_match_the_unit_trace_long_double_block(name, scale, seed, total):
     # The validated block against the long-double block read at unit trace,
     # as a validated state reads it.  The raw long-double block's trace is
     # tr(rho)^m, m times the memory's own few-eps trace defect, which the
-    # (8 + m) eps budget above absorbs.  Over seeds 0-9 (0-49 for m <= 16) the
-    # worst was 1.3 eps at m = 1 and 1.4 eps at m = 64; holding R
-    # itself, as complex or real matrices, a block was 10-34 eps off at m = 64.
-    mapping, ld_unitary = build(seed, -total)
+    # (8 + m) eps budget above absorbs.  Over seeds 0-9 the worst was 0.8 eps
+    # at m = 1 and 1.1 eps at m = 64; holding R itself, as complex or real
+    # matrices, a block was 10-34 eps off at m = 64.  The maps scaled 5, 20
+    # and 60 times give m ||D||_F up to about 290, so their blocks sum the
+    # series in chunks (one query a chunk at the largest); unchunked, a
+    # series at m ||D||_F = 30 loses about 9e8 eps to cancellation.  Over
+    # seeds 0-9 they read at most 5.7 eps (diagonal commutator, scale 60,
+    # m = 16).
+    mapping, ld_unitary = SERIES_CASES[name](seed, -total * scale)
     gen = mapping.generator
     rho = random_density(gen.d_in, seed)
     sigma = random_pure(gen.d_out, 100 + seed).density()
-    for m in [1, 3, 16, 64]:
+    for m in [1, 3, 16, 64] if scale == 1 else [16, 64]:
         got = query_block(mapping, rho, sigma, m)
         exact = ld_block(ld_unitary(-1.0 / m), rho.matrix, sigma.matrix, m)
         err = float(np.max(np.abs(got - exact / np.trace(exact).real)))
         assert err <= 8 * EPS, (m, err / EPS)
+
+
+def ld_superoperator(w, rho):
+    """One query's superoperator in ``np.clongdouble``, on row-major
+    vectorized working states: the Gram product of the long-double unitary
+    ``w`` with the memory ``rho`` read at unit trace."""
+    d_in = rho.shape[0]
+    d_out = w.shape[0] // d_in
+    rho = rho.astype(np.clongdouble)
+    rho = rho / np.trace(rho)
+    a = w.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2).reshape(d_out**2, d_in**2)
+    g = (a.reshape(-1, d_in) @ rho).reshape(a.shape) @ a.conj().T
+    return g.reshape((d_out,) * 4).transpose(0, 2, 1, 3).reshape(d_out**2, d_out**2)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= EPS, reason="long double is no wider than double")
+@pytest.mark.parametrize("name", list(SERIES_CASES))
+@pytest.mark.parametrize("total", [0.6, -1.3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_long_query_blocks_match_the_squared_long_double_superoperator(name, seed, total):
+    # Past m = 64 the m-query long-double block is too slow, so the reference
+    # squares the long-double one-query superoperator (ld_superoperator).  Its
+    # own rounding of the identity grows as m long-double eps, so it judges
+    # the raw (8 + m) eps budget, not the 8 eps one at unit trace, which
+    # stays at m <= 64.  Measured over seeds 0-2: at most 12 eps at m = 2^16
+    # and 148 eps at m = 2^20, and 46 and 622 eps for the pair commutator.
+    mapping, ld_unitary = SERIES_CASES[name](seed, -total)
+    gen = mapping.generator
+    rho = random_density(gen.d_in, seed)
+    sigma = random_pure(gen.d_out, 100 + seed).density()
+    d = gen.d_out
+    for m in [2**16, 2**20]:
+        got = query_block(mapping, rho, sigma, m)
+        power = ld_power(ld_superoperator(ld_unitary(-1.0 / m), rho.matrix), m)
+        exact = (power @ sigma.matrix.reshape(-1).astype(np.clongdouble)).reshape(d, d)
+        err = float(np.max(np.abs(got - exact)))
+        assert err <= (8 + m) * EPS, (m, err / EPS)
 
 
 @pytest.mark.parametrize(
